@@ -20,10 +20,16 @@ grid = tp.SpectralGrid(60.0, 1201)
 pulse = tp.make_pulse(tp.PulseShape("lorentzian", sigma), grid)
 
 alpha, xi = np.sqrt(0.4), np.sqrt(0.6)
-state = FewPhotonState.vacuum(grid, ("sig",))
-state.vacuum_amp = 0.0j
-state.one_photon["sig"] = alpha * pulse.values
-state.two_photon[("sig", "sig")] = xi * np.outer(pulse.values, pulse.values)
+
+
+def sorter_input(f):
+    """alpha |1_f> + xi |2_f> on the signal rail."""
+    return FewPhotonState.from_components(
+        grid, ("sig",), ones={"sig": alpha * f.values},
+        pairs={("sig", "sig"): xi * np.outer(f.values, f.values)})
+
+
+state = sorter_input(pulse)
 
 print(f"input on one rail: {alpha**2:.2f} single photon + {xi**2:.2f} "
       "photon pair")
@@ -51,12 +57,7 @@ print("as the sorting argument assumes; rerun with ideal=False to keep it.")
 lossy = tp.TlsParams.from_beta(0.95)
 sigma95 = tp.matching_sigma(lossy, "upper")
 pulse95 = tp.make_pulse(tp.PulseShape("lorentzian", sigma95), grid)
-state95 = FewPhotonState.vacuum(grid, ("sig",))
-state95.vacuum_amp = 0.0j
-state95.one_photon["sig"] = alpha * pulse95.values
-state95.two_photon[("sig", "sig")] = xi * np.outer(pulse95.values,
-                                                   pulse95.values)
-out95 = tp.photon_sorter(state95, "sig", lossy, pulse95)
+out95 = tp.photon_sorter(sorter_input(pulse95), "sig", lossy, pulse95)
 eps1 = tp.epsilon1_analytic(lossy, sigma95)
 eps_b = tp.epsilon_b_analytic(lossy, sigma95)
 print(f"\nwith beta_dir = 0.95 the sorted weights shrink to eps1 = "

@@ -18,26 +18,29 @@ grid = tp.SpectralGrid(60.0, 1201)
 pulse = tp.make_pulse(tp.PulseShape("lorentzian", sigma), grid)
 
 amp = 1.0 / np.sqrt(3.0)
-state = FewPhotonState.vacuum(grid, ("sig",))
-state.vacuum_amp = amp
-state.one_photon["sig"] = amp * pulse.values
-state.two_photon[("sig", "sig")] = amp * np.outer(pulse.values, pulse.values)
+
+
+def ns_state(pair_sign):
+    """(|0> + |1_f> + pair_sign |2_f>) / sqrt(3) on the signal rail."""
+    return FewPhotonState.from_components(
+        grid, ("sig",), amp, ones={"sig": amp * pulse.values},
+        pairs={("sig", "sig"): pair_sign * amp
+               * np.outer(pulse.values, pulse.values)})
+
+
+state = ns_state(1.0)
 print("input:  (|0> + |1_f> + |2_f>) / sqrt(3)")
 
 out = tp.ns_gate(state, "sig", p, pulse)
 
-target = FewPhotonState.vacuum(grid, ("sig",))
-target.vacuum_amp = amp
-target.one_photon["sig"] = amp * pulse.values
-target.two_photon[("sig", "sig")] = -amp * np.outer(pulse.values,
-                                                    pulse.values)
+target = ns_state(-1.0)
 print("target: (|0> + |1_f> - |2_f>) / sqrt(3)")
 print(f"fidelity to target : {fidelity(out, target):.10f}")
 print(f"total probability  : {out.total_probability():.10f}\n")
 
 w = grid.weights
 ff = np.outer(pulse.values, pulse.values)
-pair_coeff = w @ (np.conj(ff) * out.two_photon[("sig", "sig")]) @ w
+pair_coeff = w @ (np.conj(ff) * out.pair("sig", "sig")) @ w
 one_coeff = np.sum(w * np.conj(pulse.values) * out.one_photon["sig"]) / amp
 print(f"recovered amplitudes: vacuum {out.vacuum_amp / amp:.4f}, "
       f"one photon {one_coeff:.4f}, pair {pair_coeff / amp:.4f}\n")
@@ -49,12 +52,12 @@ print(f"  fidelity(NS(NS(state)), state) = {fidelity(twice, state):.6f}\n")
 lossy = tp.TlsParams.from_beta(0.95)
 sigma95 = tp.matching_sigma(lossy, "upper")
 pulse95 = tp.make_pulse(tp.PulseShape("lorentzian", sigma95), grid)
-pair_in = FewPhotonState.vacuum(grid, ("sig",))
-pair_in.vacuum_amp = 0.0j
-pair_in.two_photon[("sig", "sig")] = np.outer(pulse95.values, pulse95.values)
+pair_in = FewPhotonState.from_components(
+    grid, ("sig",), pairs={("sig", "sig"): np.outer(pulse95.values,
+                                                    pulse95.values)})
 out95 = tp.ns_gate(pair_in, "sig", lossy, pulse95)
 ff95 = np.outer(pulse95.values, pulse95.values)
-coeff95 = w @ (np.conj(ff95) * out95.two_photon[("sig", "sig")]) @ w
+coeff95 = w @ (np.conj(ff95) * out95.pair("sig", "sig")) @ w
 eps1 = tp.epsilon1_analytic(lossy, sigma95)
 print(f"beta_dir = 0.95: the pair amplitude comes back as {coeff95:.4f}, "
       f"magnitude eps1^2 = {eps1**2:.4f};")

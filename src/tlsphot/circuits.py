@@ -129,19 +129,10 @@ def logical_state(grid: SpectralGrid, pulse: OnePhotonAmp,
     basis state is a photon pair in the pulse mode on the corresponding
     rails.
     """
-    state = FewPhotonState.vacuum(grid, RAILS4)
-    state.vacuum_amp = 0.0j
     ff = np.outer(pulse.values, pulse.values)
-    for (b1, b2), coef in amplitudes.items():
-        if coef == 0:
-            continue
-        ra = _QUBIT_RAILS["q1"][b1]
-        rb = _QUBIT_RAILS["q2"][b2]
-        key = state.pair_key(ra, rb)
-        arr = coef * ff
-        state.two_photon[key] = (state.two_photon.get(key, 0)
-                                 + (arr if key == (ra, rb) else arr.T))
-    return state
+    pairs = {(_QUBIT_RAILS["q1"][b1], _QUBIT_RAILS["q2"][b2]): coef * ff
+             for (b1, b2), coef in amplitudes.items() if coef != 0}
+    return FewPhotonState.from_components(grid, RAILS4, pairs=pairs)
 
 
 def logical_amplitudes(state: FewPhotonState, pulse: OnePhotonAmp) -> dict:

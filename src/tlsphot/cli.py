@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +94,86 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
     return cfg
 
 
+@dataclass(frozen=True)
+class _Settings:
+    """A resolved configuration, parsed into typed values."""
+
+    p: TlsParams
+    spec: SweepSpec
+    n_points: int | None
+    delta_max: float | None
+    branch: str
+    sigma: float | None
+    tolerance: float
+
+
+def _check(value, ok, message: str):
+    """``value`` if ``ok(value)``, else a ValueError with ``message``."""
+    if not ok(value):
+        raise ValueError(message)
+    return value
+
+
+def _parse(cfg: dict):
+    """Typed settings of a resolved configuration (None if it has faults),
+    and one diagnostic per fault, naming its key.
+
+    Ranges are checked by the library types the values feed.
+    """
+    diagnostics = []
+
+    def field(sec, key, convert):
+        raw = cfg[sec][key]
+        try:
+            return convert(raw)
+        except ValueError as exc:
+            diagnostics.append(f"{sec}.{key} = {raw}: {exc}")
+            return None
+
+    def auto(convert):
+        return lambda raw: None if raw == "auto" else convert(raw)
+
+    n_points = field("grid", "n_points", auto(
+        lambda raw: SpectralGrid(1.0, int(raw)).n_points))
+    delta_max = field("grid", "delta_max", auto(
+        lambda raw: SpectralGrid(float(raw), 3).delta_max))
+    gamma_wg = field("tls", "gamma_wg",
+                     lambda raw: TlsParams(gamma_wg=float(raw)).gamma_wg)
+    p = field("tls", "beta", lambda raw: TlsParams.from_beta(
+        float(raw), gamma_wg=gamma_wg or 1.0))
+    betas = field("sweep", "beta_values", lambda raw: SweepSpec(
+        beta_values=tuple(float(b) for b in raw.split(","))).beta_values)
+    sigma_min = field("sweep", "sigma_min", float)
+    sigma_max = field("sweep", "sigma_max", float)
+    count = field("sweep", "sigma_count", lambda raw: _check(
+        int(float(raw)), lambda n: n >= 2, "must be at least 2"))
+    branch = field("run", "branch", lambda raw: _check(
+        raw, lambda b: b in ("upper", "lower"), "must be upper or lower"))
+    sigma = field("run", "sigma", auto(
+        lambda raw: PulseShape("lorentzian", float(raw)).width))
+    tolerance = field("convergence", "tolerance", lambda raw: _check(
+        float(raw), lambda v: v > 0.0, "must be positive"))
+    spec = None
+    if None not in (sigma_min, sigma_max):
+        try:
+            spec = SweepSpec(beta_values=betas or (1.0,),
+                             sigma_range=(sigma_min, sigma_max),
+                             sigma_count=count or 2, n_points=n_points)
+        except ValueError as exc:
+            diagnostics.append(f"sweep.sigma_min = {sigma_min}, "
+                               f"sweep.sigma_max = {sigma_max}: {exc}")
+    if None not in (n_points, delta_max, sigma):
+        h = 2.0 * delta_max / (n_points - 1)
+        if h > sigma / 10.0:
+            diagnostics.append(
+                f"grid resolution: spacing {h:.4g} exceeds sigma/10 "
+                f"= {sigma / 10.0:.4g}")
+    if diagnostics:
+        return None, diagnostics
+    return _Settings(p=p, spec=spec, n_points=n_points, delta_max=delta_max,
+                     branch=branch, sigma=sigma, tolerance=tolerance), []
+
+
 def validate_config(path: str) -> list:
     """Diagnostics for a config file: unknown keys, ranges, grid resolution."""
     diagnostics = []
@@ -106,48 +188,13 @@ def validate_config(path: str) -> list:
         for key in vals:
             if key not in DEFAULTS[sec]:
                 diagnostics.append(f"unknown key {key!r} in section [{sec}]")
-    try:
-        cfg = load_config(path)
-    except ConfigError:
+    if diagnostics:
         return diagnostics
-    checks = [
-        ("tls", "beta", lambda v: 0.0 < v <= 1.0, "must be in (0, 1]"),
-        ("tls", "gamma_wg", lambda v: v > 0.0, "must be positive"),
-        ("sweep", "sigma_min", lambda v: v > 0.0, "must be positive"),
-        ("sweep", "sigma_max", lambda v: v > 0.0, "must be positive"),
-        ("sweep", "sigma_count", lambda v: v >= 2, "must be at least 2"),
-        ("convergence", "tolerance", lambda v: v > 0.0, "must be positive"),
-    ]
-    for sec, key, ok, msg in checks:
-        raw = cfg[sec][key]
-        try:
-            val = float(raw)
-        except ValueError:
-            diagnostics.append(f"{sec}.{key}: not a number: {raw!r}")
-            continue
-        if not ok(val):
-            diagnostics.append(f"{sec}.{key} = {raw}: {msg}")
-    if cfg["run"]["branch"] not in ("upper", "lower"):
-        diagnostics.append(f"run.branch must be upper or lower, "
-                           f"got {cfg['run']['branch']!r}")
-    sigma = cfg["run"]["sigma"]
-    n_raw, dmax_raw = cfg["grid"]["n_points"], cfg["grid"]["delta_max"]
-    if n_raw != "auto":
-        n = int(n_raw)
-        if n < 3 or n % 2 == 0:
-            diagnostics.append(f"grid.n_points must be odd and >= 3, got {n}")
-        elif sigma != "auto" and dmax_raw != "auto":
-            h = 2.0 * float(dmax_raw) / (n - 1)
-            if h > float(sigma) / 10.0:
-                diagnostics.append(
-                    f"grid resolution: spacing {h:.4g} exceeds sigma/10 "
-                    f"= {float(sigma) / 10.0:.4g}"
-                )
-    return diagnostics
+    return _parse(load_config(path))[1]
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
@@ -179,38 +226,37 @@ plt.savefig("{experiment}.png", dpi=150)
 """
 
 
-def _demo_grid(cfg: dict) -> SpectralGrid:
-    n = cfg["grid"]["n_points"]
-    dmax = cfg["grid"]["delta_max"]
+def _demo_grid(s: _Settings) -> SpectralGrid:
     return SpectralGrid(
-        float(dmax) if dmax != "auto" else _DEMO_DELTA_MAX,
-        int(n) if n != "auto" else _DEMO_N_POINTS,
+        _DEMO_DELTA_MAX if s.delta_max is None else s.delta_max,
+        _DEMO_N_POINTS if s.n_points is None else s.n_points,
     )
 
 
-def _sweep_spec(cfg: dict) -> SweepSpec:
-    n = cfg["grid"]["n_points"]
-    return SweepSpec(
-        beta_values=tuple(float(b) for b in
-                          cfg["sweep"]["beta_values"].split(",")),
-        sigma_range=(float(cfg["sweep"]["sigma_min"]),
-                     float(cfg["sweep"]["sigma_max"])),
-        sigma_count=int(float(cfg["sweep"]["sigma_count"])),
-        n_points=None if n == "auto" else int(n),
-    )
+def _refined_n(n_points: int | None, refine: int) -> int | None:
+    """Sample count of the default grid policy refined ``refine`` times."""
+    if refine == 1:
+        return n_points
+    base = SpectralGrid.for_pulse_width(1.0, n_points=n_points)
+    return base.refine(refine).n_points
 
 
-def _operating_pulse(cfg: dict, grid: SpectralGrid):
-    p = TlsParams(gamma_wg=float(cfg["tls"]["gamma_wg"]))
-    beta = float(cfg["tls"]["beta"])
-    p = TlsParams.from_beta(beta, gamma_wg=p.gamma_wg)
-    sigma_cfg = cfg["run"]["sigma"]
-    if sigma_cfg != "auto":
-        sigma = float(sigma_cfg)
-    else:
-        sigma = matching_sigma(p, branch=cfg["run"]["branch"])
+def _resolved_eta(p: TlsParams, sigma: float, n_points: int | None) -> float:
+    """eta at width ``sigma`` on the default grid policy; unlike the root
+    finder's evaluations, this refuses a grid that does not resolve the
+    pulse."""
+    if p.gamma_loss == 0.0:
+        return eta_analytic(sigma, p.gamma_wg)
+    grid = SpectralGrid.for_pulse_width(sigma, p.gamma_wg, n_points=n_points)
+    return eta_numeric(p, make_pulse(PulseShape("lorentzian", sigma), grid))
+
+
+def _operating_pulse(s: _Settings, grid: SpectralGrid):
+    sigma = s.sigma
+    if sigma is None:
+        sigma = matching_sigma(s.p, branch=s.branch)
     pulse = make_pulse(PulseShape("lorentzian", sigma), grid)
-    return p, sigma, pulse
+    return sigma, pulse
 
 
 # -- experiment table builders --------------------------------------------
@@ -218,86 +264,58 @@ def _operating_pulse(cfg: dict, grid: SpectralGrid):
 # name to a callable taking a refinement factor (1 = base grid, 2 = doubled).
 
 
-def _build_fig1b(cfg):
-    spec = _sweep_spec(cfg)
-    rows = fig1b_data(spec)
+def _build_fig1b(s: _Settings):
+    rows = fig1b_data(s.spec)
     columns = ["beta", "sigma_over_gamma", "eta", "half_eps1_sq",
                "is_crossing"]
-    beta0 = spec.beta_values[0]
+    p = TlsParams.from_beta(s.spec.beta_values[0])
 
     def headline(refine):
-        p = TlsParams.from_beta(beta0)
-        if p.gamma_loss == 0.0:
-            return eta_analytic(0.5, p.gamma_wg)
-        grid = SpectralGrid.for_pulse_width(0.5, n_points=spec.n_points)
-        if refine > 1:
-            grid = grid.refine(refine)
-        f = make_pulse(PulseShape("lorentzian", 0.5), grid)
-        return eta_numeric(p, f)
+        return _resolved_eta(p, 0.5, _refined_n(s.spec.n_points, refine))
 
     return columns, rows, {"eta_sigma_half": headline}
 
 
-def _build_loss_curves(cfg):
-    spec = _sweep_spec(cfg)
-    rows = loss_curves(spec, branch=cfg["run"]["branch"])
-    columns = ["beta", "sigma", "two_photon_loss", "two_singles_loss",
-               "matched"]
+def _build_matched_curve(s: _Settings, columns, curve, name, figure):
+    """Rows of a matched-point curve; the headline evaluates ``figure``
+    (of eps_1) at the smallest matched beta."""
+    rows = curve(s.spec, branch=s.branch)
     betas = [r["beta"] for r in rows if r["matched"]]
-    beta_ref = min(betas) if betas else 1.0
+    p = TlsParams.from_beta(min(betas) if betas else 1.0)
 
     def headline(refine):
-        p = TlsParams.from_beta(beta_ref)
-        n = spec.n_points
-        if refine > 1:
-            base = SpectralGrid.for_pulse_width(1.0, n_points=n)
-            n = base.refine(refine).n_points
-        sigma = matching_sigma(p, branch=cfg["run"]["branch"], n_points=n)
-        return 1.0 - epsilon1_analytic(p, sigma) ** 2
+        sigma = matching_sigma(p, branch=s.branch,
+                               n_points=_refined_n(s.spec.n_points, refine))
+        return figure(epsilon1_analytic(p, sigma))
 
-    return columns, rows, {"two_singles_loss": headline}
+    return columns, rows, {name: headline}
 
 
-def _build_fig3(cfg):
-    spec = _sweep_spec(cfg)
-    rows = fig3_data(spec, branch=cfg["run"]["branch"])
-    columns = ["beta", "bell_success", "cz_success", "matched"]
-    betas = [r["beta"] for r in rows if r["matched"]]
-    beta_ref = min(betas) if betas else 1.0
-
-    def headline(refine):
-        p = TlsParams.from_beta(beta_ref)
-        n = spec.n_points
-        if refine > 1:
-            base = SpectralGrid.for_pulse_width(1.0, n_points=n)
-            n = base.refine(refine).n_points
-        sigma = matching_sigma(p, branch=cfg["run"]["branch"], n_points=n)
-        return epsilon1_analytic(p, sigma) ** 4
-
-    return columns, rows, {"cz_success": headline}
+def _build_loss_curves(s: _Settings):
+    return _build_matched_curve(
+        s, ["beta", "sigma", "two_photon_loss", "two_singles_loss",
+            "matched"], loss_curves, "two_singles_loss",
+        lambda eps1: 1.0 - eps1**2)
 
 
-def _build_matching_points(cfg):
-    p = TlsParams.from_beta(float(cfg["tls"]["beta"]),
-                            gamma_wg=float(cfg["tls"]["gamma_wg"]))
-    n = cfg["grid"]["n_points"]
-    n_points = None if n == "auto" else int(n)
+def _build_fig3(s: _Settings):
+    return _build_matched_curve(
+        s, ["beta", "bell_success", "cz_success", "matched"], fig3_data,
+        "cz_success", lambda eps1: eps1**4)
+
+
+def _build_matching_points(s: _Settings):
+    p = s.p
     rows = []
     for branch in ("lower", "upper"):
         try:
-            sigma = matching_sigma(p, branch=branch, n_points=n_points)
+            sigma = matching_sigma(p, branch=branch, n_points=s.n_points)
         except NoCrossingError:
             rows.append({"branch": branch, "sigma": float("nan"),
                          "eta_at_sigma": float("nan"),
                          "residual": float("nan"), "matched": False})
             continue
-        if p.gamma_loss == 0.0:
-            eta = eta_analytic(sigma, p.gamma_wg)
-        else:
-            grid = SpectralGrid.for_pulse_width(sigma, p.gamma_wg,
-                                                n_points=n_points)
-            eta = eta_numeric(p, make_pulse(
-                PulseShape("lorentzian", sigma), grid))
+        eta = _resolved_eta(p, sigma, s.n_points)
         rows.append({
             "branch": branch,
             "sigma": sigma,
@@ -308,25 +326,25 @@ def _build_matching_points(cfg):
     columns = ["branch", "sigma", "eta_at_sigma", "residual", "matched"]
 
     def headline(refine):
-        n_ref = n_points
-        if refine > 1:
-            base = SpectralGrid.for_pulse_width(1.0, n_points=n_points)
-            n_ref = base.refine(refine).n_points
-        return matching_sigma(p, branch="upper", n_points=n_ref)
+        return matching_sigma(p, branch="upper",
+                              n_points=_refined_n(s.n_points, refine))
 
     return columns, rows, {"sigma_upper": headline}
 
 
-def _sorter_rows(cfg, grid):
-    p, sigma, pulse = _operating_pulse(cfg, grid)
+# Each demo's rows function takes (settings, grid) and returns the CSV rows
+# and the value of its headline scalar on that grid.
+
+
+def _sorter_rows(s: _Settings, grid):
+    p = s.p
+    sigma, pulse = _operating_pulse(s, grid)
     alpha = xi = 1.0 / np.sqrt(2.0)
-    state = FewPhotonState.vacuum(grid, ("sig",))
-    state.vacuum_amp = 0.0j
-    state.one_photon["sig"] = alpha * pulse.values
-    state.two_photon[("sig", "sig")] = xi * np.outer(pulse.values,
-                                                     pulse.values)
+    state = FewPhotonState.from_components(
+        grid, ("sig",), ones={"sig": alpha * pulse.values},
+        pairs={("sig", "sig"): xi * np.outer(pulse.values, pulse.values)})
     out = photon_sorter(state, "sig", p, pulse)
-    anc = sum_rail("sig")
+    anc_weight = project_detection(out, {sum_rail("sig"): 1})
     pump = make_pump(p, pulse)
     pair_out = scatter_two(p, product_state(pulse))
     rows = [
@@ -334,8 +352,7 @@ def _sorter_rows(cfg, grid):
         {"quantity": "sigma", "value": sigma},
         {"quantity": "input_one_photon_weight", "value": alpha**2},
         {"quantity": "input_two_photon_weight", "value": xi**2},
-        {"quantity": "ancilla_one_photon_weight",
-         "value": project_detection(out, {anc: 1})},
+        {"quantity": "ancilla_one_photon_weight", "value": anc_weight},
         {"quantity": "signal_two_photon_weight",
          "value": project_detection(out, {"sig": 2})},
         {"quantity": "lost_mass", "value": out.lost_mass},
@@ -343,28 +360,15 @@ def _sorter_rows(cfg, grid):
         {"quantity": "pulse_gate_leakage_norm",
          "value": leakage_metric(pump, pair_out)},
     ]
-    return rows, out
+    return rows, anc_weight
 
 
-def _build_sorter_demo(cfg):
-    grid = _demo_grid(cfg)
-    rows, _ = _sorter_rows(cfg, grid)
-
-    def headline(refine):
-        g = grid if refine == 1 else grid.refine(refine)
-        demo_rows, _ = _sorter_rows(cfg, g)
-        return next(r["value"] for r in demo_rows
-                    if r["quantity"] == "ancilla_one_photon_weight")
-
-    return ["quantity", "value"], rows, {"ancilla_one_photon_weight": headline}
-
-
-def _bell_rows(cfg, grid):
-    p, _, pulse = _operating_pulse(cfg, grid)
+def _bell_rows(s: _Settings, grid):
+    _, pulse = _operating_pulse(s, grid)
     rows = []
     success = {}
     for which in ("psi+", "psi-", "phi+", "phi-"):
-        report = bell_analyzer(bell_state(grid, pulse, which), p, pulse)
+        report = bell_analyzer(bell_state(grid, pulse, which), s.p, pulse)
         success[which] = report.success_prob
         for pattern, prob in sorted(report.pattern_probs.items()):
             if prob < 1e-12:
@@ -380,37 +384,22 @@ def _bell_rows(cfg, grid):
                      "identifies": which})
         rows.append({"input_state": which, "pattern": "heralded_failure",
                      "probability": report.lost_mass, "identifies": "none"})
-    return rows, success
+    return rows, success["psi+"]
 
 
-def _build_bell_demo(cfg):
-    grid = _demo_grid(cfg)
-    rows, success = _bell_rows(cfg, grid)
-
-    def headline(refine):
-        g = grid if refine == 1 else grid.refine(refine)
-        _, s = _bell_rows(cfg, g)
-        return s["psi+"]
-
-    return (["input_state", "pattern", "probability", "identifies"], rows,
-            {"psi_plus_success": headline})
-
-
-def _ns_rows(cfg, grid):
-    p, sigma, pulse = _operating_pulse(cfg, grid)
+def _ns_rows(s: _Settings, grid):
+    p = s.p
+    sigma, pulse = _operating_pulse(s, grid)
     amp = 1.0 / np.sqrt(3.0)
-    state = FewPhotonState.vacuum(grid, ("sig",))
-    state.vacuum_amp = amp
-    state.one_photon["sig"] = amp * pulse.values
-    state.two_photon[("sig", "sig")] = amp * np.outer(pulse.values,
-                                                      pulse.values)
-    out = ns_gate(state, "sig", p, pulse)
-    target = FewPhotonState.vacuum(grid, ("sig",))
-    target.vacuum_amp = amp
-    target.one_photon["sig"] = amp * pulse.values
-    target.two_photon[("sig", "sig")] = -amp * np.outer(pulse.values,
-                                                        pulse.values)
-    fid = fidelity(out, target)
+
+    def ns_state(pair_sign):
+        return FewPhotonState.from_components(
+            grid, ("sig",), amp, ones={"sig": amp * pulse.values},
+            pairs={("sig", "sig"): pair_sign * amp
+                   * np.outer(pulse.values, pulse.values)})
+
+    out = ns_gate(ns_state(1.0), "sig", p, pulse)
+    fid = fidelity(out, ns_state(-1.0))
     rows = [
         {"quantity": "beta", "value": p.beta_dir},
         {"quantity": "sigma", "value": sigma},
@@ -423,20 +412,8 @@ def _ns_rows(cfg, grid):
     return rows, fid
 
 
-def _build_ns_demo(cfg):
-    grid = _demo_grid(cfg)
-    rows, _ = _ns_rows(cfg, grid)
-
-    def headline(refine):
-        g = grid if refine == 1 else grid.refine(refine)
-        _, fid = _ns_rows(cfg, g)
-        return fid
-
-    return ["quantity", "value"], rows, {"ns_fidelity": headline}
-
-
-def _cz_rows(cfg, grid):
-    p, sigma, pulse = _operating_pulse(cfg, grid)
+def _cz_rows(s: _Settings, grid):
+    _, pulse = _operating_pulse(s, grid)
     rows = []
     fid_super = float("nan")
     cases = [((0, 0), "basis_00"), ((0, 1), "basis_01"),
@@ -447,7 +424,7 @@ def _cz_rows(cfg, grid):
             amps_in = {b: 0.5 for b in LOGICAL_BASIS}
         else:
             amps_in = {basis: 1.0}
-        report = cz_gate(logical_state(grid, pulse, amps_in), p, pulse)
+        report = cz_gate(logical_state(grid, pulse, amps_in), s.p, pulse)
         row = {"input": name,
                "success_prob": report.success_prob,
                "fidelity": report.fidelity_to_target,
@@ -462,19 +439,32 @@ def _cz_rows(cfg, grid):
     return rows, fid_super
 
 
-def _build_cz_demo(cfg):
-    grid = _demo_grid(cfg)
-    rows, _ = _cz_rows(cfg, grid)
-    columns = (["input", "success_prob", "fidelity", "lost_mass"]
-               + [f"amp_{b[0]}{b[1]}_{part}" for b in LOGICAL_BASIS
-                  for part in ("re", "im")])
+_DEMOS = {
+    "sorter-demo": (_sorter_rows, ["quantity", "value"],
+                    "ancilla_one_photon_weight"),
+    "bell-demo": (_bell_rows,
+                  ["input_state", "pattern", "probability", "identifies"],
+                  "psi_plus_success"),
+    "ns-demo": (_ns_rows, ["quantity", "value"], "ns_fidelity"),
+    "cz-demo": (_cz_rows,
+                ["input", "success_prob", "fidelity", "lost_mass"]
+                + [f"amp_{b[0]}{b[1]}_{part}" for b in LOGICAL_BASIS
+                   for part in ("re", "im")],
+                "cz_superposition_fidelity"),
+}
+
+
+def _build_demo(experiment: str, s: _Settings):
+    """A demo's rows on the demo grid; the headline reruns it only on a
+    refined grid."""
+    demo_rows, columns, name = _DEMOS[experiment]
+    grid = _demo_grid(s)
+    rows, base = demo_rows(s, grid)
 
     def headline(refine):
-        g = grid if refine == 1 else grid.refine(refine)
-        _, fid = _cz_rows(cfg, g)
-        return fid
+        return base if refine == 1 else demo_rows(s, grid.refine(refine))[1]
 
-    return columns, rows, {"cz_superposition_fidelity": headline}
+    return columns, rows, {name: headline}
 
 
 _BUILDERS = {
@@ -482,10 +472,7 @@ _BUILDERS = {
     "loss-curves": _build_loss_curves,
     "fig3": _build_fig3,
     "matching-points": _build_matching_points,
-    "sorter-demo": _build_sorter_demo,
-    "bell-demo": _build_bell_demo,
-    "ns-demo": _build_ns_demo,
-    "cz-demo": _build_cz_demo,
+    **{name: functools.partial(_build_demo, name) for name in _DEMOS},
 }
 
 
@@ -494,6 +481,11 @@ def run(experiment: str, cfg: dict, out_dir: str) -> int:
     if experiment not in _BUILDERS:
         print(f"unknown experiment {experiment!r}; choose from "
               f"{', '.join(EXPERIMENTS)}", file=sys.stderr)
+        return 2
+    settings, diagnostics = _parse(cfg)
+    if diagnostics:
+        for line in diagnostics:
+            print(line, file=sys.stderr)
         return 2
     out = Path(out_dir)
     try:
@@ -505,7 +497,7 @@ def run(experiment: str, cfg: dict, out_dir: str) -> int:
         print(f"output directory not writable: {exc}", file=sys.stderr)
         return 1
 
-    columns, rows, headlines = _BUILDERS[experiment](cfg)
+    columns, rows, headlines = _BUILDERS[experiment](settings)
     stem = experiment.replace("-", "_")
     try:
         write_csv(out / f"{stem}.csv", columns, rows)
@@ -513,7 +505,7 @@ def run(experiment: str, cfg: dict, out_dir: str) -> int:
         print(f"failed to write CSV: {exc}", file=sys.stderr)
         return 1
 
-    tolerance = float(cfg["convergence"]["tolerance"])
+    tolerance = settings.tolerance
     conv_rows = []
     converged = True
     for name, fn in headlines.items():

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grid import OnePhotonAmp, TwoPhotonAmp
-from .states import FewPhotonState, _acc
+from .states import FewPhotonState, _scale_rail
 
 SUM_SUFFIX = "@sum"
 
@@ -52,6 +52,14 @@ class PulseGateSpec:
             raise ValueError("pump mode must be normalized")
 
 
+def _gate_terms(gate: PulseGateSpec):
+    """Pump mode, the weighted conjugate that projects onto it, and the
+    converted and unconverted amplitude factors sqrt(eff), sqrt(1 - eff)."""
+    pump = gate.pump_mode.values
+    u = gate.pump_mode.grid.weights * np.conj(pump)
+    return pump, u, np.sqrt(gate.efficiency), np.sqrt(1.0 - gate.efficiency)
+
+
 def sfg_extract(state: FewPhotonState, rail: str, gate: PulseGateSpec,
                 ideal: bool = True,
                 keep_single_converted: bool = False) -> FewPhotonState:
@@ -74,71 +82,50 @@ def sfg_extract(state: FewPhotonState, rail: str, gate: PulseGateSpec,
     else:
         out = state.with_rail(anc, "sum")
 
-    w = state.grid.weights
-    pump = gate.pump_mode.values
-    u = w * np.conj(pump)
-    kappa = np.sqrt(gate.efficiency)
-    rho = np.sqrt(1.0 - gate.efficiency)
+    pump, u, kappa, rho = _gate_terms(gate)
     rt2 = np.sqrt(2.0)
 
     ones = dict(out.one_photon)
-    twos = dict(out.two_photon)
     lost = out.lost_mass
-
     v = ones.get(rail)
     if v is not None:
         cp = np.sum(u * v)
         ones[rail] = v - (1.0 - rho) * cp * pump
-        _acc(ones, anc, kappa * cp * pump)
+        ones[anc] = kappa * cp * pump
 
-    for key, amp in out.two_photon.items():
-        on_rail = (key[0] == rail) + (key[1] == rail)
-        if on_rail == 0:
+    for ra, rb in state.two_photon:
+        if rail not in (ra, rb):
             continue
-        if on_rail == 2:
-            c_bb = complex(u @ amp @ u)
-            pp = np.outer(pump, pump)
-            _acc(twos, (anc, anc), kappa**2 * c_bb * pp)
-            if ideal:
-                twos[key] = amp - (1.0 - rho**2) * c_bb * pp
-                if rho > 0.0 and abs(c_bb) > 0.0:
-                    cross = rt2 * rho * kappa * c_bb * pp
-                    _acc(twos, out.pair_key(rail, anc),
-                         cross if out.pair_key(rail, anc) == (rail, anc)
-                         else cross.T)
-            else:
-                g1 = u @ amp
-                g_perp = g1 - c_bb * pump
-                qq = (amp - np.outer(pump, g1) - np.outer(g1, pump)
-                      + c_bb * pp)
-                single_sym = np.outer(pump, g_perp) + np.outer(g_perp, pump)
-                twos[key] = qq + rho * single_sym + rho**2 * c_bb * pp
-                cross = rt2 * kappa * (np.outer(g_perp, pump)
-                                       + rho * c_bb * pp)
-                if keep_single_converted:
-                    ckey = out.pair_key(rail, anc)
-                    _acc(twos, ckey,
-                         cross if ckey == (rail, anc) else cross.T)
-                else:
-                    lost += out.norm2_sq(cross)
-        else:
+        other = rb if ra == rail else ra
+        amp = state.pair(rail, other)
+        if other != rail:
             # cross pair: convert the pump part of the photon on `rail`
-            if key[0] == rail:
-                g_other = u @ amp
-                pump_part = np.outer(pump, g_other)
-                moved = kappa * pump_part  # axes (anc, other)
-                axes = (anc, key[1])
-            else:
-                g_other = amp @ u
-                pump_part = np.outer(g_other, pump)
-                moved = kappa * pump_part  # axes (other, anc)
-                axes = (key[0], anc)
-            twos[key] = amp - (1.0 - rho) * pump_part
-            ckey = out.pair_key(*axes)
-            _acc(twos, ckey, moved if ckey == axes else moved.T)
+            pump_part = np.outer(pump, u @ amp)
+            out = out.add_pair(rail, other, -(1.0 - rho) * pump_part)
+            out = out.add_pair(anc, other, kappa * pump_part)
+            continue
+        c_bb = complex(u @ amp @ u)
+        pp = np.outer(pump, pump)
+        out = out.add_pair(anc, anc, kappa**2 * c_bb * pp)
+        if ideal:
+            out = out.add_pair(rail, rail, -(1.0 - rho**2) * c_bb * pp)
+            if rho > 0.0 and abs(c_bb) > 0.0:
+                out = out.add_pair(rail, anc, rt2 * rho * kappa * c_bb * pp)
+            continue
+        # photon-wise: each photon keeps its non-pump part and a factor rho
+        # of its pump part
+        g1 = u @ amp
+        out = out.add_pair(rail, rail, (1.0 - rho) ** 2 * c_bb * pp
+                           - (1.0 - rho) * (np.outer(pump, g1)
+                                            + np.outer(g1, pump)))
+        cross = rt2 * kappa * (np.outer(g1 - c_bb * pump, pump)
+                               + rho * c_bb * pp)
+        if keep_single_converted:
+            out = out.add_pair(rail, anc, cross)
+        else:
+            lost += out.norm2_sq(cross)
 
-    result = replace(out, one_photon=ones, two_photon=twos, lost_mass=lost)
-    return result._pruned()
+    return replace(out, one_photon=ones, lost_mass=lost)._pruned()
 
 
 def sfg_reverse(state: FewPhotonState, rail: str,
@@ -149,18 +136,13 @@ def sfg_reverse(state: FewPhotonState, rail: str,
     unit efficiency).  Content on the ancilla that is not in the pump mode
     violates the gate contract and raises.
     """
+    state.grid.require_same(gate.pump_mode.grid)
     anc = sum_rail(rail)
     if anc not in state.rails:
         raise ValueError(f"no sum-frequency rail for {rail!r}")
-    w = state.grid.weights
-    pump = gate.pump_mode.values
-    u = w * np.conj(pump)
-    kappa = np.sqrt(gate.efficiency)
-    rho = np.sqrt(1.0 - gate.efficiency)
+    pump, u, kappa, rho = _gate_terms(gate)
 
     ones = dict(state.one_photon)
-    twos = dict(state.two_photon)
-
     v = ones.pop(anc, None)
     if v is not None:
         cp = np.sum(u * v)
@@ -170,49 +152,41 @@ def sfg_reverse(state: FewPhotonState, rail: str,
                 f"ancilla photon is not in the pump mode "
                 f"(orthogonal weight {residual:.3e})"
             )
-        _acc(ones, rail, kappa * cp * pump)
+        back = kappa * cp * pump
+        ones[rail] = ones[rail] + back if rail in ones else back
         if rho > 0.0:
             ones[anc] = rho * cp * pump
 
-    for key in list(twos):
-        n_anc = (key[0] == anc) + (key[1] == anc)
-        if n_anc == 0:
+    out = replace(state, one_photon=ones, two_photon={
+        key: amp for key, amp in state.two_photon.items() if anc not in key})
+    for ra, rb in state.two_photon:
+        if anc not in (ra, rb):
             continue
-        amp = twos.pop(key)
-        if n_anc == 2:
+        other = rb if ra == anc else ra
+        amp = state.pair(anc, other)
+        if other == anc:
             c_bb = complex(u @ amp @ u)
             pp = np.outer(pump, pump)
             residual = state.norm2_sq(amp - c_bb * pp)
             if residual > 1e-12:
                 raise ValueError("ancilla pair is not in the pump mode")
-            _acc(twos, (rail, rail), kappa**2 * c_bb * pp)
+            out = out.add_pair(rail, rail, kappa**2 * c_bb * pp)
             if rho > 0.0:
-                _acc(twos, key, rho**2 * c_bb * pp)
-                cross = np.sqrt(2.0) * rho * kappa * c_bb * pp
-                ckey = state.pair_key(rail, anc)
-                _acc(twos, ckey, cross if ckey == (rail, anc) else cross.T)
-        else:
-            if key[0] == anc:
-                g_other = u @ amp
-                pump_part = np.outer(pump, g_other)  # axes (anc, other)
-                axes = (rail, key[1])
-            else:
-                g_other = amp @ u
-                pump_part = np.outer(g_other, pump)  # axes (other, anc)
-                axes = (key[0], rail)
-            residual = state.norm2_sq(amp - pump_part)
-            if residual > 1e-12:
-                raise ValueError(
-                    "ancilla photon of a cross pair is not in the pump mode"
-                )
-            moved = kappa * pump_part
-            ckey = state.pair_key(*axes)
-            _acc(twos, ckey, moved if ckey == axes else moved.T)
-            if rho > 0.0:
-                _acc(twos, key, rho * pump_part)
+                out = out.add_pair(anc, anc, rho**2 * c_bb * pp)
+                out = out.add_pair(rail, anc,
+                                   np.sqrt(2.0) * rho * kappa * c_bb * pp)
+            continue
+        pump_part = np.outer(pump, u @ amp)
+        residual = state.norm2_sq(amp - pump_part)
+        if residual > 1e-12:
+            raise ValueError(
+                "ancilla photon of a cross pair is not in the pump mode"
+            )
+        out = out.add_pair(rail, other, kappa * pump_part)
+        if rho > 0.0:
+            out = out.add_pair(anc, other, rho * pump_part)
 
-    result = replace(state, one_photon=ones, two_photon=twos)
-    return result._pruned()
+    return out._pruned()
 
 
 def gem_invert(state: FewPhotonState, rail=None) -> FewPhotonState:
@@ -232,22 +206,19 @@ def gem_invert(state: FewPhotonState, rail=None) -> FewPhotonState:
     for r in selected:
         state.rail_index(r)
 
-    ones = {}
-    for r, v in state.one_photon.items():
-        ones[r] = v[::-1].copy() if r in selected else v
-    twos = {}
-    for key, amp in state.two_photon.items():
-        flip0 = key[0] in selected
-        flip1 = key[1] in selected
-        if flip0 and flip1:
-            twos[key] = amp[::-1, ::-1].copy()
-        elif flip0:
-            twos[key] = amp[::-1, :].copy()
-        elif flip1:
-            twos[key] = amp[:, ::-1].copy()
-        else:
-            twos[key] = amp
-    return replace(state, one_photon=ones, two_photon=twos)
+    def flipped(rails, amp):
+        """``amp`` with the axes of the selected rails reversed; axis k
+        belongs to rails[k]."""
+        if selected.isdisjoint(rails):
+            return amp
+        return amp[tuple(slice(None, None, -1 if r in selected else 1)
+                         for r in rails)].copy()
+
+    out = replace(state, two_photon={}, one_photon={
+        r: flipped((r,), v) for r, v in state.one_photon.items()})
+    for a, b in state.two_photon:
+        out = out.add_pair(a, b, flipped((a, b), state.pair(a, b)))
+    return out
 
 
 def component_phase_loss(state: FewPhotonState, rail: str, photons: int,
@@ -259,27 +230,9 @@ def component_phase_loss(state: FewPhotonState, rail: str, photons: int,
     The selected amplitudes pick up e^{i phase} * transmission**photons; the
     removed probability goes to lost_mass.
     """
-    if not 0.0 <= transmission <= 1.0:
-        raise ValueError(f"transmission must be in [0, 1], got {transmission}")
     if photons not in (1, 2):
         raise ValueError(f"photons must be 1 or 2, got {photons}")
-    state.rail_index(rail)
-    factor = np.exp(1j * phase) * transmission**photons
-    mag_sq = transmission ** (2 * photons)
-
-    ones = dict(state.one_photon)
-    twos = dict(state.two_photon)
-    lost = state.lost_mass
-    if photons == 1 and rail in ones:
-        lost += (1.0 - mag_sq) * state.norm1_sq(ones[rail])
-        ones[rail] = factor * ones[rail]
-    for key, amp in state.two_photon.items():
-        if (key[0] == rail) + (key[1] == rail) != photons:
-            continue
-        lost += (1.0 - mag_sq) * state.norm2_sq(amp)
-        twos[key] = factor * amp
-    return replace(state, one_photon=ones, two_photon=twos,
-                   lost_mass=lost)._pruned()
+    return _scale_rail(state, rail, (photons,), transmission, phase)
 
 
 def leakage_metric(gate: PulseGateSpec, psi: TwoPhotonAmp) -> float:
@@ -293,8 +246,7 @@ def leakage_metric(gate: PulseGateSpec, psi: TwoPhotonAmp) -> float:
     """
     psi.grid.require_same(gate.pump_mode.grid)
     w = psi.grid.weights
-    pump = gate.pump_mode.values
-    u = w * np.conj(pump)
+    pump, u, _, _ = _gate_terms(gate)
     g1 = u @ psi.values
     g_perp = g1 - np.sum(u * g1) * pump
     return float(np.sqrt(np.sum(w * np.abs(g_perp) ** 2)))

@@ -145,13 +145,19 @@ def product_image(p: TlsParams, f: OnePhotonAmp) -> TwoPhotonAmp:
     return product_state(OnePhotonAmp(g.grid, g.values))
 
 
+def _product_bound_integral(f: OnePhotonAmp, s: np.ndarray) -> np.ndarray:
+    """Bound-term integral I(P) for the product input f x f.
+
+    For psi = f x f the anti-diagonal sums collapse to a 1-D convolution.
+    """
+    return 2.0 * f.grid.spacing * fftconvolve(f.values * s, f.values)
+
+
 def bound_amplitude(p: TlsParams, f: OnePhotonAmp) -> TwoPhotonAmp:
     """Bound (spectrally entangled) part of the pair output for input f x f."""
     grid = f.grid
     s = s_coeff(p, grid.samples)
-    h = grid.spacing
-    # For psi = f x f the anti-diagonal sums collapse to a 1-D convolution.
-    bound_i = 2.0 * h * fftconvolve(f.values * s, f.values)
+    bound_i = _product_bound_integral(f, s)
     kappa = 0.5j * np.sqrt(p.gamma_wg) / np.pi
     n = grid.n_points
     out = np.empty((n, n), dtype=complex)
@@ -170,9 +176,8 @@ def _product_bound_overlap(p: TlsParams, f: OnePhotonAmp) -> complex:
     grid = f.grid
     t = transfer_coeff(p, grid.samples)
     s = s_coeff(p, grid.samples)
-    h = grid.spacing
     g = f.values * t
-    bound_i = 2.0 * h * fftconvolve(f.values * s, f.values)
+    bound_i = _product_bound_integral(f, s)
     u = grid.weights * np.conj(g) * s
     kappa = 0.5j * np.sqrt(p.gamma_wg) / np.pi
     return complex(kappa * np.sum(fftconvolve(u, u) * bound_i))
@@ -194,8 +199,7 @@ def epsilon_b_numeric(p: TlsParams, f: OnePhotonAmp) -> float:
     """Squared norm of the bound amplitude, <bound|bound>, for input f x f."""
     grid = f.grid
     s = s_coeff(p, grid.samples)
-    h = grid.spacing
-    bound_i = 2.0 * h * fftconvolve(f.values * s, f.values)
+    bound_i = _product_bound_integral(f, s)
     v = grid.weights * np.abs(s) ** 2
     scale = p.gamma_wg / (4.0 * np.pi**2)
     return float(scale * np.sum(fftconvolve(v, v) * np.abs(bound_i) ** 2))

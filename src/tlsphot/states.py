@@ -7,7 +7,9 @@ amplitudes are exchange symmetric and normalized so that their discrete
 double integral is the occupation probability (a pair of identical photons in
 a unit mode f on one rail has amplitude f(x) f(y)).  For a cross-rail pair
 (r, s) with r before s in the rail order, axis 0 of the stored array belongs
-to the photon on r.
+to the photon on r.  Only :class:`FewPhotonState` relies on that rule: other
+code reads pairs with :meth:`FewPhotonState.pair` and writes them with
+:meth:`FewPhotonState.add_pair`, both oriented by the rails they name.
 
 Probability that leaks out of the tracked rails (emitter loss, loss channels,
 discarded sorter branches) accumulates in the scalar ``lost_mass``; the total
@@ -46,14 +48,34 @@ class FewPhotonState:
     lost_mass: float = 0.0
 
     @classmethod
-    def vacuum(cls, grid: SpectralGrid, rails, carriers=None) -> "FewPhotonState":
+    def from_components(cls, grid: SpectralGrid, rails, vacuum: complex = 0.0j,
+                        ones=None, pairs=None,
+                        carriers=None) -> "FewPhotonState":
+        """State from its components, validated.
+
+        ``ones`` maps a rail to its one-photon spectral values; ``pairs`` maps
+        a rail pair (a, b) to its pair values with axis 0 on a.  Rails must be
+        known, and same-rail pairs exchange symmetric.
+        """
         rails = tuple(rails)
         if len(set(rails)) != len(rails):
             raise ValueError("duplicate rail labels")
         if carriers is None:
             carriers = {r: "orig" for r in rails}
-        return cls(grid=grid, rails=rails, carriers=dict(carriers),
-                   vacuum_amp=1.0 + 0.0j)
+        state = cls(grid=grid, rails=rails, carriers=dict(carriers),
+                    vacuum_amp=vacuum)
+        for rail, values in (ones or {}).items():
+            state.rail_index(rail)
+            state.one_photon[rail] = np.asarray(values, dtype=complex)
+        for (a, b), values in (pairs or {}).items():
+            if a == b:
+                require_symmetric(values)
+            state = state.add_pair(a, b, np.asarray(values, dtype=complex))
+        return state
+
+    @classmethod
+    def vacuum(cls, grid: SpectralGrid, rails, carriers=None) -> "FewPhotonState":
+        return cls.from_components(grid, rails, 1.0 + 0.0j, carriers=carriers)
 
     # -- bookkeeping helpers -------------------------------------------------
 
@@ -63,10 +85,30 @@ class FewPhotonState:
         except ValueError:
             raise ValueError(f"unknown rail {rail!r}") from None
 
-    def pair_key(self, a: str, b: str):
+    def _key(self, a: str, b: str):
+        """Storage key of the rail pair (a, b), and whether it reverses them."""
         if self.rail_index(a) <= self.rail_index(b):
-            return (a, b)
-        return (b, a)
+            return (a, b), False
+        return (b, a), True
+
+    def pair(self, a: str, b: str):
+        """Pair amplitude on rails (a, b) with axis 0 on ``a`` (a view), or
+        None if the state holds none."""
+        key, flip = self._key(a, b)
+        amp = self.two_photon.get(key)
+        return amp.T if flip and amp is not None else amp
+
+    def add_pair(self, a: str, b: str,
+                 values: np.ndarray) -> "FewPhotonState":
+        """New state with ``values`` (axis 0 on ``a``) added to the (a, b)
+        pair amplitude."""
+        key, flip = self._key(a, b)
+        if flip:
+            values = values.T
+        old = self.two_photon.get(key)
+        twos = dict(self.two_photon)
+        twos[key] = values if old is None else old + values
+        return replace(self, two_photon=twos)
 
     def norm1_sq(self, values: np.ndarray) -> float:
         return float(np.sum(self.grid.weights * np.abs(values) ** 2))
@@ -106,34 +148,15 @@ def one_photon_state(grid: SpectralGrid, rails, rail: str, amp: OnePhotonAmp,
                      carriers=None) -> FewPhotonState:
     """Single photon with spectral amplitude ``amp`` on ``rail``."""
     grid.require_same(amp.grid)
-    state = FewPhotonState.vacuum(grid, rails, carriers)
-    state.rail_index(rail)
-    state.vacuum_amp = 0.0j
-    state.one_photon[rail] = amp.values.astype(complex)
-    return state
+    return FewPhotonState.from_components(grid, rails, ones={rail: amp.values},
+                                          carriers=carriers)
 
 
 def two_photon_state(grid: SpectralGrid, rails, rail_a: str, rail_b: str,
                      values: np.ndarray, carriers=None) -> FewPhotonState:
     """Photon pair on (rail_a, rail_b); axis 0 of ``values`` belongs to rail_a."""
-    state = FewPhotonState.vacuum(grid, rails, carriers)
-    if rail_a == rail_b:
-        require_symmetric(values)
-    state.vacuum_amp = 0.0j
-    key = state.pair_key(rail_a, rail_b)
-    state.two_photon[key] = values if key == (rail_a, rail_b) else values.T
-    return state
-
-
-def _sym(arr: np.ndarray) -> np.ndarray:
-    return 0.5 * (arr + arr.T)
-
-
-def _acc(store: dict, key, arr: np.ndarray) -> None:
-    if key in store:
-        store[key] = store[key] + arr
-    else:
-        store[key] = arr
+    return FewPhotonState.from_components(
+        grid, rails, pairs={(rail_a, rail_b): values}, carriers=carriers)
 
 
 def beamsplitter(state: FewPhotonState, rail_i: str, rail_j: str,
@@ -172,72 +195,69 @@ def beamsplitter(state: FewPhotonState, rail_i: str, rail_j: str,
         ones[rail_i] = m_ii * vi + m_ij * vj
         ones[rail_j] = m_ji * vi + m_jj * vj
 
-    twos: dict = {}
-    key_ii = (rail_i, rail_i)
-    key_jj = (rail_j, rail_j)
-    key_x = state.pair_key(rail_i, rail_j)
-    aa = state.two_photon.get(key_ii)
-    bb = state.two_photon.get(key_jj)
-    xc = state.two_photon.get(key_x)
-    if xc is not None and key_x != (rail_i, rail_j):
-        xc = xc.T  # orient axis 0 onto rail_i
+    out = replace(state, one_photon=ones, two_photon={})
+    aa = state.pair(rail_i, rail_i)
+    bb = state.pair(rail_j, rail_j)
+    xc = state.pair(rail_i, rail_j)
     if aa is not None or bb is not None or xc is not None:
         n = state.grid.n_points
         zero2 = np.zeros((n, n), dtype=complex)
         a = zero2 if aa is None else aa
         b = zero2 if bb is None else bb
         x = zero2 if xc is None else xc
-        xs = _sym(x)
+        xs = 0.5 * (x + x.T)
         rt2 = np.sqrt(2.0)
         new_ii = m_ii**2 * a + m_ij**2 * b + rt2 * m_ii * m_ij * xs
         new_jj = m_ji**2 * a + m_jj**2 * b + rt2 * m_ji * m_jj * xs
         new_x = (rt2 * m_ii * m_ji * a + rt2 * m_ij * m_jj * b
                  + m_ii * m_jj * x + m_ji * m_ij * x.T)
-        _acc(twos, key_ii, new_ii)
-        _acc(twos, key_jj, new_jj)
-        _acc(twos, key_x, new_x if key_x == (rail_i, rail_j) else new_x.T)
+        out = (out.add_pair(rail_i, rail_i, new_ii)
+               .add_pair(rail_j, rail_j, new_jj)
+               .add_pair(rail_i, rail_j, new_x))
 
+    mixed = (rail_i, rail_j)
     for (ra, rb), amp in state.two_photon.items():
-        touched_a = ra in (rail_i, rail_j)
-        touched_b = rb in (rail_i, rail_j)
-        if touched_a and touched_b:
+        if ra in mixed and rb in mixed:
             continue  # handled above
-        if not touched_a and not touched_b:
-            _acc(twos, (ra, rb), amp)
+        if ra not in mixed and rb not in mixed:
+            out = out.add_pair(ra, rb, amp)
             continue
-        moving, other, axis = (ra, rb, 0) if touched_a else (rb, ra, 1)
+        moving, other = (ra, rb) if ra in mixed else (rb, ra)
+        amp = state.pair(moving, other)
         for d, coef in dest[moving]:
-            contrib = coef * amp
-            axes = (d, other) if axis == 0 else (other, d)
-            key = state.pair_key(*axes)
-            _acc(twos, key, contrib if key == axes else contrib.T)
-
-    out = replace(state, one_photon=ones, two_photon=twos)
+            out = out.add_pair(d, other, coef * amp)
     return out._pruned()
+
+
+def _scale_rail(state: FewPhotonState, rail: str, photons, transmission: float,
+                phase: float = 0.0) -> FewPhotonState:
+    """Scale every component with k in ``photons`` photons on ``rail`` by
+    e^{i phase} transmission**k; the removed probability goes to lost_mass."""
+    if not 0.0 <= transmission <= 1.0:
+        raise ValueError(f"transmission must be in [0, 1], got {transmission}")
+    state.rail_index(rail)
+    lost = state.lost_mass
+
+    def scaled(k, amp, norm_sq):
+        nonlocal lost
+        lost += (1.0 - transmission ** (2 * k)) * norm_sq(amp)
+        return np.exp(1j * phase) * transmission**k * amp
+
+    ones = dict(state.one_photon)
+    if 1 in photons and rail in ones:
+        ones[rail] = scaled(1, ones[rail], state.norm1_sq)
+    twos = dict(state.two_photon)
+    for key, amp in state.two_photon.items():
+        if key.count(rail) in photons:
+            twos[key] = scaled(key.count(rail), amp, state.norm2_sq)
+    return replace(state, one_photon=ones, two_photon=twos,
+                   lost_mass=lost)._pruned()
 
 
 def loss_channel(state: FewPhotonState, rail: str,
                  transmission: float) -> FewPhotonState:
     """Per-photon amplitude transmission on one rail; deficit goes to lost_mass."""
-    if not 0.0 <= transmission <= 1.0:
-        raise ValueError(f"transmission must be in [0, 1], got {transmission}")
-    state.rail_index(rail)
-    t = transmission
-    lost = state.lost_mass
-    ones = dict(state.one_photon)
-    if rail in ones:
-        lost += (1.0 - t**2) * state.norm1_sq(ones[rail])
-        ones[rail] = t * ones[rail]
-    twos = dict(state.two_photon)
-    for key, amp in state.two_photon.items():
-        n_on_rail = (key[0] == rail) + (key[1] == rail)
-        if n_on_rail == 0:
-            continue
-        factor = t**n_on_rail
-        lost += (1.0 - factor**2) * state.norm2_sq(amp)
-        twos[key] = factor * amp
-    return replace(state, one_photon=ones, two_photon=twos,
-                   lost_mass=lost)._pruned()
+    return _scale_rail(state, rail, (1, 2), transmission)
 
 
 def apply_tls(state: FewPhotonState, rail: str, p: TlsParams) -> FewPhotonState:
@@ -257,11 +277,10 @@ def apply_tls(state: FewPhotonState, rail: str, p: TlsParams) -> FewPhotonState:
         lost += before - state.norm1_sq(ones[rail])
     twos = dict(state.two_photon)
     for key, amp in state.two_photon.items():
-        n_on_rail = (key[0] == rail) + (key[1] == rail)
-        if n_on_rail == 0:
+        if rail not in key:
             continue
         before = state.norm2_sq(amp)
-        if n_on_rail == 2:
+        if key == (rail, rail):
             new = scatter_two(p, TwoPhotonAmp(state.grid, amp)).values
         elif key[0] == rail:
             new = t[:, None] * amp
@@ -295,12 +314,8 @@ def project_detection(state: FewPhotonState, pattern: dict) -> float:
         (rail,) = counts
         v = state.one_photon.get(rail)
         return 0.0 if v is None else state.norm1_sq(v)
-    if len(counts) == 1:
-        (rail,) = counts
-        amp = state.two_photon.get((rail, rail))
-    else:
-        ra, rb = counts
-        amp = state.two_photon.get(state.pair_key(ra, rb))
+    photons = [r for r, c in counts.items() for _ in range(c)]
+    amp = state.two_photon.get(state._key(*photons)[0])
     return 0.0 if amp is None else state.norm2_sq(amp)
 
 
@@ -319,14 +334,11 @@ def overlap(state: FewPhotonState, target: FewPhotonState) -> complex:
         tv = target.one_photon.get(r)
         if tv is not None:
             total += np.sum(w * np.conj(tv) * v)
-    for key, amp in state.two_photon.items():
-        if key[0] not in target.rails or key[1] not in target.rails:
+    for (ra, rb), amp in state.two_photon.items():
+        if ra not in target.rails or rb not in target.rails:
             continue
-        tkey = target.pair_key(key[0], key[1])
-        tamp = target.two_photon.get(tkey)
+        tamp = target.pair(ra, rb)
         if tamp is not None:
-            if tkey != key:
-                tamp = tamp.T
             total += w @ (np.conj(tamp) * amp) @ w
     return complex(total)
 

@@ -7,16 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import success_curves
-from .grid import OnePhotonAmp, SpectralGrid, lorentzian_values, normalize
-from .roots import NoCrossingError
-from .scatter import (
-    TlsParams,
-    epsilon1_analytic,
-    epsilon_b_analytic,
-    eta_analytic,
-    eta_numeric,
-    matching_sigma,
-)
+from .scatter import TlsParams, _eta_of_sigma, epsilon1_analytic
 
 DEFAULT_BETAS = (1.0, 0.95, 0.90)
 
@@ -43,14 +34,6 @@ class SweepSpec:
         return np.geomspace(lo, hi, self.sigma_count)
 
 
-def _eta_at(p: TlsParams, sigma: float, n_points: int | None) -> float:
-    if p.gamma_loss == 0.0:
-        return eta_analytic(sigma, p.gamma_wg)
-    grid = SpectralGrid.for_pulse_width(sigma, p.gamma_wg, n_points=n_points)
-    f = normalize(OnePhotonAmp(grid, lorentzian_values(grid, sigma)))
-    return eta_numeric(p, f)
-
-
 def fig1b_data(spec: SweepSpec) -> list:
     """Distortion overlap and half squared single-photon survival vs width.
 
@@ -62,7 +45,7 @@ def fig1b_data(spec: SweepSpec) -> list:
     for beta in spec.beta_values:
         p = TlsParams.from_beta(beta)
         sigmas = spec.sigmas()
-        etas = [_eta_at(p, s, spec.n_points) for s in sigmas]
+        etas = [_eta_of_sigma(p, s, spec.n_points) for s in sigmas]
         halves = [0.5 * epsilon1_analytic(p, s) ** 2 for s in sigmas]
         diffs = [e - h for e, h in zip(etas, halves)]
         for i, sigma in enumerate(sigmas):
@@ -81,25 +64,10 @@ def fig1b_data(spec: SweepSpec) -> list:
 
 def loss_curves(spec: SweepSpec, branch: str = "upper") -> list:
     """Pair and two-single-photon loss at the matched operating point."""
-    rows = []
-    for beta in spec.beta_values:
-        p = TlsParams.from_beta(beta)
-        row = {"beta": float(beta), "matched": True}
-        try:
-            sigma = matching_sigma(p, branch=branch, n_points=spec.n_points)
-        except NoCrossingError:
-            row.update(matched=False, sigma=float("nan"),
-                       two_photon_loss=float("nan"),
-                       two_singles_loss=float("nan"))
-            rows.append(row)
-            continue
-        eps1 = epsilon1_analytic(p, sigma)
-        eps_b = epsilon_b_analytic(p, sigma)
-        row.update(sigma=float(sigma),
-                   two_photon_loss=1.0 + eps1**2 - eps_b,
-                   two_singles_loss=1.0 - eps1**2)
-        rows.append(row)
-    return rows
+    rows = success_curves(spec.beta_values, branch=branch,
+                          n_points=spec.n_points)
+    return [{k: r[k] for k in ("beta", "matched", "sigma", "two_photon_loss",
+                               "two_singles_loss")} for r in rows]
 
 
 def fig3_data(spec: SweepSpec, branch: str = "upper") -> list:

@@ -51,12 +51,34 @@ def pulse95(circuit_grid, sigma_up95):
 def ns_input(grid, pulse, two_photon_sign=1.0):
     """(|0> + |1_f> + sign |2_f>)/sqrt(3) on a single rail."""
     amp = 1.0 / np.sqrt(3.0)
-    state = FewPhotonState.vacuum(grid, ("sig",))
-    state.vacuum_amp = amp
-    state.one_photon["sig"] = amp * pulse.values
-    state.two_photon[("sig", "sig")] = (two_photon_sign * amp
-                                        * np.outer(pulse.values, pulse.values))
-    return state
+    return FewPhotonState.from_components(
+        grid, ("sig",), amp, ones={"sig": amp * pulse.values},
+        pairs={("sig", "sig"): two_photon_sign * amp
+               * np.outer(pulse.values, pulse.values)})
+
+
+def random_state(grid, rails, seed):
+    """Normalized state with random content in every sector."""
+    rng = np.random.default_rng(seed)
+    n = grid.n_points
+
+    def rvec():
+        return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+    vacuum = rng.standard_normal() + 1j * rng.standard_normal()
+    ones = {r: rvec() for r in rails}
+    pairs = {}
+    for i, a in enumerate(rails):
+        for b in rails[i:]:
+            arr = np.outer(rvec(), rvec())
+            pairs[(a, b)] = 0.5 * (arr + arr.T) if a == b else arr
+    total = FewPhotonState.from_components(grid, rails, vacuum, ones,
+                                           pairs).surviving_norm_sq()
+    scale = 1.0 / np.sqrt(total)
+    return FewPhotonState.from_components(
+        grid, rails, vacuum * scale,
+        {r: v * scale for r, v in ones.items()},
+        {k: v * scale for k, v in pairs.items()})
 
 
 @pytest.fixture(scope="session")

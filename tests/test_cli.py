@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from tlsphot import cli
@@ -128,3 +129,38 @@ class TestValidate:
         cfg.write_text("this is not ini\n")
         assert run_cli(["validate", "--config", str(cfg)]) == 2
         assert "parse error" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text, key", [
+        ("[grid]\nn_points = 1.5\n", "grid.n_points"),
+        ("[run]\nsigma = abc\n", "run.sigma"),
+    ])
+    def test_unparsable_value_reported(self, tmp_path, capsys, text, key):
+        cfg = tmp_path / "typo.ini"
+        cfg.write_text(text)
+        assert run_cli(["validate", "--config", str(cfg)]) == 2
+        assert key in capsys.readouterr().out
+
+
+class TestConfigFaults:
+    @pytest.mark.parametrize("text, key", [
+        ("[grid]\nn_points = 1.5\n", "grid.n_points"),
+        ("[run]\nsigma = abc\n", "run.sigma"),
+        ("[tls]\nbeta = 1.5\n", "tls.beta"),
+    ])
+    def test_run_exits_2_with_diagnostic(self, tmp_path, capsys, text, key):
+        cfg = tmp_path / "typo.ini"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert run_cli(["run", "sorter-demo", "--config", str(cfg),
+                        "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestCsv:
+    def test_numpy_bools_written_lowercase(self, tmp_path):
+        path = tmp_path / "t.csv"
+        cli.write_csv(path, ["a", "b"],
+                      [{"a": np.bool_(True), "b": np.bool_(False)},
+                       {"a": True, "b": False}])
+        assert path.read_text() == "a,b\ntrue,false\ntrue,false\n"

@@ -14,6 +14,8 @@ from tlsphot.states import (
     two_photon_state,
 )
 
+from conftest import random_state
+
 
 @pytest.fixture(scope="module")
 def grid():
@@ -28,32 +30,6 @@ def pulse(grid):
 @pytest.fixture(scope="module")
 def pulse_b(grid):
     return tp.make_pulse(tp.PulseShape("gaussian", 1.2, center=1.0), grid)
-
-
-def random_state(grid, rails, seed):
-    """Normalized state with random content in every sector."""
-    rng = np.random.default_rng(seed)
-    n = grid.n_points
-
-    def rvec():
-        return rng.standard_normal(n) + 1j * rng.standard_normal(n)
-
-    state = FewPhotonState.vacuum(grid, rails)
-    state.vacuum_amp = rng.standard_normal() + 1j * rng.standard_normal()
-    for r in rails:
-        state.one_photon[r] = rvec()
-    for i, a in enumerate(rails):
-        for b in rails[i:]:
-            arr = np.outer(rvec(), rvec())
-            if a == b:
-                arr = 0.5 * (arr + arr.T)
-            state.two_photon[(a, b)] = arr
-    total = state.surviving_norm_sq()
-    scale = 1.0 / np.sqrt(total)
-    state.vacuum_amp *= scale
-    state.one_photon = {r: v * scale for r, v in state.one_photon.items()}
-    state.two_photon = {k: v * scale for k, v in state.two_photon.items()}
-    return state
 
 
 class TestBeamsplitter:
