@@ -33,7 +33,13 @@ from .circuits import (
     ns_gate,
     photon_sorter,
 )
-from .grid import PulseShape, SpectralGrid, make_pulse, product_state
+from .grid import (
+    PulseShape,
+    ResolutionError,
+    SpectralGrid,
+    make_pulse,
+    product_state,
+)
 from .modeops import leakage_metric, sum_rail
 from .roots import NoCrossingError
 from .scatter import (
@@ -497,7 +503,15 @@ def run(experiment: str, cfg: dict, out_dir: str) -> int:
         print(f"output directory not writable: {exc}", file=sys.stderr)
         return 1
 
-    columns, rows, headlines = _BUILDERS[experiment](settings)
+    try:
+        columns, rows, headlines = _BUILDERS[experiment](settings)
+        values = {name: (fn(1), fn(2)) for name, fn in headlines.items()}
+    except ResolutionError as exc:
+        # grids the configuration does not spell out (sweep widths, the
+        # matched operating point) are only checked when a pulse is sampled
+        print(f"grid.n_points = {cfg['grid']['n_points']}, grid.delta_max = "
+              f"{cfg['grid']['delta_max']}: {exc}", file=sys.stderr)
+        return 2
     stem = experiment.replace("-", "_")
     try:
         write_csv(out / f"{stem}.csv", columns, rows)
@@ -508,8 +522,7 @@ def run(experiment: str, cfg: dict, out_dir: str) -> int:
     tolerance = settings.tolerance
     conv_rows = []
     converged = True
-    for name, fn in headlines.items():
-        base, refined = fn(1), fn(2)
+    for name, (base, refined) in values.items():
         drift = abs(refined - base)
         ok = drift <= tolerance
         converged &= ok

@@ -125,7 +125,7 @@ def sfg_extract(state: FewPhotonState, rail: str, gate: PulseGateSpec,
         else:
             lost += out.norm2_sq(cross)
 
-    return replace(out, one_photon=ones, lost_mass=lost)._pruned()
+    return replace(out, one_photon=ones, lost_mass=lost)._pruned(state)
 
 
 def sfg_reverse(state: FewPhotonState, rail: str,
@@ -186,7 +186,7 @@ def sfg_reverse(state: FewPhotonState, rail: str,
         if rho > 0.0:
             out = out.add_pair(anc, other, rho * pump_part)
 
-    return out._pruned()
+    return out._pruned(state)
 
 
 def gem_invert(state: FewPhotonState, rail=None) -> FewPhotonState:

@@ -17,7 +17,8 @@ probability including it stays 1 up to quadrature error of the two-photon
 scattering map.
 
 All operations return new states; stored arrays are never mutated in place,
-so untouched amplitudes are shared between input and output states.
+so untouched amplitudes are shared between input and output states, and an
+operation norms (to prune near-zero amplitudes) only the arrays it writes.
 """
 
 from __future__ import annotations
@@ -136,11 +137,27 @@ class FewPhotonState:
                        one_photon=dict(self.one_photon),
                        two_photon=dict(self.two_photon))
 
-    def _pruned(self) -> "FewPhotonState":
+    def _pruned(self, parent: "FewPhotonState",
+                norms=None) -> "FewPhotonState":
+        """Drop the amplitudes written since ``parent`` whose probability
+        falls below _PRUNE_SQ.
+
+        Ops never mutate arrays, so an array shared with ``parent`` was not
+        written and is not re-normed.  ``norms`` maps rails and pair keys to
+        norms the op has already computed for its written arrays.
+        """
+        norms = norms or {}
+
+        def kept(key, values, old, norm_sq):
+            if values is old:
+                return True
+            norm = norms[key] if key in norms else norm_sq(values)
+            return norm > _PRUNE_SQ
+
         ones = {r: v for r, v in self.one_photon.items()
-                if self.norm1_sq(v) > _PRUNE_SQ}
+                if kept(r, v, parent.one_photon.get(r), self.norm1_sq)}
         twos = {k: v for k, v in self.two_photon.items()
-                if self.norm2_sq(v) > _PRUNE_SQ}
+                if kept(k, v, parent.two_photon.get(k), self.norm2_sq)}
         return replace(self, one_photon=ones, two_photon=twos)
 
 
@@ -157,6 +174,20 @@ def two_photon_state(grid: SpectralGrid, rails, rail_a: str, rail_b: str,
     """Photon pair on (rail_a, rail_b); axis 0 of ``values`` belongs to rail_a."""
     return FewPhotonState.from_components(
         grid, rails, pairs={(rail_a, rail_b): values}, carriers=carriers)
+
+
+def _lincomb(*terms):
+    """Sum of coef * values over the (coef, values) terms whose values are
+    not None; None if every term is absent."""
+    total = None
+    for coef, values in terms:
+        if values is None:
+            continue
+        if total is None:
+            total = coef * values
+        else:
+            total += coef * values
+    return total
 
 
 def beamsplitter(state: FewPhotonState, rail_i: str, rail_j: str,
@@ -180,53 +211,46 @@ def beamsplitter(state: FewPhotonState, rail_i: str, rail_j: str,
     c, s = np.cos(theta), np.sin(theta)
     m_ii, m_ij = complex(c), np.exp(1j * phi) * s
     m_ji, m_jj = -np.exp(-1j * phi) * s, complex(c)
-    # photon on rail r ends up on rail d with coefficient dest[r][d]
-    dest = {rail_i: ((rail_i, m_ii), (rail_j, m_ji)),
-            rail_j: ((rail_i, m_ij), (rail_j, m_jj))}
+    mixed = (rail_i, rail_j)
 
-    ones = {r: v for r, v in state.one_photon.items()
-            if r not in (rail_i, rail_j)}
+    ones = {r: v for r, v in state.one_photon.items() if r not in mixed}
     vi = state.one_photon.get(rail_i)
     vj = state.one_photon.get(rail_j)
     if vi is not None or vj is not None:
-        zero = np.zeros(state.grid.n_points, dtype=complex)
-        vi = zero if vi is None else vi
-        vj = zero if vj is None else vj
-        ones[rail_i] = m_ii * vi + m_ij * vj
-        ones[rail_j] = m_ji * vi + m_jj * vj
+        ones[rail_i] = _lincomb((m_ii, vi), (m_ij, vj))
+        ones[rail_j] = _lincomb((m_ji, vi), (m_jj, vj))
 
-    out = replace(state, one_photon=ones, two_photon={})
-    aa = state.pair(rail_i, rail_i)
-    bb = state.pair(rail_j, rail_j)
-    xc = state.pair(rail_i, rail_j)
-    if aa is not None or bb is not None or xc is not None:
-        n = state.grid.n_points
-        zero2 = np.zeros((n, n), dtype=complex)
-        a = zero2 if aa is None else aa
-        b = zero2 if bb is None else bb
-        x = zero2 if xc is None else xc
-        xs = 0.5 * (x + x.T)
+    out = replace(state, one_photon=ones, two_photon={
+        key: amp for key, amp in state.two_photon.items()
+        if key[0] not in mixed and key[1] not in mixed})
+    a = state.pair(rail_i, rail_i)
+    b = state.pair(rail_j, rail_j)
+    x = state.pair(rail_i, rail_j)
+    if a is not None or b is not None or x is not None:
+        xs = None
+        if x is not None:
+            xs = x + x.T
+            xs *= 0.5
         rt2 = np.sqrt(2.0)
-        new_ii = m_ii**2 * a + m_ij**2 * b + rt2 * m_ii * m_ij * xs
-        new_jj = m_ji**2 * a + m_jj**2 * b + rt2 * m_ji * m_jj * xs
-        new_x = (rt2 * m_ii * m_ji * a + rt2 * m_ij * m_jj * b
-                 + m_ii * m_jj * x + m_ji * m_ij * x.T)
-        out = (out.add_pair(rail_i, rail_i, new_ii)
-               .add_pair(rail_j, rail_j, new_jj)
-               .add_pair(rail_i, rail_j, new_x))
+        out = (out.add_pair(rail_i, rail_i, _lincomb(
+                   (m_ii**2, a), (m_ij**2, b), (rt2 * m_ii * m_ij, xs)))
+               .add_pair(rail_j, rail_j, _lincomb(
+                   (m_ji**2, a), (m_jj**2, b), (rt2 * m_ji * m_jj, xs)))
+               .add_pair(rail_i, rail_j, _lincomb(
+                   (rt2 * m_ii * m_ji, a), (rt2 * m_ij * m_jj, b),
+                   (m_ii * m_jj, x),
+                   (m_ji * m_ij, None if x is None else x.T))))
 
-    mixed = (rail_i, rail_j)
-    for (ra, rb), amp in state.two_photon.items():
-        if ra in mixed and rb in mixed:
-            continue  # handled above
-        if ra not in mixed and rb not in mixed:
-            out = out.add_pair(ra, rb, amp)
+    for other in state.rails:
+        if other in mixed:
             continue
-        moving, other = (ra, rb) if ra in mixed else (rb, ra)
-        amp = state.pair(moving, other)
-        for d, coef in dest[moving]:
-            out = out.add_pair(d, other, coef * amp)
-    return out._pruned()
+        ai = state.pair(rail_i, other)
+        aj = state.pair(rail_j, other)
+        if ai is None and aj is None:
+            continue
+        out = (out.add_pair(rail_i, other, _lincomb((m_ii, ai), (m_ij, aj)))
+               .add_pair(rail_j, other, _lincomb((m_ji, ai), (m_jj, aj))))
+    return out._pruned(state)
 
 
 def _scale_rail(state: FewPhotonState, rail: str, photons, transmission: float,
@@ -237,21 +261,26 @@ def _scale_rail(state: FewPhotonState, rail: str, photons, transmission: float,
         raise ValueError(f"transmission must be in [0, 1], got {transmission}")
     state.rail_index(rail)
     lost = state.lost_mass
+    norms = {}
 
-    def scaled(k, amp, norm_sq):
+    def scaled(key, k, amp, norm_sq):
         nonlocal lost
-        lost += (1.0 - transmission ** (2 * k)) * norm_sq(amp)
+        # at unit transmission nothing is lost and the norm is unchanged
+        if transmission != 1.0:
+            norm = norm_sq(amp)
+            lost += (1.0 - transmission ** (2 * k)) * norm
+            norms[key] = transmission ** (2 * k) * norm
         return np.exp(1j * phase) * transmission**k * amp
 
     ones = dict(state.one_photon)
     if 1 in photons and rail in ones:
-        ones[rail] = scaled(1, ones[rail], state.norm1_sq)
+        ones[rail] = scaled(rail, 1, ones[rail], state.norm1_sq)
     twos = dict(state.two_photon)
     for key, amp in state.two_photon.items():
         if key.count(rail) in photons:
-            twos[key] = scaled(key.count(rail), amp, state.norm2_sq)
+            twos[key] = scaled(key, key.count(rail), amp, state.norm2_sq)
     return replace(state, one_photon=ones, two_photon=twos,
-                   lost_mass=lost)._pruned()
+                   lost_mass=lost)._pruned(state, norms)
 
 
 def loss_channel(state: FewPhotonState, rail: str,
@@ -270,11 +299,13 @@ def apply_tls(state: FewPhotonState, rail: str, p: TlsParams) -> FewPhotonState:
     state.rail_index(rail)
     t = transfer_coeff(p, state.grid.samples)
     lost = state.lost_mass
+    norms = {}
     ones = dict(state.one_photon)
     if rail in ones:
         before = state.norm1_sq(ones[rail])
         ones[rail] = ones[rail] * t
-        lost += before - state.norm1_sq(ones[rail])
+        norms[rail] = state.norm1_sq(ones[rail])
+        lost += before - norms[rail]
     twos = dict(state.two_photon)
     for key, amp in state.two_photon.items():
         if rail not in key:
@@ -287,12 +318,13 @@ def apply_tls(state: FewPhotonState, rail: str, p: TlsParams) -> FewPhotonState:
         else:
             new = amp * t[None, :]
         twos[key] = new
-        lost += before - state.norm2_sq(new)
+        norms[key] = state.norm2_sq(new)
+        lost += before - norms[key]
     # The two-photon map is unitary only up to quadrature error, which can
     # push the accrued deficit slightly negative; lost_mass stays a probability.
     lost = max(lost, 0.0)
     return replace(state, one_photon=ones, two_photon=twos,
-                   lost_mass=lost)._pruned()
+                   lost_mass=lost)._pruned(state, norms)
 
 
 def project_detection(state: FewPhotonState, pattern: dict) -> float:

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 import tlsphot as tp
-from tlsphot.circuits import LOGICAL_BASIS, ns_eta2
+from tlsphot.circuits import CZ_SIGNS, LOGICAL_BASIS, ns_eta2
 from tlsphot.modeops import sum_rail
-from tlsphot.states import FewPhotonState, fidelity, project_detection
+from tlsphot.states import FewPhotonState, fidelity, overlap, project_detection
 
-from conftest import ns_input
+from conftest import ns_input, random_state
 
 
 class TestPhotonSorter:
@@ -226,6 +226,69 @@ class TestCzGate:
         st = FewPhotonState.vacuum(circuit_grid, tp.RAILS4)
         with pytest.raises(ValueError):
             tp.cz_gate(st, tls0, pulse0)
+
+
+def reference_amplitudes(state, pulse):
+    """Logical amplitudes as overlaps with built basis states."""
+    return {b: overlap(state, tp.logical_state(state.grid, pulse, {b: 1.0}))
+            for b in LOGICAL_BASIS}
+
+
+def reference_cz_fidelity(out, state, pulse):
+    """Fidelity of a CZ output to the built sign-flipped input."""
+    target = {b: CZ_SIGNS[b] * a
+              for b, a in reference_amplitudes(state, pulse).items()}
+    return fidelity(out, tp.logical_state(out.grid, pulse, target))
+
+
+class TestLogicalReadout:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_states_match_overlaps(self, seed):
+        grid = tp.SpectralGrid(10.0, 41)
+        rng = np.random.default_rng(seed)
+        pulse = tp.normalize(tp.OnePhotonAmp(
+            grid, rng.standard_normal(41) + 1j * rng.standard_normal(41)))
+        # reversed rail order stores the qubit pairs with axis 0 on q2;
+        # the ancilla rail and the one-photon and same-rail content carry
+        # no logical amplitude
+        rails = tp.RAILS4[::-1] if seed % 2 else tp.RAILS4
+        state = random_state(grid, rails + ("q1u@sum",), seed)
+        got = tp.logical_amplitudes(state, pulse)
+        want = reference_amplitudes(state, pulse)
+        for b in LOGICAL_BASIS:
+            assert abs(got[b] - want[b]) < 1e-13
+
+    def test_bell_outputs_match_overlaps(self, bell_reports0, pulse0):
+        for report in bell_reports0.values():
+            got = tp.logical_amplitudes(report.output_state, pulse0)
+            want = reference_amplitudes(report.output_state, pulse0)
+            for b in LOGICAL_BASIS:
+                assert abs(got[b] - want[b]) < 1e-13
+
+    def test_cz_outputs_match_overlaps(self, circuit_grid, tls95, pulse0,
+                                       pulse95, cz_basis_reports0,
+                                       cz_super_report0,
+                                       cz_super_report95,
+                                       cz_super_report95_skewed):
+        half = {b: 0.5 for b in LOGICAL_BASIS}
+        # complex amplitudes make the conjugation of the target count
+        phased = {b: 0.5 * np.exp(1j * k) for k, b in enumerate(LOGICAL_BASIS)}
+        phased_report = tp.cz_gate(
+            tp.logical_state(circuit_grid, pulse95, phased), tls95, pulse95)
+        cases = [({basis: 1.0}, pulse0, report)
+                 for basis, report in cz_basis_reports0.items()]
+        cases += [(half, pulse0, cz_super_report0),
+                  (half, pulse95, cz_super_report95),
+                  (half, pulse95, cz_super_report95_skewed),
+                  (phased, pulse95, phased_report)]
+        for amps, pulse, report in cases:
+            state = tp.logical_state(circuit_grid, pulse, amps)
+            out = report.output_state
+            want = reference_amplitudes(out, pulse)
+            for b in LOGICAL_BASIS:
+                assert abs(report.logical_amplitudes[b] - want[b]) < 1e-13
+            assert abs(report.fidelity_to_target
+                       - reference_cz_fidelity(out, state, pulse)) < 1e-13
 
 
 class TestSuccessCurves:

@@ -157,6 +157,20 @@ class TestConfigFaults:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("experiment", ["fig1b", "matching-points"])
+    def test_unresolved_pulse_exits_2(self, tmp_path, capsys, experiment):
+        # the sweep and operating-point grids are only checked when a pulse
+        # is sampled on them, after the configuration has parsed
+        cfg = tmp_path / "coarse.ini"
+        cfg.write_text("[sweep]\nbeta_values = 0.95, 1.0\nsigma_count = 2\n")
+        out = tmp_path / "out"
+        assert run_cli(["run", experiment, "--config", str(cfg),
+                        "--grid-n", "2001", "--beta", "0.93",
+                        "--out", str(out)]) == 2
+        assert "grid.n_points = 2001" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+
 class TestCsv:
     def test_numpy_bools_written_lowercase(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 import tlsphot as tp
-from tlsphot.grid import GridMismatchError, ResolutionError
+from tlsphot.grid import (
+    GridMismatchError,
+    ResolutionError,
+    _SYMMETRY_TILE,
+    require_symmetric,
+)
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +156,48 @@ class TestProductState:
                                 psi.values.shape)
         assert g.samples[i] == pytest.approx(3.0, abs=2 * g.spacing)
         assert g.samples[j] == pytest.approx(3.0, abs=2 * g.spacing)
+
+
+class TestRequireSymmetric:
+    # n is not a multiple of the tile, so the last row and column of tiles
+    # are partial
+    N = 2 * _SYMMETRY_TILE + 37
+
+    def symmetric(self, seed=0):
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal(self.N) + 1j * rng.standard_normal(self.N)
+        return np.outer(v, v)
+
+    def test_symmetric_passes(self):
+        require_symmetric(self.symmetric())
+
+    def test_all_zero_passes(self):
+        require_symmetric(np.zeros((self.N, self.N), dtype=complex))
+
+    @pytest.mark.parametrize("row, col", [(-1, 0), (-1, -2), (3, -1),
+                                          (_SYMMETRY_TILE, 1)])
+    def test_asymmetry_located_anywhere_is_caught(self, row, col):
+        amp = self.symmetric()
+        amp[row, col] += 1e-6 * np.max(np.abs(amp))
+        with pytest.raises(ValueError, match="not symmetric"):
+            require_symmetric(amp)
+
+    @pytest.mark.parametrize("factor, raises", [(1.01, True), (0.99, False)])
+    def test_threshold_is_tol_times_scale(self, factor, raises):
+        tol = 1e-10
+        amp = np.zeros((self.N, self.N), dtype=complex)
+        amp[0, 0] = 2.0  # the scale
+        amp[-1, 1] = amp[1, -1] = 0.5
+        amp[-1, 1] += factor * tol * 2.0
+        if raises:
+            with pytest.raises(ValueError, match="not symmetric"):
+                require_symmetric(amp, tol)
+        else:
+            require_symmetric(amp, tol)
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            require_symmetric(np.zeros((3, 4), dtype=complex))
 
 
 class TestTimeReverse:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tlsphot as tp
 from tlsphot.states import (
@@ -15,6 +17,12 @@ from tlsphot.states import (
 )
 
 from conftest import random_state
+
+SMALL_GRID = tp.SpectralGrid(10.0, 31)
+# every pair a beamsplitter on rails a and b reads, and spectator pairs
+# that move with one photon (a-c, b-c) or not at all (c-c)
+PAIRS = (("a", "a"), ("b", "b"), ("a", "b"), ("a", "c"), ("b", "c"),
+         ("c", "c"))
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +50,8 @@ class TestBeamsplitter:
                                                                  abs=1e-9)
         assert project_detection(out, {"b": 2}) == pytest.approx(0.5,
                                                                  abs=1e-9)
+        # the cancelled coincidence amplitude is pruned, not kept as zeros
+        assert ("a", "b") not in out.two_photon
 
     def test_zero_angle_is_identity(self, grid, pulse):
         st = random_state(grid, ("a", "b"), seed=11)
@@ -90,6 +100,27 @@ class TestBeamsplitter:
         total_c = sum(out.norm2_sq(v) for k, v in out.two_photon.items()
                       if "c" in k)
         assert total_c == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(present=st.lists(st.booleans(), min_size=len(PAIRS),
+                        max_size=len(PAIRS)),
+       singles=st.booleans(),
+       rails=st.permutations(("a", "b", "c")),
+       theta=st.floats(-np.pi, np.pi), phi=st.floats(-np.pi, np.pi),
+       seed=st.integers(0, 2**32 - 1))
+def test_beamsplitter_inverse_and_unitary(present, singles, rails, theta, phi,
+                                          seed):
+    full = random_state(SMALL_GRID, ("a", "b", "c"), seed)
+    state = FewPhotonState.from_components(
+        SMALL_GRID, rails, full.vacuum_amp,
+        full.one_photon if singles else {},
+        {k: full.pair(*k) for k, keep in zip(PAIRS, present) if keep})
+    out = beamsplitter(state, "a", "b", theta, phi)
+    assert out.total_probability() == pytest.approx(
+        state.total_probability(), abs=1e-12)
+    back = beamsplitter(out, "a", "b", -theta, phi)
+    assert fidelity(back, state) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestLossChannel:
@@ -201,6 +232,31 @@ class TestDetectionAndFidelity:
         b = one_photon_state(grid, ("a",), "a", pulse_b)
         assert overlap(a, b) == pytest.approx(
             np.conj(tp.inner1(pulse, pulse_b)), abs=1e-12)
+
+
+class TestUntouchedArrays:
+    @pytest.mark.parametrize("op", [
+        lambda s: beamsplitter(s, "a", "b", 0.6, 0.3),
+        lambda s: apply_tls(s, "a", tp.TlsParams(gamma_loss=0.1)),
+        lambda s: tp.sfg_extract(s, "a", tp.PulseGateSpec(
+            tp.normalize(tp.OnePhotonAmp(s.grid, s.one_photon["a"])))),
+        lambda s: loss_channel(s, "a", 0.8),
+    ], ids=["beamsplitter", "apply_tls", "sfg_extract", "loss_channel"])
+    def test_spectator_pair_is_not_renormed(self, grid, op, monkeypatch):
+        st = random_state(grid, ("a", "b", "c", "d"), seed=21)
+        spectator = st.pair("c", "d")
+        normed = []
+        norm2_sq = FewPhotonState.norm2_sq
+
+        def spy(self, values):
+            normed.append(values)
+            return norm2_sq(self, values)
+
+        monkeypatch.setattr(FewPhotonState, "norm2_sq", spy)
+        out = op(st)
+        assert out.pair("c", "d") is spectator
+        assert normed
+        assert not any(np.shares_memory(v, spectator) for v in normed)
 
 
 class TestBookkeepingInvariant:
