@@ -52,7 +52,8 @@ print(f"pair state with branch probability 2*||G||^2 = {2 * leak**2:.3f} "
       "(G the single-photon")
 print("pump content).  The transfer-function model used above idealizes "
       "this away,")
-print("as the sorting argument assumes; rerun with ideal=False to keep it.")
+print("as the sorting argument assumes; sfg_extract(..., ideal=False) keeps "
+      "it.")
 
 lossy = tp.TlsParams.from_beta(0.95)
 sigma95 = tp.matching_sigma(lossy, "upper")

@@ -102,7 +102,7 @@ def matching_residual(p: TlsParams, pulse: OnePhotonAmp) -> float:
 
 
 def photon_sorter(state: FewPhotonState, rail: str, p: TlsParams,
-                  pulse: OnePhotonAmp, ideal: bool = True) -> FewPhotonState:
+                  pulse: OnePhotonAmp) -> FewPhotonState:
     """Emitter pass followed by the pulse gate on ``rail``.
 
     At the matching point the single-photon content emerges on the
@@ -116,7 +116,7 @@ def photon_sorter(state: FewPhotonState, rail: str, p: TlsParams,
             f"pulse is off the sorting condition by {res:.3e}; "
             "the pair component will partially convert", stacklevel=2)
     out = apply_tls(state, rail, p)
-    return sfg_extract(out, rail, make_pump(p, pulse), ideal=ideal)
+    return sfg_extract(out, rail, make_pump(p, pulse))
 
 
 def logical_state(grid: SpectralGrid, pulse: OnePhotonAmp,
@@ -227,8 +227,8 @@ def ns_eta2(p: TlsParams, pulse: OnePhotonAmp) -> float:
 
 
 def ns_gate(state: FewPhotonState, rail: str, p: TlsParams,
-            pulse: OnePhotonAmp, eta2: float | None = None,
-            ideal_sorter: bool = True) -> FewPhotonState:
+            pulse: OnePhotonAmp,
+            eta2: float | None = None) -> FewPhotonState:
     """Nonlinear-sign chain on one rail.
 
     Emitter pass, pulse-gate extraction of the single-photon content, a pi
@@ -247,7 +247,7 @@ def ns_gate(state: FewPhotonState, rail: str, p: TlsParams,
         eta2 = ns_eta2(p, pulse)
     pump = make_pump(p, pulse)
     out = apply_tls(state, rail, p)
-    out = sfg_extract(out, rail, pump, ideal=ideal_sorter)
+    out = sfg_extract(out, rail, pump)
     out = component_phase_loss(out, rail, photons=2, phase=np.pi,
                                transmission=np.sqrt(eta2))
     out = sfg_reverse(out, rail, pump)

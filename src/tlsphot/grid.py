@@ -162,8 +162,8 @@ _SYMMETRY_TILE = 64
 
 
 def require_symmetric(values: np.ndarray, tol: float = 1e-10) -> None:
-    """Raise if a two-photon array is not (numerically) exchange symmetric:
-    max |A - A^T| > tol * max |A|.
+    """Raise if a two-photon array is not (numerically) exchange symmetric,
+    max |A - A^T| > tol * max |A|, or holds NaN or inf.
 
     Upper-triangle tiles are compared with the transposed lower tiles, so no
     N x N temporary is allocated.
@@ -174,14 +174,18 @@ def require_symmetric(values: np.ndarray, tol: float = 1e-10) -> None:
             f"two-photon amplitude must be square, got shape {values.shape}")
     t = _SYMMETRY_TILE
     scale = dev = 0.0
-    for i in range(0, n, t):
-        for j in range(i, n, t):
-            upper = values[i:i + t, j:j + t]
-            lower = values[j:j + t, i:i + t]
-            scale = max(scale, np.max(np.abs(upper)))
-            if j != i:
-                scale = max(scale, np.max(np.abs(lower)))
-            dev = max(dev, np.max(np.abs(upper - lower.T)))
+    # np.maximum, unlike max(), carries a NaN through; inf - inf is a NaN
+    with np.errstate(invalid="ignore"):
+        for i in range(0, n, t):
+            for j in range(i, n, t):
+                upper = values[i:i + t, j:j + t]
+                lower = values[j:j + t, i:i + t]
+                scale = np.maximum(scale, np.max(np.abs(upper)))
+                if j != i:
+                    scale = np.maximum(scale, np.max(np.abs(lower)))
+                dev = np.maximum(dev, np.max(np.abs(upper - lower.T)))
+    if not (np.isfinite(scale) and np.isfinite(dev)):
+        raise ValueError("two-photon amplitude holds non-finite values")
     if scale == 0.0:
         return
     if dev > tol * scale:

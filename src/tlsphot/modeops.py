@@ -1,19 +1,15 @@
 """Active Gaussian operations: mode-selective frequency conversion and memory.
 
-The sum-frequency pulse gate is modeled at the transfer-function level as a
-beamsplitter in mode space: the component of each photon living in the pump
-mode converts to a dedicated sum-frequency rail with amplitude
-sqrt(efficiency); everything orthogonal to the pump passes untouched.  For a
-two-photon amplitude the conversion is photon-wise, which splits it into a
-both-converted piece, a single-converted piece and an untouched remainder.
-
-The idealization the sorting argument relies on (``ideal=True``, the
-default) keeps everything
-except the both-converted piece on the signal rail, which realizes perfect
-sorting at the matching point.  The physical photon-wise model is available
-with ``ideal=False``; its single-converted branch leaves the computational
-subspace and is either kept as a cross-carrier pair or discarded into
-lost_mass, and :func:`leakage_metric` quantifies it.
+The sum-frequency pulse gate on a rail is a beamsplitter in mode space that
+acts on one mode: the pump-mode amplitudes on the rail and on its
+sum-frequency rail (the ancilla) go through M = [[rho, -kappa], [kappa, rho]],
+kappa = sqrt(efficiency), rho = sqrt(1 - efficiency), and everything
+orthogonal to the pump passes.  :func:`sfg_extract` applies M and
+:func:`sfg_reverse` its inverse M^T, so the reverse undoes the extraction at
+any efficiency.  A pair on the two gated rails mixes only its both-in-pump
+coefficient: that is the idealized gate the sorting argument relies on.  The
+photon-wise gate (``ideal=False``) also converts the pump photon of a pair
+whose partner is outside the pump mode; :func:`leakage_metric` measures it.
 
 The gradient-echo memory inverts pulse shapes, F(delta) -> F(-delta); the
 global delay phase it also imparts is dropped as physically irrelevant.
@@ -26,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grid import OnePhotonAmp, TwoPhotonAmp
-from .states import FewPhotonState, _scale_rail
+from .states import FewPhotonState, _pair_lift, _scale_rail
 
 SUM_SUFFIX = "@sum"
 
@@ -53,11 +49,74 @@ class PulseGateSpec:
 
 
 def _gate_terms(gate: PulseGateSpec):
-    """Pump mode, the weighted conjugate that projects onto it, and the
-    converted and unconverted amplitude factors sqrt(eff), sqrt(1 - eff)."""
+    """Pump mode, the weighted conjugate u that projects onto it (``u @ v``
+    is the pump-mode amplitude of v along axis 0) and the matrix M."""
     pump = gate.pump_mode.values
-    u = gate.pump_mode.grid.weights * np.conj(pump)
-    return pump, u, np.sqrt(gate.efficiency), np.sqrt(1.0 - gate.efficiency)
+    kappa, rho = np.sqrt(gate.efficiency), np.sqrt(1.0 - gate.efficiency)
+    return (pump, gate.pump_mode.grid.weights * np.conj(pump),
+            np.array([[rho, -kappa], [kappa, rho]]))
+
+
+def _single_pump(gate: PulseGateSpec, amp: np.ndarray) -> np.ndarray:
+    """Single-pump part of a pair amplitude: the partner g_perp = u @ amp -
+    (u @ amp @ u) pump of a photon in the pump mode, orthogonal to it."""
+    pump, u, _ = _gate_terms(gate)
+    g = u @ amp
+    return g - np.sum(u * g) * pump
+
+
+def _plus_outer(v, terms):
+    """``v`` (None if absent) plus the sum of x (outer) y over the (x, y)
+    terms, as one new array; ``v`` itself if every y is zero."""
+    terms = [(x, y) for x, y in terms if np.any(y)]
+    if not terms:
+        return v
+    new = np.multiply.outer(*terms[0])
+    for x, y in terms[1:]:
+        new += np.multiply.outer(x, y)
+    if v is not None:
+        new += v
+    return new
+
+
+def _pump_map(state: FewPhotonState, rail: str, gate: PulseGateSpec, m,
+              extra=None) -> FewPhotonState:
+    """``state`` with the pump-mode matrix ``m`` applied to ``rail`` and its
+    ancilla.  A single photon, or a photon whose partner is on another rail,
+    is projected as g = u @ v and written once, as v + pump (outer) ((m - 1)
+    g).  A pair on the two gated rails mixes only its both-in-pump
+    coefficient u @ A @ u, through the bosonic pair lift.  ``extra`` maps a
+    gated rail pair to (x, y) terms added to its output as x (outer) y."""
+    anc = sum_rail(rail)
+    gated = (rail, anc)
+    pump, u, _ = _gate_terms(gate)
+    step = m - np.eye(2)
+
+    def mapped(v_r, v_a):
+        """Rail and ancilla outputs of v_r, v_a (axis 0 on the gated photon)."""
+        g = [0.0 if v is None else u @ v for v in (v_r, v_a)]
+        return [_plus_outer(v, [(pump, d_r * g[0] + d_a * g[1])])
+                for v, (d_r, d_a) in zip((v_r, v_a), step)]
+
+    ones = {r: v for r, v in state.one_photon.items() if r not in gated}
+    ones.update((r, v) for r, v in zip(gated, mapped(
+        *(state.one_photon.get(r) for r in gated))) if v is not None)
+    out = replace(state, one_photon=ones, two_photon={
+        key: amp for key, amp in state.two_photon.items()
+        if key[0] not in gated and key[1] not in gated})
+    for other in (r for r in state.rails if r not in gated):
+        for r, v in zip(gated, mapped(state.pair(rail, other),
+                                      state.pair(anc, other))):
+            out = out.add_pair(r, other, v)
+
+    keys = ((rail, rail), (anc, anc), (rail, anc))
+    amps = [state.pair(*key) for key in keys]
+    coefs = [None if a is None else u @ a @ u for a in amps]
+    for key, amp, old, new in zip(keys, amps, coefs, _pair_lift(m, *coefs)):
+        delta = (new or 0.0) - (old or 0.0)
+        out = out.add_pair(*key, _plus_outer(
+            amp, [(pump, delta * pump)] + (extra or {}).get(key, [])))
+    return out._pruned(state)
 
 
 def sfg_extract(state: FewPhotonState, rail: str, gate: PulseGateSpec,
@@ -66,127 +125,61 @@ def sfg_extract(state: FewPhotonState, rail: str, gate: PulseGateSpec,
     """Extract the pump-mode content of ``rail`` onto its sum-frequency rail.
 
     The ancilla rail is created (or reused, if present and empty).  With
-    ``ideal=False`` the photon-wise single-converted branch of a same-rail
-    pair is produced explicitly; by default it is discarded into lost_mass
-    because one original-frequency photon plus one sum-frequency photon is
-    outside the computational subspace of every circuit built here.
+    ``ideal=False`` the pump photon of a same-rail pair whose partner is
+    outside the pump mode converts as well; the single-converted branch this
+    produces is discarded into lost_mass by default, because one
+    original-frequency photon plus one sum-frequency photon is outside the
+    computational subspace of every circuit built here.
     """
     state.grid.require_same(gate.pump_mode.grid)
     state.rail_index(rail)
     anc = sum_rail(rail)
-    if anc in state.rails:
-        if (anc in state.one_photon
-                or any(anc in k for k in state.two_photon)):
-            raise ValueError(f"sum-frequency rail {anc!r} is not empty")
-        out = state
+    if anc in state.one_photon or any(anc in k for k in state.two_photon):
+        raise ValueError(f"sum-frequency rail {anc!r} is not empty")
+    out = state if anc in state.rails else state.with_rail(anc, "sum")
+    pump, _, m = _gate_terms(gate)
+    amp = state.pair(rail, rail)
+    if ideal or amp is None:
+        return _pump_map(out, rail, gate, m)
+    # photon-wise: the pump photon of pump x g_perp + g_perp x pump keeps a
+    # factor rho on the rail and converts with a factor sqrt(2) kappa
+    g_perp = _single_pump(gate, amp)
+    kept = (m[0, 0] - 1.0) * g_perp
+    converted = np.sqrt(2.0) * m[1, 0] * g_perp
+    extra = {(rail, rail): [(pump, kept), (kept, pump)]}
+    if keep_single_converted:
+        extra[(rail, anc)] = [(converted, pump)]
     else:
-        out = state.with_rail(anc, "sum")
-
-    pump, u, kappa, rho = _gate_terms(gate)
-    rt2 = np.sqrt(2.0)
-
-    ones = dict(out.one_photon)
-    lost = out.lost_mass
-    v = ones.get(rail)
-    if v is not None:
-        cp = np.sum(u * v)
-        ones[rail] = v - (1.0 - rho) * cp * pump
-        ones[anc] = kappa * cp * pump
-
-    for ra, rb in state.two_photon:
-        if rail not in (ra, rb):
-            continue
-        other = rb if ra == rail else ra
-        amp = state.pair(rail, other)
-        if other != rail:
-            # cross pair: convert the pump part of the photon on `rail`
-            pump_part = np.outer(pump, u @ amp)
-            out = out.add_pair(rail, other, -(1.0 - rho) * pump_part)
-            out = out.add_pair(anc, other, kappa * pump_part)
-            continue
-        c_bb = complex(u @ amp @ u)
-        pp = np.outer(pump, pump)
-        out = out.add_pair(anc, anc, kappa**2 * c_bb * pp)
-        if ideal:
-            out = out.add_pair(rail, rail, -(1.0 - rho**2) * c_bb * pp)
-            if rho > 0.0 and abs(c_bb) > 0.0:
-                out = out.add_pair(rail, anc, rt2 * rho * kappa * c_bb * pp)
-            continue
-        # photon-wise: each photon keeps its non-pump part and a factor rho
-        # of its pump part
-        g1 = u @ amp
-        out = out.add_pair(rail, rail, (1.0 - rho) ** 2 * c_bb * pp
-                           - (1.0 - rho) * (np.outer(pump, g1)
-                                            + np.outer(g1, pump)))
-        cross = rt2 * kappa * (np.outer(g1 - c_bb * pump, pump)
-                               + rho * c_bb * pp)
-        if keep_single_converted:
-            out = out.add_pair(rail, anc, cross)
-        else:
-            lost += out.norm2_sq(cross)
-
-    return replace(out, one_photon=ones, lost_mass=lost)._pruned(state)
+        out = replace(out, lost_mass=out.lost_mass + out.norm1_sq(converted)
+                      * out.norm1_sq(pump))
+    return _pump_map(out, rail, gate, m, extra)
 
 
 def sfg_reverse(state: FewPhotonState, rail: str,
                 gate: PulseGateSpec) -> FewPhotonState:
     """Convert pump-mode content back from the sum-frequency rail to ``rail``.
 
-    Inverse of :func:`sfg_extract` on the pump-mode subspace (exactly so at
-    unit efficiency).  Content on the ancilla that is not in the pump mode
-    violates the gate contract and raises.
+    Applies M^T, the inverse of :func:`sfg_extract`'s pump-mode matrix, so
+    it undoes the ideal extraction at any efficiency.  Content on the
+    ancilla that is not in the pump mode violates the gate contract and
+    raises.
     """
     state.grid.require_same(gate.pump_mode.grid)
     anc = sum_rail(rail)
     if anc not in state.rails:
         raise ValueError(f"no sum-frequency rail for {rail!r}")
-    pump, u, kappa, rho = _gate_terms(gate)
-
-    ones = dict(state.one_photon)
-    v = ones.pop(anc, None)
-    if v is not None:
-        cp = np.sum(u * v)
-        residual = state.norm1_sq(v - cp * pump)
-        if residual > 1e-12:
-            raise ValueError(
-                f"ancilla photon is not in the pump mode "
-                f"(orthogonal weight {residual:.3e})"
-            )
-        back = kappa * cp * pump
-        ones[rail] = ones[rail] + back if rail in ones else back
-        if rho > 0.0:
-            ones[anc] = rho * cp * pump
-
-    out = replace(state, one_photon=ones, two_photon={
-        key: amp for key, amp in state.two_photon.items() if anc not in key})
-    for ra, rb in state.two_photon:
-        if anc not in (ra, rb):
-            continue
-        other = rb if ra == anc else ra
-        amp = state.pair(anc, other)
-        if other == anc:
-            c_bb = complex(u @ amp @ u)
-            pp = np.outer(pump, pump)
-            residual = state.norm2_sq(amp - c_bb * pp)
-            if residual > 1e-12:
-                raise ValueError("ancilla pair is not in the pump mode")
-            out = out.add_pair(rail, rail, kappa**2 * c_bb * pp)
-            if rho > 0.0:
-                out = out.add_pair(anc, anc, rho**2 * c_bb * pp)
-                out = out.add_pair(rail, anc,
-                                   np.sqrt(2.0) * rho * kappa * c_bb * pp)
-            continue
-        pump_part = np.outer(pump, u @ amp)
-        residual = state.norm2_sq(amp - pump_part)
-        if residual > 1e-12:
-            raise ValueError(
-                "ancilla photon of a cross pair is not in the pump mode"
-            )
-        out = out.add_pair(rail, other, kappa * pump_part)
-        if rho > 0.0:
-            out = out.add_pair(anc, other, rho * pump_part)
-
-    return out._pruned(state)
+    pump, u, m = _gate_terms(gate)
+    # axis 0 is the ancilla photon; a same-rail ancilla pair is symmetric,
+    # so this checks both of its photons
+    ancilla = [state.one_photon.get(anc)] + [state.pair(anc, r)
+                                             for r in state.rails]
+    for v in (v for v in ancilla if v is not None):
+        norm_sq = state.norm1_sq if v.ndim == 1 else state.norm2_sq
+        off = norm_sq(_plus_outer(v, [(pump, -(u @ v))]))
+        if off > 1e-12:
+            raise ValueError("ancilla content is not in the pump mode "
+                             f"(orthogonal weight {off:.3e})")
+    return _pump_map(state, rail, gate, m.T)
 
 
 def gem_invert(state: FewPhotonState, rail=None) -> FewPhotonState:
@@ -197,12 +190,8 @@ def gem_invert(state: FewPhotonState, rail=None) -> FewPhotonState:
     axes belonging to inverted rails: a memory in one interferometer arm does
     not touch the spectator photon.
     """
-    if rail is None:
-        selected = set(state.rails)
-    elif isinstance(rail, str):
-        selected = {rail}
-    else:
-        selected = set(rail)
+    selected = (set(state.rails) if rail is None
+                else {rail} if isinstance(rail, str) else set(rail))
     for r in selected:
         state.rail_index(r)
 
@@ -245,8 +234,5 @@ def leakage_metric(gate: PulseGateSpec, psi: TwoPhotonAmp) -> float:
     than relying on it.
     """
     psi.grid.require_same(gate.pump_mode.grid)
-    w = psi.grid.weights
-    pump, u, _, _ = _gate_terms(gate)
-    g1 = u @ psi.values
-    g_perp = g1 - np.sum(u * g1) * pump
-    return float(np.sqrt(np.sum(w * np.abs(g_perp) ** 2)))
+    g_perp = OnePhotonAmp(psi.grid, _single_pump(gate, psi.values))
+    return float(np.sqrt(g_perp.norm_sq()))

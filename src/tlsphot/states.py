@@ -56,7 +56,7 @@ class FewPhotonState:
 
         ``ones`` maps a rail to its one-photon spectral values; ``pairs`` maps
         a rail pair (a, b) to its pair values with axis 0 on a.  Rails must be
-        known, and same-rail pairs exchange symmetric.
+        known, values finite, and same-rail pairs exchange symmetric.
         """
         rails = tuple(rails)
         if len(set(rails)) != len(rails):
@@ -72,6 +72,9 @@ class FewPhotonState:
             if a == b:
                 require_symmetric(values)
             state = state.add_pair(a, b, np.asarray(values, dtype=complex))
+        amps = [*state.one_photon.values(), *state.two_photon.values()]
+        if not all(np.isfinite(v).all() for v in amps):
+            raise ValueError("state amplitudes hold non-finite values")
         return state
 
     @classmethod
@@ -100,10 +103,12 @@ class FewPhotonState:
         return amp.T if flip and amp is not None else amp
 
     def add_pair(self, a: str, b: str,
-                 values: np.ndarray) -> "FewPhotonState":
+                 values: np.ndarray | None) -> "FewPhotonState":
         """New state with ``values`` (axis 0 on ``a``) added to the (a, b)
-        pair amplitude."""
+        pair amplitude; None adds nothing."""
         key, flip = self._key(a, b)
+        if values is None:
+            return self
         if flip:
             values = values.T
         old = self.two_photon.get(key)
@@ -190,6 +195,24 @@ def _lincomb(*terms):
     return total
 
 
+def _pair_lift(m, a, b, x):
+    """New (i, i), (j, j) and (i, j) pair amplitudes from the old a, b and x
+    (axis 0 of x on i) when the one-photon mode matrix ``m`` acts on rails
+    i, j, with the bosonic sqrt(2) factors.  Amplitudes may be arrays or
+    scalar mode coefficients, None if absent."""
+    (m_ii, m_ij), (m_ji, m_jj) = m
+    xs = None
+    if x is not None:
+        xs = x + x.T
+        xs *= 0.5
+    rt2 = np.sqrt(2.0)
+    return (_lincomb((m_ii**2, a), (m_ij**2, b), (rt2 * m_ii * m_ij, xs)),
+            _lincomb((m_ji**2, a), (m_jj**2, b), (rt2 * m_ji * m_jj, xs)),
+            _lincomb((rt2 * m_ii * m_ji, a), (rt2 * m_ij * m_jj, b),
+                     (m_ii * m_jj, x),
+                     (m_ji * m_ij, None if x is None else x.T)))
+
+
 def beamsplitter(state: FewPhotonState, rail_i: str, rail_j: str,
                  theta: float, phi: float = 0.0) -> FewPhotonState:
     """Mix two rails: a_i -> cos(t) a_i + e^{i phi} sin(t) a_j and
@@ -223,31 +246,17 @@ def beamsplitter(state: FewPhotonState, rail_i: str, rail_j: str,
     out = replace(state, one_photon=ones, two_photon={
         key: amp for key, amp in state.two_photon.items()
         if key[0] not in mixed and key[1] not in mixed})
-    a = state.pair(rail_i, rail_i)
-    b = state.pair(rail_j, rail_j)
-    x = state.pair(rail_i, rail_j)
-    if a is not None or b is not None or x is not None:
-        xs = None
-        if x is not None:
-            xs = x + x.T
-            xs *= 0.5
-        rt2 = np.sqrt(2.0)
-        out = (out.add_pair(rail_i, rail_i, _lincomb(
-                   (m_ii**2, a), (m_ij**2, b), (rt2 * m_ii * m_ij, xs)))
-               .add_pair(rail_j, rail_j, _lincomb(
-                   (m_ji**2, a), (m_jj**2, b), (rt2 * m_ji * m_jj, xs)))
-               .add_pair(rail_i, rail_j, _lincomb(
-                   (rt2 * m_ii * m_ji, a), (rt2 * m_ij * m_jj, b),
-                   (m_ii * m_jj, x),
-                   (m_ji * m_ij, None if x is None else x.T))))
+    a, b, x = _pair_lift(((m_ii, m_ij), (m_ji, m_jj)),
+                         state.pair(rail_i, rail_i),
+                         state.pair(rail_j, rail_j), state.pair(rail_i, rail_j))
+    out = (out.add_pair(rail_i, rail_i, a).add_pair(rail_j, rail_j, b)
+           .add_pair(rail_i, rail_j, x))
 
     for other in state.rails:
         if other in mixed:
             continue
         ai = state.pair(rail_i, other)
         aj = state.pair(rail_j, other)
-        if ai is None and aj is None:
-            continue
         out = (out.add_pair(rail_i, other, _lincomb((m_ii, ai), (m_ij, aj)))
                .add_pair(rail_j, other, _lincomb((m_ji, ai), (m_jj, aj))))
     return out._pruned(state)

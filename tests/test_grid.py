@@ -199,6 +199,18 @@ class TestRequireSymmetric:
         with pytest.raises(ValueError, match="square"):
             require_symmetric(np.zeros((3, 4), dtype=complex))
 
+    # placed symmetrically, so only the finiteness check can catch them: in
+    # a diagonal tile, an off-diagonal tile and the last (partial) tile
+    @pytest.mark.parametrize("row, col", [(1, 2), (1, _SYMMETRY_TILE + 1),
+                                          (-2, -1)],
+                             ids=["diagonal", "off_diagonal", "last_partial"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_values_rejected(self, row, col, value):
+        amp = self.symmetric()
+        amp[row, col] = amp[col, row] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            require_symmetric(amp)
+
 
 class TestTimeReverse:
     def test_involution(self, grid):

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tlsphot as tp
+from tlsphot.grid import lorentzian_values, require_symmetric
 from tlsphot.modeops import sum_rail
 from tlsphot.states import (
     FewPhotonState,
@@ -10,6 +13,8 @@ from tlsphot.states import (
     project_detection,
     two_photon_state,
 )
+
+from conftest import random_state
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +155,55 @@ class TestSfgReverse:
         ov = np.sum(grid.weights * np.conj(pump_pulse.values)
                     * out.one_photon["sig"])
         assert ov.imag == pytest.approx(e, abs=1e-12)
+
+    def test_pump_pair_round_trip_below_unit_efficiency(self, grid,
+                                                         pump_pulse):
+        gate_e = tp.PulseGateSpec(pump_mode=pump_pulse, efficiency=0.6)
+        st = two_photon_state(grid, ("sig",), "sig", "sig",
+                              np.outer(pump_pulse.values, pump_pulse.values))
+        out = tp.sfg_reverse(tp.sfg_extract(st, "sig", gate_e), "sig",
+                             gate_e)
+        assert out.total_probability() == pytest.approx(1.0, abs=1e-12)
+        assert fidelity(out, st) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("efficiency", [0.6, 1.0])
+    def test_reverse_after_photonwise_keep(self, grid, pump_pulse,
+                                           orth_pulse, efficiency):
+        # the single-converted (sig, sig@sum) branch is not in the gate's
+        # both-in-pump subspace: it stays, and nothing is double counted
+        gate_e = tp.PulseGateSpec(pump_mode=pump_pulse, efficiency=efficiency)
+        mix = tp.normalize(tp.OnePhotonAmp(
+            grid, pump_pulse.values + 0.5 * orth_pulse.values))
+        st = two_photon_state(grid, ("sig",), "sig", "sig",
+                              np.outer(mix.values, mix.values))
+        mid = tp.sfg_extract(st, "sig", gate_e, ideal=False,
+                             keep_single_converted=True)
+        out = tp.sfg_reverse(mid, "sig", gate_e)
+        assert out.total_probability() == pytest.approx(1.0, abs=1e-12)
+        for (a, b), amp in out.two_photon.items():
+            if a == b:
+                require_symmetric(amp)
+
+
+ROUND_GRID = tp.SpectralGrid(10.0, 61)
+ROUND_PUMP = tp.normalize(tp.OnePhotonAmp(
+    ROUND_GRID, lorentzian_values(ROUND_GRID, 1.0)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       rails=st.permutations(("a", "b", "c")),
+       efficiency=st.floats(0.0, 1.0))
+def test_extract_reverse_round_trip(seed, rails, efficiency):
+    """Reverse undoes the (ideal) extraction at any efficiency, on random
+    content in every sector, with spectator rails in either order."""
+    gate_e = tp.PulseGateSpec(pump_mode=ROUND_PUMP, efficiency=efficiency)
+    state = random_state(ROUND_GRID, tuple(rails), seed)
+    rail = rails[1]
+    out = tp.sfg_reverse(tp.sfg_extract(state, rail, gate_e), rail, gate_e)
+    assert out.rails == state.rails + (sum_rail(rail),)
+    assert out.total_probability() == pytest.approx(1.0, abs=1e-12)
+    assert fidelity(out, state) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestGemInvert:

@@ -129,6 +129,18 @@ class TestConstructor:
             FewPhotonState.from_components(
                 GRID, RAILS, pairs={("a", "z"): np.eye(GRID.n_points)})
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_values(self, value):
+        vec = PUMP.values.copy()
+        vec[GRID.n_points // 2] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            FewPhotonState.from_components(GRID, RAILS, ones={"a": vec})
+        arr = np.outer(PUMP.values, PUMP.values)
+        arr[0, 1] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            FewPhotonState.from_components(GRID, RAILS,
+                                           pairs={("a", "b"): arr})
+
     def test_rejects_duplicate_rails(self):
         with pytest.raises(ValueError, match="duplicate"):
             FewPhotonState.from_components(GRID, ("a", "a"))
