@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import OnePhotonAmp, SpectralGrid, normalize
+from .pairs import FactoredPair
 from .modeops import (
     PulseGateSpec,
     component_phase_loss,
@@ -125,9 +126,9 @@ def logical_state(grid: SpectralGrid, pulse: OnePhotonAmp,
 
     ``amplitudes`` maps (b1, b2) logical labels to complex coefficients; each
     basis state is a photon pair in the pulse mode on the corresponding
-    rails.
+    rails, held as one factored term coef f(x) f(y).
     """
-    ff = np.outer(pulse.values, pulse.values)
+    ff = FactoredPair.product(pulse.values)
     pairs = {(_QUBIT_RAILS["q1"][b1], _QUBIT_RAILS["q2"][b2]): coef * ff
              for (b1, b2), coef in amplitudes.items() if coef != 0}
     return FewPhotonState.from_components(grid, RAILS4, pairs=pairs)

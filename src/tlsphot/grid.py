@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .pairs import FactoredPair, inner, is_finite, norm_sq
+
 
 class GridMismatchError(ValueError):
     """Two amplitudes that must share a grid do not."""
@@ -143,16 +145,17 @@ class OnePhotonAmp:
 class TwoPhotonAmp:
     """Symmetric complex two-photon spectral amplitude psi(delta_1, delta_2).
 
-    The squared ket norm is the discrete double integral of |psi|^2; a pair
-    of identical photons in a unit-norm mode f has psi = f(x)f(y) with norm 1.
+    ``values`` is a dense N x N array or a factored
+    :class:`~tlsphot.pairs.FactoredPair`.  The squared ket norm is the
+    discrete double integral of |psi|^2; a pair of identical photons in a
+    unit-norm mode f has psi = f(x)f(y) with norm 1.
     """
 
     grid: SpectralGrid
     values: np.ndarray
 
     def norm_sq(self) -> float:
-        w = self.grid.weights
-        return float(np.real(w @ (np.abs(self.values) ** 2) @ w))
+        return norm_sq(self.values, self.grid.weights)
 
 
 # tile edge of the blocked symmetry check.  The whole N x N difference would
@@ -166,8 +169,16 @@ def require_symmetric(values: np.ndarray, tol: float = 1e-10) -> None:
     max |A - A^T| > tol * max |A|, or holds NaN or inf.
 
     Upper-triangle tiles are compared with the transposed lower tiles, so no
-    N x N temporary is allocated.
+    N x N temporary is allocated.  A factored pair must be symmetric by
+    construction (its ``symmetric`` flag).
     """
+    if isinstance(values, FactoredPair):
+        if not is_finite(values):
+            raise ValueError("two-photon amplitude holds non-finite values")
+        if not values.symmetric:
+            raise ValueError("factored two-photon amplitude is not exchange "
+                             "symmetric by construction")
+        return
     n = values.shape[0]
     if values.shape != (n, n):
         raise ValueError(
@@ -256,8 +267,7 @@ def inner1(a: OnePhotonAmp, b: OnePhotonAmp) -> complex:
 def inner2(a: TwoPhotonAmp, b: TwoPhotonAmp) -> complex:
     """Discrete <a|b> = sum_ij w_i w_j conj(a_ij) b_ij."""
     a.grid.require_same(b.grid)
-    w = a.grid.weights
-    return complex(w @ (np.conj(a.values) * b.values) @ w)
+    return inner(a.values, b.values, a.grid.weights)
 
 
 def product_state(f: OnePhotonAmp) -> TwoPhotonAmp:

@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grid import OnePhotonAmp, TwoPhotonAmp
+from .pairs import FactoredPair, flip, project_term
 from .states import FewPhotonState, _pair_lift, _scale_rail
 
 SUM_SUFFIX = "@sum"
@@ -65,18 +66,55 @@ def _single_pump(gate: PulseGateSpec, amp: np.ndarray) -> np.ndarray:
     return g - np.sum(u * g) * pump
 
 
-def _plus_outer(v, terms):
-    """``v`` (None if absent) plus the sum of x (outer) y over the (x, y)
-    terms, as one new array; ``v`` itself if every y is zero."""
-    terms = [(x, y) for x, y in terms if np.any(y)]
+def _plus_outer(v, terms, factored=False):
+    """``v`` (None if absent) plus the sum of k x (outer) y over the
+    (k, x, y) terms, as one new array (as more terms if ``factored``);
+    ``v`` itself if every k y is zero."""
+    terms = [(k, x, y) for k, x, y in terms if k != 0 and np.any(y)]
     if not terms:
         return v
-    new = np.multiply.outer(*terms[0])
-    for x, y in terms[1:]:
-        new += np.multiply.outer(x, y)
+    if factored:
+        new = FactoredPair([(k, x, y, None) for k, x, y in terms])
+        return new if v is None else v + new
+    new = np.multiply.outer(terms[0][1], terms[0][0] * terms[0][2])
+    for k, x, y in terms[1:]:
+        new += np.multiply.outer(x, k * y)
     if v is not None:
         new += v
     return new
+
+
+def _mapped_terms(vs, pump, u, step):
+    """Rail and ancilla outputs of the factored pairs ``vs`` (axis 0 on the
+    gated photon, None if absent) under v + pump (outer) (step @ (u @ v)).
+
+    The map acts on a term's axis-0 factor alone when the term has no
+    c(x + y): a -> a + d (u @ a) pump on its own rail (a coefficient
+    1 + d (u @ pump) if a is the pump), a term d (u @ a) pump(x) b(y) on
+    the other.  Keeping b and the pump array itself lets the converted
+    parts of a pair's terms merge, so pump-mode content that the map
+    removes cancels in one factor.  A term with c adds
+    pump (outer) (u @ term) to both rails."""
+    out = [[], []]
+    for src, v in enumerate(vs):
+        for term in () if v is None else v.expanded():
+            k, a, b, c = term
+            if c is None:
+                alpha = u @ a
+                for dst, d in enumerate(step[:, src] * alpha):
+                    if dst != src:
+                        out[dst].append((k * d, pump, b, None))
+                    elif a is pump:
+                        out[dst].append((k * (1.0 + d), pump, b, None))
+                    else:
+                        out[dst].append((k, a + d * pump, b, None))
+            else:
+                out[src].append(term)
+                g = project_term(u, term)
+                out[0].append((step[0, src], pump, g, None))
+                out[1].append((step[1, src], pump, g, None))
+    out = [[t for t in terms if t[0] != 0] for terms in out]
+    return [FactoredPair(terms) if terms else None for terms in out]
 
 
 def _pump_map(state: FewPhotonState, rail: str, gate: PulseGateSpec, m,
@@ -86,7 +124,8 @@ def _pump_map(state: FewPhotonState, rail: str, gate: PulseGateSpec, m,
     is projected as g = u @ v and written once, as v + pump (outer) ((m - 1)
     g).  A pair on the two gated rails mixes only its both-in-pump
     coefficient u @ A @ u, through the bosonic pair lift.  ``extra`` maps a
-    gated rail pair to (x, y) terms added to its output as x (outer) y."""
+    gated rail pair to (k, x, y) terms added to its output as k x (outer) y.
+    Factored pairs stay factored (:func:`_mapped_terms`)."""
     anc = sum_rail(rail)
     gated = (rail, anc)
     pump, u, _ = _gate_terms(gate)
@@ -94,8 +133,14 @@ def _pump_map(state: FewPhotonState, rail: str, gate: PulseGateSpec, m,
 
     def mapped(v_r, v_a):
         """Rail and ancilla outputs of v_r, v_a (axis 0 on the gated photon)."""
+        if any(isinstance(v, FactoredPair) for v in (v_r, v_a)):
+            if not any(isinstance(v, np.ndarray) for v in (v_r, v_a)):
+                return _mapped_terms((v_r, v_a), pump, u, step)
+            # a dense operand absorbs the terms
+            v_r, v_a = (None if v is None else np.asarray(v)
+                        for v in (v_r, v_a))
         g = [0.0 if v is None else u @ v for v in (v_r, v_a)]
-        return [_plus_outer(v, [(pump, d_r * g[0] + d_a * g[1])])
+        return [_plus_outer(v, [(1.0, pump, d_r * g[0] + d_a * g[1])])
                 for v, (d_r, d_a) in zip((v_r, v_a), step)]
 
     ones = {r: v for r, v in state.one_photon.items() if r not in gated}
@@ -112,10 +157,12 @@ def _pump_map(state: FewPhotonState, rail: str, gate: PulseGateSpec, m,
     keys = ((rail, rail), (anc, anc), (rail, anc))
     amps = [state.pair(*key) for key in keys]
     coefs = [None if a is None else u @ a @ u for a in amps]
+    factored = any(isinstance(a, FactoredPair) for a in amps)
     for key, amp, old, new in zip(keys, amps, coefs, _pair_lift(m, *coefs)):
         delta = (new or 0.0) - (old or 0.0)
         out = out.add_pair(*key, _plus_outer(
-            amp, [(pump, delta * pump)] + (extra or {}).get(key, [])))
+            amp, [(delta, pump, pump)] + (extra or {}).get(key, []),
+            factored))
     return out._pruned(state)
 
 
@@ -146,9 +193,9 @@ def sfg_extract(state: FewPhotonState, rail: str, gate: PulseGateSpec,
     g_perp = _single_pump(gate, amp)
     kept = (m[0, 0] - 1.0) * g_perp
     converted = np.sqrt(2.0) * m[1, 0] * g_perp
-    extra = {(rail, rail): [(pump, kept), (kept, pump)]}
+    extra = {(rail, rail): [(1.0, pump, kept), (1.0, kept, pump)]}
     if keep_single_converted:
-        extra[(rail, anc)] = [(converted, pump)]
+        extra[(rail, anc)] = [(1.0, converted, pump)]
     else:
         out = replace(out, lost_mass=out.lost_mass + out.norm1_sq(converted)
                       * out.norm1_sq(pump))
@@ -170,12 +217,17 @@ def sfg_reverse(state: FewPhotonState, rail: str,
         raise ValueError(f"no sum-frequency rail for {rail!r}")
     pump, u, m = _gate_terms(gate)
     # axis 0 is the ancilla photon; a same-rail ancilla pair is symmetric,
-    # so this checks both of its photons
+    # so this checks both of its photons.  With g = u @ v, the weight of
+    # v - pump (outer) g is ||v||^2 - (2 - ||pump||^2) ||g||^2.
     ancilla = [state.one_photon.get(anc)] + [state.pair(anc, r)
                                              for r in state.rails]
+    pump_sq = state.norm1_sq(pump)
     for v in (v for v in ancilla if v is not None):
-        norm_sq = state.norm1_sq if v.ndim == 1 else state.norm2_sq
-        off = norm_sq(_plus_outer(v, [(pump, -(u @ v))]))
+        g = u @ v
+        if v.ndim == 1:
+            off = state.norm1_sq(v) - (2.0 - pump_sq) * abs(g) ** 2
+        else:
+            off = state.norm2_sq(v) - (2.0 - pump_sq) * state.norm1_sq(g)
         if off > 1e-12:
             raise ValueError("ancilla content is not in the pump mode "
                              f"(orthogonal weight {off:.3e})")
@@ -200,8 +252,7 @@ def gem_invert(state: FewPhotonState, rail=None) -> FewPhotonState:
         belongs to rails[k]."""
         if selected.isdisjoint(rails):
             return amp
-        return amp[tuple(slice(None, None, -1 if r in selected else 1)
-                         for r in rails)].copy()
+        return flip(amp, [r in selected for r in rails])
 
     out = replace(state, two_photon={}, one_photon={
         r: flipped((r,), v) for r, v in state.one_photon.items()})

@@ -19,10 +19,12 @@ parametrized by the total detuning P = p1 + p2 and the bound term reduces to
     I(P) = integral dk psi(k, P - k) [s(k) + s(P - k)],
 
 an anti-diagonal sum that costs O(N) per diagonal on the uniform grid (O(N^2)
-total instead of the naive O(N^4)).  For a product input f x f the scalar
-figures eta, eps_1 and eps_b reduce further to 1-D convolutions, which is how
-the fast paths below evaluate them; the dense map is retained as the general
-route and the two are cross-checked in the test suite.
+total instead of the naive O(N^4)).  For a factored pair (``pairs``), a sum
+of terms a(x) b(y) c(x + y), I reduces further to 1-D convolutions: the
+scattered pair is the input terms times t(x) t(y) plus one bound term
+s(x) s(y) I(x + y).  The scalar figures eta, eps_1 and eps_b use the f x f
+case of that reduction; the dense map is retained for dense pairs and as the
+oracle the two are cross-checked against in the test suite.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .grid import (
     product_state,
     require_symmetric,
 )
+from .pairs import FactoredPair
 from .roots import NoCrossingError, bisect, golden_max
 
 
@@ -114,6 +117,25 @@ def _antidiagonal_sums(psi: np.ndarray, s: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
+def _factored_bound_integral(pair: FactoredPair, s: np.ndarray,
+                             h: float) -> np.ndarray:
+    """I(P) for a factored pair: a term coef a(x) b(y) c(x + y) gives
+    coef c(P) h (conv(a s, b) + conv(a, b s))(P), and a symmetrized term the
+    same, since exchanging a and b swaps the two convolutions."""
+    total = None
+    for coef, a, b, c in pair.terms:
+        if a is b:
+            term = 2.0 * h * fftconvolve(a * s, a)
+        else:
+            term = h * (fftconvolve(a * s, b) + fftconvolve(a, b * s))
+        if c is not None:
+            term *= c
+        if coef != 1.0:
+            term *= coef
+        total = term if total is None else total + term
+    return total
+
+
 def scatter_two(p: TlsParams, psi: TwoPhotonAmp) -> TwoPhotonAmp:
     """Scatter a symmetric two-photon amplitude off the emitter.
 
@@ -122,13 +144,20 @@ def scatter_two(p: TlsParams, psi: TwoPhotonAmp) -> TwoPhotonAmp:
         out(p1, p2) = t(p1) t(p2) psi(p1, p2)
                       + (i sqrt(Gamma) / 2 pi) s(p1) s(p2) I(p1 + p2)
 
-    with the bound-term integral I evaluated by anti-diagonal sums.
+    in the form of the input: a dense array, with I evaluated by
+    anti-diagonal sums, or a factored pair, with I from 1-D convolutions
+    and the bound part as one more term.
     """
     require_symmetric(psi.values)
     grid = psi.grid
     t = transfer_coeff(p, grid.samples)
     s = s_coeff(p, grid.samples)
     kappa = 0.5j * np.sqrt(p.gamma_wg) / np.pi
+    if isinstance(psi.values, FactoredPair):
+        bound_i = _factored_bound_integral(psi.values, s, grid.spacing)
+        bound = FactoredPair(((1.0, s, s, kappa * bound_i),), True)
+        return TwoPhotonAmp(grid, psi.values.map_factors(lambda x: t * x)
+                            + bound)
     bound_i = _antidiagonal_sums(psi.values, s, grid.spacing)
     n = grid.n_points
     out = np.empty((n, n), dtype=complex)
@@ -148,9 +177,10 @@ def product_image(p: TlsParams, f: OnePhotonAmp) -> TwoPhotonAmp:
 def _product_bound_integral(f: OnePhotonAmp, s: np.ndarray) -> np.ndarray:
     """Bound-term integral I(P) for the product input f x f.
 
-    For psi = f x f the anti-diagonal sums collapse to a 1-D convolution.
+    This is the f x f case of the factored-pair integral.
     """
-    return 2.0 * f.grid.spacing * fftconvolve(f.values * s, f.values)
+    return _factored_bound_integral(FactoredPair.product(f.values), s,
+                                    f.grid.spacing)
 
 
 def bound_amplitude(p: TlsParams, f: OnePhotonAmp) -> TwoPhotonAmp:

@@ -5,10 +5,13 @@ patterns: a vacuum amplitude, a spectral amplitude per singly occupied rail,
 and a two-photon spectral amplitude per unordered rail pair.  Same-rail pair
 amplitudes are exchange symmetric and normalized so that their discrete
 double integral is the occupation probability (a pair of identical photons in
-a unit mode f on one rail has amplitude f(x) f(y)).  For a cross-rail pair
-(r, s) with r before s in the rail order, axis 0 of the stored array belongs
-to the photon on r.  Only :class:`FewPhotonState` relies on that rule: other
-code reads pairs with :meth:`FewPhotonState.pair` and writes them with
+a unit mode f on one rail has amplitude f(x) f(y)).  A pair amplitude is a
+dense N x N array or a factored sum of terms a(x) b(y) c(x + y)
+(:mod:`tlsphot.pairs`), and every operation keeps the form of its input.
+For a cross-rail pair (r, s) with r before s in the rail order, axis 0 of
+the stored array belongs to the photon on r.  Only :class:`FewPhotonState`
+relies on that rule: other code reads pairs with
+:meth:`FewPhotonState.pair` and writes them with
 :meth:`FewPhotonState.add_pair`, both oriented by the rails they name.
 
 Probability that leaks out of the tracked rails (emitter loss, loss channels,
@@ -32,6 +35,14 @@ from .grid import (
     SpectralGrid,
     TwoPhotonAmp,
     require_symmetric,
+)
+from .pairs import (
+    FactoredPair,
+    inner,
+    is_finite,
+    norm_sq,
+    scale_axis,
+    symmetrized,
 )
 from .scatter import TlsParams, scatter_two, transfer_coeff
 
@@ -71,9 +82,11 @@ class FewPhotonState:
         for (a, b), values in (pairs or {}).items():
             if a == b:
                 require_symmetric(values)
-            state = state.add_pair(a, b, np.asarray(values, dtype=complex))
+            if not isinstance(values, FactoredPair):
+                values = np.asarray(values, dtype=complex)
+            state = state.add_pair(a, b, values)
         amps = [*state.one_photon.values(), *state.two_photon.values()]
-        if not all(np.isfinite(v).all() for v in amps):
+        if not all(is_finite(v) for v in amps):
             raise ValueError("state amplitudes hold non-finite values")
         return state
 
@@ -119,9 +132,8 @@ class FewPhotonState:
     def norm1_sq(self, values: np.ndarray) -> float:
         return float(np.sum(self.grid.weights * np.abs(values) ** 2))
 
-    def norm2_sq(self, values: np.ndarray) -> float:
-        w = self.grid.weights
-        return float(np.real(w @ (np.abs(values) ** 2) @ w))
+    def norm2_sq(self, values) -> float:
+        return norm_sq(values, self.grid.weights)
 
     def surviving_norm_sq(self) -> float:
         total = abs(self.vacuum_amp) ** 2
@@ -183,13 +195,17 @@ def two_photon_state(grid: SpectralGrid, rails, rail_a: str, rail_b: str,
 
 def _lincomb(*terms):
     """Sum of coef * values over the (coef, values) terms whose values are
-    not None; None if every term is absent."""
+    not None; None if every term is absent.  Dense arrays accumulate in
+    place; factored pairs concatenate their terms."""
     total = None
     for coef, values in terms:
         if values is None:
             continue
         if total is None:
             total = coef * values
+        elif isinstance(total, FactoredPair) or isinstance(values,
+                                                           FactoredPair):
+            total = total + coef * values  # numpy refuses a mixed +=
         else:
             total += coef * values
     return total
@@ -201,10 +217,7 @@ def _pair_lift(m, a, b, x):
     i, j, with the bosonic sqrt(2) factors.  Amplitudes may be arrays or
     scalar mode coefficients, None if absent."""
     (m_ii, m_ij), (m_ji, m_jj) = m
-    xs = None
-    if x is not None:
-        xs = x + x.T
-        xs *= 0.5
+    xs = None if x is None else symmetrized(x)
     rt2 = np.sqrt(2.0)
     return (_lincomb((m_ii**2, a), (m_ij**2, b), (rt2 * m_ii * m_ij, xs)),
             _lincomb((m_ji**2, a), (m_jj**2, b), (rt2 * m_ji * m_jj, xs)),
@@ -322,10 +335,8 @@ def apply_tls(state: FewPhotonState, rail: str, p: TlsParams) -> FewPhotonState:
         before = state.norm2_sq(amp)
         if key == (rail, rail):
             new = scatter_two(p, TwoPhotonAmp(state.grid, amp)).values
-        elif key[0] == rail:
-            new = t[:, None] * amp
         else:
-            new = amp * t[None, :]
+            new = scale_axis(amp, t, key.index(rail))
         twos[key] = new
         norms[key] = state.norm2_sq(new)
         lost += before - norms[key]
@@ -380,7 +391,7 @@ def overlap(state: FewPhotonState, target: FewPhotonState) -> complex:
             continue
         tamp = target.pair(ra, rb)
         if tamp is not None:
-            total += w @ (np.conj(tamp) * amp) @ w
+            total += inner(tamp, amp, w)
     return complex(total)
 
 

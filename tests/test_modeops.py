@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import tlsphot as tp
 from tlsphot.grid import lorentzian_values, require_symmetric
 from tlsphot.modeops import sum_rail
+from tlsphot.pairs import FactoredPair
 from tlsphot.states import (
     FewPhotonState,
     fidelity,
@@ -142,6 +143,29 @@ class TestSfgReverse:
                               carriers={"sig": "orig", ANC: "sum"})
         with pytest.raises(ValueError, match="pump"):
             tp.sfg_reverse(st, "sig", gate)
+
+    @pytest.mark.parametrize("form", ["dense", "factored"])
+    @pytest.mark.parametrize("weight, raises", [(2e-12, True),
+                                                (5e-13, False)])
+    def test_off_pump_weight_threshold(self, grid, pump_pulse, orth_pulse,
+                                       gate, form, weight, raises):
+        # ancilla photon in pump + eps orth, partner in the pump mode: the
+        # orthogonal weight is eps^2 against the 1e-12 threshold
+        p, o = pump_pulse.values, orth_pulse.values
+        eps = np.sqrt(weight)
+        values = (FactoredPair([(1.0, p, p, None), (eps, o, p, None)])
+                  if form == "factored"
+                  else np.outer(p, p) + eps * np.outer(o, p))
+        st = FewPhotonState.from_components(
+            grid, ("sig", ANC), pairs={(ANC, "sig"): values},
+            carriers={"sig": "orig", ANC: "sum"})
+        if raises:
+            with pytest.raises(ValueError, match="pump"):
+                tp.sfg_reverse(st, "sig", gate)
+        else:
+            out = tp.sfg_reverse(st, "sig", gate)
+            assert all(isinstance(v, type(values))
+                       for v in out.two_photon.values())
 
     def test_through_path_amplitude_is_efficiency(self, grid, pump_pulse):
         # tag the converted branch with a phase, then bring it back: the
