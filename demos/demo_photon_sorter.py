@@ -12,6 +12,7 @@ import numpy as np
 
 import tlsphot as tp
 from tlsphot.modeops import sum_rail
+from tlsphot.pairs import FactoredPair
 from tlsphot.states import FewPhotonState, project_detection
 
 p = tp.TlsParams()
@@ -26,7 +27,7 @@ def sorter_input(f):
     """alpha |1_f> + xi |2_f> on the signal rail."""
     return FewPhotonState.from_components(
         grid, ("sig",), ones={"sig": alpha * f.values},
-        pairs={("sig", "sig"): xi * np.outer(f.values, f.values)})
+        pairs={("sig", "sig"): xi * FactoredPair.product(f.values)})
 
 
 state = sorter_input(pulse)

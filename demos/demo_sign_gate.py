@@ -10,6 +10,7 @@ amplitude negated.
 import numpy as np
 
 import tlsphot as tp
+from tlsphot.pairs import FactoredPair
 from tlsphot.states import FewPhotonState, fidelity
 
 p = tp.TlsParams()
@@ -25,7 +26,7 @@ def ns_state(pair_sign):
     return FewPhotonState.from_components(
         grid, ("sig",), amp, ones={"sig": amp * pulse.values},
         pairs={("sig", "sig"): pair_sign * amp
-               * np.outer(pulse.values, pulse.values)})
+               * FactoredPair.product(pulse.values)})
 
 
 state = ns_state(1.0)
@@ -39,9 +40,9 @@ print(f"fidelity to target : {fidelity(out, target):.10f}")
 print(f"total probability  : {out.total_probability():.10f}\n")
 
 w = grid.weights
-ff = np.outer(pulse.values, pulse.values)
-pair_coeff = w @ (np.conj(ff) * out.pair("sig", "sig")) @ w
-one_coeff = np.sum(w * np.conj(pulse.values) * out.one_photon["sig"]) / amp
+u = w * np.conj(pulse.values)  # projects onto the pulse mode
+pair_coeff = u @ out.pair("sig", "sig") @ u
+one_coeff = np.sum(u * out.one_photon["sig"]) / amp
 print(f"recovered amplitudes: vacuum {out.vacuum_amp / amp:.4f}, "
       f"one photon {one_coeff:.4f}, pair {pair_coeff / amp:.4f}\n")
 
@@ -53,11 +54,11 @@ lossy = tp.TlsParams.from_beta(0.95)
 sigma95 = tp.matching_sigma(lossy, "upper")
 pulse95 = tp.make_pulse(tp.PulseShape("lorentzian", sigma95), grid)
 pair_in = FewPhotonState.from_components(
-    grid, ("sig",), pairs={("sig", "sig"): np.outer(pulse95.values,
-                                                    pulse95.values)})
+    grid, ("sig",),
+    pairs={("sig", "sig"): FactoredPair.product(pulse95.values)})
 out95 = tp.ns_gate(pair_in, "sig", lossy, pulse95)
-ff95 = np.outer(pulse95.values, pulse95.values)
-coeff95 = w @ (np.conj(ff95) * out95.pair("sig", "sig")) @ w
+u95 = w * np.conj(pulse95.values)
+coeff95 = u95 @ out95.pair("sig", "sig") @ u95
 eps1 = tp.epsilon1_analytic(lossy, sigma95)
 print(f"beta_dir = 0.95: the pair amplitude comes back as {coeff95:.4f}, "
       f"magnitude eps1^2 = {eps1**2:.4f};")

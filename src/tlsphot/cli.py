@@ -41,6 +41,7 @@ from .grid import (
     product_state,
 )
 from .modeops import leakage_metric, sum_rail
+from .pairs import FactoredPair
 from .roots import NoCrossingError
 from .scatter import (
     TlsParams,
@@ -348,7 +349,7 @@ def _sorter_rows(s: _Settings, grid):
     alpha = xi = 1.0 / np.sqrt(2.0)
     state = FewPhotonState.from_components(
         grid, ("sig",), ones={"sig": alpha * pulse.values},
-        pairs={("sig", "sig"): xi * np.outer(pulse.values, pulse.values)})
+        pairs={("sig", "sig"): xi * FactoredPair.product(pulse.values)})
     out = photon_sorter(state, "sig", p, pulse)
     anc_weight = project_detection(out, {sum_rail("sig"): 1})
     pump = make_pump(p, pulse)
@@ -402,7 +403,7 @@ def _ns_rows(s: _Settings, grid):
         return FewPhotonState.from_components(
             grid, ("sig",), amp, ones={"sig": amp * pulse.values},
             pairs={("sig", "sig"): pair_sign * amp
-                   * np.outer(pulse.values, pulse.values)})
+                   * FactoredPair.product(pulse.values)})
 
     out = ns_gate(ns_state(1.0), "sig", p, pulse)
     fid = fidelity(out, ns_state(-1.0))

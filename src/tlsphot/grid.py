@@ -6,7 +6,9 @@ photon amplitudes are sampled on a uniform grid, symmetric about delta = 0 so
 that the time-reversal map delta -> -delta permutes samples.  Inner products
 are trapezoid-rule quadratures; accuracy is controlled by the resolution
 bounds checked in :func:`make_pulse` and by grid-refinement checks rather
-than by higher-order rules.
+than by higher-order rules.  Two-photon amplitudes are factored pairs
+(:mod:`tlsphot.pairs`); a dense array given to :class:`TwoPhotonAmp` goes
+through the door :func:`tlsphot.pairs.from_dense` once.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pairs import FactoredPair, inner, is_finite, norm_sq
+from .pairs import FactoredPair, flip, from_dense, inner, norm_sq
+# the dense symmetry check lives with the door; grid keeps its public name
+from .pairs import require_symmetric  # noqa: F401
 
 
 class GridMismatchError(ValueError):
@@ -145,65 +149,25 @@ class OnePhotonAmp:
 class TwoPhotonAmp:
     """Symmetric complex two-photon spectral amplitude psi(delta_1, delta_2).
 
-    ``values`` is a dense N x N array or a factored
-    :class:`~tlsphot.pairs.FactoredPair`.  The squared ket norm is the
-    discrete double integral of |psi|^2; a pair of identical photons in a
-    unit-norm mode f has psi = f(x)f(y) with norm 1.
+    ``values`` is a :class:`~tlsphot.pairs.FactoredPair` symmetric by
+    construction; an N x N array is factored by the door
+    :func:`~tlsphot.pairs.from_dense`, which rejects an asymmetric one.  The
+    squared ket norm is the discrete double integral of |psi|^2; a pair of
+    identical photons in a unit-norm mode f has psi = f(x)f(y) with norm 1.
     """
 
     grid: SpectralGrid
-    values: np.ndarray
+    values: FactoredPair
+
+    def __post_init__(self):
+        if not isinstance(self.values, FactoredPair):
+            self.values = from_dense(self.values, symmetric=True)
+        if not self.values.symmetric:
+            raise ValueError("factored two-photon amplitude is not exchange "
+                             "symmetric by construction")
 
     def norm_sq(self) -> float:
         return norm_sq(self.values, self.grid.weights)
-
-
-# tile edge of the blocked symmetry check.  The whole N x N difference would
-# take 256 MB at n = 4001; 64 x 64 tiles (64 KB temporaries) are as fast as
-# larger ones and, unlike 512-wide tiles (5 MB more), leave peak RSS as is.
-_SYMMETRY_TILE = 64
-
-
-def require_symmetric(values: np.ndarray, tol: float = 1e-10) -> None:
-    """Raise if a two-photon array is not (numerically) exchange symmetric,
-    max |A - A^T| > tol * max |A|, or holds NaN or inf.
-
-    Upper-triangle tiles are compared with the transposed lower tiles, so no
-    N x N temporary is allocated.  A factored pair must be symmetric by
-    construction (its ``symmetric`` flag).
-    """
-    if isinstance(values, FactoredPair):
-        if not is_finite(values):
-            raise ValueError("two-photon amplitude holds non-finite values")
-        if not values.symmetric:
-            raise ValueError("factored two-photon amplitude is not exchange "
-                             "symmetric by construction")
-        return
-    n = values.shape[0]
-    if values.shape != (n, n):
-        raise ValueError(
-            f"two-photon amplitude must be square, got shape {values.shape}")
-    t = _SYMMETRY_TILE
-    scale = dev = 0.0
-    # np.maximum, unlike max(), carries a NaN through; inf - inf is a NaN
-    with np.errstate(invalid="ignore"):
-        for i in range(0, n, t):
-            for j in range(i, n, t):
-                upper = values[i:i + t, j:j + t]
-                lower = values[j:j + t, i:i + t]
-                scale = np.maximum(scale, np.max(np.abs(upper)))
-                if j != i:
-                    scale = np.maximum(scale, np.max(np.abs(lower)))
-                dev = np.maximum(dev, np.max(np.abs(upper - lower.T)))
-    if not (np.isfinite(scale) and np.isfinite(dev)):
-        raise ValueError("two-photon amplitude holds non-finite values")
-    if scale == 0.0:
-        return
-    if dev > tol * scale:
-        raise ValueError(
-            f"two-photon amplitude is not symmetric: max deviation {dev:.3e} "
-            f"against scale {scale:.3e}"
-        )
 
 
 def lorentzian_values(grid: SpectralGrid, width: float,
@@ -272,7 +236,7 @@ def inner2(a: TwoPhotonAmp, b: TwoPhotonAmp) -> complex:
 
 def product_state(f: OnePhotonAmp) -> TwoPhotonAmp:
     """Two identical photons in mode f: psi(x, y) = f(x) f(y)."""
-    return TwoPhotonAmp(f.grid, np.outer(f.values, f.values))
+    return TwoPhotonAmp(f.grid, FactoredPair.product(f.values))
 
 
 def time_reverse(a):
@@ -285,5 +249,5 @@ def time_reverse(a):
     if isinstance(a, OnePhotonAmp):
         return OnePhotonAmp(a.grid, a.values[::-1].copy())
     if isinstance(a, TwoPhotonAmp):
-        return TwoPhotonAmp(a.grid, a.values[::-1, ::-1].copy())
+        return TwoPhotonAmp(a.grid, flip(a.values, (True, True)))
     raise TypeError(f"cannot time-reverse {type(a).__name__}")

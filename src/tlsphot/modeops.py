@@ -58,7 +58,7 @@ def _gate_terms(gate: PulseGateSpec):
             np.array([[rho, -kappa], [kappa, rho]]))
 
 
-def _single_pump(gate: PulseGateSpec, amp: np.ndarray) -> np.ndarray:
+def _single_pump(gate: PulseGateSpec, amp: FactoredPair) -> np.ndarray:
     """Single-pump part of a pair amplitude: the partner g_perp = u @ amp -
     (u @ amp @ u) pump of a photon in the pump mode, orthogonal to it."""
     pump, u, _ = _gate_terms(gate)
@@ -66,22 +66,27 @@ def _single_pump(gate: PulseGateSpec, amp: np.ndarray) -> np.ndarray:
     return g - np.sum(u * g) * pump
 
 
-def _plus_outer(v, terms, factored=False):
-    """``v`` (None if absent) plus the sum of k x (outer) y over the
-    (k, x, y) terms, as one new array (as more terms if ``factored``);
-    ``v`` itself if every k y is zero."""
-    terms = [(k, x, y) for k, x, y in terms if k != 0 and np.any(y)]
+def _plus_outer(v, terms):
+    """The pair ``v`` (None if absent) plus the terms k x (outer) y of the
+    (k, x, y) triples; ``v`` itself if every term is zero."""
+    terms = [(k, x, y, None) for k, x, y in terms
+             if k != 0 and np.any(x) and np.any(y)]
     if not terms:
         return v
-    if factored:
-        new = FactoredPair([(k, x, y, None) for k, x, y in terms])
-        return new if v is None else v + new
-    new = np.multiply.outer(terms[0][1], terms[0][0] * terms[0][2])
-    for k, x, y in terms[1:]:
-        new += np.multiply.outer(x, k * y)
-    if v is not None:
-        new += v
-    return new
+    new = FactoredPair(terms)
+    return new if v is None else v + new
+
+
+def _mapped_ones(vs, pump, u, step):
+    """Rail and ancilla outputs of the one-photon values ``vs`` (None if
+    absent) under v + pump (step @ (u @ v)); an input whose update is zero
+    passes as it is."""
+    g = [0.0 if v is None else u @ v for v in vs]
+    out = []
+    for v, (d_r, d_a) in zip(vs, step):
+        y = d_r * g[0] + d_a * g[1]
+        out.append(v if y == 0 else pump * y if v is None else pump * y + v)
+    return out
 
 
 def _mapped_terms(vs, pump, u, step):
@@ -122,47 +127,35 @@ def _pump_map(state: FewPhotonState, rail: str, gate: PulseGateSpec, m,
     """``state`` with the pump-mode matrix ``m`` applied to ``rail`` and its
     ancilla.  A single photon, or a photon whose partner is on another rail,
     is projected as g = u @ v and written once, as v + pump (outer) ((m - 1)
-    g).  A pair on the two gated rails mixes only its both-in-pump
-    coefficient u @ A @ u, through the bosonic pair lift.  ``extra`` maps a
-    gated rail pair to (k, x, y) terms added to its output as k x (outer) y.
-    Factored pairs stay factored (:func:`_mapped_terms`)."""
+    g) (:func:`_mapped_ones`, :func:`_mapped_terms`).  A pair on the two
+    gated rails mixes only its both-in-pump coefficient u @ A @ u, through
+    the bosonic pair lift.  ``extra`` maps a gated rail pair to (k, x, y)
+    terms added to its output as k x (outer) y."""
     anc = sum_rail(rail)
     gated = (rail, anc)
     pump, u, _ = _gate_terms(gate)
     step = m - np.eye(2)
 
-    def mapped(v_r, v_a):
-        """Rail and ancilla outputs of v_r, v_a (axis 0 on the gated photon)."""
-        if any(isinstance(v, FactoredPair) for v in (v_r, v_a)):
-            if not any(isinstance(v, np.ndarray) for v in (v_r, v_a)):
-                return _mapped_terms((v_r, v_a), pump, u, step)
-            # a dense operand absorbs the terms
-            v_r, v_a = (None if v is None else np.asarray(v)
-                        for v in (v_r, v_a))
-        g = [0.0 if v is None else u @ v for v in (v_r, v_a)]
-        return [_plus_outer(v, [(1.0, pump, d_r * g[0] + d_a * g[1])])
-                for v, (d_r, d_a) in zip((v_r, v_a), step)]
-
     ones = {r: v for r, v in state.one_photon.items() if r not in gated}
-    ones.update((r, v) for r, v in zip(gated, mapped(
-        *(state.one_photon.get(r) for r in gated))) if v is not None)
+    ones.update((r, v) for r, v in zip(gated, _mapped_ones(
+        [state.one_photon.get(r) for r in gated], pump, u, step))
+        if v is not None)
     out = replace(state, one_photon=ones, two_photon={
         key: amp for key, amp in state.two_photon.items()
         if key[0] not in gated and key[1] not in gated})
     for other in (r for r in state.rails if r not in gated):
-        for r, v in zip(gated, mapped(state.pair(rail, other),
-                                      state.pair(anc, other))):
+        for r, v in zip(gated, _mapped_terms(
+                (state.pair(rail, other), state.pair(anc, other)),
+                pump, u, step)):
             out = out.add_pair(r, other, v)
 
     keys = ((rail, rail), (anc, anc), (rail, anc))
     amps = [state.pair(*key) for key in keys]
     coefs = [None if a is None else u @ a @ u for a in amps]
-    factored = any(isinstance(a, FactoredPair) for a in amps)
     for key, amp, old, new in zip(keys, amps, coefs, _pair_lift(m, *coefs)):
         delta = (new or 0.0) - (old or 0.0)
         out = out.add_pair(*key, _plus_outer(
-            amp, [(delta, pump, pump)] + (extra or {}).get(key, []),
-            factored))
+            amp, [(delta, pump, pump)] + (extra or {}).get(key, [])))
     return out._pruned(state)
 
 
@@ -247,17 +240,14 @@ def gem_invert(state: FewPhotonState, rail=None) -> FewPhotonState:
     for r in selected:
         state.rail_index(r)
 
-    def flipped(rails, amp):
-        """``amp`` with the axes of the selected rails reversed; axis k
-        belongs to rails[k]."""
-        if selected.isdisjoint(rails):
-            return amp
-        return flip(amp, [r in selected for r in rails])
-
     out = replace(state, two_photon={}, one_photon={
-        r: flipped((r,), v) for r, v in state.one_photon.items()})
+        r: v[::-1].copy() if r in selected else v
+        for r, v in state.one_photon.items()})
     for a, b in state.two_photon:
-        out = out.add_pair(a, b, flipped((a, b), state.pair(a, b)))
+        amp = state.pair(a, b)
+        if not selected.isdisjoint((a, b)):
+            amp = flip(amp, (a in selected, b in selected))
+        out = out.add_pair(a, b, amp)
     return out
 
 

@@ -1,19 +1,21 @@
-"""Photon-pair amplitudes in two forms: dense N x N arrays and factored terms.
+"""Photon-pair amplitudes as short sums of factored terms.
 
-A pair amplitude A[i, j], axis 0 on the first photon, is either
+A pair amplitude A[i, j], axis 0 on the first photon, is a
+:class:`FactoredPair`: a short sum of terms (coef, a, b, c) meaning
+A[i, j] = sum coef a_i b_j c_{i+j}, with ``a`` and ``b`` on the grid, ``c``
+on the 2N - 1 index sums i + j, and ``c = None`` standing for 1.
 
-- a dense complex ``ndarray`` of shape (N, N), or
-- a :class:`FactoredPair`: a short sum of terms (coef, a, b, c) meaning
-  A[i, j] = sum coef a_i b_j c_{i+j}, with ``a`` and ``b`` on the grid, ``c``
-  on the 2N - 1 index sums i + j, and ``c = None`` standing for 1.
+The product input f x f is one term (the Schmidt form of a biphoton, Law,
+Walmsley & Eberly, PRL 84, 5304 (2000)), and an emitter pass adds one bound
+term s(x) s(y) I(x + y) (Shen & Fan, PRL 98, 153003 (2007)); linear optics,
+the pulse gate and the memory keep the form.  Norms, overlaps and
+projections are 1-D dot products and convolutions.  An op the form cannot
+express (a one-axis flip of a term with ``c``) raises.
 
-The product input f x f is one term, and an emitter pass adds one bound term
-s(x) s(y) I(x + y) (Shen & Fan, PRL 98, 153003 (2007)); linear optics, the
-pulse gate and the memory keep the form.  Norms, overlaps and projections of
-factored pairs are 1-D dot products and convolutions instead of N x N
-passes.  Every operation keeps the form of its input; what the factored form
-cannot express exactly (a single-axis flip of a term with ``c``, a sum with a
-dense operand) becomes one dense array.
+A dense N x N array enters through one door, :func:`from_dense`, which
+checks it and factors it into ``c = None`` terms; no other code here builds
+or reads an N x N array, apart from :meth:`FactoredPair.dense` for callers
+that ask for one.
 """
 
 from __future__ import annotations
@@ -22,8 +24,23 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import fftconvolve
 
+# A Gram sum of terms that cancel keeps a rounding residue of about eps times
+# the squared sum of the term norms; a norm below this multiple of that scale
+# is zero to working precision.
+_CANCEL_EPS = 64 * np.finfo(float).eps
+
 # rows per tile of the dense norm kernel: 64 rows of n = 4001 are 4 MB
 _NORM_TILE = 64
+# tile edge of the blocked symmetry check.  The whole N x N difference would
+# take 256 MB at n = 4001; 64 x 64 tiles (64 KB temporaries) are as fast as
+# larger ones and, unlike 512-wide tiles (5 MB more), leave peak RSS as is.
+_SYMMETRY_TILE = 64
+# the door's factorization: the most terms it writes, the weight it may
+# leave out relative to the array's own (the symmetry check's tolerance,
+# squared), and the sketch widths it tries, the last with 8 columns to spare
+MAX_DOOR_TERMS = 32
+_DOOR_RTOL = 1e-10
+_SKETCH_WIDTHS = (8, 16, MAX_DOOR_TERMS + 8)
 
 
 def _same(x, y) -> bool:
@@ -228,8 +245,6 @@ class FactoredPair:
     __rmul__ = __mul__
 
     def __add__(self, other):
-        if isinstance(other, np.ndarray):
-            return self.dense() + other  # a dense operand absorbs the terms
         if not isinstance(other, FactoredPair):
             return NotImplemented
         if self.symmetric and other.symmetric:
@@ -270,60 +285,39 @@ def _term_inner(t1, t2, w) -> complex:
     return np.sum(cc * fftconvolve(x, y))
 
 
-def _dense_norm_sq(values, w) -> float:
-    """sum_ij w_i w_j |A_ij|^2 over 64-row tiles: each tile's squared
-    float view times the doubled weights, so no N x N temporary."""
-    if not values.flags.c_contiguous and values.flags.f_contiguous:
-        values = values.T  # same weights on both axes
-    w2 = np.repeat(w, 2)
-    total = 0.0
-    for i in range(0, values.shape[0], _NORM_TILE):
-        rows = np.ascontiguousarray(values[i:i + _NORM_TILE], dtype=complex)
-        total += w[i:i + _NORM_TILE] @ (np.square(rows.view(float)) @ w2)
-    return float(total)
+def norm_sq(values: FactoredPair, w) -> float:
+    """Squared norm sum_ij w_i w_j |A_ij|^2 of a pair.
 
-
-def norm_sq(values, w) -> float:
-    """Squared norm sum_ij w_i w_j |A_ij|^2 of a pair in either form."""
-    if not isinstance(values, FactoredPair):
-        return _dense_norm_sq(values, w)
+    Terms that cancel leave a Gram-sum residue near eps (sum |k| ||term||)^2;
+    a total below a small multiple of that is returned as 0."""
     terms = values.expanded()
-    total = 0.0
+    total = scale = 0.0
     for i, t1 in enumerate(terms):
-        total += abs(t1[0]) ** 2 * _term_inner(t1, t1, w).real
+        diag = abs(t1[0]) ** 2 * _term_inner(t1, t1, w).real
+        total += diag
+        scale += np.sqrt(max(diag, 0.0))
         for t2 in terms[i + 1:]:
             total += 2.0 * (np.conj(t1[0]) * t2[0]
                             * _term_inner(t1, t2, w)).real
-    # cancelling terms can leave a rounding-sized negative sum
-    return max(float(total), 0.0)
+    return float(total) if total > _CANCEL_EPS * scale**2 else 0.0
 
 
-def inner(x, y, w) -> complex:
-    """<x|y> = sum_ij w_i w_j conj(x_ij) y_ij; dense unless both are
-    factored."""
-    if isinstance(x, FactoredPair) and isinstance(y, FactoredPair):
-        return complex(sum(np.conj(t1[0]) * t2[0] * _term_inner(t1, t2, w)
-                           for t1 in x.expanded() for t2 in y.expanded()))
-    x, y = np.asarray(x), np.asarray(y)
-    return complex(w @ (np.conj(x) * y) @ w)
+def inner(x: FactoredPair, y: FactoredPair, w) -> complex:
+    """<x|y> = sum_ij w_i w_j conj(x_ij) y_ij."""
+    return complex(sum(np.conj(t1[0]) * t2[0] * _term_inner(t1, t2, w)
+                       for t1 in x.expanded() for t2 in y.expanded()))
 
 
 def symmetrized(x):
-    """(x + x^T) / 2 of a pair, or x itself for a scalar mode coefficient."""
-    if isinstance(x, FactoredPair):
-        return FactoredPair._raw(x.terms, True)
-    xs = x + x.T
-    xs *= 0.5
-    return xs
+    """(x + x^T) / 2 of a pair; a scalar mode coefficient is its own."""
+    return x if np.ndim(x) == 0 else FactoredPair._raw(x.terms, True)
 
 
-def scale_axis(values, t, axis):
+def scale_axis(values: FactoredPair, t, axis) -> FactoredPair:
     """Pair with axis ``axis`` multiplied pointwise by ``t``."""
-    if isinstance(values, FactoredPair):
-        fns = [_keep, _keep]
-        fns[axis] = lambda x: t * x
-        return values.map_factors(*fns)
-    return t[:, None] * values if axis == 0 else values * t[None, :]
+    fns = [_keep, _keep]
+    fns[axis] = lambda x: t * x
+    return values.map_factors(*fns)
 
 
 def _keep(x):
@@ -334,24 +328,142 @@ def _reversed(x):
     return x[::-1].copy()
 
 
-def flip(values, flips):
-    """A copy of ``values`` with the axes flagged in ``flips`` reversed."""
-    if isinstance(values, FactoredPair):
-        if all(flips):
-            return values.map_factors(_reversed, fn_c=_reversed)
-        if any(c is not None for _, _, _, c in values.terms):
-            values = values.dense()  # c(x + y) has no one-axis mirror
+def flip(values: FactoredPair, flips) -> FactoredPair:
+    """``values`` with the axes flagged in ``flips`` reversed.
+
+    Reversing both axes reverses c(x + y) too; a one-axis flip of a term
+    with c has no factored form and raises."""
+    if all(flips):
+        return values.map_factors(_reversed, fn_c=_reversed)
+    if any(c is not None for _, _, _, c in values.terms):
+        raise ValueError("gem_invert of one photon of a pair: a term "
+                         "c(x + y) has no one-axis mirror in factored form")
+    return values.map_factors(*(_reversed if f else _keep for f in flips))
+
+
+def is_finite(values: FactoredPair) -> bool:
+    """Whether every coefficient and factor is finite."""
+    return all(np.isfinite(k) and all(np.isfinite(x).all()
+                                      for x in (a, b, c) if x is not None)
+               for k, a, b, c in values.terms)
+
+
+# -- the door for dense input --------------------------------------------------
+
+
+def require_symmetric(values: np.ndarray, tol: float = 1e-10) -> None:
+    """Raise if a two-photon array is not (numerically) exchange symmetric,
+    max |A - A^T| > tol * max |A|, or holds NaN or inf.
+
+    Upper-triangle tiles are compared with the transposed lower tiles, so no
+    N x N temporary is allocated.
+    """
+    n = values.shape[0]
+    if values.shape != (n, n):
+        raise ValueError(
+            f"two-photon amplitude must be square, got shape {values.shape}")
+    t = _SYMMETRY_TILE
+    scale = dev = 0.0
+    # np.maximum, unlike max(), carries a NaN through; inf - inf is a NaN
+    with np.errstate(invalid="ignore"):
+        for i in range(0, n, t):
+            for j in range(i, n, t):
+                upper = values[i:i + t, j:j + t]
+                lower = values[j:j + t, i:i + t]
+                scale = np.maximum(scale, np.max(np.abs(upper)))
+                if j != i:
+                    scale = np.maximum(scale, np.max(np.abs(lower)))
+                dev = np.maximum(dev, np.max(np.abs(upper - lower.T)))
+    if not (np.isfinite(scale) and np.isfinite(dev)):
+        raise ValueError("two-photon amplitude holds non-finite values")
+    if scale == 0.0:
+        return
+    if dev > tol * scale:
+        raise ValueError(
+            f"two-photon amplitude is not symmetric: max deviation {dev:.3e} "
+            f"against scale {scale:.3e}"
+        )
+
+
+def _dense_norm_sq(values, w, u=None, vh=None) -> float:
+    """sum_ij w_i w_j |A - u @ vh|_ij^2 (u, vh None for A itself) over
+    64-row tiles: each tile's squared float view times the doubled
+    weights, in one reused 64 x N buffer, so no N x N temporary."""
+    if not values.flags.c_contiguous and values.flags.f_contiguous:
+        values = values.T  # same weights on both axes
+        if u is not None:
+            u, vh = vh.T, u.T
+    w2 = np.repeat(w, 2)
+    buf = np.empty((_NORM_TILE, values.shape[1]), dtype=complex)
+    total = 0.0
+    for i in range(0, values.shape[0], _NORM_TILE):
+        rows = buf[:len(values[i:i + _NORM_TILE])]
+        if u is None:
+            rows[...] = values[i:i + _NORM_TILE]
         else:
-            return values.map_factors(*(_reversed if f else _keep
-                                        for f in flips))
-    return values[tuple(slice(None, None, -1 if f else 1)
-                        for f in flips)].copy()
+            np.matmul(u[i:i + _NORM_TILE], vh, out=rows)
+            np.subtract(values[i:i + _NORM_TILE], rows, out=rows)
+        square = rows.view(float)
+        np.multiply(square, square, out=square)
+        total += w[i:i + _NORM_TILE] @ (square @ w2)
+    return float(total)
 
 
-def is_finite(values) -> bool:
-    """Whether every value (every coefficient and factor) is finite."""
-    if isinstance(values, FactoredPair):
-        return all(np.isfinite(k) and all(np.isfinite(x).all()
-                                          for x in (a, b, c) if x is not None)
-                   for k, a, b, c in values.terms)
-    return bool(np.isfinite(values).all())
+def _low_rank(values, width, rng):
+    """u, s, vh with values ~ u @ diag(s) @ vh, from a Gaussian sketch of
+    ``width`` columns (randomized range finder: Halko, Martinsson & Tropp,
+    SIAM Rev. 53, 217 (2011)).  Only N x width arrays are built."""
+    q, _ = np.linalg.qr(values @ rng.standard_normal((values.shape[1],
+                                                       width)))
+    ub, s, vh = np.linalg.svd(q.conj().T @ values, full_matrices=False)
+    return q @ ub, s, vh
+
+
+def from_dense(values, symmetric: bool) -> FactoredPair:
+    """The door for dense input: an N x N array as a factored pair.
+
+    A same-rail (``symmetric``) array must pass :func:`require_symmetric`;
+    any array must be finite.  Both checks run before the factorization.
+    The array is then factored by a randomized range finder into terms
+    s_k u_k(x) conj(v_k)(y), A = U S V^H, widening the sketch until the
+    weight the terms leave out is at most (1e-10)^2 of the array's own
+    (both from the tiled norm kernel).  For a symmetric array the terms
+    are exchange symmetrized, which is exact because A = A^T.  A rank-1
+    input such as np.outer(f, f) comes out as one term, exact to rounding.
+
+    Raises
+    ------
+    ValueError
+        If the array is not square, not finite, a same-rail array is not
+        symmetric, or it needs more than ``MAX_DOOR_TERMS`` terms.
+    """
+    values = np.asarray(values)
+    n = values.shape[0]
+    if values.shape != (n, n):
+        raise ValueError(
+            f"two-photon amplitude must be square, got shape {values.shape}")
+    if symmetric:
+        require_symmetric(values)
+    w = np.ones(n)
+    total = _dense_norm_sq(values, w)
+    if not np.isfinite(total):
+        raise ValueError("two-photon amplitude holds non-finite values")
+    rng = np.random.default_rng(0)  # the same terms for the same array
+    for width in _SKETCH_WIDTHS:
+        width = min(width, n)
+        u, s, vh = _low_rank(values, width, rng)
+        # the fewest terms (one for a zero array) whose left-out singular
+        # weight is in bounds; the sketch must be wider than they are
+        left = np.cumsum((s**2)[::-1])[::-1]
+        rank = max(int(np.sum(left > _DOOR_RTOL**2 * total)), 1)
+        if rank > MAX_DOOR_TERMS or rank == width < n:
+            continue
+        u, vh = u[:, :rank] * s[:rank], vh[:rank]
+        if _dense_norm_sq(values, w, u, vh) <= _DOOR_RTOL**2 * total:
+            # the rows of vh are conj(v_k)
+            return FactoredPair._raw(
+                [(1.0, np.array(uk, dtype=complex),
+                  np.array(vk, dtype=complex), None)
+                 for uk, vk in zip(u.T, vh)], symmetric)
+    raise ValueError(f"dense pair amplitude needs more than "
+                     f"{MAX_DOOR_TERMS} factored terms")

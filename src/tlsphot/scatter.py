@@ -18,13 +18,12 @@ parametrized by the total detuning P = p1 + p2 and the bound term reduces to
     out_b(p1, p2) = (i sqrt(Gamma) / 2 pi) s(p1) s(p2) I(P),
     I(P) = integral dk psi(k, P - k) [s(k) + s(P - k)],
 
-an anti-diagonal sum that costs O(N) per diagonal on the uniform grid (O(N^2)
-total instead of the naive O(N^4)).  For a factored pair (``pairs``), a sum
-of terms a(x) b(y) c(x + y), I reduces further to 1-D convolutions: the
-scattered pair is the input terms times t(x) t(y) plus one bound term
+an anti-diagonal sum over psi.  For a pair held as a sum of terms
+a(x) b(y) c(x + y) (``pairs``), I reduces to 1-D convolutions: the scattered
+pair is the input terms times t(x) t(y) plus one bound term
 s(x) s(y) I(x + y).  The scalar figures eta, eps_1 and eps_b use the f x f
-case of that reduction; the dense map is retained for dense pairs and as the
-oracle the two are cross-checked against in the test suite.
+case of that reduction.  The test suite cross-checks the map against a plain
+N x N implementation of it.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ from .grid import (
     lorentzian_values,
     normalize,
     product_state,
-    require_symmetric,
 )
 from .pairs import FactoredPair
 from .roots import NoCrossingError, bisect, golden_max
@@ -107,16 +105,6 @@ def scatter_one(p: TlsParams, f: OnePhotonAmp) -> ScatterOneResult:
     return ScatterOneResult(out=out, epsilon1=eps1, lost=1.0 - eps1)
 
 
-def _antidiagonal_sums(psi: np.ndarray, s: np.ndarray, h: float) -> np.ndarray:
-    """I(P_q) = h * sum_m psi[m, q-m] (s_m + s_{q-m}) for q = 0 .. 2N-2."""
-    n = psi.shape[0]
-    out = np.zeros(2 * n - 1, dtype=complex)
-    for m in range(n):
-        out[m:m + n] += psi[m, :] * (s[m] + s)
-    out *= h
-    return out
-
-
 def _factored_bound_integral(pair: FactoredPair, s: np.ndarray,
                              h: float) -> np.ndarray:
     """I(P) for a factored pair: a term coef a(x) b(y) c(x + y) gives
@@ -136,6 +124,15 @@ def _factored_bound_integral(pair: FactoredPair, s: np.ndarray,
     return total
 
 
+def _bound_term(p: TlsParams, pair: FactoredPair, s: np.ndarray,
+                h: float) -> FactoredPair:
+    """The bound part (i sqrt(Gamma) / 2 pi) s(p1) s(p2) I(p1 + p2) of the
+    scattered ``pair``, as one symmetric term."""
+    kappa = 0.5j * np.sqrt(p.gamma_wg) / np.pi
+    return FactoredPair(((1.0, s, s, kappa * _factored_bound_integral(
+        pair, s, h)),), True)
+
+
 def scatter_two(p: TlsParams, psi: TwoPhotonAmp) -> TwoPhotonAmp:
     """Scatter a symmetric two-photon amplitude off the emitter.
 
@@ -144,34 +141,20 @@ def scatter_two(p: TlsParams, psi: TwoPhotonAmp) -> TwoPhotonAmp:
         out(p1, p2) = t(p1) t(p2) psi(p1, p2)
                       + (i sqrt(Gamma) / 2 pi) s(p1) s(p2) I(p1 + p2)
 
-    in the form of the input: a dense array, with I evaluated by
-    anti-diagonal sums, or a factored pair, with I from 1-D convolutions
-    and the bound part as one more term.
+    as the input terms times t(x) t(y) plus the bound part as one more
+    term, with I from 1-D convolutions.
     """
-    require_symmetric(psi.values)
     grid = psi.grid
     t = transfer_coeff(p, grid.samples)
     s = s_coeff(p, grid.samples)
-    kappa = 0.5j * np.sqrt(p.gamma_wg) / np.pi
-    if isinstance(psi.values, FactoredPair):
-        bound_i = _factored_bound_integral(psi.values, s, grid.spacing)
-        bound = FactoredPair(((1.0, s, s, kappa * bound_i),), True)
-        return TwoPhotonAmp(grid, psi.values.map_factors(lambda x: t * x)
-                            + bound)
-    bound_i = _antidiagonal_sums(psi.values, s, grid.spacing)
-    n = grid.n_points
-    out = np.empty((n, n), dtype=complex)
-    for m in range(n):
-        # (s_m * s) before the kappa scaling keeps the rows exactly symmetric
-        out[m, :] = (t[m] * t) * psi.values[m, :] \
-            + ((s[m] * s) * kappa) * bound_i[m:m + n]
-    return TwoPhotonAmp(grid, out)
+    bound = _bound_term(p, psi.values, s, grid.spacing)
+    return TwoPhotonAmp(grid, psi.values.map_factors(lambda x: t * x)
+                        + bound)
 
 
 def product_image(p: TlsParams, f: OnePhotonAmp) -> TwoPhotonAmp:
     """Linear part of the pair output: (t f) x (t f), unnormalized."""
-    g = scatter_one(p, f).out
-    return product_state(OnePhotonAmp(g.grid, g.values))
+    return product_state(scatter_one(p, f).out)
 
 
 def _product_bound_integral(f: OnePhotonAmp, s: np.ndarray) -> np.ndarray:
@@ -186,22 +169,16 @@ def _product_bound_integral(f: OnePhotonAmp, s: np.ndarray) -> np.ndarray:
 def bound_amplitude(p: TlsParams, f: OnePhotonAmp) -> TwoPhotonAmp:
     """Bound (spectrally entangled) part of the pair output for input f x f."""
     grid = f.grid
-    s = s_coeff(p, grid.samples)
-    bound_i = _product_bound_integral(f, s)
-    kappa = 0.5j * np.sqrt(p.gamma_wg) / np.pi
-    n = grid.n_points
-    out = np.empty((n, n), dtype=complex)
-    for m in range(n):
-        out[m, :] = ((s[m] * s) * kappa) * bound_i[m:m + n]
-    return TwoPhotonAmp(grid, out)
+    return TwoPhotonAmp(grid, _bound_term(
+        p, FactoredPair.product(f.values), s_coeff(p, grid.samples),
+        grid.spacing))
 
 
 def _product_bound_overlap(p: TlsParams, f: OnePhotonAmp) -> complex:
     """<(t f) x (t f) | bound> via the same anti-diagonal reduction.
 
     This is inner2(product_image, bound_amplitude) with the double sum
-    factored through the convolution structure of the bound term, avoiding
-    the N x N arrays.
+    factored through the convolution structure of the bound term.
     """
     grid = f.grid
     t = transfer_coeff(p, grid.samples)
@@ -213,15 +190,9 @@ def _product_bound_overlap(p: TlsParams, f: OnePhotonAmp) -> complex:
     return complex(kappa * np.sum(fftconvolve(u, u) * bound_i))
 
 
-def eta_numeric(p: TlsParams, f: OnePhotonAmp, dense: bool = False) -> float:
-    """Distortion overlap eta = |<product image | bound>| / 2 for input f x f.
-
-    The default path factors the overlap through the anti-diagonal reduction;
-    ``dense=True`` materializes both two-photon amplitudes and calls inner2
-    (identical result, used as a cross-check).
-    """
-    if dense:
-        return 0.5 * abs(inner2(product_image(p, f), bound_amplitude(p, f)))
+def eta_numeric(p: TlsParams, f: OnePhotonAmp) -> float:
+    """Distortion overlap eta = |<product image | bound>| / 2 for input f x f,
+    factored through the anti-diagonal reduction."""
     return 0.5 * abs(_product_bound_overlap(p, f))
 
 
@@ -290,7 +261,7 @@ def decompose(p: TlsParams, f: OnePhotonAmp) -> ScatterTwoResult:
     psi_out = scatter_two(p, product_state(f))
     prod = product_image(p, f)
     eps1 = scatter_one(p, f).epsilon1
-    prod_normed = TwoPhotonAmp(prod.grid, prod.values / eps1)
+    prod_normed = TwoPhotonAmp(prod.grid, (1.0 / eps1) * prod.values)
     along = inner2(prod_normed, psi_out)
     out_norm_sq = psi_out.norm_sq()
     orth_sq = max(0.0, out_norm_sq - abs(along) ** 2)

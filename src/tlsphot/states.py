@@ -6,10 +6,11 @@ and a two-photon spectral amplitude per unordered rail pair.  Same-rail pair
 amplitudes are exchange symmetric and normalized so that their discrete
 double integral is the occupation probability (a pair of identical photons in
 a unit mode f on one rail has amplitude f(x) f(y)).  A pair amplitude is a
-dense N x N array or a factored sum of terms a(x) b(y) c(x + y)
-(:mod:`tlsphot.pairs`), and every operation keeps the form of its input.
+factored sum of terms a(x) b(y) c(x + y) (:mod:`tlsphot.pairs`); a dense
+N x N array given to :meth:`FewPhotonState.from_components` or written into
+``two_photon`` goes through the door :func:`tlsphot.pairs.from_dense` once.
 For a cross-rail pair (r, s) with r before s in the rail order, axis 0 of
-the stored array belongs to the photon on r.  Only :class:`FewPhotonState`
+the stored pair belongs to the photon on r.  Only :class:`FewPhotonState`
 relies on that rule: other code reads pairs with
 :meth:`FewPhotonState.pair` and writes them with
 :meth:`FewPhotonState.add_pair`, both oriented by the rails they name.
@@ -19,9 +20,9 @@ discarded sorter branches) accumulates in the scalar ``lost_mass``; the total
 probability including it stays 1 up to quadrature error of the two-photon
 scattering map.
 
-All operations return new states; stored arrays are never mutated in place,
-so untouched amplitudes are shared between input and output states, and an
-operation norms (to prune near-zero amplitudes) only the arrays it writes.
+All operations return new states; stored amplitudes are never mutated in
+place, so untouched amplitudes are shared between input and output states,
+and an operation norms (to prune near-zero amplitudes) only those it writes.
 """
 
 from __future__ import annotations
@@ -30,14 +31,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid import (
-    OnePhotonAmp,
-    SpectralGrid,
-    TwoPhotonAmp,
-    require_symmetric,
-)
+from .grid import OnePhotonAmp, SpectralGrid, TwoPhotonAmp
 from .pairs import (
     FactoredPair,
+    from_dense,
     inner,
     is_finite,
     norm_sq,
@@ -49,6 +46,23 @@ from .scatter import TlsParams, scatter_two, transfer_coeff
 _PRUNE_SQ = 1e-28  # drop amplitudes whose probability falls below this
 
 
+class PairMap(dict):
+    """Pair amplitudes by storage key.  A value that is not a
+    :class:`~tlsphot.pairs.FactoredPair` goes through the door
+    :func:`~tlsphot.pairs.from_dense` when it is stored; a factored value
+    passes as it is."""
+
+    def __init__(self, items=()):
+        super().__init__()
+        for key, values in dict(items).items():
+            self[key] = values
+
+    def __setitem__(self, key, values):
+        if not isinstance(values, FactoredPair):
+            values = from_dense(values, key[0] == key[1])
+        super().__setitem__(key, values)
+
+
 @dataclass
 class FewPhotonState:
     grid: SpectralGrid
@@ -56,8 +70,12 @@ class FewPhotonState:
     carriers: dict
     vacuum_amp: complex = 0.0
     one_photon: dict = field(default_factory=dict)
-    two_photon: dict = field(default_factory=dict)
+    two_photon: PairMap = field(default_factory=PairMap)
     lost_mass: float = 0.0
+
+    def __post_init__(self):
+        if not isinstance(self.two_photon, PairMap):
+            self.two_photon = PairMap(self.two_photon)
 
     @classmethod
     def from_components(cls, grid: SpectralGrid, rails, vacuum: complex = 0.0j,
@@ -66,8 +84,10 @@ class FewPhotonState:
         """State from its components, validated.
 
         ``ones`` maps a rail to its one-photon spectral values; ``pairs`` maps
-        a rail pair (a, b) to its pair values with axis 0 on a.  Rails must be
-        known, values finite, and same-rail pairs exchange symmetric.
+        a rail pair (a, b) to its pair values with axis 0 on a, a
+        :class:`~tlsphot.pairs.FactoredPair` or an N x N array (factored by
+        :func:`~tlsphot.pairs.from_dense`).  Rails must be known, values
+        finite, and same-rail pairs exchange symmetric.
         """
         rails = tuple(rails)
         if len(set(rails)) != len(rails):
@@ -78,16 +98,20 @@ class FewPhotonState:
                     vacuum_amp=vacuum)
         for rail, values in (ones or {}).items():
             state.rail_index(rail)
-            state.one_photon[rail] = np.asarray(values, dtype=complex)
+            values = np.asarray(values, dtype=complex)
+            if not np.isfinite(values).all():
+                raise ValueError("state amplitudes hold non-finite values")
+            state.one_photon[rail] = values
         for (a, b), values in (pairs or {}).items():
-            if a == b:
-                require_symmetric(values)
+            state._key(a, b)  # an unknown rail fails before the door
             if not isinstance(values, FactoredPair):
-                values = np.asarray(values, dtype=complex)
+                values = from_dense(values, a == b)
+            elif not is_finite(values):
+                raise ValueError("state amplitudes hold non-finite values")
+            elif a == b and not values.symmetric:
+                raise ValueError("factored two-photon amplitude is not "
+                                 "exchange symmetric by construction")
             state = state.add_pair(a, b, values)
-        amps = [*state.one_photon.values(), *state.two_photon.values()]
-        if not all(is_finite(v) for v in amps):
-            raise ValueError("state amplitudes hold non-finite values")
         return state
 
     @classmethod
@@ -109,14 +133,14 @@ class FewPhotonState:
         return (b, a), True
 
     def pair(self, a: str, b: str):
-        """Pair amplitude on rails (a, b) with axis 0 on ``a`` (a view), or
+        """Pair amplitude on rails (a, b) with axis 0 on ``a``, or
         None if the state holds none."""
         key, flip = self._key(a, b)
         amp = self.two_photon.get(key)
         return amp.T if flip and amp is not None else amp
 
     def add_pair(self, a: str, b: str,
-                 values: np.ndarray | None) -> "FewPhotonState":
+                 values: FactoredPair | None) -> "FewPhotonState":
         """New state with ``values`` (axis 0 on ``a``) added to the (a, b)
         pair amplitude; None adds nothing."""
         key, flip = self._key(a, b)
@@ -130,7 +154,7 @@ class FewPhotonState:
         return replace(self, two_photon=twos)
 
     def norm1_sq(self, values: np.ndarray) -> float:
-        return float(np.sum(self.grid.weights * np.abs(values) ** 2))
+        return OnePhotonAmp(self.grid, values).norm_sq()
 
     def norm2_sq(self, values) -> float:
         return norm_sq(values, self.grid.weights)
@@ -187,7 +211,7 @@ def one_photon_state(grid: SpectralGrid, rails, rail: str, amp: OnePhotonAmp,
 
 
 def two_photon_state(grid: SpectralGrid, rails, rail_a: str, rail_b: str,
-                     values: np.ndarray, carriers=None) -> FewPhotonState:
+                     values, carriers=None) -> FewPhotonState:
     """Photon pair on (rail_a, rail_b); axis 0 of ``values`` belongs to rail_a."""
     return FewPhotonState.from_components(
         grid, rails, pairs={(rail_a, rail_b): values}, carriers=carriers)
@@ -195,19 +219,12 @@ def two_photon_state(grid: SpectralGrid, rails, rail_a: str, rail_b: str,
 
 def _lincomb(*terms):
     """Sum of coef * values over the (coef, values) terms whose values are
-    not None; None if every term is absent.  Dense arrays accumulate in
-    place; factored pairs concatenate their terms."""
+    not None; None if every term is absent.  Factored pairs concatenate
+    their terms."""
     total = None
     for coef, values in terms:
-        if values is None:
-            continue
-        if total is None:
-            total = coef * values
-        elif isinstance(total, FactoredPair) or isinstance(values,
-                                                           FactoredPair):
-            total = total + coef * values  # numpy refuses a mixed +=
-        else:
-            total += coef * values
+        if values is not None:
+            total = coef * values if total is None else total + coef * values
     return total
 
 

@@ -1,8 +1,10 @@
 """Shared fixtures: emitter parameters, matched pulses, cached circuit runs.
 
-Circuit-level tests run on a reduced grid (delta_max 60, n 1201) that keeps
-two-photon arrays at ~22 MB; quadrature errors there sit near 1e-6, far below
-every asserted tolerance.  Expensive end-to-end runs are session-scoped so
+Circuit-level tests run on a reduced grid (delta_max 60, n 1201), where the
+dense oracle's pair arrays take ~22 MB each; quadrature errors there sit near
+1e-6, far below every asserted tolerance.  ``random_state`` builds its pairs
+as arrays, so every state it makes goes through the door
+(``pairs.from_dense``).  Expensive end-to-end runs are session-scoped so
 the unit tests and the acceptance suite share them.
 """
 
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 
 import tlsphot as tp
+from tlsphot.pairs import FactoredPair
 from tlsphot.states import FewPhotonState
 
 
@@ -54,7 +57,7 @@ def ns_input(grid, pulse, two_photon_sign=1.0):
     return FewPhotonState.from_components(
         grid, ("sig",), amp, ones={"sig": amp * pulse.values},
         pairs={("sig", "sig"): two_photon_sign * amp
-               * np.outer(pulse.values, pulse.values)})
+               * FactoredPair.product(pulse.values)})
 
 
 def random_state(grid, rails, seed):

@@ -1,9 +1,12 @@
 import json
+import pathlib
+import runpy
 
 import numpy as np
 import pytest
 
 from tlsphot import cli
+from tlsphot.pairs import FactoredPair
 
 
 def run_cli(args):
@@ -178,3 +181,39 @@ class TestCsv:
                       [{"a": np.bool_(True), "b": np.bool_(False)},
                        {"a": True, "b": False}])
         assert path.read_text() == "a,b\ntrue,false\ntrue,false\n"
+
+
+DEMOS = sorted(
+    (pathlib.Path(__file__).parent.parent / "demos").glob("demo_*.py"))
+
+
+class TestNoDensePairs:
+    """No experiment or demo asks a pair for its N x N array: every pair
+    they build and every op they run stays factored."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_dense(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a pair was densified")
+
+        monkeypatch.setattr(FactoredPair, "dense", refuse)
+
+    @pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
+    def test_cli_experiment(self, tmp_path, experiment):
+        cfg = tmp_path / "small.ini"
+        cfg.write_text("[sweep]\nbeta_values = 1.0, 0.95\nsigma_min = 0.1\n"
+                       "sigma_max = 2.0\nsigma_count = 6\n")
+        args = ["run", experiment, "--config", str(cfg),
+                "--out", str(tmp_path / "out")]
+        if experiment.endswith("-demo"):
+            args += ["--grid-n", "801", "--grid-max", "40"]
+        assert run_cli(args) == 0
+
+    def test_refusal_is_seen(self):
+        with pytest.raises(AssertionError, match="densified"):
+            np.asarray(FactoredPair.product(np.ones(3)))
+
+    @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+    def test_demo_script(self, demo, capsys):
+        runpy.run_path(str(demo), run_name="__main__")
+        assert capsys.readouterr().out

@@ -2,12 +2,8 @@ import numpy as np
 import pytest
 
 import tlsphot as tp
-from tlsphot.grid import (
-    GridMismatchError,
-    ResolutionError,
-    _SYMMETRY_TILE,
-    require_symmetric,
-)
+from tlsphot.grid import GridMismatchError, ResolutionError, require_symmetric
+from tlsphot.pairs import _SYMMETRY_TILE
 
 
 @pytest.fixture(scope="module")
@@ -152,8 +148,10 @@ class TestProductState:
         g = tp.SpectralGrid(50.0, 8001)
         f = tp.make_pulse(tp.PulseShape("lorentzian", 0.15, center=3.0), g)
         psi = tp.product_state(f)
-        i, j = np.unravel_index(np.argmax(np.abs(psi.values)),
-                                psi.values.shape)
+        # one term f(x) f(y): |psi| peaks where both factors peak
+        (_, a, b, c), = psi.values.terms
+        assert c is None
+        i, j = np.argmax(np.abs(a)), np.argmax(np.abs(b))
         assert g.samples[i] == pytest.approx(3.0, abs=2 * g.spacing)
         assert g.samples[j] == pytest.approx(3.0, abs=2 * g.spacing)
 

@@ -1,9 +1,10 @@
-"""Factored pair amplitudes against their dense arrays, the oracle.
+"""Factored pair amplitudes against the dense N x N oracle.
 
-Unit checks of each pair operation, a hypothesis property test that runs
-random op sequences on a factored state and on its densified copy, the
-Bell analyzer and CZ gate in both forms, and a guard on the term counts
-the circuits produce.
+Unit checks of each pair operation against its array, the door for dense
+input (``pairs.from_dense``), a hypothesis property test that runs random op
+sequences in the library and in the independent dense implementation of
+``dense_oracle``, self-inverse checks, the Bell analyzer, CZ gate and NS gate
+in both, and a guard on the term counts the circuits produce.
 """
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_oracle as oracle
 import tlsphot as tp
 from tlsphot import pairs
 from tlsphot.circuits import LOGICAL_BASIS
@@ -28,22 +30,26 @@ def rvec(rng, n=N):
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
-def random_pair(rng, same_rail):
-    """Two or three terms, one with c(x + y); exchange symmetric for a
-    same-rail pair (a diagonal term and a symmetrized one)."""
+def random_pair(rng, same_rail, with_c=True):
+    """Two or three terms, one with c(x + y) if ``with_c``; exchange
+    symmetric for a same-rail pair (a diagonal term and a symmetrized
+    one)."""
     a, b = rvec(rng), rvec(rng)
     terms = [(rng.standard_normal() + 1j, a, a if same_rail else b, None),
              (0.7j, rvec(rng), rvec(rng), rvec(rng, 2 * N - 1)),
              (-0.4, a, rvec(rng), None)]
+    if not with_c:
+        del terms[1]
     return FactoredPair(terms, symmetric=same_rail)
 
 
 def random_factored_state(rails, seed):
     """Normalized state with random content in every sector and factored
-    pairs."""
+    pairs.  As in the circuits, c(x + y) terms (the emitter's bound part)
+    start on same-rail pairs; a beamsplitter carries them across rails."""
     rng = np.random.default_rng(seed)
     ones = {r: rvec(rng) for r in rails}
-    twos = {(a, b): random_pair(rng, a == b)
+    twos = {(a, b): random_pair(rng, a == b, with_c=a == b)
             for i, a in enumerate(rails) for b in rails[i:]}
     vacuum = rng.standard_normal() + 1j * rng.standard_normal()
     total = FewPhotonState.from_components(GRID, rails, vacuum, ones,
@@ -54,29 +60,20 @@ def random_factored_state(rails, seed):
         {key: k * v for key, v in twos.items()})
 
 
-def densified(state):
-    return FewPhotonState.from_components(
-        state.grid, state.rails, state.vacuum_amp, state.one_photon,
-        {key: np.asarray(v) for key, v in state.two_photon.items()},
-        state.carriers)
-
-
-def max_deviation(a, b):
-    """Largest difference between two states' components (an absent
-    component counts as zero) and between their lost masses."""
-    assert a.rails == b.rails
-    n = a.grid.n_points
-
-    def pair(state, r, s):
-        values = state.pair(r, s)
-        return np.zeros((n, n)) if values is None else np.asarray(values)
-
-    dev = max(abs(a.vacuum_amp - b.vacuum_amp), abs(a.lost_mass - b.lost_mass))
-    for i, r in enumerate(a.rails):
-        va, vb = (state.one_photon.get(r, np.zeros(n)) for state in (a, b))
-        dev = max(dev, np.max(np.abs(va - vb)))
-        for s in a.rails[i:]:
-            dev = max(dev, np.max(np.abs(pair(a, r, s) - pair(b, r, s))))
+def max_deviation(state, dense):
+    """Largest difference between a library state and an oracle state's
+    components (an absent component counts as zero) and lost masses."""
+    assert state.rails == dense.rails
+    n = state.grid.n_points
+    dev = max(abs(state.vacuum_amp - dense.vacuum),
+              abs(state.lost_mass - dense.lost))
+    for i, r in enumerate(state.rails):
+        dev = max(dev, np.max(np.abs(state.one_photon.get(r, np.zeros(n))
+                                     - dense.one(r))))
+        for s in state.rails[i:]:
+            values = state.pair(r, s)
+            values = np.zeros((n, n)) if values is None else np.asarray(values)
+            dev = max(dev, np.max(np.abs(values - dense.pair(r, s))))
     return dev
 
 
@@ -101,9 +98,9 @@ class TestFactoredPair:
         dense = pair.dense()
         other = random_pair(np.random.default_rng(4), pair.symmetric)
         u = rvec(np.random.default_rng(5))
-        assert abs(pairs.norm_sq(pair, W) - pairs.norm_sq(dense, W)) < TOL
+        assert abs(pairs.norm_sq(pair, W) - oracle.norm2(W, dense)) < TOL
         assert abs(pairs.inner(other, pair, W)
-                   - pairs.inner(other.dense(), dense, W)) < TOL
+                   - oracle.inner2(W, other.dense(), dense)) < TOL
         assert np.allclose(u @ pair, u @ dense, atol=TOL)
         assert np.allclose(pair.T.dense(), dense.T, atol=TOL)
 
@@ -113,20 +110,36 @@ class TestFactoredPair:
         w = tp.SpectralGrid(10.0, n).weights
         big = rvec(rng, 4 * n * n).reshape(2 * n, 2 * n)
         arr = big[:n, :n].copy()
+        u, vh = rvec(rng, 2 * n).reshape(n, 2), rvec(rng, 2 * n).reshape(2, n)
         for values in (arr, arr.T, np.asfortranarray(arr), big[::2, ::2],
                        arr.real):
             want = float(np.real(w @ (np.abs(values) ** 2) @ w))
-            assert pairs.norm_sq(values, w) == pytest.approx(want, rel=1e-14)
+            assert pairs._dense_norm_sq(values, w) == pytest.approx(
+                want, rel=1e-14)
+            # the door's residual form: || values - u @ vh ||
+            want = oracle.norm2(w, values - u @ vh)
+            assert pairs._dense_norm_sq(values, w, u, vh) == pytest.approx(
+                want, rel=1e-13)
 
     @pytest.mark.parametrize("flips", [(True, True), (True, False),
                                        (False, True)])
     def test_flip(self, pair, flips):
-        want = pair.dense()[tuple(slice(None, None, -1 if f else 1)
-                                  for f in flips)]
-        got = pairs.flip(pair, flips)
-        assert np.allclose(np.asarray(got), want, atol=TOL)
-        # only a flip of both axes stays factored when a term has c
-        assert isinstance(got, FactoredPair) == all(flips)
+        def want(values):
+            return values.dense()[tuple(slice(None, None, -1 if f else 1)
+                                        for f in flips)]
+
+        if all(flips):
+            got = pairs.flip(pair, flips)
+            assert np.allclose(got.dense(), want(pair), atol=TOL)
+            return
+        # c(x + y) has no one-axis mirror: the op that asks for one fails
+        with pytest.raises(ValueError, match="gem_invert"):
+            pairs.flip(pair, flips)
+        plain = random_pair(np.random.default_rng(14), pair.symmetric,
+                            with_c=False)
+        got = pairs.flip(plain, flips)
+        assert isinstance(got, FactoredPair)
+        assert np.allclose(got.dense(), want(plain), atol=TOL)
 
     def test_scale_axis(self, pair):
         t = rvec(np.random.default_rng(7))
@@ -143,10 +156,9 @@ class TestFactoredPair:
         assert total.symmetric == pair.symmetric
         assert np.allclose(total.dense(), 0.5j * pair.dense() + other.dense(),
                            atol=TOL)
-        # a dense operand absorbs the terms
-        mixed = pair + other.dense()
-        assert isinstance(mixed, np.ndarray)
-        assert np.allclose(mixed, pair.dense() + other.dense(), atol=TOL)
+        # a dense operand is not a pair: it enters through the door only
+        with pytest.raises(TypeError):
+            pair + other.dense()
 
     def test_shared_factors_merge(self):
         rng = np.random.default_rng(9)
@@ -187,10 +199,122 @@ class TestFactoredPair:
         assert FactoredPair.product(a).nbytes == a.nbytes
 
 
-# -- random op sequences: factored state against its densified copy ----------
+class TestCancellation:
+    """A Gram sum of cancelling terms keeps a rounding residue; a written
+    pair whose norm is that residue is pruned, a genuinely small one is
+    kept."""
+
+    GRID = tp.SpectralGrid(60.0, 1201)
+
+    def unit(self, rng):
+        v = rvec(rng, self.GRID.n_points)
+        return v / np.sqrt(np.sum(self.GRID.weights * np.abs(v) ** 2))
+
+    def written(self, values):
+        state = FewPhotonState.from_components(
+            self.GRID, ("a", "b"), pairs={("a", "b"): values})
+        # a loss channel at transmission 1 rewrites the pair unchanged
+        return tp.loss_channel(state, "a", 1.0)
+
+    def test_cancelling_terms_are_pruned(self):
+        rng = np.random.default_rng(1)
+        a, b = self.unit(rng), self.unit(rng)
+        dead = FactoredPair([(1, a, b, None), (-1, 3 * a, b / 3, None)])
+        assert oracle.norm2(self.GRID.weights, dead.dense()) < 1e-30
+        assert pairs.norm_sq(dead, self.GRID.weights) == 0.0
+        assert self.written(dead).two_photon == {}
+
+    def test_small_pair_is_kept(self):
+        f = self.unit(np.random.default_rng(2))
+        small = 1e-10 * FactoredPair.product(f)
+        assert pairs.norm_sq(small, self.GRID.weights) == pytest.approx(
+            1e-20, rel=1e-12)
+        assert ("a", "b") in self.written(small).two_photon
+
+
+class TestDoor:
+    """``pairs.from_dense``: the one way a dense N x N array becomes a
+    pair."""
+
+    def arrays(self, rng):
+        """Inputs as ``conftest.random_state`` and the CLI build them."""
+        a, b, c, d = (rvec(rng) for _ in range(4))
+        cross = np.outer(a, b)
+        return {"rank1_same": (np.outer(a, a), True, 1),
+                "rank1_cross": (cross, False, 1),
+                "rank2_same": (0.5 * (cross + cross.T), True, 2),
+                "rank2_cross": (cross + np.outer(c, d), False, 2)}
+
+    @pytest.mark.parametrize("case", ["rank1_same", "rank1_cross",
+                                      "rank2_same", "rank2_cross"])
+    def test_low_rank_input_is_exact(self, case):
+        values, symmetric, rank = self.arrays(np.random.default_rng(1))[case]
+        pair = pairs.from_dense(values, symmetric)
+        assert len(pair.terms) == rank
+        assert pair.symmetric == symmetric
+        err = np.max(np.abs(pair.dense() - values))
+        assert err <= 1e-14 * np.max(np.abs(values))
+
+    def test_default_grid_product_is_one_term(self):
+        grid = tp.SpectralGrid.for_pulse_width(1.25)
+        f = tp.make_pulse(tp.PulseShape("lorentzian", 1.25), grid).values
+        pair = pairs.from_dense(np.outer(f, f), True)
+        assert len(pair.terms) == 1
+        u = grid.weights * np.conj(f)
+        assert abs(u @ pair @ u - 1.0) < 1e-14
+
+    def test_checks_run_before_factorization(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("factorized an invalid array")
+
+        monkeypatch.setattr(pairs, "_low_rank", refuse)
+        f = PUMP.values
+        lopsided = np.outer(f, f * GRID.samples)
+        with pytest.raises(ValueError, match="symmetric"):
+            FewPhotonState.from_components(GRID, ("a",),
+                                           pairs={("a", "a"): lopsided})
+        nan = np.outer(f, f)
+        nan[2, 3] = np.nan
+        for key in (("a", "a"), ("a", "b")):
+            with pytest.raises(ValueError, match="non-finite"):
+                FewPhotonState.from_components(GRID, ("a", "b"),
+                                               pairs={key: nan})
+        with pytest.raises(ValueError, match="unknown rail"):
+            FewPhotonState.from_components(
+                GRID, ("a",), pairs={("a", "z"): np.eye(N)})
+
+    def test_term_cap(self):
+        n = 2 * pairs.MAX_DOOR_TERMS + 1
+        with pytest.raises(ValueError, match="more than"):
+            pairs.from_dense(np.eye(n), False)
+
+    def test_direct_write_is_converted(self):
+        f = PUMP.values
+        state = FewPhotonState.vacuum(GRID, ("a", "b"))
+        state.two_photon[("a", "a")] = np.outer(f, f)
+        pair = state.two_photon[("a", "a")]
+        assert isinstance(pair, FactoredPair) and pair.symmetric
+        assert np.allclose(pair.dense(), np.outer(f, f), rtol=0, atol=1e-14)
+        with pytest.raises(ValueError, match="symmetric"):
+            state.two_photon[("b", "b")] = np.outer(f, f * GRID.samples)
+        # a pair an op writes passes as it is
+        same = FactoredPair.product(f)
+        state.two_photon[("a", "b")] = same
+        assert state.two_photon[("a", "b")] is same
+
+    def test_two_photon_amp_converts(self):
+        f = PUMP.values
+        amp = tp.TwoPhotonAmp(GRID, np.outer(f, f))
+        assert isinstance(amp.values, FactoredPair)
+        assert amp.norm_sq() == pytest.approx(1.0, abs=1e-14)
+
+
+# -- random op sequences: library against the dense oracle ---------------------
 
 RAILS = ("a", "b", "c")
 PUMP = tp.normalize(tp.OnePhotonAmp(GRID, lorentzian_values(GRID, 1.0)))
+GATE_MODES = {"ideal": {}, "photonwise": {"ideal": False},
+              "keep_single": {"ideal": False, "keep_single_converted": True}}
 
 op_strategy = st.one_of(
     st.tuples(st.just("bs"), st.permutations(RAILS), st.floats(-3.0, 3.0),
@@ -198,35 +322,40 @@ op_strategy = st.one_of(
     st.tuples(st.just("loss"), st.sampled_from(RAILS), st.floats(0.0, 1.0)),
     st.tuples(st.just("tls"), st.sampled_from(RAILS), st.floats(0.5, 0.95)),
     st.tuples(st.just("gate"), st.sampled_from(RAILS), st.floats(0.0, 1.0),
-              st.floats(-3.0, 3.0)),
+              st.floats(-3.0, 3.0), st.sampled_from(sorted(GATE_MODES))),
     st.tuples(st.just("phase"), st.sampled_from(RAILS),
               st.sampled_from((1, 2)), st.floats(-3.0, 3.0),
               st.floats(0.0, 1.0)),
     st.tuples(st.just("gem"), st.sampled_from(RAILS + (None,))),
+    st.tuples(st.just("ns"), st.sampled_from(RAILS), st.floats(0.5, 0.95)),
 )
 
 
-def apply_op(state, op):
+def apply_op(lib, state, op):
+    """``op`` applied by ``lib``: the library (tlsphot) or the oracle."""
     kind, *args = op
     if kind == "bs":
         (r1, r2, _), theta, phi = args
-        return tp.beamsplitter(state, r1, r2, theta, phi)
+        return lib.beamsplitter(state, r1, r2, theta, phi)
     if kind == "loss":
-        return tp.loss_channel(state, *args)
+        return lib.loss_channel(state, *args)
     if kind == "tls":
         rail, beta = args
-        return tp.apply_tls(state, rail, tp.TlsParams.from_beta(beta))
+        return lib.apply_tls(state, rail, tp.TlsParams.from_beta(beta))
     if kind == "gate":
         # the sign-gate pattern: extract, act on the pair left behind,
         # convert back
-        rail, efficiency, phase = args
+        rail, efficiency, phase, mode = args
         gate = tp.PulseGateSpec(pump_mode=PUMP, efficiency=efficiency)
-        mid = tp.sfg_extract(state, rail, gate)
-        mid = tp.component_phase_loss(mid, rail, 2, phase, 0.8)
-        return tp.sfg_reverse(mid, rail, gate)
+        mid = lib.sfg_extract(state, rail, gate, **GATE_MODES[mode])
+        mid = lib.component_phase_loss(mid, rail, 2, phase, 0.8)
+        return lib.sfg_reverse(mid, rail, gate)
     if kind == "phase":
-        return tp.component_phase_loss(state, *args)
-    return tp.gem_invert(state, args[0])
+        return lib.component_phase_loss(state, *args)
+    if kind == "ns":
+        rail, beta = args
+        return lib.ns_gate(state, rail, tp.TlsParams.from_beta(beta), PUMP)
+    return lib.gem_invert(state, args[0])
 
 
 @settings(max_examples=40, deadline=None)
@@ -234,31 +363,50 @@ def apply_op(state, op):
        ops=st.lists(op_strategy, min_size=1, max_size=6))
 def test_random_circuits_match_dense(seed, ops):
     factored = random_factored_state(RAILS, seed)
-    dense = densified(factored)
+    dense = oracle.DenseState.of(factored)
     for op in ops:
         try:
-            factored = apply_op(factored, op)
-        except ValueError:
-            # a second gate on a rail whose sum rail still holds content:
-            # both forms refuse it
+            factored = apply_op(tp, factored, op)
+        except ValueError as exc:
+            if "one-axis mirror" in str(exc):
+                # a one-rail memory on a cross pair with c(x + y) terms:
+                # the factored form cannot express it, and says so
+                break
+            # a second gate on a rail whose sum rail still holds content,
+            # or ancilla content outside the pump mode: both refuse it
             with pytest.raises(ValueError):
-                apply_op(dense, op)
+                apply_op(oracle, dense, op)
             break
-        dense = apply_op(dense, op)
+        dense = apply_op(oracle, dense, op)
         assert factored.rails == dense.rails
-        # no pair survives that the dense path prunes as zero
-        assert set(factored.two_photon) == set(dense.two_photon)
+        # no pair survives that the oracle prunes as zero
+        assert set(factored.two_photon) == set(dense.twos)
         assert max_deviation(factored, dense) < TOL
         assert abs(factored.total_probability() - 1.0) < TOL
         assert abs(dense.total_probability() - 1.0) < TOL
     for (a, b), values in factored.two_photon.items():
+        assert isinstance(values, FactoredPair)
         if a == b:
-            require_symmetric(values)
-    # dense pairs stay dense
-    assert all(isinstance(v, np.ndarray) for v in dense.two_photon.values())
+            assert values.symmetric
 
 
-# -- circuits in both forms --------------------------------------------------
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rails=st.permutations(RAILS),
+       theta=st.floats(-3.0, 3.0), phi=st.floats(-3.0, 3.0),
+       one_rail=st.booleans())
+def test_self_inverses(seed, rails, theta, phi, one_rail):
+    state = random_factored_state(RAILS, seed)
+    start = oracle.DenseState.of(state)
+    memory = rails[0] if one_rail else None
+    for back in (tp.gem_invert(tp.gem_invert(state, memory), memory),
+                 tp.beamsplitter(tp.beamsplitter(state, rails[0], rails[1],
+                                                 theta, phi),
+                                 rails[0], rails[1], -theta, phi)):
+        assert max_deviation(back, start) < TOL
+        assert abs(back.total_probability() - 1.0) < TOL
+
+
+# -- circuits against the oracle -------------------------------------------------
 
 
 def bell_inputs(grid, pulse):
@@ -287,36 +435,52 @@ def assert_reports_agree(got, want):
                - want.output_state.total_probability()) < TOL
     assert all(isinstance(v, FactoredPair)
                for v in got.output_state.two_photon.values())
-    assert all(isinstance(v, np.ndarray)
-               for v in want.output_state.two_photon.values())
+
+
+# The circuits run against the oracle on a coarser grid than the suite's
+# circuit grid: the oracle's arrays are 5x smaller there, and comparing two
+# implementations needs a resolved pulse, not converged physics.
+ORACLE_GRID = tp.SpectralGrid(32.0, 541)
 
 
 @pytest.fixture(params=["lossless", "lossy"], scope="module")
-def operating_point(request, circuit_grid, tls0, pulse0, tls95, pulse95):
-    return (tls0, pulse0) if request.param == "lossless" else (tls95, pulse95)
+def operating_point(request, tls0, sigma_up0, tls95, sigma_up95):
+    p, sigma = ((tls0, sigma_up0) if request.param == "lossless"
+                else (tls95, sigma_up95))
+    return p, tp.make_pulse(tp.PulseShape("lorentzian", sigma), ORACLE_GRID)
 
 
 class TestCircuitsMatchDense:
-    def test_bell_analyzer(self, circuit_grid, operating_point):
+    def test_bell_analyzer(self, operating_point):
         p, pulse = operating_point
-        for state in bell_inputs(circuit_grid, pulse):
+        for state in bell_inputs(ORACLE_GRID, pulse):
             got = tp.bell_analyzer(state, p, pulse)
-            want = tp.bell_analyzer(densified(state), p, pulse)
+            want = oracle.bell_analyzer(oracle.DenseState.of(state), p, pulse)
             assert_reports_agree(got, want)
 
-    def test_cz_gate(self, circuit_grid, operating_point):
+    def test_cz_gate(self, operating_point):
         p, pulse = operating_point
-        for state in cz_inputs(circuit_grid, pulse):
+        for state in cz_inputs(ORACLE_GRID, pulse):
             got = tp.cz_gate(state, p, pulse)
-            want = tp.cz_gate(densified(state), p, pulse)
+            want = oracle.cz_gate(oracle.DenseState.of(state), p, pulse)
             assert_reports_agree(got, want)
             assert abs(got.fidelity_to_target - want.fidelity_to_target) < TOL
             for b in LOGICAL_BASIS:
                 assert abs(got.logical_amplitudes[b]
                            - want.logical_amplitudes[b]) < TOL
 
+    def test_ns_gate(self, operating_point):
+        p, pulse = operating_point
+        state = FewPhotonState.from_components(
+            ORACLE_GRID, ("sig",), 0.5, ones={"sig": 0.5 * pulse.values},
+            pairs={("sig", "sig"): 0.7 * FactoredPair.product(pulse.values)})
+        got = tp.ns_gate(state, "sig", p, pulse)
+        want = oracle.ns_gate(oracle.DenseState.of(state), "sig", p, pulse)
+        assert set(got.two_photon) == set(want.twos)
+        assert max_deviation(got, want) < TOL
 
-# Largest term count of any pair array in the output, as measured when the
+
+# Largest term count of any pair in the output, as measured when the
 # factored form was introduced.  Merging keeps these small; a failure here
 # means terms stopped merging and the circuits slow down.
 MAX_TERMS = {("bell", "lossless"): 2, ("bell", "lossy"): 3,
