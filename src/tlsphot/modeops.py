@@ -112,7 +112,8 @@ def _mapped_terms(vs, pump, u, step):
                     elif a is pump:
                         out[dst].append((k * (1.0 + d), pump, b, None))
                     else:
-                        out[dst].append((k, a + d * pump, b, None))
+                        out[dst].append((k, a if d == 0 else a + d * pump,
+                                         b, None))
             else:
                 out[src].append(term)
                 g = project_term(u, term)

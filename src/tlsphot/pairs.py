@@ -9,8 +9,9 @@ The product input f x f is one term (the Schmidt form of a biphoton, Law,
 Walmsley & Eberly, PRL 84, 5304 (2000)), and an emitter pass adds one bound
 term s(x) s(y) I(x + y) (Shen & Fan, PRL 98, 153003 (2007)); linear optics,
 the pulse gate and the memory keep the form.  Norms, overlaps and
-projections are 1-D dot products and convolutions.  An op the form cannot
-express (a one-axis flip of a term with ``c``) raises.
+projections are 1-D dot products and convolutions (:func:`convolve`, on
+``numpy.fft``).  An op the form cannot express (a one-axis flip of a term
+with ``c``) raises.
 
 A dense N x N array enters through one door, :func:`from_dense`, which
 checks it and factors it into ``c = None`` terms; no other code here builds
@@ -20,9 +21,10 @@ that ask for one.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.signal import fftconvolve
 
 # A Gram sum of terms that cancel keeps a rounding residue of about eps times
 # the squared sum of the term norms; a norm below this multiple of that scale
@@ -41,6 +43,50 @@ _SYMMETRY_TILE = 64
 MAX_DOOR_TERMS = 32
 _DOOR_RTOL = 1e-10
 _SKETCH_WIDTHS = (8, 16, MAX_DOOR_TERMS + 8)
+
+
+@lru_cache(maxsize=256)
+def _fast_len(n: int) -> int:
+    """The least 11-smooth integer >= n: a length the FFT splits into
+    radix-2, 3, 5, 7 and 11 passes (``scipy.fft.next_fast_len`` for complex
+    input)."""
+    best = 1 << (n - 1).bit_length()  # the least power of two >= n
+    p11 = 1
+    while p11 < best:
+        p7 = p11
+        while p7 < best:
+            p5 = p7
+            while p5 < best:
+                p3 = p5
+                while p3 < best:
+                    # the least p3 * 2^k >= n
+                    best = min(best, p3 << ((n - 1) // p3).bit_length())
+                    p3 *= 3
+                p5 *= 5
+            p7 *= 7
+        p11 *= 11
+    return best
+
+
+def convolve(x, y, mode: str = "full") -> np.ndarray:
+    """Linear convolution of two 1-D arrays by FFT at :func:`_fast_len`.
+
+    ``mode`` is ``"full"`` (length len(x) + len(y) - 1) or ``"valid"`` (the
+    max - min + 1 entries that need no zero padding).  Two real inputs take
+    the real transform and give a real array."""
+    n = len(x) + len(y) - 1
+    size = _fast_len(n)
+    if np.isrealobj(x) and np.isrealobj(y):
+        out = np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(y, size),
+                           size)[:n]
+    else:
+        out = np.fft.ifft(np.fft.fft(x, size) * np.fft.fft(y, size))[:n]
+    if mode == "full":
+        return out
+    if mode == "valid":
+        short = min(len(x), len(y))
+        return out[short - 1:n - short + 1]
+    raise ValueError(f"mode must be 'full' or 'valid', got {mode!r}")
 
 
 def _same(x, y) -> bool:
@@ -268,7 +314,7 @@ def project_term(u, term) -> np.ndarray:
         return (k * (u @ a)) * b
     # sum_i u_i a_i c_{i+j} is the valid part of c convolved with (u a)
     # reversed
-    return k * b * fftconvolve(c, (u * a)[::-1], mode="valid")
+    return k * b * convolve(c, (u * a)[::-1], mode="valid")
 
 
 def _term_inner(t1, t2, w) -> complex:
@@ -282,7 +328,7 @@ def _term_inner(t1, t2, w) -> complex:
         return np.sum(x) * np.sum(y)
     cc = c2 if c1 is None else (np.conj(c1) if c2 is None
                                 else np.conj(c1) * c2)
-    return np.sum(cc * fftconvolve(x, y))
+    return np.sum(cc * convolve(x, y))
 
 
 def norm_sq(values: FactoredPair, w) -> float:

@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .grid import (
     OnePhotonAmp,
@@ -42,7 +41,7 @@ from .grid import (
     normalize,
     product_state,
 )
-from .pairs import FactoredPair
+from .pairs import FactoredPair, _fast_len, convolve
 from .roots import NoCrossingError, bisect, golden_max
 
 
@@ -113,9 +112,9 @@ def _factored_bound_integral(pair: FactoredPair, s: np.ndarray,
     total = None
     for coef, a, b, c in pair.terms:
         if a is b:
-            term = 2.0 * h * fftconvolve(a * s, a)
+            term = 2.0 * h * convolve(a * s, a)
         else:
-            term = h * (fftconvolve(a * s, b) + fftconvolve(a, b * s))
+            term = h * (convolve(a * s, b) + convolve(a, b * s))
         if c is not None:
             term *= c
         if coef != 1.0:
@@ -157,15 +156,6 @@ def product_image(p: TlsParams, f: OnePhotonAmp) -> TwoPhotonAmp:
     return product_state(scatter_one(p, f).out)
 
 
-def _product_bound_integral(f: OnePhotonAmp, s: np.ndarray) -> np.ndarray:
-    """Bound-term integral I(P) for the product input f x f.
-
-    This is the f x f case of the factored-pair integral.
-    """
-    return _factored_bound_integral(FactoredPair.product(f.values), s,
-                                    f.grid.spacing)
-
-
 def bound_amplitude(p: TlsParams, f: OnePhotonAmp) -> TwoPhotonAmp:
     """Bound (spectrally entangled) part of the pair output for input f x f."""
     grid = f.grid
@@ -174,36 +164,38 @@ def bound_amplitude(p: TlsParams, f: OnePhotonAmp) -> TwoPhotonAmp:
         grid.spacing))
 
 
-def _product_bound_overlap(p: TlsParams, f: OnePhotonAmp) -> complex:
-    """<(t f) x (t f) | bound> via the same anti-diagonal reduction.
+def eta_numeric(p: TlsParams, f: OnePhotonAmp) -> float:
+    """Distortion overlap eta = |<product image | bound>| / 2 for input f x f.
 
-    This is inner2(product_image, bound_amplitude) with the double sum
-    factored through the convolution structure of the bound term.
+    <(t f) x (t f) | bound> is inner2(product_image, bound_amplitude) with
+    the double sum factored through the anti-diagonal reduction: kappa
+    sum_q conv(u, u)(q) I(q) with u = w conj(t f) s and I = 2 h conv(f s, f).
+    At one padded length L >= 2N - 1 both convolutions are products of
+    forward FFTs, and Parseval's sum_q x(q) y(q) = sum_k X(k) Y(-k) / L
+    contracts them without an inverse transform: three FFTs in all.
     """
     grid = f.grid
     t = transfer_coeff(p, grid.samples)
     s = s_coeff(p, grid.samples)
-    g = f.values * t
-    bound_i = _product_bound_integral(f, s)
-    u = grid.weights * np.conj(g) * s
+    u = grid.weights * np.conj(f.values * t) * s
+    size = _fast_len(2 * len(u) - 1)
+    u_hat = np.fft.fft(u, size)
+    bound_hat = np.fft.fft(f.values * s, size) * np.fft.fft(f.values, size)
+    # bound_hat[-k] for k = 0 .. L - 1, as numpy wraps negative indices
+    total = np.sum(u_hat**2 * bound_hat[-np.arange(size)])
     kappa = 0.5j * np.sqrt(p.gamma_wg) / np.pi
-    return complex(kappa * np.sum(fftconvolve(u, u) * bound_i))
-
-
-def eta_numeric(p: TlsParams, f: OnePhotonAmp) -> float:
-    """Distortion overlap eta = |<product image | bound>| / 2 for input f x f,
-    factored through the anti-diagonal reduction."""
-    return 0.5 * abs(_product_bound_overlap(p, f))
+    return 0.5 * abs(complex(kappa * 2.0 * grid.spacing / size * total))
 
 
 def epsilon_b_numeric(p: TlsParams, f: OnePhotonAmp) -> float:
     """Squared norm of the bound amplitude, <bound|bound>, for input f x f."""
     grid = f.grid
     s = s_coeff(p, grid.samples)
-    bound_i = _product_bound_integral(f, s)
+    bound_i = _factored_bound_integral(FactoredPair.product(f.values), s,
+                                       grid.spacing)
     v = grid.weights * np.abs(s) ** 2
     scale = p.gamma_wg / (4.0 * np.pi**2)
-    return float(scale * np.sum(fftconvolve(v, v) * np.abs(bound_i) ** 2))
+    return float(scale * np.sum(convolve(v, v) * np.abs(bound_i) ** 2))
 
 
 def eta_analytic(sigma: float, gamma_wg: float = 1.0) -> float:
@@ -293,10 +285,14 @@ def matching_sigma(p: TlsParams, branch: str = "upper",
                    n_points: int | None = None) -> float:
     """Spectral width solving the matching condition eta = eps_1^2 / 2.
 
-    The mismatch eta(sigma) - eps_1(sigma)^2 / 2 is single-humped, so the
-    peak located by golden-section search brackets one root on each side;
-    ``branch`` selects ``"lower"`` or ``"upper"`` (the upper crossing is the
-    recommended operating point, having the smaller loss).
+    The mismatch eta(sigma) - eps_1(sigma)^2 / 2 is single-humped, so its
+    peak on [sigma_lo, sigma_hi] brackets one root on each side; ``branch``
+    selects ``"lower"`` or ``"upper"`` (the upper crossing is the
+    recommended operating point, having the smaller loss).  The lower
+    bracket steps down from the peak by factors of 4, to sigma_lo at the
+    least, so the costly narrow-pulse grids are built only when the root
+    lies there; the upper one starts at sigma_hi and doubles.  Each width
+    is evaluated once per call.
 
     Raises
     ------
@@ -305,10 +301,13 @@ def matching_sigma(p: TlsParams, branch: str = "upper",
     """
     if branch not in ("lower", "upper"):
         raise ValueError(f"branch must be 'lower' or 'upper', got {branch!r}")
+    seen = {}
 
     def mismatch(sigma: float) -> float:
-        return (_eta_of_sigma(p, sigma, n_points)
-                - 0.5 * epsilon1_analytic(p, sigma) ** 2)
+        if sigma not in seen:
+            seen[sigma] = (_eta_of_sigma(p, sigma, n_points)
+                           - 0.5 * epsilon1_analytic(p, sigma) ** 2)
+        return seen[sigma]
 
     peak, peak_val = golden_max(mismatch, sigma_lo, sigma_hi, xtol=1e-6)
     if peak_val <= 0.0:
@@ -317,7 +316,10 @@ def matching_sigma(p: TlsParams, branch: str = "upper",
             f"max(eta - eps1^2/2) = {peak_val:.3e}"
         )
     if branch == "lower":
-        return bisect(mismatch, sigma_lo, peak, xtol=xtol)
+        lo = peak
+        while lo > sigma_lo and mismatch(lo) > 0.0:
+            lo = max(lo / 4.0, sigma_lo)
+        return bisect(mismatch, lo, peak, xtol=xtol)
     hi = sigma_hi
     while mismatch(hi) > 0.0:
         hi *= 2.0

@@ -219,11 +219,12 @@ def two_photon_state(grid: SpectralGrid, rails, rail_a: str, rail_b: str,
 
 def _lincomb(*terms):
     """Sum of coef * values over the (coef, values) terms whose values are
-    not None; None if every term is absent.  Factored pairs concatenate
-    their terms."""
+    not None and coef not 0; None if every term is absent.  Factored pairs
+    concatenate their terms, so a zero coefficient would add terms that
+    hold nothing."""
     total = None
     for coef, values in terms:
-        if values is not None:
+        if values is not None and coef != 0:
             total = coef * values if total is None else total + coef * values
     return total
 
@@ -269,9 +270,9 @@ def beamsplitter(state: FewPhotonState, rail_i: str, rail_j: str,
     ones = {r: v for r, v in state.one_photon.items() if r not in mixed}
     vi = state.one_photon.get(rail_i)
     vj = state.one_photon.get(rail_j)
-    if vi is not None or vj is not None:
-        ones[rail_i] = _lincomb((m_ii, vi), (m_ij, vj))
-        ones[rail_j] = _lincomb((m_ji, vi), (m_jj, vj))
+    ones.update((r, v) for r, v in (
+        (rail_i, _lincomb((m_ii, vi), (m_ij, vj))),
+        (rail_j, _lincomb((m_ji, vi), (m_jj, vj)))) if v is not None)
 
     out = replace(state, one_photon=ones, two_photon={
         key: amp for key, amp in state.two_photon.items()

@@ -406,6 +406,83 @@ def test_self_inverses(seed, rails, theta, phi, one_rail):
         assert abs(back.total_probability() - 1.0) < TOL
 
 
+# -- the FFT convolution -------------------------------------------------------
+
+
+def smooth11(n):
+    for p in (2, 3, 5, 7, 11):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+def test_fast_len_is_least_11_smooth():
+    for n in list(range(1, 2000)) + [4001, 8001, 24617, 160001, 320001]:
+        got = pairs._fast_len(n)
+        assert got >= n and smooth11(got), n
+        assert not any(smooth11(m) for m in range(n, got)), n
+
+
+def sequence(real):
+    values = st.floats(-1e3, 1e3, allow_nan=False)
+    if real:
+        return st.lists(values, min_size=1, max_size=60).map(np.array)
+    return st.lists(st.tuples(values, values), min_size=1, max_size=60).map(
+        lambda z: np.array([complex(*c) for c in z]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), real_x=st.booleans(), real_y=st.booleans(),
+       mode=st.sampled_from(["full", "valid"]))
+def test_convolve_matches_numpy(data, real_x, real_y, mode):
+    x = data.draw(sequence(real_x))
+    y = data.draw(sequence(real_y))
+    got = pairs.convolve(x, y, mode)
+    want = np.convolve(x, y, mode)
+    assert got.shape == want.shape
+    # real inputs give a real array, as fftconvolve does
+    assert np.isrealobj(got) == (real_x and real_y)
+    scale = np.sum(np.abs(x)) * np.max(np.abs(y))
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-13 * scale
+
+
+def test_convolve_rejects_unknown_mode():
+    with pytest.raises(ValueError, match="mode"):
+        pairs.convolve(np.ones(3), np.ones(2), "same")
+
+
+# -- ops that leave a pair as it is add no terms -------------------------------
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_zero_angle_beamsplitter_adds_no_terms(seed):
+    state = random_factored_state(RAILS, seed)
+    phi = np.random.default_rng(seed).uniform(-3.0, 3.0)
+    out = tp.beamsplitter(state, "a", "b", 0.0, phi)
+    assert set(out.two_photon) == set(state.two_photon)
+    for key, values in state.two_photon.items():
+        assert len(out.two_photon[key].terms) == len(values.terms), key
+    want = oracle.beamsplitter(oracle.DenseState.of(state), "a", "b", 0.0,
+                               phi)
+    assert max_deviation(out, want) < TOL
+
+
+@pytest.mark.parametrize("rail", RAILS)
+def test_zero_efficiency_gate_keeps_factor_arrays(rail):
+    state = random_factored_state(RAILS, 4)
+    gate = tp.PulseGateSpec(pump_mode=PUMP, efficiency=0.0)
+    out = tp.sfg_extract(state, rail, gate)
+    assert set(out.two_photon) == set(state.two_photon)
+    for key, values in state.two_photon.items():
+        got = out.two_photon[key].terms
+        assert len(got) == len(values.terms), key
+        for old, new in zip(values.terms, got):
+            assert new[0] == old[0]
+            assert all(x is y for x, y in zip(new[1:], old[1:])), key
+    assert out.total_probability() == pytest.approx(
+        state.total_probability(), abs=TOL)
+
+
 # -- circuits against the oracle -------------------------------------------------
 
 

@@ -3,6 +3,7 @@ import pytest
 
 import dense_oracle as oracle
 import tlsphot as tp
+from tlsphot.grid import gaussian_values, lorentzian_values
 from tlsphot.roots import NoCrossingError, golden_max
 
 
@@ -142,6 +143,17 @@ class TestEta:
         fast = tp.eta_numeric(lossless, f)
         dense = oracle.eta(lossless, f)
         assert fast == pytest.approx(dense, rel=1e-12)
+
+    @pytest.mark.parametrize("beta", [0.8, 1.0])
+    @pytest.mark.parametrize("shape", [lorentzian_values, gaussian_values])
+    def test_fourier_space_eta_equals_dense_quadrature(self, beta, shape):
+        # the oracle's N x N <(t f) x (t f) | bound> on a small grid; the
+        # pulse is sampled directly, as make_pulse wants a finer grid
+        g = tp.SpectralGrid(10.0, 201)
+        f = tp.normalize(tp.OnePhotonAmp(g, shape(g, 1.0)))
+        p = tp.TlsParams.from_beta(beta)
+        assert tp.eta_numeric(p, f) == pytest.approx(oracle.eta(p, f),
+                                                     rel=1e-12)
 
     def test_maximum_below_bound(self):
         x, val = golden_max(tp.eta_analytic, 0.05, 5.0, xtol=1e-12)
