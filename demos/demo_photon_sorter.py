@@ -46,7 +46,7 @@ print(f"  unaccounted probability            : "
       f"{sorted_state.lost_mass:.2e}\n")
 
 pump = tp.make_pump(p, pulse)
-pair_out = tp.scatter_two(p, tp.product_state(pulse))
+pair_out = tp.scatter_two(p, grid, FactoredPair.product(pulse.values))
 leak = tp.leakage_metric(pump, pair_out)
 print("diagnostic: a photon-wise pulse gate would convert one photon of the")
 print(f"pair state with branch probability 2*||G||^2 = {2 * leak**2:.3f} "

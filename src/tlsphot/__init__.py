@@ -11,12 +11,9 @@ from .grid import (
     PulseShape,
     ResolutionError,
     SpectralGrid,
-    TwoPhotonAmp,
     inner1,
-    inner2,
     make_pulse,
     normalize,
-    product_state,
     time_reverse,
 )
 from .scatter import (

@@ -33,13 +33,7 @@ from .circuits import (
     ns_gate,
     photon_sorter,
 )
-from .grid import (
-    PulseShape,
-    ResolutionError,
-    SpectralGrid,
-    make_pulse,
-    product_state,
-)
+from .grid import PulseShape, ResolutionError, SpectralGrid, make_pulse
 from .modeops import leakage_metric, sum_rail
 from .pairs import FactoredPair
 from .roots import NoCrossingError
@@ -353,7 +347,7 @@ def _sorter_rows(s: _Settings, grid):
     out = photon_sorter(state, "sig", p, pulse)
     anc_weight = project_detection(out, {sum_rail("sig"): 1})
     pump = make_pump(p, pulse)
-    pair_out = scatter_two(p, product_state(pulse))
+    pair_out = scatter_two(p, grid, FactoredPair.product(pulse.values))
     rows = [
         {"quantity": "beta", "value": p.beta_dir},
         {"quantity": "sigma", "value": sigma},

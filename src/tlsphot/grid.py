@@ -6,9 +6,8 @@ photon amplitudes are sampled on a uniform grid, symmetric about delta = 0 so
 that the time-reversal map delta -> -delta permutes samples.  Inner products
 are trapezoid-rule quadratures; accuracy is controlled by the resolution
 bounds checked in :func:`make_pulse` and by grid-refinement checks rather
-than by higher-order rules.  Two-photon amplitudes are factored pairs
-(:mod:`tlsphot.pairs`); a dense array given to :class:`TwoPhotonAmp` goes
-through the door :func:`tlsphot.pairs.from_dense` once.
+than by higher-order rules.  Photon-pair amplitudes live in
+:mod:`tlsphot.pairs` and take the grid's weights where they need them.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pairs import FactoredPair, flip, from_dense, inner, norm_sq
 # the dense symmetry check lives with the door; grid keeps its public name
 from .pairs import require_symmetric  # noqa: F401
 
@@ -85,8 +83,7 @@ class SpectralGrid:
 
     @classmethod
     def for_pulse_width(cls, width: float, rate_scale: float = 1.0,
-                        n_points: int | None = None,
-                        delta_max: float | None = None) -> "SpectralGrid":
+                        n_points: int | None = None) -> "SpectralGrid":
         """Default grid policy for a pulse of spectral width ``width``.
 
         The window is max(80*width, 80*rate_scale) and the sample count is
@@ -95,9 +92,8 @@ class SpectralGrid:
         """
         if width <= 0:
             raise ValueError(f"width must be positive, got {width}")
-        if delta_max is None:
-            delta_max = max(DEFAULT_WINDOW_WIDTHS * width,
-                            DEFAULT_WINDOW_WIDTHS * rate_scale)
+        delta_max = max(DEFAULT_WINDOW_WIDTHS * width,
+                        DEFAULT_WINDOW_WIDTHS * rate_scale)
         if n_points is None:
             n_points = DEFAULT_N_POINTS
             h_needed = width / SAMPLES_PER_WIDTH
@@ -143,31 +139,6 @@ class OnePhotonAmp:
 
     def norm_sq(self) -> float:
         return float(np.sum(self.grid.weights * np.abs(self.values) ** 2))
-
-
-@dataclass
-class TwoPhotonAmp:
-    """Symmetric complex two-photon spectral amplitude psi(delta_1, delta_2).
-
-    ``values`` is a :class:`~tlsphot.pairs.FactoredPair` symmetric by
-    construction; an N x N array is factored by the door
-    :func:`~tlsphot.pairs.from_dense`, which rejects an asymmetric one.  The
-    squared ket norm is the discrete double integral of |psi|^2; a pair of
-    identical photons in a unit-norm mode f has psi = f(x)f(y) with norm 1.
-    """
-
-    grid: SpectralGrid
-    values: FactoredPair
-
-    def __post_init__(self):
-        if not isinstance(self.values, FactoredPair):
-            self.values = from_dense(self.values, symmetric=True)
-        if not self.values.symmetric:
-            raise ValueError("factored two-photon amplitude is not exchange "
-                             "symmetric by construction")
-
-    def norm_sq(self) -> float:
-        return norm_sq(self.values, self.grid.weights)
 
 
 def lorentzian_values(grid: SpectralGrid, width: float,
@@ -228,26 +199,10 @@ def inner1(a: OnePhotonAmp, b: OnePhotonAmp) -> complex:
     return complex(np.sum(a.grid.weights * np.conj(a.values) * b.values))
 
 
-def inner2(a: TwoPhotonAmp, b: TwoPhotonAmp) -> complex:
-    """Discrete <a|b> = sum_ij w_i w_j conj(a_ij) b_ij."""
-    a.grid.require_same(b.grid)
-    return inner(a.values, b.values, a.grid.weights)
-
-
-def product_state(f: OnePhotonAmp) -> TwoPhotonAmp:
-    """Two identical photons in mode f: psi(x, y) = f(x) f(y)."""
-    return TwoPhotonAmp(f.grid, FactoredPair.product(f.values))
-
-
-def time_reverse(a):
+def time_reverse(a: OnePhotonAmp) -> OnePhotonAmp:
     """Spectral inversion delta -> -delta (a sample permutation).
 
-    Acts on either a :class:`OnePhotonAmp` or a :class:`TwoPhotonAmp`; the
-    grid symmetry guarantees mirrored samples exist.  The global delay phase
-    of a physical time reversal is dropped.
+    The grid symmetry guarantees mirrored samples exist.  The global delay
+    phase of a physical time reversal is dropped.
     """
-    if isinstance(a, OnePhotonAmp):
-        return OnePhotonAmp(a.grid, a.values[::-1].copy())
-    if isinstance(a, TwoPhotonAmp):
-        return TwoPhotonAmp(a.grid, flip(a.values, (True, True)))
-    raise TypeError(f"cannot time-reverse {type(a).__name__}")
+    return OnePhotonAmp(a.grid, a.values[::-1].copy())

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import OnePhotonAmp, TwoPhotonAmp
+from .grid import OnePhotonAmp
 from .pairs import FactoredPair, flip, project_term
 from .states import FewPhotonState, _pair_lift, _scale_rail
 
@@ -266,8 +266,9 @@ def component_phase_loss(state: FewPhotonState, rail: str, photons: int,
     return _scale_rail(state, rail, (photons,), transmission, phase)
 
 
-def leakage_metric(gate: PulseGateSpec, psi: TwoPhotonAmp) -> float:
-    """Norm of the single-photon pump-mode content of a two-photon amplitude.
+def leakage_metric(gate: PulseGateSpec, pair: FactoredPair) -> float:
+    """Norm of the single-photon pump-mode content of a pair on one rail,
+    sampled on the pump mode's grid.
 
     This is the part a photon-wise pulse gate converts into one sum-frequency
     photon plus one unconverted photon; the branch probability is twice its
@@ -275,6 +276,5 @@ def leakage_metric(gate: PulseGateSpec, psi: TwoPhotonAmp) -> float:
     for the matched orthogonal pair state, so circuits report it rather
     than relying on it.
     """
-    psi.grid.require_same(gate.pump_mode.grid)
-    g_perp = OnePhotonAmp(psi.grid, _single_pump(gate, psi.values))
+    g_perp = OnePhotonAmp(gate.pump_mode.grid, _single_pump(gate, pair))
     return float(np.sqrt(g_perp.norm_sq()))

@@ -21,9 +21,10 @@ parametrized by the total detuning P = p1 + p2 and the bound term reduces to
 an anti-diagonal sum over psi.  For a pair held as a sum of terms
 a(x) b(y) c(x + y) (``pairs``), I reduces to 1-D convolutions: the scattered
 pair is the input terms times t(x) t(y) plus one bound term
-s(x) s(y) I(x + y).  The scalar figures eta, eps_1 and eps_b use the f x f
-case of that reduction.  The test suite cross-checks the map against a plain
-N x N implementation of it.
+s(x) s(y) I(x + y).  :func:`scatter_two` takes such a pair and the grid it
+is sampled on and returns another.  The scalar figures eta, eps_1 and eps_b
+use the f x f case of that reduction.  The test suite cross-checks the map
+against a plain N x N implementation of it.
 """
 
 from __future__ import annotations
@@ -32,16 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (
-    OnePhotonAmp,
-    SpectralGrid,
-    TwoPhotonAmp,
-    inner2,
-    lorentzian_values,
-    normalize,
-    product_state,
-)
-from .pairs import FactoredPair, _fast_len, convolve
+from .grid import OnePhotonAmp, SpectralGrid, lorentzian_values, normalize
+from .pairs import FactoredPair, _fast_len, convolve, inner, norm_sq
 from .roots import NoCrossingError, bisect, golden_max
 
 
@@ -132,8 +125,9 @@ def _bound_term(p: TlsParams, pair: FactoredPair, s: np.ndarray,
         pair, s, h)),), True)
 
 
-def scatter_two(p: TlsParams, psi: TwoPhotonAmp) -> TwoPhotonAmp:
-    """Scatter a symmetric two-photon amplitude off the emitter.
+def scatter_two(p: TlsParams, grid: SpectralGrid,
+                pair: FactoredPair) -> FactoredPair:
+    """Scatter a photon pair on one rail, sampled on ``grid``, off the emitter.
 
     Returns the full (unnormalized) output amplitude
 
@@ -142,37 +136,43 @@ def scatter_two(p: TlsParams, psi: TwoPhotonAmp) -> TwoPhotonAmp:
 
     as the input terms times t(x) t(y) plus the bound part as one more
     term, with I from 1-D convolutions.
+
+    Raises
+    ------
+    ValueError
+        If ``pair`` is not exchange symmetric by construction.
     """
-    grid = psi.grid
+    if not pair.symmetric:
+        raise ValueError("factored two-photon amplitude is not exchange "
+                         "symmetric by construction")
     t = transfer_coeff(p, grid.samples)
     s = s_coeff(p, grid.samples)
-    bound = _bound_term(p, psi.values, s, grid.spacing)
-    return TwoPhotonAmp(grid, psi.values.map_factors(lambda x: t * x)
-                        + bound)
+    bound = _bound_term(p, pair, s, grid.spacing)
+    return pair.map_factors(lambda x: t * x) + bound
 
 
-def product_image(p: TlsParams, f: OnePhotonAmp) -> TwoPhotonAmp:
+def product_image(p: TlsParams, f: OnePhotonAmp) -> FactoredPair:
     """Linear part of the pair output: (t f) x (t f), unnormalized."""
-    return product_state(scatter_one(p, f).out)
+    return FactoredPair.product(scatter_one(p, f).out.values)
 
 
-def bound_amplitude(p: TlsParams, f: OnePhotonAmp) -> TwoPhotonAmp:
+def bound_amplitude(p: TlsParams, f: OnePhotonAmp) -> FactoredPair:
     """Bound (spectrally entangled) part of the pair output for input f x f."""
     grid = f.grid
-    return TwoPhotonAmp(grid, _bound_term(
-        p, FactoredPair.product(f.values), s_coeff(p, grid.samples),
-        grid.spacing))
+    return _bound_term(p, FactoredPair.product(f.values),
+                       s_coeff(p, grid.samples), grid.spacing)
 
 
 def eta_numeric(p: TlsParams, f: OnePhotonAmp) -> float:
     """Distortion overlap eta = |<product image | bound>| / 2 for input f x f.
 
-    <(t f) x (t f) | bound> is inner2(product_image, bound_amplitude) with
-    the double sum factored through the anti-diagonal reduction: kappa
-    sum_q conv(u, u)(q) I(q) with u = w conj(t f) s and I = 2 h conv(f s, f).
-    At one padded length L >= 2N - 1 both convolutions are products of
-    forward FFTs, and Parseval's sum_q x(q) y(q) = sum_k X(k) Y(-k) / L
-    contracts them without an inverse transform: three FFTs in all.
+    <(t f) x (t f) | bound> is the pair inner product of product_image and
+    bound_amplitude with the double sum factored through the anti-diagonal
+    reduction: kappa sum_q conv(u, u)(q) I(q) with u = w conj(t f) s and
+    I = 2 h conv(f s, f).  At one padded length L >= 2N - 1 both
+    convolutions are products of forward FFTs, and Parseval's
+    sum_q x(q) y(q) = sum_k X(k) Y(-k) / L contracts them without an
+    inverse transform: three FFTs in all.
     """
     grid = f.grid
     t = transfer_coeff(p, grid.samples)
@@ -240,7 +240,7 @@ class ScatterTwoResult:
     reports how far its phase is from pi.
     """
 
-    out: TwoPhotonAmp
+    out: FactoredPair
     coeff_along: complex
     coeff_orth: float
     lost: float
@@ -250,14 +250,14 @@ class ScatterTwoResult:
 
 def decompose(p: TlsParams, f: OnePhotonAmp) -> ScatterTwoResult:
     """Scatter f x f and resolve the output against the product image."""
-    psi_out = scatter_two(p, product_state(f))
-    prod = product_image(p, f)
+    w = f.grid.weights
+    psi_out = scatter_two(p, f.grid, FactoredPair.product(f.values))
     eps1 = scatter_one(p, f).epsilon1
-    prod_normed = TwoPhotonAmp(prod.grid, (1.0 / eps1) * prod.values)
-    along = inner2(prod_normed, psi_out)
-    out_norm_sq = psi_out.norm_sq()
+    prod_normed = (1.0 / eps1) * product_image(p, f)
+    along = inner(prod_normed, psi_out, w)
+    out_norm_sq = norm_sq(psi_out, w)
     orth_sq = max(0.0, out_norm_sq - abs(along) ** 2)
-    c = inner2(prod_normed, bound_amplitude(p, f))
+    c = inner(prod_normed, bound_amplitude(p, f), w)
     phase_residual = abs(np.angle(-c)) if c != 0 else 0.0
     return ScatterTwoResult(
         out=psi_out,
@@ -279,19 +279,22 @@ def _eta_of_sigma(p: TlsParams, sigma: float,
     return eta_numeric(p, f)
 
 
+# the top of the peak search and the first upper bracket of matching_sigma
+_SIGMA_HI = 30.0
+
+
 def matching_sigma(p: TlsParams, branch: str = "upper",
-                   sigma_lo: float = 0.01, sigma_hi: float = 30.0,
-                   xtol: float = 1e-12,
+                   sigma_lo: float = 0.01, xtol: float = 1e-12,
                    n_points: int | None = None) -> float:
     """Spectral width solving the matching condition eta = eps_1^2 / 2.
 
     The mismatch eta(sigma) - eps_1(sigma)^2 / 2 is single-humped, so its
-    peak on [sigma_lo, sigma_hi] brackets one root on each side; ``branch``
+    peak on [sigma_lo, 30] brackets one root on each side; ``branch``
     selects ``"lower"`` or ``"upper"`` (the upper crossing is the
     recommended operating point, having the smaller loss).  The lower
     bracket steps down from the peak by factors of 4, to sigma_lo at the
     least, so the costly narrow-pulse grids are built only when the root
-    lies there; the upper one starts at sigma_hi and doubles.  Each width
+    lies there; the upper one starts at 30 and doubles.  Each width
     is evaluated once per call.
 
     Raises
@@ -309,7 +312,7 @@ def matching_sigma(p: TlsParams, branch: str = "upper",
                            - 0.5 * epsilon1_analytic(p, sigma) ** 2)
         return seen[sigma]
 
-    peak, peak_val = golden_max(mismatch, sigma_lo, sigma_hi, xtol=1e-6)
+    peak, peak_val = golden_max(mismatch, sigma_lo, _SIGMA_HI, xtol=1e-6)
     if peak_val <= 0.0:
         raise NoCrossingError(
             f"matching condition unreachable at beta_dir={p.beta_dir:.4f}: "
@@ -320,7 +323,7 @@ def matching_sigma(p: TlsParams, branch: str = "upper",
         while lo > sigma_lo and mismatch(lo) > 0.0:
             lo = max(lo / 4.0, sigma_lo)
         return bisect(mismatch, lo, peak, xtol=xtol)
-    hi = sigma_hi
+    hi = _SIGMA_HI
     while mismatch(hi) > 0.0:
         hi *= 2.0
         if hi > 1e6:

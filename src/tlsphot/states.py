@@ -31,10 +31,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid import OnePhotonAmp, SpectralGrid, TwoPhotonAmp
+from .grid import OnePhotonAmp, SpectralGrid
 from .pairs import (
     FactoredPair,
     from_dense,
+    has_length,
     inner,
     is_finite,
     norm_sq,
@@ -87,7 +88,8 @@ class FewPhotonState:
         a rail pair (a, b) to its pair values with axis 0 on a, a
         :class:`~tlsphot.pairs.FactoredPair` or an N x N array (factored by
         :func:`~tlsphot.pairs.from_dense`).  Rails must be known, values
-        finite, and same-rail pairs exchange symmetric.
+        sized for the grid and finite, and same-rail pairs exchange
+        symmetric.
         """
         rails = tuple(rails)
         if len(set(rails)) != len(rails):
@@ -96,16 +98,28 @@ class FewPhotonState:
             carriers = {r: "orig" for r in rails}
         state = cls(grid=grid, rails=rails, carriers=dict(carriers),
                     vacuum_amp=vacuum)
+        n = grid.n_points
         for rail, values in (ones or {}).items():
             state.rail_index(rail)
             values = np.asarray(values, dtype=complex)
+            if values.shape != (n,):
+                raise ValueError(f"one-photon amplitude on rail {rail!r} has "
+                                 f"shape {values.shape}, not ({n},)")
             if not np.isfinite(values).all():
                 raise ValueError("state amplitudes hold non-finite values")
             state.one_photon[rail] = values
         for (a, b), values in (pairs or {}).items():
             state._key(a, b)  # an unknown rail fails before the door
             if not isinstance(values, FactoredPair):
+                if np.shape(values) != (n, n):
+                    raise ValueError(
+                        f"pair amplitude on rails ({a!r}, {b!r}) has shape "
+                        f"{np.shape(values)}, not ({n}, {n})")
                 values = from_dense(values, a == b)
+            elif not has_length(values, n):
+                raise ValueError(
+                    f"factored pair amplitude on rails ({a!r}, {b!r}) has a "
+                    f"term not sized for {n} samples")
             elif not is_finite(values):
                 raise ValueError("state amplitudes hold non-finite values")
             elif a == b and not values.symmetric:
@@ -352,7 +366,7 @@ def apply_tls(state: FewPhotonState, rail: str, p: TlsParams) -> FewPhotonState:
             continue
         before = state.norm2_sq(amp)
         if key == (rail, rail):
-            new = scatter_two(p, TwoPhotonAmp(state.grid, amp)).values
+            new = scatter_two(p, state.grid, amp)
         else:
             new = scale_axis(amp, t, key.index(rail))
         twos[key] = new

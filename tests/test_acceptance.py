@@ -17,6 +17,7 @@ import tlsphot as tp
 from tlsphot.roots import golden_max
 from tlsphot.states import fidelity, project_detection
 from tlsphot.modeops import sum_rail
+from tlsphot.pairs import FactoredPair
 from tlsphot.states import FewPhotonState
 
 from conftest import ns_input
@@ -126,7 +127,8 @@ def test_05_sorter(circuit_grid, tls0, pulse0):
     assert got_one == pytest.approx(alpha**2, abs=1e-3)
     assert got_two == pytest.approx(xi**2, abs=1e-3)
     pump = tp.make_pump(tls0, pulse0)
-    pair = tp.scatter_two(tls0, tp.product_state(pulse0))
+    pair = tp.scatter_two(tls0, pulse0.grid,
+                          FactoredPair.product(pulse0.values))
     leak = tp.leakage_metric(pump, pair)
     print(f"\nACCEPTANCE 5 PASS: sorter weights {got_one:.6f} / "
           f"{got_two:.6f} vs {alpha**2:.6f} / {xi**2:.6f} within 1e-3 "

@@ -3,7 +3,7 @@ import pytest
 
 import tlsphot as tp
 from tlsphot.grid import GridMismatchError, ResolutionError, require_symmetric
-from tlsphot.pairs import _SYMMETRY_TILE
+from tlsphot.pairs import _SYMMETRY_TILE, FactoredPair, flip, inner
 
 
 @pytest.fixture(scope="module")
@@ -128,28 +128,29 @@ class TestInnerProducts:
         rhs = al * tp.inner1(lor, b) + be * tp.inner1(lor, c)
         assert lhs == pytest.approx(rhs, rel=1e-13)
 
-    def test_inner2_product_norm(self, lor):
-        psi = tp.product_state(lor)
-        assert tp.inner2(psi, psi) == pytest.approx(1.0, abs=1e-12)
+    def test_pair_inner_product_norm(self, grid, lor):
+        psi = FactoredPair.product(lor.values)
+        assert inner(psi, psi, grid.weights) == pytest.approx(1.0, abs=1e-12)
 
-    def test_inner2_conjugate_symmetry(self, grid, lor):
+    def test_pair_inner_conjugate_symmetry(self, grid, lor):
         g = tp.make_pulse(tp.PulseShape("gaussian", 0.8), grid)
-        a, b = tp.product_state(lor), tp.product_state(g)
-        assert tp.inner2(a, b) == pytest.approx(np.conj(tp.inner2(b, a)),
-                                                abs=1e-14)
+        a, b = FactoredPair.product(lor.values), FactoredPair.product(g.values)
+        w = grid.weights
+        assert inner(a, b, w) == pytest.approx(np.conj(inner(b, a, w)),
+                                               abs=1e-14)
 
 
 class TestProductState:
     def test_symmetric(self, lor):
-        psi = tp.product_state(lor)
-        assert np.array_equal(psi.values, psi.values.T)
+        psi = FactoredPair.product(lor.values)
+        assert np.array_equal(psi.dense(), psi.dense().T)
 
     def test_narrow_pulse_is_peaked_at_center(self):
         g = tp.SpectralGrid(50.0, 8001)
         f = tp.make_pulse(tp.PulseShape("lorentzian", 0.15, center=3.0), g)
-        psi = tp.product_state(f)
+        psi = FactoredPair.product(f.values)
         # one term f(x) f(y): |psi| peaks where both factors peak
-        (_, a, b, c), = psi.values.terms
+        (_, a, b, c), = psi.terms
         assert c is None
         i, j = np.argmax(np.abs(a)), np.argmax(np.abs(b))
         assert g.samples[i] == pytest.approx(3.0, abs=2 * g.spacing)
@@ -233,6 +234,6 @@ class TestTimeReverse:
         assert tp.time_reverse(a).norm_sq() == a.norm_sq()
 
     def test_two_photon_reverse(self, lor):
-        psi = tp.product_state(tp.time_reverse(lor))
-        rev = tp.time_reverse(tp.product_state(lor))
-        assert np.allclose(rev.values, psi.values, atol=1e-14)
+        psi = FactoredPair.product(tp.time_reverse(lor).values)
+        rev = flip(FactoredPair.product(lor.values), (True, True))
+        assert np.allclose(rev.dense(), psi.dense(), atol=1e-14)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import tlsphot as tp
 from tlsphot.grid import lorentzian_values, require_symmetric
 from tlsphot.modeops import sum_rail
-from tlsphot.pairs import FactoredPair
+from tlsphot.pairs import FactoredPair, norm_sq
 from tlsphot.states import (
     FewPhotonState,
     fidelity,
@@ -63,29 +63,29 @@ class TestSfgExtract:
         sigma = tp.matching_sigma(p, "upper")
         g = tp.SpectralGrid(60.0, 1201)
         f = tp.make_pulse(tp.PulseShape("lorentzian", sigma), g)
-        pair = tp.scatter_two(p, tp.product_state(f))
-        st = two_photon_state(g, ("sig",), "sig", "sig", pair.values)
+        pair = tp.scatter_two(p, g, FactoredPair.product(f.values))
+        st = two_photon_state(g, ("sig",), "sig", "sig", pair)
         pump = tp.make_pump(p, f)
         out = tp.sfg_extract(st, "sig", pump)
         anc = sum_rail("sig")
         assert project_detection(out, {anc: 2}) < 1e-6
         # idealized gate keeps the full pair weight on the signal rail
         assert project_detection(out, {"sig": 2}) == pytest.approx(
-            pair.norm_sq(), abs=1e-9)
+            norm_sq(pair, g.weights), abs=1e-9)
 
     def test_photonwise_discards_single_converted(self, gate):
         p = tp.TlsParams()
         sigma = tp.matching_sigma(p, "upper")
         g = tp.SpectralGrid(60.0, 1201)
         f = tp.make_pulse(tp.PulseShape("lorentzian", sigma), g)
-        pair = tp.scatter_two(p, tp.product_state(f))
-        st = two_photon_state(g, ("sig",), "sig", "sig", pair.values)
+        pair = tp.scatter_two(p, g, FactoredPair.product(f.values))
+        st = two_photon_state(g, ("sig",), "sig", "sig", pair)
         pump = tp.make_pump(p, f)
         out = tp.sfg_extract(st, "sig", pump, ideal=False)
         leak = tp.leakage_metric(pump, pair)
         assert out.lost_mass == pytest.approx(2 * leak**2, abs=1e-9)
         assert out.total_probability() == pytest.approx(
-            pair.norm_sq(), abs=1e-9)
+            norm_sq(pair, g.weights), abs=1e-9)
 
     def test_photonwise_keep_conserves_probability(self, grid, pump_pulse,
                                                    orth_pulse, gate):
@@ -313,11 +313,11 @@ class TestComponentPhaseLoss:
 
 class TestLeakageMetric:
     def test_pump_pair_no_leakage(self, gate, pump_pulse):
-        psi = tp.product_state(pump_pulse)
+        psi = FactoredPair.product(pump_pulse.values)
         assert tp.leakage_metric(gate, psi) < 1e-12
 
     def test_orthogonal_pair_no_leakage(self, gate, orth_pulse):
-        psi = tp.product_state(orth_pulse)
+        psi = FactoredPair.product(orth_pulse.values)
         assert tp.leakage_metric(gate, psi) < 1e-12
 
     def test_matched_pair_leakage_reported(self):
@@ -325,7 +325,7 @@ class TestLeakageMetric:
         sigma = tp.matching_sigma(p, "upper")
         g = tp.SpectralGrid(60.0, 1201)
         f = tp.make_pulse(tp.PulseShape("lorentzian", sigma), g)
-        pair = tp.scatter_two(p, tp.product_state(f))
+        pair = tp.scatter_two(p, g, FactoredPair.product(f.values))
         pump = tp.make_pump(p, f)
         leak = tp.leakage_metric(pump, pair)
         # no closed form exists; the value is a diagnostic and is nonzero

@@ -302,12 +302,6 @@ class TestDoor:
         state.two_photon[("a", "b")] = same
         assert state.two_photon[("a", "b")] is same
 
-    def test_two_photon_amp_converts(self):
-        f = PUMP.values
-        amp = tp.TwoPhotonAmp(GRID, np.outer(f, f))
-        assert isinstance(amp.values, FactoredPair)
-        assert amp.norm_sq() == pytest.approx(1.0, abs=1e-14)
-
 
 # -- random op sequences: library against the dense oracle ---------------------
 

@@ -4,6 +4,7 @@ import pytest
 import dense_oracle as oracle
 import tlsphot as tp
 from tlsphot.grid import gaussian_values, lorentzian_values
+from tlsphot.pairs import FactoredPair, inner, norm_sq
 from tlsphot.roots import NoCrossingError, golden_max
 
 
@@ -19,6 +20,11 @@ def grid():
 
 def lorentzian(grid, sigma, center=0.0):
     return tp.make_pulse(tp.PulseShape("lorentzian", sigma, center), grid)
+
+
+def pair_of(f):
+    """Two photons in the mode of ``f``."""
+    return FactoredPair.product(f.values)
 
 
 class TestTransferCoeff:
@@ -84,36 +90,38 @@ class TestScatterOne:
 
 class TestScatterTwo:
     def test_lossless_norm_conserved(self, lossless, grid):
-        psi = tp.product_state(lorentzian(grid, 0.7))
-        out = tp.scatter_two(lossless, psi)
-        assert out.norm_sq() == pytest.approx(1.0, abs=5e-4)
+        out = tp.scatter_two(lossless, grid, pair_of(lorentzian(grid, 0.7)))
+        assert norm_sq(out, grid.weights) == pytest.approx(1.0, abs=5e-4)
 
     def test_output_symmetric(self, lossless, grid):
-        out = tp.scatter_two(lossless, tp.product_state(lorentzian(grid, 0.7)))
-        values = np.asarray(out.values)
+        out = tp.scatter_two(lossless, grid, pair_of(lorentzian(grid, 0.7)))
+        values = out.dense()
         assert np.max(np.abs(values - values.T)) < 1e-12
 
     def test_asymmetric_input_rejected(self, lossless, grid):
-        vals = np.outer(np.ones(grid.n_points), grid.samples).astype(complex)
+        ones = np.ones(grid.n_points, dtype=complex)
+        pair = FactoredPair([(1.0, ones, grid.samples.astype(complex), None)])
+        assert not pair.symmetric
         with pytest.raises(ValueError, match="symmetric"):
-            tp.scatter_two(lossless, tp.TwoPhotonAmp(grid, vals))
+            tp.scatter_two(lossless, grid, pair)
 
     def test_overlap_with_product_image_is_one_minus_two_eta(self, lossless):
         # sigma = 1/2: eta = 92/128, so the overlap must be 1 - 2 eta = -0.4375
         g = tp.SpectralGrid(40.0, 2001)
         f = lorentzian(g, 0.5)
-        out = tp.scatter_two(lossless, tp.product_state(f))
+        out = tp.scatter_two(lossless, g, pair_of(f))
         prod = tp.product_image(lossless, f)
-        ov = tp.inner2(prod, out)  # product image has unit norm at gamma=0
+        # product image has unit norm at gamma=0
+        ov = inner(prod, out, g.weights)
         assert ov.real == pytest.approx(1 - 2 * 0.71875, abs=1e-3)
         assert abs(ov.imag) < 1e-8
 
     def test_far_detuned_passthrough(self, lossless):
         g = tp.SpectralGrid(60.0, 3001)
         f = lorentzian(g, 0.5, center=50.0)
-        psi = tp.product_state(f)
-        out = tp.scatter_two(lossless, psi)
-        ov = abs(tp.inner2(psi, out))
+        psi = pair_of(f)
+        out = tp.scatter_two(lossless, g, psi)
+        ov = abs(inner(psi, out, g.weights))
         assert ov >= 0.999
 
 

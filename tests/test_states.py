@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tlsphot as tp
+from tlsphot.pairs import FactoredPair
 from tlsphot.states import (
     FewPhotonState,
     apply_tls,
@@ -38,6 +39,39 @@ def pulse(grid):
 @pytest.fixture(scope="module")
 def pulse_b(grid):
     return tp.make_pulse(tp.PulseShape("gaussian", 1.2, center=1.0), grid)
+
+
+class TestFromComponents:
+    # an amplitude sized for another grid fails when the state is built,
+    # not later as a broadcast error in total_probability
+    GRID = tp.SpectralGrid(30.0, 601)
+
+    def test_one_photon_length_checked(self):
+        with pytest.raises(ValueError, match=r"rail 'a'.*not \(601,\)"):
+            FewPhotonState.from_components(self.GRID, ("a", "b"),
+                                           ones={"a": np.ones(7)})
+
+    def test_dense_pair_shape_checked(self):
+        with pytest.raises(ValueError,
+                           match=r"rails \('a', 'b'\).*not \(601, 601\)"):
+            FewPhotonState.from_components(self.GRID, ("a", "b"),
+                                           pairs={("a", "b"): np.ones((9, 9))})
+
+    def test_factored_term_lengths_checked(self):
+        n = self.GRID.n_points
+        f = np.ones(n, dtype=complex)
+        for pair in (FactoredPair.product(np.ones(9, dtype=complex)),
+                     FactoredPair([(1.0, f, f[:-1], None)]),
+                     FactoredPair([(1.0, f, f, np.ones(n, dtype=complex))])):
+            with pytest.raises(ValueError, match=r"rails \('a', 'a'\)"):
+                FewPhotonState.from_components(self.GRID, ("a",),
+                                               pairs={("a", "a"): pair})
+        # the sizes the grid asks for pass
+        c = np.ones(2 * n - 1, dtype=complex)
+        state = FewPhotonState.from_components(
+            self.GRID, ("a",), pairs={("a", "a"): FactoredPair.product(f)
+                                      + FactoredPair([(1.0, f, f, c)])})
+        assert state.total_probability() > 0.0
 
 
 class TestBeamsplitter:
