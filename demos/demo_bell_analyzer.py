@@ -9,11 +9,10 @@ missing photons.
 
 import tlsphot as tp
 
-grid = tp.SpectralGrid(60.0, 1201)
-
 for beta in (1.0, 0.95):
     p = tp.TlsParams.from_beta(beta)
     sigma = tp.matching_sigma(p, "upper")
+    grid = tp.SpectralGrid.for_pulse_width(sigma)
     pulse = tp.make_pulse(tp.PulseShape("lorentzian", sigma), grid)
     print(f"=== beta_dir = {beta} (matched width sigma = {sigma:.4f}) ===")
     for which in ("psi+", "psi-", "phi+", "phi-"):

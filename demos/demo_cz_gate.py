@@ -12,9 +12,9 @@ import numpy as np
 import tlsphot as tp
 from tlsphot.circuits import LOGICAL_BASIS
 
-grid = tp.SpectralGrid(60.0, 1201)
 p = tp.TlsParams()
 sigma = tp.matching_sigma(p, "upper")
+grid = tp.SpectralGrid.for_pulse_width(sigma)
 pulse = tp.make_pulse(tp.PulseShape("lorentzian", sigma), grid)
 
 print("truth table (logical 0 = photon in the lower rail):")
@@ -38,13 +38,14 @@ print(f"fidelity to the controlled-sign oracle: "
 
 lossy = tp.TlsParams.from_beta(0.95)
 sigma95 = tp.matching_sigma(lossy, "upper")
-pulse95 = tp.make_pulse(tp.PulseShape("lorentzian", sigma95), grid)
+grid95 = tp.SpectralGrid.for_pulse_width(sigma95)
+pulse95 = tp.make_pulse(tp.PulseShape("lorentzian", sigma95), grid95)
 eps1 = tp.epsilon1_analytic(lossy, sigma95)
 eps_b = tp.epsilon_b_analytic(lossy, sigma95)
 
-skew = tp.cz_gate(tp.logical_state(grid, pulse95, plus), lossy, pulse95,
+skew = tp.cz_gate(tp.logical_state(grid95, pulse95, plus), lossy, pulse95,
                   compensate=False)
-comp = tp.cz_gate(tp.logical_state(grid, pulse95, plus), lossy, pulse95)
+comp = tp.cz_gate(tp.logical_state(grid95, pulse95, plus), lossy, pulse95)
 print(f"beta_dir = 0.95: eps1^2 = {eps1**2:.4f}, eps_b - eps1^2 = "
       f"{eps_b - eps1**2:.4f}")
 print("output amplitude magnitudes (relative to input):")

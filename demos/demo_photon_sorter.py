@@ -17,7 +17,7 @@ from tlsphot.states import FewPhotonState, project_detection
 
 p = tp.TlsParams()
 sigma = tp.matching_sigma(p, "upper")
-grid = tp.SpectralGrid(60.0, 1201)
+grid = tp.SpectralGrid.for_pulse_width(sigma)
 pulse = tp.make_pulse(tp.PulseShape("lorentzian", sigma), grid)
 
 alpha, xi = np.sqrt(0.4), np.sqrt(0.6)
@@ -26,7 +26,7 @@ alpha, xi = np.sqrt(0.4), np.sqrt(0.6)
 def sorter_input(f):
     """alpha |1_f> + xi |2_f> on the signal rail."""
     return FewPhotonState.from_components(
-        grid, ("sig",), ones={"sig": alpha * f.values},
+        f.grid, ("sig",), ones={"sig": alpha * f.values},
         pairs={("sig", "sig"): xi * FactoredPair.product(f.values)})
 
 
@@ -58,7 +58,8 @@ print("as the sorting argument assumes; sfg_extract(..., ideal=False) keeps "
 
 lossy = tp.TlsParams.from_beta(0.95)
 sigma95 = tp.matching_sigma(lossy, "upper")
-pulse95 = tp.make_pulse(tp.PulseShape("lorentzian", sigma95), grid)
+pulse95 = tp.make_pulse(tp.PulseShape("lorentzian", sigma95),
+                        tp.SpectralGrid.for_pulse_width(sigma95))
 out95 = tp.photon_sorter(sorter_input(pulse95), "sig", lossy, pulse95)
 eps1 = tp.epsilon1_analytic(lossy, sigma95)
 eps_b = tp.epsilon_b_analytic(lossy, sigma95)

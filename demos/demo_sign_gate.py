@@ -15,7 +15,7 @@ from tlsphot.states import FewPhotonState, fidelity
 
 p = tp.TlsParams()
 sigma = tp.matching_sigma(p, "upper")
-grid = tp.SpectralGrid(60.0, 1201)
+grid = tp.SpectralGrid.for_pulse_width(sigma)
 pulse = tp.make_pulse(tp.PulseShape("lorentzian", sigma), grid)
 
 amp = 1.0 / np.sqrt(3.0)
@@ -52,12 +52,13 @@ print(f"  fidelity(NS(NS(state)), state) = {fidelity(twice, state):.6f}\n")
 
 lossy = tp.TlsParams.from_beta(0.95)
 sigma95 = tp.matching_sigma(lossy, "upper")
-pulse95 = tp.make_pulse(tp.PulseShape("lorentzian", sigma95), grid)
+grid95 = tp.SpectralGrid.for_pulse_width(sigma95)
+pulse95 = tp.make_pulse(tp.PulseShape("lorentzian", sigma95), grid95)
 pair_in = FewPhotonState.from_components(
-    grid, ("sig",),
+    grid95, ("sig",),
     pairs={("sig", "sig"): FactoredPair.product(pulse95.values)})
 out95 = tp.ns_gate(pair_in, "sig", lossy, pulse95)
-u95 = w * np.conj(pulse95.values)
+u95 = grid95.weights * np.conj(pulse95.values)
 coeff95 = u95 @ out95.pair("sig", "sig") @ u95
 eps1 = tp.epsilon1_analytic(lossy, sigma95)
 print(f"beta_dir = 0.95: the pair amplitude comes back as {coeff95:.4f}, "

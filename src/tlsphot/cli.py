@@ -5,6 +5,11 @@ configuration, a convergence report comparing each headline scalar at the
 base grid and at doubled resolution, and a minimal plot script.  Outputs are
 deterministic: identical configuration yields byte-identical files.
 
+Every pulse an experiment samples, a sweep width or the operating point of a
+circuit demo, lies on the default grid policy
+:meth:`~tlsphot.grid.SpectralGrid.for_pulse_width`; ``grid.n_points``
+(``--grid-n``) fixes its sample count, and the window follows the width.
+
 Exit codes: 0 success, 1 I/O failure, 2 usage error, 3 convergence failure.
 """
 
@@ -52,7 +57,7 @@ EXPERIMENTS = ("fig1b", "loss-curves", "fig3", "matching-points",
                "sorter-demo", "bell-demo", "ns-demo", "cz-demo")
 
 DEFAULTS = {
-    "grid": {"n_points": "auto", "delta_max": "auto"},
+    "grid": {"n_points": "auto"},
     "tls": {"beta": "1.0", "gamma_wg": "1.0"},
     "sweep": {"beta_values": "1.0, 0.95, 0.90", "sigma_min": "0.02",
               "sigma_max": "5.0", "sigma_count": "120"},
@@ -60,39 +65,37 @@ DEFAULTS = {
     "convergence": {"tolerance": "1e-3"},
 }
 
-_DEMO_N_POINTS = 1201
-_DEMO_DELTA_MAX = 60.0
 
+def read_config(path: str | None, overrides: dict | None = None):
+    """Resolve DEFAULTS <- config file <- command-line overrides.
 
-class ConfigError(ValueError):
-    pass
-
-
-def _parse_file(path: str) -> dict:
-    parser = configparser.ConfigParser()
-    try:
-        with open(path) as fh:
-            parser.read_file(fh)
-    except configparser.Error as exc:
-        raise ConfigError(f"parse error in {path}: {exc}") from exc
-    return {section: dict(parser[section]) for section in parser.sections()}
-
-
-def load_config(path: str | None, overrides: dict | None = None) -> dict:
-    """Resolve DEFAULTS <- config file <- command-line overrides."""
+    Returns the configuration and one diagnostic per fault of the file: a
+    parse error, or each unknown section and unknown key.  OSError from
+    opening the file propagates.
+    """
     cfg = {sec: dict(vals) for sec, vals in DEFAULTS.items()}
+    diagnostics = []
     if path is not None:
-        for sec, vals in _parse_file(path).items():
+        parser = configparser.ConfigParser()
+        try:
+            with open(path) as fh:
+                parser.read_file(fh)
+        except configparser.Error as exc:
+            return cfg, [f"parse error in {path}: {exc}"]
+        for sec in parser.sections():
             if sec not in cfg:
-                raise ConfigError(f"unknown config section [{sec}]")
-            for key, val in vals.items():
+                diagnostics.append(f"unknown section [{sec}]")
+                continue
+            for key, val in parser[sec].items():
                 if key not in cfg[sec]:
-                    raise ConfigError(f"unknown key {key!r} in section [{sec}]")
+                    diagnostics.append(
+                        f"unknown key {key!r} in section [{sec}]")
+                    continue
                 cfg[sec][key] = val
     for dotted, val in (overrides or {}).items():
         sec, key = dotted.split(".")
         cfg[sec][key] = str(val)
-    return cfg
+    return cfg, diagnostics
 
 
 @dataclass(frozen=True)
@@ -102,7 +105,6 @@ class _Settings:
     p: TlsParams
     spec: SweepSpec
     n_points: int | None
-    delta_max: float | None
     branch: str
     sigma: float | None
     tolerance: float
@@ -136,8 +138,6 @@ def _parse(cfg: dict):
 
     n_points = field("grid", "n_points", auto(
         lambda raw: SpectralGrid(1.0, int(raw)).n_points))
-    delta_max = field("grid", "delta_max", auto(
-        lambda raw: SpectralGrid(float(raw), 3).delta_max))
     gamma_wg = field("tls", "gamma_wg",
                      lambda raw: TlsParams(gamma_wg=float(raw)).gamma_wg)
     p = field("tls", "beta", lambda raw: TlsParams.from_beta(
@@ -163,35 +163,23 @@ def _parse(cfg: dict):
         except ValueError as exc:
             diagnostics.append(f"sweep.sigma_min = {sigma_min}, "
                                f"sweep.sigma_max = {sigma_max}: {exc}")
-    if None not in (n_points, delta_max, sigma):
-        h = 2.0 * delta_max / (n_points - 1)
-        if h > sigma / 10.0:
-            diagnostics.append(
-                f"grid resolution: spacing {h:.4g} exceeds sigma/10 "
-                f"= {sigma / 10.0:.4g}")
+    if None not in (n_points, sigma, p):
+        try:
+            _policy_pulse(p, sigma, n_points)
+        except ResolutionError as exc:
+            diagnostics.append(f"grid.n_points = {n_points}, run.sigma = "
+                               f"{sigma}: grid resolution: {exc}")
     if diagnostics:
         return None, diagnostics
-    return _Settings(p=p, spec=spec, n_points=n_points, delta_max=delta_max,
-                     branch=branch, sigma=sigma, tolerance=tolerance), []
+    return _Settings(p=p, spec=spec, n_points=n_points, branch=branch,
+                     sigma=sigma, tolerance=tolerance), []
 
 
 def validate_config(path: str) -> list:
-    """Diagnostics for a config file: unknown keys, ranges, grid resolution."""
-    diagnostics = []
-    try:
-        file_cfg = _parse_file(path)
-    except ConfigError as exc:
-        return [str(exc)]
-    for sec, vals in file_cfg.items():
-        if sec not in DEFAULTS:
-            diagnostics.append(f"unknown section [{sec}]")
-            continue
-        for key in vals:
-            if key not in DEFAULTS[sec]:
-                diagnostics.append(f"unknown key {key!r} in section [{sec}]")
-    if diagnostics:
-        return diagnostics
-    return _parse(load_config(path))[1]
+    """Diagnostics for a config file: those :func:`read_config` finds, else
+    those of its values (ranges, grid resolution)."""
+    cfg, diagnostics = read_config(path)
+    return diagnostics or _parse(cfg)[1]
 
 
 def _fmt(value) -> str:
@@ -227,13 +215,6 @@ plt.savefig("{experiment}.png", dpi=150)
 """
 
 
-def _demo_grid(s: _Settings) -> SpectralGrid:
-    return SpectralGrid(
-        _DEMO_DELTA_MAX if s.delta_max is None else s.delta_max,
-        _DEMO_N_POINTS if s.n_points is None else s.n_points,
-    )
-
-
 def _refined_n(n_points: int | None, refine: int) -> int | None:
     """Sample count of the default grid policy refined ``refine`` times."""
     if refine == 1:
@@ -242,22 +223,20 @@ def _refined_n(n_points: int | None, refine: int) -> int | None:
     return base.refine(refine).n_points
 
 
+def _policy_pulse(p: TlsParams, sigma: float, n_points: int | None,
+                  refine: int = 1):
+    """Lorentzian pulse of width ``sigma`` on the default grid policy, with
+    its spacing divided by ``refine``; unlike the root finder's
+    evaluations, this refuses a grid that does not resolve the pulse."""
+    grid = SpectralGrid.for_pulse_width(sigma, p.gamma_wg, n_points=n_points)
+    return make_pulse(PulseShape("lorentzian", sigma), grid.refine(refine))
+
+
 def _resolved_eta(p: TlsParams, sigma: float, n_points: int | None) -> float:
-    """eta at width ``sigma`` on the default grid policy; unlike the root
-    finder's evaluations, this refuses a grid that does not resolve the
-    pulse."""
+    """eta at width ``sigma``, on the default grid policy if it needs one."""
     if p.gamma_loss == 0.0:
         return eta_analytic(sigma, p.gamma_wg)
-    grid = SpectralGrid.for_pulse_width(sigma, p.gamma_wg, n_points=n_points)
-    return eta_numeric(p, make_pulse(PulseShape("lorentzian", sigma), grid))
-
-
-def _operating_pulse(s: _Settings, grid: SpectralGrid):
-    sigma = s.sigma
-    if sigma is None:
-        sigma = matching_sigma(s.p, branch=s.branch)
-    pulse = make_pulse(PulseShape("lorentzian", sigma), grid)
-    return sigma, pulse
+    return eta_numeric(p, _policy_pulse(p, sigma, n_points))
 
 
 # -- experiment table builders --------------------------------------------
@@ -333,21 +312,21 @@ def _build_matching_points(s: _Settings):
     return columns, rows, {"sigma_upper": headline}
 
 
-# Each demo's rows function takes (settings, grid) and returns the CSV rows
-# and the value of its headline scalar on that grid.
+# Each demo's rows function takes (settings, sigma, pulse), the pulse of
+# width sigma sampled on its grid, and returns the CSV rows and the value of
+# its headline scalar on that grid.
 
 
-def _sorter_rows(s: _Settings, grid):
+def _sorter_rows(s: _Settings, sigma: float, pulse):
     p = s.p
-    sigma, pulse = _operating_pulse(s, grid)
     alpha = xi = 1.0 / np.sqrt(2.0)
     state = FewPhotonState.from_components(
-        grid, ("sig",), ones={"sig": alpha * pulse.values},
+        pulse.grid, ("sig",), ones={"sig": alpha * pulse.values},
         pairs={("sig", "sig"): xi * FactoredPair.product(pulse.values)})
     out = photon_sorter(state, "sig", p, pulse)
     anc_weight = project_detection(out, {sum_rail("sig"): 1})
     pump = make_pump(p, pulse)
-    pair_out = scatter_two(p, grid, FactoredPair.product(pulse.values))
+    pair_out = scatter_two(p, pulse.grid, FactoredPair.product(pulse.values))
     rows = [
         {"quantity": "beta", "value": p.beta_dir},
         {"quantity": "sigma", "value": sigma},
@@ -364,12 +343,12 @@ def _sorter_rows(s: _Settings, grid):
     return rows, anc_weight
 
 
-def _bell_rows(s: _Settings, grid):
-    _, pulse = _operating_pulse(s, grid)
+def _bell_rows(s: _Settings, sigma: float, pulse):
     rows = []
     success = {}
     for which in ("psi+", "psi-", "phi+", "phi-"):
-        report = bell_analyzer(bell_state(grid, pulse, which), s.p, pulse)
+        report = bell_analyzer(bell_state(pulse.grid, pulse, which), s.p,
+                               pulse)
         success[which] = report.success_prob
         for pattern, prob in sorted(report.pattern_probs.items()):
             if prob < 1e-12:
@@ -388,14 +367,13 @@ def _bell_rows(s: _Settings, grid):
     return rows, success["psi+"]
 
 
-def _ns_rows(s: _Settings, grid):
+def _ns_rows(s: _Settings, sigma: float, pulse):
     p = s.p
-    sigma, pulse = _operating_pulse(s, grid)
     amp = 1.0 / np.sqrt(3.0)
 
     def ns_state(pair_sign):
         return FewPhotonState.from_components(
-            grid, ("sig",), amp, ones={"sig": amp * pulse.values},
+            pulse.grid, ("sig",), amp, ones={"sig": amp * pulse.values},
             pairs={("sig", "sig"): pair_sign * amp
                    * FactoredPair.product(pulse.values)})
 
@@ -413,8 +391,7 @@ def _ns_rows(s: _Settings, grid):
     return rows, fid
 
 
-def _cz_rows(s: _Settings, grid):
-    _, pulse = _operating_pulse(s, grid)
+def _cz_rows(s: _Settings, sigma: float, pulse):
     rows = []
     fid_super = float("nan")
     cases = [((0, 0), "basis_00"), ((0, 1), "basis_01"),
@@ -425,7 +402,7 @@ def _cz_rows(s: _Settings, grid):
             amps_in = {b: 0.5 for b in LOGICAL_BASIS}
         else:
             amps_in = {basis: 1.0}
-        report = cz_gate(logical_state(grid, pulse, amps_in), s.p, pulse)
+        report = cz_gate(logical_state(pulse.grid, pulse, amps_in), s.p, pulse)
         row = {"input": name,
                "success_prob": report.success_prob,
                "fidelity": report.fidelity_to_target,
@@ -456,14 +433,20 @@ _DEMOS = {
 
 
 def _build_demo(experiment: str, s: _Settings):
-    """A demo's rows on the demo grid; the headline reruns it only on a
-    refined grid."""
+    """A demo's rows at the operating width (matched unless ``run.sigma``
+    is set) on its policy grid; the headline reruns it only on that grid
+    refined."""
     demo_rows, columns, name = _DEMOS[experiment]
-    grid = _demo_grid(s)
-    rows, base = demo_rows(s, grid)
+    sigma = s.sigma
+    if sigma is None:
+        sigma = matching_sigma(s.p, branch=s.branch)
+    rows, base = demo_rows(s, sigma, _policy_pulse(s.p, sigma, s.n_points))
 
     def headline(refine):
-        return base if refine == 1 else demo_rows(s, grid.refine(refine))[1]
+        if refine == 1:
+            return base
+        pulse = _policy_pulse(s.p, sigma, s.n_points, refine)
+        return demo_rows(s, sigma, pulse)[1]
 
     return columns, rows, {name: headline}
 
@@ -504,8 +487,8 @@ def run(experiment: str, cfg: dict, out_dir: str) -> int:
     except ResolutionError as exc:
         # grids the configuration does not spell out (sweep widths, the
         # matched operating point) are only checked when a pulse is sampled
-        print(f"grid.n_points = {cfg['grid']['n_points']}, grid.delta_max = "
-              f"{cfg['grid']['delta_max']}: {exc}", file=sys.stderr)
+        print(f"grid.n_points = {cfg['grid']['n_points']}: {exc}",
+              file=sys.stderr)
         return 2
     stem = experiment.replace("-", "_")
     try:
@@ -566,30 +549,30 @@ def main(argv=None) -> int:
     runp.add_argument("--beta", type=float, default=None)
     runp.add_argument("--sigma", type=float, default=None)
     runp.add_argument("--grid-n", type=int, default=None)
-    runp.add_argument("--grid-max", type=float, default=None)
     valp = sub.add_parser("validate", help="check a config file")
     valp.add_argument("--config", required=True)
 
     args = parser.parse_args(argv)
-    if args.command == "validate":
-        diagnostics = validate_config(args.config)
-        for line in diagnostics:
-            print(line)
-        return 0 if not diagnostics else 2
-
-    overrides = {}
-    if args.beta is not None:
-        overrides["tls.beta"] = args.beta
-    if args.sigma is not None:
-        overrides["run.sigma"] = args.sigma
-    if args.grid_n is not None:
-        overrides["grid.n_points"] = args.grid_n
-    if args.grid_max is not None:
-        overrides["grid.delta_max"] = args.grid_max
     try:
-        cfg = load_config(args.config, overrides)
-    except (ConfigError, OSError) as exc:
+        if args.command == "validate":
+            diagnostics = validate_config(args.config)
+            for line in diagnostics:
+                print(line)
+            return 0 if not diagnostics else 2
+        overrides = {}
+        if args.beta is not None:
+            overrides["tls.beta"] = args.beta
+        if args.sigma is not None:
+            overrides["run.sigma"] = args.sigma
+        if args.grid_n is not None:
+            overrides["grid.n_points"] = args.grid_n
+        cfg, diagnostics = read_config(args.config, overrides)
+    except OSError as exc:
         print(str(exc), file=sys.stderr)
+        return 2
+    if diagnostics:
+        for line in diagnostics:
+            print(line, file=sys.stderr)
         return 2
     return run(args.experiment, cfg, args.out)
 

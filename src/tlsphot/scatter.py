@@ -77,7 +77,12 @@ def transfer_coeff(p: TlsParams, delta):
 
 def s_coeff(p: TlsParams, delta):
     """Scattering amplitude s(delta) = (1 - t(delta)) / (i sqrt(Gamma))."""
-    return (1.0 - transfer_coeff(p, delta)) / (1j * np.sqrt(p.gamma_wg))
+    return _s_of_t(p, transfer_coeff(p, delta))
+
+
+def _s_of_t(p: TlsParams, t):
+    """s(delta) from the transmission t(delta) already computed there."""
+    return (1.0 - t) / (1j * np.sqrt(p.gamma_wg))
 
 
 @dataclass
@@ -146,7 +151,7 @@ def scatter_two(p: TlsParams, grid: SpectralGrid,
         raise ValueError("factored two-photon amplitude is not exchange "
                          "symmetric by construction")
     t = transfer_coeff(p, grid.samples)
-    s = s_coeff(p, grid.samples)
+    s = _s_of_t(p, t)
     bound = _bound_term(p, pair, s, grid.spacing)
     return pair.map_factors(lambda x: t * x) + bound
 
@@ -176,7 +181,7 @@ def eta_numeric(p: TlsParams, f: OnePhotonAmp) -> float:
     """
     grid = f.grid
     t = transfer_coeff(p, grid.samples)
-    s = s_coeff(p, grid.samples)
+    s = _s_of_t(p, t)
     u = grid.weights * np.conj(f.values * t) * s
     size = _fast_len(2 * len(u) - 1)
     u_hat = np.fft.fft(u, size)

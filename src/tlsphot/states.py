@@ -51,7 +51,12 @@ class PairMap(dict):
     """Pair amplitudes by storage key.  A value that is not a
     :class:`~tlsphot.pairs.FactoredPair` goes through the door
     :func:`~tlsphot.pairs.from_dense` when it is stored; a factored value
-    passes as it is."""
+    passes as it is.
+
+    States are built with :meth:`FewPhotonState.from_components` and
+    changed only by ops that return new states; the only code left that
+    writes into a built state is the benchmark's ``ns_input``
+    (``bench/workloads.py``), whose dense pair comes through this door."""
 
     def __init__(self, items=()):
         super().__init__()

@@ -1,11 +1,16 @@
 """Shared fixtures: emitter parameters, matched pulses, cached circuit runs.
 
-Circuit-level tests run on a reduced grid (delta_max 60, n 1201), where the
-dense oracle's pair arrays take ~22 MB each; quadrature errors there sit near
-1e-6, far below every asserted tolerance.  ``random_state`` builds its pairs
-as arrays, so every state it makes goes through the door
-(``pairs.from_dense``).  Expensive end-to-end runs are session-scoped so
-the unit tests and the acceptance suite share them.
+Circuit-level tests run on the default grid policy of the lossless matched
+pulse (``SpectralGrid.for_pulse_width(sigma_up0)``: window 100.04, n 4001),
+the grid ``tlsphot run`` samples that pulse on; quadrature errors there sit
+near 1e-7, far below every asserted tolerance.  The lossy pulse
+``pulse95`` shares that grid, so a test can mix the two pulses.  Tests
+build their states with ``FewPhotonState.from_components`` and factored
+pairs (``FactoredPair.product``): a dense pair there would take 256 MB.
+``random_state`` builds its pairs as arrays, so every state it makes goes
+through the door (``pairs.from_dense``); it is used on small grids only.
+Expensive end-to-end runs are session-scoped so the unit tests and the
+acceptance suite share them.
 """
 
 import numpy as np
@@ -37,8 +42,8 @@ def sigma_up95(tls95):
 
 
 @pytest.fixture(scope="session")
-def circuit_grid():
-    return tp.SpectralGrid(60.0, 1201)
+def circuit_grid(sigma_up0):
+    return tp.SpectralGrid.for_pulse_width(sigma_up0)
 
 
 @pytest.fixture(scope="session")

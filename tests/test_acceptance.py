@@ -115,11 +115,9 @@ def test_04_lossy_closed_forms():
 
 def test_05_sorter(circuit_grid, tls0, pulse0):
     alpha, xi = np.sqrt(0.4), np.sqrt(0.6)
-    state = FewPhotonState.vacuum(circuit_grid, ("sig",))
-    state.vacuum_amp = 0.0j
-    state.one_photon["sig"] = alpha * pulse0.values
-    state.two_photon[("sig", "sig")] = xi * np.outer(pulse0.values,
-                                                     pulse0.values)
+    state = FewPhotonState.from_components(
+        circuit_grid, ("sig",), ones={"sig": alpha * pulse0.values},
+        pairs={("sig", "sig"): xi * FactoredPair.product(pulse0.values)})
     out = tp.photon_sorter(state, "sig", tls0, pulse0)
     anc = sum_rail("sig")
     got_one = project_detection(out, {anc: 1})

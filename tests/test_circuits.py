@@ -4,6 +4,7 @@ import pytest
 import tlsphot as tp
 from tlsphot.circuits import CZ_SIGNS, LOGICAL_BASIS, ns_eta2
 from tlsphot.modeops import sum_rail
+from tlsphot.pairs import FactoredPair
 from tlsphot.states import FewPhotonState, fidelity, overlap, project_detection
 
 from conftest import ns_input, random_state
@@ -12,11 +13,9 @@ from conftest import ns_input, random_state
 class TestPhotonSorter:
     def test_sorts_superposition_weights(self, circuit_grid, tls0, pulse0):
         alpha, xi = np.sqrt(1 / 3), np.sqrt(2 / 3)
-        st = FewPhotonState.vacuum(circuit_grid, ("sig",))
-        st.vacuum_amp = 0.0j
-        st.one_photon["sig"] = alpha * pulse0.values
-        st.two_photon[("sig", "sig")] = xi * np.outer(pulse0.values,
-                                                      pulse0.values)
+        st = FewPhotonState.from_components(
+            circuit_grid, ("sig",), ones={"sig": alpha * pulse0.values},
+            pairs={("sig", "sig"): xi * FactoredPair.product(pulse0.values)})
         out = tp.photon_sorter(st, "sig", tls0, pulse0)
         anc = sum_rail("sig")
         assert project_detection(out, {anc: 1}) == pytest.approx(
@@ -30,11 +29,11 @@ class TestPhotonSorter:
         assert project_detection(out, {}) == pytest.approx(1.0, abs=1e-15)
 
     def test_completeness(self, circuit_grid, tls0, pulse0):
-        st = FewPhotonState.vacuum(circuit_grid, ("sig",))
-        st.vacuum_amp = np.sqrt(0.2)
-        st.one_photon["sig"] = np.sqrt(0.3) * pulse0.values
-        st.two_photon[("sig", "sig")] = np.sqrt(0.5) * np.outer(
-            pulse0.values, pulse0.values)
+        st = FewPhotonState.from_components(
+            circuit_grid, ("sig",), np.sqrt(0.2),
+            ones={"sig": np.sqrt(0.3) * pulse0.values},
+            pairs={("sig", "sig"): np.sqrt(0.5)
+                   * FactoredPair.product(pulse0.values)})
         out = tp.photon_sorter(st, "sig", tls0, pulse0)
         anc = sum_rail("sig")
         total = (project_detection(out, {})
@@ -45,11 +44,9 @@ class TestPhotonSorter:
     def test_lossy_sorted_weights(self, circuit_grid, tls95, pulse95,
                                   sigma_up95):
         alpha = xi = np.sqrt(0.5)
-        st = FewPhotonState.vacuum(circuit_grid, ("sig",))
-        st.vacuum_amp = 0.0j
-        st.one_photon["sig"] = alpha * pulse95.values
-        st.two_photon[("sig", "sig")] = xi * np.outer(pulse95.values,
-                                                      pulse95.values)
+        st = FewPhotonState.from_components(
+            circuit_grid, ("sig",), ones={"sig": alpha * pulse95.values},
+            pairs={("sig", "sig"): xi * FactoredPair.product(pulse95.values)})
         out = tp.photon_sorter(st, "sig", tls95, pulse95)
         anc = sum_rail("sig")
         eps1 = tp.epsilon1_analytic(tls95, sigma_up95)
@@ -135,13 +132,12 @@ class TestNsGate:
 
     def test_lossy_pair_coefficient(self, circuit_grid, tls95, pulse95,
                                     sigma_up95):
-        st = FewPhotonState.vacuum(circuit_grid, ("sig",))
-        st.vacuum_amp = 0.0j
-        ff = np.outer(pulse95.values, pulse95.values)
-        st.two_photon[("sig", "sig")] = ff
+        st = FewPhotonState.from_components(
+            circuit_grid, ("sig",),
+            pairs={("sig", "sig"): FactoredPair.product(pulse95.values)})
         out = tp.ns_gate(st, "sig", tls95, pulse95)
         u = circuit_grid.weights * np.conj(pulse95.values)
-        coeff = u @ out.two_photon[("sig", "sig")] @ u
+        coeff = u @ out.pair("sig", "sig") @ u
         eps1 = tp.epsilon1_analytic(tls95, sigma_up95)
         assert abs(coeff) == pytest.approx(eps1**2, abs=1e-3)
         assert coeff.real < 0

@@ -95,7 +95,7 @@ class TestRun:
     def test_demo_runs(self, tmp_path):
         out = tmp_path / "demo"
         rc = run_cli(["run", "sorter-demo", "--out", str(out),
-                      "--grid-n", "801", "--grid-max", "40"])
+                      "--grid-n", "2001"])
         assert rc == 0
         text = (out / "sorter_demo.csv").read_text()
         assert "ancilla_one_photon_weight" in text
@@ -122,10 +122,17 @@ class TestValidate:
 
     def test_resolution_violation_reported(self, tmp_path, capsys):
         cfg = tmp_path / "coarse.ini"
-        cfg.write_text("[grid]\nn_points = 101\ndelta_max = 50\n"
-                       "[run]\nsigma = 1.0\n")
+        cfg.write_text("[grid]\nn_points = 101\n[run]\nsigma = 1.0\n")
         assert run_cli(["validate", "--config", str(cfg)]) == 2
         assert "resolution" in capsys.readouterr().out
+
+    def test_retired_window_key_reported(self, tmp_path, capsys):
+        # the window follows the pulse width; only the sample count is set
+        cfg = tmp_path / "window.ini"
+        cfg.write_text("[grid]\ndelta_max = 50\n")
+        assert run_cli(["validate", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().out == (
+            "unknown key 'delta_max' in section [grid]\n")
 
     def test_parse_error_reported(self, tmp_path, capsys):
         cfg = tmp_path / "broken.ini"
@@ -145,6 +152,26 @@ class TestValidate:
 
 
 class TestConfigFaults:
+    def test_run_prints_every_file_fault_validate_prints(self, tmp_path,
+                                                         capsys):
+        cfg = tmp_path / "unknown.ini"
+        cfg.write_text("[grid]\ndelta_max = 50\n[tls]\nfoo = 1\n"
+                       "[plot]\ndpi = 300\n")
+        assert run_cli(["validate", "--config", str(cfg)]) == 2
+        validated = capsys.readouterr().out
+        assert validated.count("\n") == 3
+        out = tmp_path / "out"
+        assert run_cli(["run", "sorter-demo", "--config", str(cfg),
+                        "--out", str(out)]) == 2
+        assert capsys.readouterr().err == validated
+        assert not out.exists()
+
+    def test_grid_max_flag_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["run", "sorter-demo", "--grid-max", "40",
+                     "--out", str(tmp_path)])
+        assert exc.value.code == 2
+
     @pytest.mark.parametrize("text, key", [
         ("[grid]\nn_points = 1.5\n", "grid.n_points"),
         ("[run]\nsigma = abc\n", "run.sigma"),
@@ -206,7 +233,7 @@ class TestNoDensePairs:
         args = ["run", experiment, "--config", str(cfg),
                 "--out", str(tmp_path / "out")]
         if experiment.endswith("-demo"):
-            args += ["--grid-n", "801", "--grid-max", "40"]
+            args += ["--grid-n", "2001"]
         assert run_cli(args) == 0
 
     def test_refusal_is_seen(self):

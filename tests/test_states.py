@@ -166,9 +166,9 @@ class TestLossChannel:
 
     def test_one_photon_loss_bookkeeping(self, grid, pulse):
         alpha = 0.6
-        st = one_photon_state(grid, ("a",), "a", pulse)
-        st.one_photon["a"] = alpha * st.one_photon["a"]
-        st.vacuum_amp = np.sqrt(1 - alpha**2)
+        st = FewPhotonState.from_components(
+            grid, ("a",), np.sqrt(1 - alpha**2),
+            ones={"a": alpha * pulse.values})
         out = loss_channel(st, "a", 0.8)
         assert project_detection(out, {"a": 1}) == pytest.approx(
             (alpha * 0.8) ** 2, abs=1e-12)
