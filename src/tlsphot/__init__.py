@@ -40,10 +40,8 @@ from .states import (
     beamsplitter,
     fidelity,
     loss_channel,
-    one_photon_state,
     overlap,
     project_detection,
-    two_photon_state,
 )
 from .modeops import (
     PulseGateSpec,

@@ -215,12 +215,12 @@ plt.savefig("{experiment}.png", dpi=150)
 """
 
 
-def _refined_n(n_points: int | None, refine: int) -> int | None:
-    """Sample count of the default grid policy refined ``refine`` times."""
-    if refine == 1:
-        return n_points
-    base = SpectralGrid.for_pulse_width(1.0, n_points=n_points)
-    return base.refine(refine).n_points
+def _refined_n(width: float, p: TlsParams, n_points: int | None,
+               refine: int) -> int:
+    """Sample count of the policy grid of a pulse of ``width`` refined
+    ``refine`` times, so a rerun is never coarser than its base grid."""
+    grid = SpectralGrid.for_pulse_width(width, p.gamma_wg, n_points=n_points)
+    return grid.refine(refine).n_points
 
 
 def _policy_pulse(p: TlsParams, sigma: float, n_points: int | None,
@@ -232,11 +232,12 @@ def _policy_pulse(p: TlsParams, sigma: float, n_points: int | None,
     return make_pulse(PulseShape("lorentzian", sigma), grid.refine(refine))
 
 
-def _resolved_eta(p: TlsParams, sigma: float, n_points: int | None) -> float:
-    """eta at width ``sigma``, on the default grid policy if it needs one."""
+def _resolved_eta(p: TlsParams, sigma: float, n_points: int | None,
+                  refine: int = 1) -> float:
+    """eta at width ``sigma``, on its (refined) policy grid if it needs one."""
     if p.gamma_loss == 0.0:
         return eta_analytic(sigma, p.gamma_wg)
-    return eta_numeric(p, _policy_pulse(p, sigma, n_points))
+    return eta_numeric(p, _policy_pulse(p, sigma, n_points, refine))
 
 
 # -- experiment table builders --------------------------------------------
@@ -251,21 +252,23 @@ def _build_fig1b(s: _Settings):
     p = TlsParams.from_beta(s.spec.beta_values[0])
 
     def headline(refine):
-        return _resolved_eta(p, 0.5, _refined_n(s.spec.n_points, refine))
+        return _resolved_eta(p, 0.5, s.spec.n_points, refine)
 
     return columns, rows, {"eta_sigma_half": headline}
 
 
 def _build_matched_curve(s: _Settings, columns, curve, name, figure):
     """Rows of a matched-point curve; the headline evaluates ``figure``
-    (of eps_1) at the smallest matched beta."""
+    (of eps_1) at the smallest matched beta's width."""
     rows = curve(s.spec, branch=s.branch)
     betas = [r["beta"] for r in rows if r["matched"]]
     p = TlsParams.from_beta(min(betas) if betas else 1.0)
+    base = matching_sigma(p, branch=s.branch, n_points=s.spec.n_points)
 
     def headline(refine):
-        sigma = matching_sigma(p, branch=s.branch,
-                               n_points=_refined_n(s.spec.n_points, refine))
+        sigma = base if refine == 1 else matching_sigma(
+            p, branch=s.branch,
+            n_points=_refined_n(base, p, s.spec.n_points, refine))
         return figure(epsilon1_analytic(p, sigma))
 
     return columns, rows, {name: headline}
@@ -306,8 +309,10 @@ def _build_matching_points(s: _Settings):
     columns = ["branch", "sigma", "eta_at_sigma", "residual", "matched"]
 
     def headline(refine):
-        return matching_sigma(p, branch="upper",
-                              n_points=_refined_n(s.n_points, refine))
+        # the base solve raises NoCrossingError if there is no upper row
+        n_points = s.n_points if refine == 1 else _refined_n(
+            rows[-1]["sigma"], p, s.n_points, refine)
+        return matching_sigma(p, branch="upper", n_points=n_points)
 
     return columns, rows, {"sigma_upper": headline}
 

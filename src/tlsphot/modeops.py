@@ -23,14 +23,7 @@ import numpy as np
 
 from .grid import OnePhotonAmp
 from .pairs import FactoredPair, flip, project_term
-from .states import FewPhotonState, _pair_lift, _scale_rail
-
-SUM_SUFFIX = "@sum"
-
-
-def sum_rail(rail: str) -> str:
-    """Label of the sum-frequency rail fed by the pulse gate on ``rail``."""
-    return rail + SUM_SUFFIX
+from .states import FewPhotonState, _pair_lift, _scale_rail, sum_rail
 
 
 @dataclass(frozen=True)
@@ -66,14 +59,15 @@ def _single_pump(gate: PulseGateSpec, amp: FactoredPair) -> np.ndarray:
     return g - np.sum(u * g) * pump
 
 
-def _plus_outer(v, terms):
+def _plus_outer(v, terms, symmetric):
     """The pair ``v`` (None if absent) plus the terms k x (outer) y of the
-    (k, x, y) triples; ``v`` itself if every term is zero."""
+    (k, x, y) triples, exchange symmetrized if ``symmetric``; ``v`` itself
+    if every term is zero."""
     terms = [(k, x, y, None) for k, x, y in terms
              if k != 0 and np.any(x) and np.any(y)]
     if not terms:
         return v
-    new = FactoredPair(terms)
+    new = FactoredPair(terms, symmetric)
     return new if v is None else v + new
 
 
@@ -131,7 +125,8 @@ def _pump_map(state: FewPhotonState, rail: str, gate: PulseGateSpec, m,
     g) (:func:`_mapped_ones`, :func:`_mapped_terms`).  A pair on the two
     gated rails mixes only its both-in-pump coefficient u @ A @ u, through
     the bosonic pair lift.  ``extra`` maps a gated rail pair to (k, x, y)
-    terms added to its output as k x (outer) y."""
+    terms added to its output as k x (outer) y, exchange symmetrized on a
+    same-rail pair."""
     anc = sum_rail(rail)
     gated = (rail, anc)
     pump, u, _ = _gate_terms(gate)
@@ -156,7 +151,8 @@ def _pump_map(state: FewPhotonState, rail: str, gate: PulseGateSpec, m,
     for key, amp, old, new in zip(keys, amps, coefs, _pair_lift(m, *coefs)):
         delta = (new or 0.0) - (old or 0.0)
         out = out.add_pair(*key, _plus_outer(
-            amp, [(delta, pump, pump)] + (extra or {}).get(key, [])))
+            amp, [(delta, pump, pump)] + (extra or {}).get(key, []),
+            key[0] == key[1]))
     return out._pruned(state)
 
 
@@ -177,7 +173,7 @@ def sfg_extract(state: FewPhotonState, rail: str, gate: PulseGateSpec,
     anc = sum_rail(rail)
     if anc in state.one_photon or any(anc in k for k in state.two_photon):
         raise ValueError(f"sum-frequency rail {anc!r} is not empty")
-    out = state if anc in state.rails else state.with_rail(anc, "sum")
+    out = state if anc in state.rails else state.with_rail(anc)
     pump, _, m = _gate_terms(gate)
     amp = state.pair(rail, rail)
     if ideal or amp is None:
@@ -187,7 +183,8 @@ def sfg_extract(state: FewPhotonState, rail: str, gate: PulseGateSpec,
     g_perp = _single_pump(gate, amp)
     kept = (m[0, 0] - 1.0) * g_perp
     converted = np.sqrt(2.0) * m[1, 0] * g_perp
-    extra = {(rail, rail): [(1.0, pump, kept), (1.0, kept, pump)]}
+    # the symmetric term (2, pump, kept) is pump x kept + kept x pump
+    extra = {(rail, rail): [(2.0, pump, kept)]}
     if keep_single_converted:
         extra[(rail, anc)] = [(1.0, converted, pump)]
     else:

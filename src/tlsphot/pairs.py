@@ -148,27 +148,6 @@ def _merged(terms, symmetric):
     return out
 
 
-def _fold_mirrors(terms):
-    """The symmetric form of ``terms`` if they are closed under exchange
-    (every off-diagonal term (k, a, b, c) is matched by (k, b, a, c)), else
-    None.  The matched pair folds into one symmetrized term of weight 2k."""
-    left = list(terms)
-    out = []
-    while left:
-        k, a, b, c = left.pop(0)
-        if _same(a, b):
-            out.append((k, a, a, c))
-            continue
-        for i, (k2, a2, b2, c2) in enumerate(left):
-            if k2 == k and _same(a2, b) and _same(b2, a) and _same(c2, c):
-                del left[i]
-                out.append((2 * k, a, b, c))
-                break
-        else:
-            return None
-    return out
-
-
 def _memo(fn):
     """fn applied once per factor array, so factors that were one array
     stay one array (a diagonal term stays diagonal); None passes."""
@@ -189,8 +168,8 @@ class FactoredPair:
 
     With ``symmetric`` set, each term stands for its exchange-symmetrized
     form (a(x) b(y) + b(x) a(y)) c(x + y) / 2, so a same-rail pair is
-    exchange symmetric by construction; a term list closed under exchange
-    is folded into that form when the pair is built.  Terms sharing two of
+    exchange symmetric by construction.  The flag is declared by whoever
+    builds the pair, never inferred from the terms.  Terms sharing two of
     their three factors are merged, which keeps the term count bounded.
     Factor arrays are shared between pairs and never written to.
     """
@@ -199,17 +178,12 @@ class FactoredPair:
     ndim = 2
 
     def __init__(self, terms, symmetric=False):
-        terms = list(terms)
-        if not symmetric:
-            folded = _fold_mirrors(terms)
-            symmetric = folded is not None
-            terms = folded if symmetric else terms
         self.terms = tuple(_merged(terms, symmetric))
         self.symmetric = symmetric
 
     @classmethod
     def _raw(cls, terms, symmetric):
-        """Pair from terms known to need no folding or merging."""
+        """Pair from terms known to need no merging."""
         pair = cls.__new__(cls)
         pair.terms = tuple(terms)
         pair.symmetric = symmetric

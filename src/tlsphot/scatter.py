@@ -284,23 +284,22 @@ def _eta_of_sigma(p: TlsParams, sigma: float,
     return eta_numeric(p, f)
 
 
-# the top of the peak search and the first upper bracket of matching_sigma
-_SIGMA_HI = 30.0
+# matching_sigma's width range (peak search, first brackets) and root tolerance
+_SIGMA_LO, _SIGMA_HI, _XTOL = 0.01, 30.0, 1e-12
 
 
 def matching_sigma(p: TlsParams, branch: str = "upper",
-                   sigma_lo: float = 0.01, xtol: float = 1e-12,
                    n_points: int | None = None) -> float:
     """Spectral width solving the matching condition eta = eps_1^2 / 2.
 
     The mismatch eta(sigma) - eps_1(sigma)^2 / 2 is single-humped, so its
-    peak on [sigma_lo, 30] brackets one root on each side; ``branch``
+    peak on [0.01, 30] brackets one root on each side; ``branch``
     selects ``"lower"`` or ``"upper"`` (the upper crossing is the
     recommended operating point, having the smaller loss).  The lower
-    bracket steps down from the peak by factors of 4, to sigma_lo at the
+    bracket steps down from the peak by factors of 4, to 0.01 at the
     least, so the costly narrow-pulse grids are built only when the root
     lies there; the upper one starts at 30 and doubles.  Each width
-    is evaluated once per call.
+    is evaluated once per call, and the root is solved to 1e-12.
 
     Raises
     ------
@@ -317,7 +316,7 @@ def matching_sigma(p: TlsParams, branch: str = "upper",
                            - 0.5 * epsilon1_analytic(p, sigma) ** 2)
         return seen[sigma]
 
-    peak, peak_val = golden_max(mismatch, sigma_lo, _SIGMA_HI, xtol=1e-6)
+    peak, peak_val = golden_max(mismatch, _SIGMA_LO, _SIGMA_HI, xtol=1e-6)
     if peak_val <= 0.0:
         raise NoCrossingError(
             f"matching condition unreachable at beta_dir={p.beta_dir:.4f}: "
@@ -325,12 +324,12 @@ def matching_sigma(p: TlsParams, branch: str = "upper",
         )
     if branch == "lower":
         lo = peak
-        while lo > sigma_lo and mismatch(lo) > 0.0:
-            lo = max(lo / 4.0, sigma_lo)
-        return bisect(mismatch, lo, peak, xtol=xtol)
+        while lo > _SIGMA_LO and mismatch(lo) > 0.0:
+            lo = max(lo / 4.0, _SIGMA_LO)
+        return bisect(mismatch, lo, peak, xtol=_XTOL)
     hi = _SIGMA_HI
     while mismatch(hi) > 0.0:
         hi *= 2.0
         if hi > 1e6:
             raise NoCrossingError("upper matching bracket ran away")
-    return bisect(mismatch, peak, hi, xtol=xtol)
+    return bisect(mismatch, peak, hi, xtol=_XTOL)

@@ -15,6 +15,9 @@ relies on that rule: other code reads pairs with
 :meth:`FewPhotonState.pair` and writes them with
 :meth:`FewPhotonState.add_pair`, both oriented by the rails they name.
 
+A rail's carrier is read from its label: light on a sum-frequency rail
+(:func:`sum_rail`) never interferes with original-frequency light.
+
 Probability that leaks out of the tracked rails (emitter loss, loss channels,
 discarded sorter branches) accumulates in the scalar ``lost_mass``; the total
 probability including it stays 1 up to quadrature error of the two-photon
@@ -46,26 +49,47 @@ from .scatter import TlsParams, scatter_two, transfer_coeff
 
 _PRUNE_SQ = 1e-28  # drop amplitudes whose probability falls below this
 
+SUM_SUFFIX = "@sum"
+
+
+def sum_rail(rail: str) -> str:
+    """Label of the sum-frequency rail fed by the pulse gate on ``rail``
+    (quantum pulse gate: Eckstein, Brecht & Silberhorn, Opt. Express 19,
+    13770 (2011))."""
+    return rail + SUM_SUFFIX
+
+
+def is_sum_rail(rail: str) -> bool:
+    """Whether ``rail`` carries sum-frequency light."""
+    return rail.endswith(SUM_SUFFIX)
+
+
+def _dense_pair(values, a: str, b: str, n: int) -> FactoredPair:
+    """Dense pair values on rails (a, b), checked n x n, through the door."""
+    if np.shape(values) != (n, n):
+        raise ValueError(f"pair amplitude on rails ({a!r}, {b!r}) has shape "
+                         f"{np.shape(values)}, not ({n}, {n})")
+    return from_dense(values, a == b)
+
 
 class PairMap(dict):
-    """Pair amplitudes by storage key.  A value that is not a
-    :class:`~tlsphot.pairs.FactoredPair` goes through the door
-    :func:`~tlsphot.pairs.from_dense` when it is stored; a factored value
-    passes as it is.
+    """Pair amplitudes by storage key, on a grid of ``n`` samples.  A value
+    that is not a :class:`~tlsphot.pairs.FactoredPair` must be n x n and
+    goes through the door :func:`~tlsphot.pairs.from_dense` when it is
+    stored; a factored value passes as it is.
 
-    States are built with :meth:`FewPhotonState.from_components` and
-    changed only by ops that return new states; the only code left that
-    writes into a built state is the benchmark's ``ns_input``
-    (``bench/workloads.py``), whose dense pair comes through this door."""
+    Ops return new states; only the benchmark's ``ns_input``
+    (``bench/workloads.py``) still writes into a built state."""
 
-    def __init__(self, items=()):
+    def __init__(self, n: int, items=()):
         super().__init__()
+        self.n = n
         for key, values in dict(items).items():
             self[key] = values
 
     def __setitem__(self, key, values):
         if not isinstance(values, FactoredPair):
-            values = from_dense(values, key[0] == key[1])
+            values = _dense_pair(values, *key, self.n)
         super().__setitem__(key, values)
 
 
@@ -73,20 +97,18 @@ class PairMap(dict):
 class FewPhotonState:
     grid: SpectralGrid
     rails: tuple
-    carriers: dict
     vacuum_amp: complex = 0.0
     one_photon: dict = field(default_factory=dict)
-    two_photon: PairMap = field(default_factory=PairMap)
+    two_photon: PairMap = field(default_factory=dict)
     lost_mass: float = 0.0
 
     def __post_init__(self):
         if not isinstance(self.two_photon, PairMap):
-            self.two_photon = PairMap(self.two_photon)
+            self.two_photon = PairMap(self.grid.n_points, self.two_photon)
 
     @classmethod
     def from_components(cls, grid: SpectralGrid, rails, vacuum: complex = 0.0j,
-                        ones=None, pairs=None,
-                        carriers=None) -> "FewPhotonState":
+                        ones=None, pairs=None) -> "FewPhotonState":
         """State from its components, validated.
 
         ``ones`` maps a rail to its one-photon spectral values; ``pairs`` maps
@@ -99,10 +121,7 @@ class FewPhotonState:
         rails = tuple(rails)
         if len(set(rails)) != len(rails):
             raise ValueError("duplicate rail labels")
-        if carriers is None:
-            carriers = {r: "orig" for r in rails}
-        state = cls(grid=grid, rails=rails, carriers=dict(carriers),
-                    vacuum_amp=vacuum)
+        state = cls(grid=grid, rails=rails, vacuum_amp=vacuum)
         n = grid.n_points
         for rail, values in (ones or {}).items():
             state.rail_index(rail)
@@ -116,11 +135,7 @@ class FewPhotonState:
         for (a, b), values in (pairs or {}).items():
             state._key(a, b)  # an unknown rail fails before the door
             if not isinstance(values, FactoredPair):
-                if np.shape(values) != (n, n):
-                    raise ValueError(
-                        f"pair amplitude on rails ({a!r}, {b!r}) has shape "
-                        f"{np.shape(values)}, not ({n}, {n})")
-                values = from_dense(values, a == b)
+                values = _dense_pair(values, a, b, n)
             elif not has_length(values, n):
                 raise ValueError(
                     f"factored pair amplitude on rails ({a!r}, {b!r}) has a "
@@ -134,8 +149,8 @@ class FewPhotonState:
         return state
 
     @classmethod
-    def vacuum(cls, grid: SpectralGrid, rails, carriers=None) -> "FewPhotonState":
-        return cls.from_components(grid, rails, 1.0 + 0.0j, carriers=carriers)
+    def vacuum(cls, grid: SpectralGrid, rails) -> "FewPhotonState":
+        return cls.from_components(grid, rails, 1.0 + 0.0j)
 
     # -- bookkeeping helpers -------------------------------------------------
 
@@ -187,13 +202,11 @@ class FewPhotonState:
     def total_probability(self) -> float:
         return self.surviving_norm_sq() + self.lost_mass
 
-    def with_rail(self, rail: str, carrier: str) -> "FewPhotonState":
+    def with_rail(self, rail: str) -> "FewPhotonState":
         """New state with an extra (empty) rail appended."""
         if rail in self.rails:
             raise ValueError(f"rail {rail!r} already exists")
-        carriers = dict(self.carriers)
-        carriers[rail] = carrier
-        return replace(self, rails=self.rails + (rail,), carriers=carriers,
+        return replace(self, rails=self.rails + (rail,),
                        one_photon=dict(self.one_photon),
                        two_photon=dict(self.two_photon))
 
@@ -219,21 +232,6 @@ class FewPhotonState:
         twos = {k: v for k, v in self.two_photon.items()
                 if kept(k, v, parent.two_photon.get(k), self.norm2_sq)}
         return replace(self, one_photon=ones, two_photon=twos)
-
-
-def one_photon_state(grid: SpectralGrid, rails, rail: str, amp: OnePhotonAmp,
-                     carriers=None) -> FewPhotonState:
-    """Single photon with spectral amplitude ``amp`` on ``rail``."""
-    grid.require_same(amp.grid)
-    return FewPhotonState.from_components(grid, rails, ones={rail: amp.values},
-                                          carriers=carriers)
-
-
-def two_photon_state(grid: SpectralGrid, rails, rail_a: str, rail_b: str,
-                     values, carriers=None) -> FewPhotonState:
-    """Photon pair on (rail_a, rail_b); axis 0 of ``values`` belongs to rail_a."""
-    return FewPhotonState.from_components(
-        grid, rails, pairs={(rail_a, rail_b): values}, carriers=carriers)
 
 
 def _lincomb(*terms):
@@ -269,18 +267,17 @@ def beamsplitter(state: FewPhotonState, rail_i: str, rail_j: str,
     a_j -> -e^{-i phi} sin(t) a_i + cos(t) a_j, frequency-pointwise.
 
     The lift to photon pairs carries the bosonic sqrt(2) factors between
-    same-rail and cross-rail amplitudes.  Rails must share a carrier tag;
-    interference between original and sum-frequency carriers is unphysical.
+    same-rail and cross-rail amplitudes.  Rails must share a carrier
+    (:func:`is_sum_rail`): interference between original and sum-frequency
+    light is unphysical.
     """
     if rail_i == rail_j:
         raise ValueError("beamsplitter needs two distinct rails")
     state.rail_index(rail_i)
     state.rail_index(rail_j)
-    if state.carriers[rail_i] != state.carriers[rail_j]:
-        raise ValueError(
-            f"carrier mismatch: {rail_i!r} is {state.carriers[rail_i]!r}, "
-            f"{rail_j!r} is {state.carriers[rail_j]!r}"
-        )
+    if is_sum_rail(rail_i) != is_sum_rail(rail_j):
+        raise ValueError(f"carrier mismatch: {rail_i!r} and {rail_j!r} "
+                         "carry different frequencies")
     c, s = np.cos(theta), np.sin(theta)
     m_ii, m_ij = complex(c), np.exp(1j * phi) * s
     m_ji, m_jj = -np.exp(-1j * phi) * s, complex(c)

@@ -103,7 +103,6 @@ def eta(p, f) -> float:
 class DenseState:
     grid: object
     rails: tuple
-    carriers: dict
     vacuum: complex
     ones: dict = field(default_factory=dict)
     twos: dict = field(default_factory=dict)
@@ -112,8 +111,8 @@ class DenseState:
     @classmethod
     def of(cls, state) -> "DenseState":
         """The oracle copy of a library state, every pair as its array."""
-        return cls(state.grid, state.rails, dict(state.carriers),
-                   state.vacuum_amp, dict(state.one_photon),
+        return cls(state.grid, state.rails, state.vacuum_amp,
+                   dict(state.one_photon),
                    {k: np.asarray(v) for k, v in state.two_photon.items()},
                    state.lost_mass)
 
@@ -122,8 +121,7 @@ class DenseState:
         return self.grid.weights
 
     def copy(self, **changes) -> "DenseState":
-        fields = dict(grid=self.grid, rails=self.rails,
-                      carriers=dict(self.carriers), vacuum=self.vacuum,
+        fields = dict(grid=self.grid, rails=self.rails, vacuum=self.vacuum,
                       ones=dict(self.ones), twos=dict(self.twos),
                       lost=self.lost)
         fields.update(changes)
@@ -205,8 +203,14 @@ def _linear_map(st: DenseState, mixed, apply_one) -> DenseState:
     return out.pruned(st)
 
 
+def carrier(rail):
+    """Light on a rail labelled r@sum (the pulse gate's ancilla) is at the
+    sum frequency; every other rail carries the original frequency."""
+    return "sum" if rail.endswith("@sum") else "orig"
+
+
 def beamsplitter(st, i, j, theta, phi=0.0):
-    if st.carriers[i] != st.carriers[j]:
+    if carrier(i) != carrier(j):
         raise ValueError("carrier mismatch")
     c, s = np.cos(theta), np.sin(theta)
     m = {i: {i: c, j: np.exp(1j * phi) * s},
@@ -338,8 +342,7 @@ def sfg_extract(st, rail, gate, ideal=True, keep_single_converted=False):
     if anc in st.ones or any(anc in k for k in st.twos):
         raise ValueError(f"sum-frequency rail {anc!r} is not empty")
     if anc not in st.rails:
-        st = st.copy(rails=st.rails + (anc,),
-                     carriers={**st.carriers, anc: "sum"})
+        st = st.copy(rails=st.rails + (anc,))
     return _pump_gate(st, rail, gate, _gate_matrix(gate), not ideal,
                       keep_single_converted)
 

@@ -144,8 +144,8 @@ class TestNsGate:
 
     def test_lossy_single_photon_coefficient(self, circuit_grid, tls95,
                                              pulse95, sigma_up95):
-        from tlsphot.states import one_photon_state
-        st = one_photon_state(circuit_grid, ("sig",), "sig", pulse95)
+        st = FewPhotonState.from_components(
+            circuit_grid, ("sig",), ones={"sig": pulse95.values})
         out = tp.ns_gate(st, "sig", tls95, pulse95)
         ov = np.sum(circuit_grid.weights * np.conj(pulse95.values)
                     * out.one_photon["sig"])

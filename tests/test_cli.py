@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from tlsphot import cli
+from tlsphot.grid import SpectralGrid
 from tlsphot.pairs import FactoredPair
+from tlsphot.scatter import TlsParams
 
 
 def run_cli(args):
@@ -99,6 +101,28 @@ class TestRun:
         assert rc == 0
         text = (out / "sorter_demo.csv").read_text()
         assert "ancilla_one_photon_weight" in text
+
+    def test_headline_rerun_refines_the_base_grid(self, tmp_path,
+                                                  monkeypatch):
+        # the lower matched width at beta 0.95 (0.1485) needs about 10800
+        # samples on its policy grid; the rerun halves that grid's spacing
+        # instead of solving on the default policy's refined 8001
+        cfg = tmp_path / "lower.ini"
+        cfg.write_text("[sweep]\nbeta_values = 0.95\n[run]\nbranch = lower\n")
+        counts = []
+        solve = cli.matching_sigma
+
+        def spy(p, branch, n_points=None):
+            counts.append(n_points)
+            return solve(p, branch, n_points)
+
+        monkeypatch.setattr(cli, "matching_sigma", spy)
+        assert run_cli(["run", "loss-curves", "--config", str(cfg),
+                        "--out", str(tmp_path / "out")]) == 0
+        sigma = solve(TlsParams.from_beta(0.95), "lower")
+        n_base = SpectralGrid.for_pulse_width(sigma).n_points
+        assert n_base > 4001
+        assert counts == [None, 2 * (n_base - 1) + 1]
 
 
 class TestValidate:

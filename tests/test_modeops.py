@@ -10,9 +10,7 @@ from tlsphot.pairs import FactoredPair, norm_sq
 from tlsphot.states import (
     FewPhotonState,
     fidelity,
-    one_photon_state,
     project_detection,
-    two_photon_state,
 )
 
 from conftest import random_state
@@ -44,15 +42,19 @@ ANC = sum_rail("sig")
 
 class TestSfgExtract:
     def test_pump_photon_fully_converts(self, grid, pump_pulse, gate):
-        st = one_photon_state(grid, ("sig",), "sig", pump_pulse)
+        st = FewPhotonState.from_components(
+            grid, ("sig",), ones={"sig": pump_pulse.values})
         out = tp.sfg_extract(st, "sig", gate)
         assert project_detection(out, {ANC: 1}) == pytest.approx(1.0,
                                                                  abs=1e-12)
         assert project_detection(out, {"sig": 1}) < 1e-20
-        assert out.carriers[ANC] == "sum"
+        # the gate's own ancilla carries sum-frequency light
+        with pytest.raises(ValueError, match="'sig'.*'sig@sum'"):
+            tp.beamsplitter(out, "sig", ANC, np.pi / 4)
 
     def test_orthogonal_photon_untouched(self, grid, orth_pulse, gate):
-        st = one_photon_state(grid, ("sig",), "sig", orth_pulse)
+        st = FewPhotonState.from_components(
+            grid, ("sig",), ones={"sig": orth_pulse.values})
         out = tp.sfg_extract(st, "sig", gate)
         assert project_detection(out, {"sig": 1}) == pytest.approx(1.0,
                                                                    abs=1e-12)
@@ -64,7 +66,8 @@ class TestSfgExtract:
         g = tp.SpectralGrid(60.0, 1201)
         f = tp.make_pulse(tp.PulseShape("lorentzian", sigma), g)
         pair = tp.scatter_two(p, g, FactoredPair.product(f.values))
-        st = two_photon_state(g, ("sig",), "sig", "sig", pair)
+        st = FewPhotonState.from_components(
+            g, ("sig",), pairs={("sig", "sig"): pair})
         pump = tp.make_pump(p, f)
         out = tp.sfg_extract(st, "sig", pump)
         anc = sum_rail("sig")
@@ -79,7 +82,8 @@ class TestSfgExtract:
         g = tp.SpectralGrid(60.0, 1201)
         f = tp.make_pulse(tp.PulseShape("lorentzian", sigma), g)
         pair = tp.scatter_two(p, g, FactoredPair.product(f.values))
-        st = two_photon_state(g, ("sig",), "sig", "sig", pair)
+        st = FewPhotonState.from_components(
+            g, ("sig",), pairs={("sig", "sig"): pair})
         pump = tp.make_pump(p, f)
         out = tp.sfg_extract(st, "sig", pump, ideal=False)
         leak = tp.leakage_metric(pump, pair)
@@ -91,8 +95,9 @@ class TestSfgExtract:
                                                    orth_pulse, gate):
         mix = tp.normalize(tp.OnePhotonAmp(
             grid, pump_pulse.values + 0.5 * orth_pulse.values))
-        st = two_photon_state(grid, ("sig",), "sig", "sig",
-                              np.outer(mix.values, mix.values))
+        st = FewPhotonState.from_components(
+            grid, ("sig",),
+            pairs={("sig", "sig"): np.outer(mix.values, mix.values)})
         out = tp.sfg_extract(st, "sig", gate, ideal=False,
                              keep_single_converted=True)
         assert out.lost_mass == 0.0
@@ -100,15 +105,18 @@ class TestSfgExtract:
         assert project_detection(out, {"sig": 1, ANC: 1}) > 0.1
 
     def test_cross_pair_conversion(self, grid, pump_pulse, orth_pulse, gate):
-        st = two_photon_state(grid, ("sig", "spec"), "sig", "spec",
-                              np.outer(pump_pulse.values, orth_pulse.values))
+        st = FewPhotonState.from_components(
+            grid, ("sig", "spec"),
+            pairs={("sig", "spec"): np.outer(pump_pulse.values,
+                                             orth_pulse.values)})
         out = tp.sfg_extract(st, "sig", gate)
         assert project_detection(out, {ANC: 1, "spec": 1}) == pytest.approx(
             1.0, abs=1e-10)
 
     def test_efficiency_splits_amplitude(self, grid, pump_pulse):
         gate_half = tp.PulseGateSpec(pump_mode=pump_pulse, efficiency=0.6)
-        st = one_photon_state(grid, ("sig",), "sig", pump_pulse)
+        st = FewPhotonState.from_components(
+            grid, ("sig",), ones={"sig": pump_pulse.values})
         out = tp.sfg_extract(st, "sig", gate_half)
         assert project_detection(out, {ANC: 1}) == pytest.approx(0.6,
                                                                  abs=1e-12)
@@ -118,10 +126,11 @@ class TestSfgExtract:
 
 class TestSfgReverse:
     def test_extract_reverse_roundtrip(self, grid, pump_pulse, gate):
-        st = one_photon_state(grid, ("sig",), "sig", pump_pulse)
+        st = FewPhotonState.from_components(
+            grid, ("sig",), ones={"sig": pump_pulse.values})
         out = tp.sfg_reverse(tp.sfg_extract(st, "sig", gate), "sig", gate)
-        target = one_photon_state(grid, ("sig", ANC), "sig", pump_pulse,
-                                  carriers={"sig": "orig", ANC: "sum"})
+        target = FewPhotonState.from_components(
+            grid, ("sig", ANC), ones={"sig": pump_pulse.values})
         assert fidelity(out, target) == pytest.approx(1.0, abs=1e-12)
 
     def test_vacuum_passes(self, grid, gate):
@@ -130,7 +139,8 @@ class TestSfgReverse:
         assert abs(out.vacuum_amp) == pytest.approx(1.0, abs=1e-15)
 
     def test_phase_on_ancilla_survives(self, grid, pump_pulse, gate):
-        st = one_photon_state(grid, ("sig",), "sig", pump_pulse)
+        st = FewPhotonState.from_components(
+            grid, ("sig",), ones={"sig": pump_pulse.values})
         mid = tp.sfg_extract(st, "sig", gate)
         mid = tp.component_phase_loss(mid, ANC, photons=1, phase=0.77)
         out = tp.sfg_reverse(mid, "sig", gate)
@@ -139,8 +149,8 @@ class TestSfgReverse:
         assert np.angle(ov) == pytest.approx(0.77, abs=1e-12)
 
     def test_non_pump_ancilla_rejected(self, grid, orth_pulse, gate):
-        st = one_photon_state(grid, ("sig", ANC), ANC, orth_pulse,
-                              carriers={"sig": "orig", ANC: "sum"})
+        st = FewPhotonState.from_components(
+            grid, ("sig", ANC), ones={ANC: orth_pulse.values})
         with pytest.raises(ValueError, match="pump"):
             tp.sfg_reverse(st, "sig", gate)
 
@@ -157,8 +167,7 @@ class TestSfgReverse:
                   if form == "factored"
                   else np.outer(p, p) + eps * np.outer(o, p))
         st = FewPhotonState.from_components(
-            grid, ("sig", ANC), pairs={(ANC, "sig"): values},
-            carriers={"sig": "orig", ANC: "sum"})
+            grid, ("sig", ANC), pairs={(ANC, "sig"): values})
         if raises:
             with pytest.raises(ValueError, match="pump"):
                 tp.sfg_reverse(st, "sig", gate)
@@ -172,7 +181,8 @@ class TestSfgReverse:
         # tagged part of the signal amplitude carries a factor = efficiency
         e = 0.7
         gate_e = tp.PulseGateSpec(pump_mode=pump_pulse, efficiency=e)
-        st = one_photon_state(grid, ("sig",), "sig", pump_pulse)
+        st = FewPhotonState.from_components(
+            grid, ("sig",), ones={"sig": pump_pulse.values})
         mid = tp.sfg_extract(st, "sig", gate_e)
         mid = tp.component_phase_loss(mid, ANC, photons=1, phase=np.pi / 2)
         out = tp.sfg_reverse(mid, "sig", gate_e)
@@ -183,8 +193,10 @@ class TestSfgReverse:
     def test_pump_pair_round_trip_below_unit_efficiency(self, grid,
                                                          pump_pulse):
         gate_e = tp.PulseGateSpec(pump_mode=pump_pulse, efficiency=0.6)
-        st = two_photon_state(grid, ("sig",), "sig", "sig",
-                              np.outer(pump_pulse.values, pump_pulse.values))
+        st = FewPhotonState.from_components(
+            grid, ("sig",),
+            pairs={("sig", "sig"): np.outer(pump_pulse.values,
+                                            pump_pulse.values)})
         out = tp.sfg_reverse(tp.sfg_extract(st, "sig", gate_e), "sig",
                              gate_e)
         assert out.total_probability() == pytest.approx(1.0, abs=1e-12)
@@ -198,8 +210,9 @@ class TestSfgReverse:
         gate_e = tp.PulseGateSpec(pump_mode=pump_pulse, efficiency=efficiency)
         mix = tp.normalize(tp.OnePhotonAmp(
             grid, pump_pulse.values + 0.5 * orth_pulse.values))
-        st = two_photon_state(grid, ("sig",), "sig", "sig",
-                              np.outer(mix.values, mix.values))
+        st = FewPhotonState.from_components(
+            grid, ("sig",),
+            pairs={("sig", "sig"): np.outer(mix.values, mix.values)})
         mid = tp.sfg_extract(st, "sig", gate_e, ideal=False,
                              keep_single_converted=True)
         out = tp.sfg_reverse(mid, "sig", gate_e)
@@ -236,13 +249,13 @@ class TestGemInvert:
         rng = np.random.default_rng(1)
         v = rng.standard_normal(grid.n_points) + 1j * rng.standard_normal(
             grid.n_points)
-        st = one_photon_state(grid, ("sig",),
-                              "sig", tp.OnePhotonAmp(grid, v))
+        st = FewPhotonState.from_components(grid, ("sig",), ones={"sig": v})
         out = tp.gem_invert(tp.gem_invert(st))
         assert np.array_equal(out.one_photon["sig"], v)
 
     def test_even_pulse_unchanged(self, grid, pump_pulse):
-        st = one_photon_state(grid, ("sig",), "sig", pump_pulse)
+        st = FewPhotonState.from_components(
+            grid, ("sig",), ones={"sig": pump_pulse.values})
         out = tp.gem_invert(st)
         assert np.allclose(out.one_photon["sig"], pump_pulse.values,
                            atol=1e-14)
@@ -250,24 +263,28 @@ class TestGemInvert:
     def test_scatter_invert_scatter_recovers_pulse(self, grid, pump_pulse):
         # t(-d) t(d) = 1 for a lossless emitter, so the chain restores f
         p = tp.TlsParams()
-        st = one_photon_state(grid, ("sig",), "sig", pump_pulse)
+        st = FewPhotonState.from_components(
+            grid, ("sig",), ones={"sig": pump_pulse.values})
         out = tp.apply_tls(tp.gem_invert(tp.apply_tls(st, "sig", p)),
                            "sig", p)
-        target = one_photon_state(grid, ("sig",), "sig", pump_pulse)
+        target = FewPhotonState.from_components(
+            grid, ("sig",), ones={"sig": pump_pulse.values})
         assert fidelity(out, target) >= 1.0 - 1e-10
 
     def test_selective_rail_flip(self, grid, pump_pulse):
         shifted = tp.make_pulse(tp.PulseShape("lorentzian", 1.0, center=1.0),
                                 grid)
-        st = two_photon_state(grid, ("a", "b"), "a", "b",
-                              np.outer(shifted.values, shifted.values))
+        st = FewPhotonState.from_components(
+            grid, ("a", "b"),
+            pairs={("a", "b"): np.outer(shifted.values, shifted.values)})
         out = tp.gem_invert(st, "a")
         expect = np.outer(shifted.values[::-1], shifted.values)
         assert np.allclose(out.two_photon[("a", "b")], expect, atol=1e-14)
 
     def test_norm_preserved(self, grid, pump_pulse):
-        st = two_photon_state(grid, ("a",), "a", "a",
-                              np.outer(pump_pulse.values, pump_pulse.values))
+        st = FewPhotonState.from_components(
+            grid, ("a",),
+            pairs={("a", "a"): np.outer(pump_pulse.values, pump_pulse.values)})
         out = tp.gem_invert(st)
         assert out.surviving_norm_sq() == pytest.approx(
             st.surviving_norm_sq(), abs=1e-14)
@@ -276,14 +293,16 @@ class TestGemInvert:
 class TestComponentPhaseLoss:
     def test_pi_phase_negates_pair(self, grid, pump_pulse):
         arr = np.outer(pump_pulse.values, pump_pulse.values)
-        st = two_photon_state(grid, ("a",), "a", "a", arr)
+        st = FewPhotonState.from_components(
+            grid, ("a",), pairs={("a", "a"): arr})
         out = tp.component_phase_loss(st, "a", photons=2, phase=np.pi)
         assert np.allclose(out.two_photon[("a", "a")], -arr, atol=1e-15)
         assert out.lost_mass == 0.0
 
     def test_pair_transmission_squared(self, grid, pump_pulse):
         arr = np.outer(pump_pulse.values, pump_pulse.values)
-        st = two_photon_state(grid, ("a",), "a", "a", arr)
+        st = FewPhotonState.from_components(
+            grid, ("a",), pairs={("a", "a"): arr})
         out = tp.component_phase_loss(st, "a", photons=2, phase=0.0,
                                       transmission=0.8)
         assert np.allclose(out.two_photon[("a", "a")], 0.64 * arr, atol=1e-15)
@@ -293,19 +312,22 @@ class TestComponentPhaseLoss:
         p = tp.TlsParams.from_beta(0.9)
         eta2 = tp.circuits.ns_eta2(p, pump_pulse)
         arr = np.outer(pump_pulse.values, pump_pulse.values)
-        st = two_photon_state(grid, ("a",), "a", "a", arr)
+        st = FewPhotonState.from_components(
+            grid, ("a",), pairs={("a", "a"): arr})
         out = tp.component_phase_loss(st, "a", photons=2, phase=0.0,
                                       transmission=np.sqrt(eta2))
         assert np.allclose(out.two_photon[("a", "a")], eta2 * arr, atol=1e-12)
 
     def test_selects_photon_count(self, grid, pump_pulse):
-        st = one_photon_state(grid, ("a", "b"), "a", pump_pulse)
+        st = FewPhotonState.from_components(
+            grid, ("a", "b"), ones={"a": pump_pulse.values})
         out = tp.component_phase_loss(st, "a", photons=2, phase=np.pi)
         assert np.allclose(out.one_photon["a"], pump_pulse.values,
                            atol=1e-15)
 
     def test_transmission_range(self, grid, pump_pulse):
-        st = one_photon_state(grid, ("a",), "a", pump_pulse)
+        st = FewPhotonState.from_components(
+            grid, ("a",), ones={"a": pump_pulse.values})
         with pytest.raises(ValueError):
             tp.component_phase_loss(st, "a", photons=1, phase=0.0,
                                     transmission=-0.1)

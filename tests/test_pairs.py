@@ -171,13 +171,18 @@ class TestFactoredPair:
         want = sum(FactoredPair([t]).dense() for t in terms)
         assert np.allclose(pair.dense(), want, atol=TOL)
 
-    def test_mirror_terms_fold_into_symmetric_form(self):
+    def test_symmetry_is_declared_not_inferred(self):
         rng = np.random.default_rng(10)
         a, b = rvec(rng), rvec(rng)
-        pair = FactoredPair([(1.0, a, b, None), (1.0, b, a, None)])
+        # a declared term (1, a, b) stands for (a x b + b x a) / 2
+        pair = FactoredPair([(1.0, a, b, None)], symmetric=True)
         assert pair.symmetric and len(pair.terms) == 1
-        assert np.allclose(pair.dense(), np.outer(a, b) + np.outer(b, a),
-                           atol=TOL)
+        assert np.allclose(pair.dense(),
+                           0.5 * (np.outer(a, b) + np.outer(b, a)), atol=TOL)
+        # a term list closed under exchange is not flagged
+        closed = FactoredPair([(1.0, a, b, None), (1.0, b, a, None)])
+        assert not closed.symmetric and len(closed.terms) == 2
+        assert np.allclose(closed.dense(), 2.0 * pair.dense(), atol=TOL)
         assert not FactoredPair([(1.0, a, b, None)]).symmetric
 
     def test_same_rail_pair_must_be_symmetric_by_construction(self):

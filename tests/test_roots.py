@@ -141,13 +141,14 @@ class TestMatchingSolve:
         sigma = tp.matching_sigma(tp.TlsParams.from_beta(beta), branch)
         assert sigma == pytest.approx(SIGMA_LOSSY_GOLDEN[key], abs=1e-12)
 
-    def test_lower_bracket_stops_at_sigma_lo(self):
-        # with sigma_lo above the lower root the mismatch stays positive
-        # down to sigma_lo, and the solve reports no crossing there
+    def test_lower_bracket_stops_at_sigma_lo(self, monkeypatch):
+        # with the search's bottom width above the lower root the mismatch
+        # stays positive down to it, and the solve reports no crossing there
+        monkeypatch.setattr(scatter, "_SIGMA_LO", 0.2)
         p = tp.TlsParams.from_beta(0.9)
         with pytest.raises(NoCrossingError, match="no sign change"):
-            tp.matching_sigma(p, "lower", sigma_lo=0.2)
-        assert tp.matching_sigma(p, "upper", sigma_lo=0.2) == pytest.approx(
+            tp.matching_sigma(p, "lower")
+        assert tp.matching_sigma(p, "upper") == pytest.approx(
             SIGMA_LOSSY_GOLDEN[(0.9, "upper")], abs=1e-12)
 
     @pytest.mark.parametrize("beta", [0.8, 0.95])
@@ -156,8 +157,8 @@ class TestMatchingSolve:
         # returned width, as bisect promises
         p = tp.TlsParams.from_beta(beta)
         for branch in ("lower", "upper"):
-            s = tp.matching_sigma(p, branch, xtol=1e-12)
-            reach = 1e-12 + 4 * np.finfo(float).eps * s
+            s = tp.matching_sigma(p, branch)
+            reach = scatter._XTOL + 4 * np.finfo(float).eps * s
             ends = [scatter._eta_of_sigma(p, x)
                     - 0.5 * tp.epsilon1_analytic(p, x) ** 2
                     for x in (s - reach, s + reach)]

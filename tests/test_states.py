@@ -11,10 +11,9 @@ from tlsphot.states import (
     beamsplitter,
     fidelity,
     loss_channel,
-    one_photon_state,
     overlap,
     project_detection,
-    two_photon_state,
+    sum_rail,
 )
 
 from conftest import random_state
@@ -61,8 +60,9 @@ class TestFromComponents:
         n = self.GRID.n_points
         f = np.ones(n, dtype=complex)
         for pair in (FactoredPair.product(np.ones(9, dtype=complex)),
-                     FactoredPair([(1.0, f, f[:-1], None)]),
-                     FactoredPair([(1.0, f, f, np.ones(n, dtype=complex))])):
+                     FactoredPair([(1.0, f, f[:-1], None)], True),
+                     FactoredPair([(1.0, f, f, np.ones(n, dtype=complex))],
+                                  True)):
             with pytest.raises(ValueError, match=r"rails \('a', 'a'\)"):
                 FewPhotonState.from_components(self.GRID, ("a",),
                                                pairs={("a", "a"): pair})
@@ -70,14 +70,21 @@ class TestFromComponents:
         c = np.ones(2 * n - 1, dtype=complex)
         state = FewPhotonState.from_components(
             self.GRID, ("a",), pairs={("a", "a"): FactoredPair.product(f)
-                                      + FactoredPair([(1.0, f, f, c)])})
+                                      + FactoredPair([(1.0, f, f, c)], True)})
         assert state.total_probability() > 0.0
+
+    def test_direct_pair_write_shape_checked(self):
+        state = FewPhotonState.vacuum(self.GRID, ("a",))
+        with pytest.raises(ValueError,
+                           match=r"rails \('a', 'a'\).*not \(601, 601\)"):
+            state.two_photon[("a", "a")] = np.ones((9, 9))
 
 
 class TestBeamsplitter:
     def test_hong_ou_mandel(self, grid, pulse):
-        st = two_photon_state(grid, ("a", "b"), "a", "b",
-                              np.outer(pulse.values, pulse.values))
+        st = FewPhotonState.from_components(
+            grid, ("a", "b"),
+            pairs={("a", "b"): np.outer(pulse.values, pulse.values)})
         out = beamsplitter(st, "a", "b", np.pi / 4, 0.0)
         assert project_detection(out, {"a": 1, "b": 1}) < 1e-12
         assert project_detection(out, {"a": 2}) == pytest.approx(0.5,
@@ -114,21 +121,36 @@ class TestBeamsplitter:
             m = step if m is None else step @ m
         assert abs(m[0, 0]) < 1e-14 and abs(m[1, 1]) < 1e-14
 
-        st = one_photon_state(grid, ("a", "b"), "a", pulse)
+        st = FewPhotonState.from_components(
+            grid, ("a", "b"), ones={"a": pulse.values})
         out = beamsplitter(beamsplitter(st, "a", "b", np.pi / 4, 0.0),
                            "a", "b", np.pi / 4, 0.0)
-        target = one_photon_state(grid, ("a", "b"), "b", pulse)
+        target = FewPhotonState.from_components(
+            grid, ("a", "b"), ones={"b": pulse.values})
         assert fidelity(out, target) == pytest.approx(1.0, abs=1e-12)
 
     def test_carrier_mismatch_rejected(self, grid, pulse):
-        st = one_photon_state(grid, ("a", "b"), "a", pulse,
-                              carriers={"a": "orig", "b": "sum"})
-        with pytest.raises(ValueError, match="carrier"):
-            beamsplitter(st, "a", "b", np.pi / 4)
+        # a@sum carries sum-frequency light whether the state is built with
+        # it or the pulse gate adds it, and never mixes with a
+        anc = sum_rail("a")
+        st = FewPhotonState.from_components(grid, ("a", anc),
+                                            ones={"a": pulse.values})
+        gated = tp.sfg_extract(st, "a", tp.PulseGateSpec(pulse))
+        for state in (st, gated):
+            with pytest.raises(ValueError,
+                               match="carrier mismatch: 'a' and 'a@sum'"):
+                beamsplitter(state, "a", anc, np.pi / 4)
+        # two sum-frequency rails share a carrier
+        both = FewPhotonState.from_components(grid, (anc, sum_rail("b")),
+                                              ones={anc: pulse.values})
+        out = beamsplitter(both, anc, sum_rail("b"), np.pi / 4)
+        assert project_detection(out, {sum_rail("b"): 1}) == pytest.approx(
+            0.5, abs=1e-12)
 
     def test_spectator_pairs_untouched(self, grid, pulse, pulse_b):
-        st = two_photon_state(grid, ("a", "b", "c"), "b", "c",
-                              np.outer(pulse.values, pulse_b.values))
+        st = FewPhotonState.from_components(
+            grid, ("a", "b", "c"),
+            pairs={("b", "c"): np.outer(pulse.values, pulse_b.values)})
         out = beamsplitter(st, "a", "b", 0.5, 0.1)
         # photon on c never moves; total in pairs involving c conserved
         total_c = sum(out.norm2_sq(v) for k, v in out.two_photon.items()
@@ -177,14 +199,16 @@ class TestLossChannel:
         assert out.total_probability() == pytest.approx(1.0, abs=1e-12)
 
     def test_pair_gets_squared_factor(self, grid, pulse):
-        st = two_photon_state(grid, ("a",), "a", "a",
-                              np.outer(pulse.values, pulse.values))
+        st = FewPhotonState.from_components(
+            grid, ("a",),
+            pairs={("a", "a"): np.outer(pulse.values, pulse.values)})
         out = loss_channel(st, "a", 0.9)
         assert project_detection(out, {"a": 2}) == pytest.approx(
             0.9**4, abs=1e-9)
 
     def test_range_validation(self, grid, pulse):
-        st = one_photon_state(grid, ("a",), "a", pulse)
+        st = FewPhotonState.from_components(
+            grid, ("a",), ones={"a": pulse.values})
         with pytest.raises(ValueError):
             loss_channel(st, "a", 1.2)
 
@@ -192,8 +216,9 @@ class TestLossChannel:
 class TestApplyTls:
     def test_lossless_probability_conserved(self, grid, pulse):
         p = tp.TlsParams()
-        st = two_photon_state(grid, ("a",), "a", "a",
-                              np.outer(pulse.values, pulse.values))
+        st = FewPhotonState.from_components(
+            grid, ("a",),
+            pairs={("a", "a"): np.outer(pulse.values, pulse.values)})
         out = apply_tls(st, "a", p)
         assert out.total_probability() == pytest.approx(1.0, abs=5e-4)
 
@@ -201,7 +226,8 @@ class TestApplyTls:
         # 1e-5 here: this module's deliberately small grid; the tight 1e-6
         # contract is held on the default grid policy in test_scatter
         p = tp.TlsParams(gamma_loss=0.1)
-        st = one_photon_state(grid, ("a",), "a", pulse)
+        st = FewPhotonState.from_components(
+            grid, ("a",), ones={"a": pulse.values})
         out = apply_tls(st, "a", p)
         eps1 = tp.epsilon1_analytic(p, 1.0)
         assert project_detection(out, {"a": 1}) == pytest.approx(eps1,
@@ -213,8 +239,8 @@ class TestApplyTls:
         sigma = tp.matching_sigma(p, "upper")
         g = tp.SpectralGrid(60.0, 1201)
         f = tp.make_pulse(tp.PulseShape("lorentzian", sigma), g)
-        st = two_photon_state(g, ("a",), "a", "a",
-                              np.outer(f.values, f.values))
+        st = FewPhotonState.from_components(
+            g, ("a",), pairs={("a", "a"): np.outer(f.values, f.values)})
         out = apply_tls(st, "a", p)
         expect = (tp.epsilon_b_analytic(p, sigma)
                   - tp.epsilon1_analytic(p, sigma) ** 2)
@@ -223,8 +249,9 @@ class TestApplyTls:
 
     def test_cross_pair_single_factor(self, grid, pulse, pulse_b):
         p = tp.TlsParams(gamma_loss=0.2)
-        st = two_photon_state(grid, ("a", "b"), "a", "b",
-                              np.outer(pulse.values, pulse_b.values))
+        st = FewPhotonState.from_components(
+            grid, ("a", "b"),
+            pairs={("a", "b"): np.outer(pulse.values, pulse_b.values)})
         out = apply_tls(st, "a", p)
         # only the rail-a photon scatters: survival = eps1 of the a-pulse
         eps1 = tp.scatter_one(p, pulse).epsilon1
@@ -239,7 +266,8 @@ class TestDetectionAndFidelity:
         assert project_detection(st, {"a": 1}) == 0.0
 
     def test_one_photon_pattern(self, grid, pulse):
-        st = one_photon_state(grid, ("a", "b"), "a", pulse)
+        st = FewPhotonState.from_components(
+            grid, ("a", "b"), ones={"a": pulse.values})
         assert project_detection(st, {"a": 1}) == pytest.approx(1.0,
                                                                 abs=1e-12)
 
@@ -257,13 +285,17 @@ class TestDetectionAndFidelity:
     def test_orthogonal_pulses_zero(self, grid, pulse):
         odd = tp.OnePhotonAmp(grid, pulse.values * grid.samples)
         odd = tp.normalize(odd)
-        a = one_photon_state(grid, ("a",), "a", pulse)
-        b = one_photon_state(grid, ("a",), "a", odd)
+        a = FewPhotonState.from_components(
+            grid, ("a",), ones={"a": pulse.values})
+        b = FewPhotonState.from_components(
+            grid, ("a",), ones={"a": odd.values})
         assert fidelity(a, b) < 1e-20
 
     def test_overlap_linear_in_state(self, grid, pulse, pulse_b):
-        a = one_photon_state(grid, ("a",), "a", pulse)
-        b = one_photon_state(grid, ("a",), "a", pulse_b)
+        a = FewPhotonState.from_components(
+            grid, ("a",), ones={"a": pulse.values})
+        b = FewPhotonState.from_components(
+            grid, ("a",), ones={"a": pulse_b.values})
         assert overlap(a, b) == pytest.approx(
             np.conj(tp.inner1(pulse, pulse_b)), abs=1e-12)
 
