@@ -92,8 +92,16 @@ class CircuitReport:
 
 
 def make_pump(p: TlsParams, pulse: OnePhotonAmp) -> PulseGateSpec:
-    """Pulse-gate pump for sorting after one emitter pass: t(delta) f(delta)."""
-    return PulseGateSpec(pump_mode=normalize(scatter_one(p, pulse).out))
+    """Pulse-gate pump for sorting after one emitter pass: t(delta) f(delta).
+
+    t f is normalized unless its norm is within 4 eps of 1 (a lossless
+    emitter): then it is kept as it is, the scattered pair's own factor
+    bit for bit, so the pulse gate's terms merge with the pair's.
+    """
+    mode = scatter_one(p, pulse).out
+    if abs(np.sqrt(mode.norm_sq()) - 1.0) > 4.0 * np.finfo(float).eps:
+        mode = normalize(mode)
+    return PulseGateSpec(pump_mode=mode)
 
 
 def matching_residual(p: TlsParams, pulse: OnePhotonAmp) -> float:

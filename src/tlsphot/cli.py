@@ -495,6 +495,11 @@ def run(experiment: str, cfg: dict, out_dir: str) -> int:
         print(f"grid.n_points = {cfg['grid']['n_points']}: {exc}",
               file=sys.stderr)
         return 2
+    except NoCrossingError as exc:
+        # an operating point or headline needs a crossing this beta lacks
+        print(f"tls.beta = {cfg['tls']['beta']}: no {exc.branch} matching "
+              f"point: {exc}", file=sys.stderr)
+        return 2
     stem = experiment.replace("-", "_")
     try:
         write_csv(out / f"{stem}.csv", columns, rows)

@@ -40,6 +40,23 @@ DEFAULT_WINDOW_WIDTHS = 80
 DEFAULT_N_POINTS = 4001
 
 
+def policy_size(width: float, rate_scale: float = 1.0,
+                n_points: int | None = None) -> tuple[float, int]:
+    """(delta_max, n_points) of :meth:`SpectralGrid.for_pulse_width`'s grid,
+    for callers that sample only part of it."""
+    if width <= 0:
+        raise ValueError(f"width must be positive, got {width}")
+    delta_max = max(DEFAULT_WINDOW_WIDTHS * width,
+                    DEFAULT_WINDOW_WIDTHS * rate_scale)
+    if n_points is None:
+        n_points = DEFAULT_N_POINTS
+        h_needed = width / SAMPLES_PER_WIDTH
+        n_min = int(np.ceil(2.0 * delta_max / h_needed)) + 1
+        if n_min > n_points:
+            n_points = n_min + 1 if n_min % 2 == 0 else n_min
+    return delta_max, n_points
+
+
 @dataclass(frozen=True)
 class SpectralGrid:
     """Uniform detuning grid, symmetric about zero, with trapezoid weights.
@@ -90,17 +107,7 @@ class SpectralGrid:
         ``DEFAULT_N_POINTS``, increased (kept odd) when needed to satisfy the
         spacing bound h <= width/10.
         """
-        if width <= 0:
-            raise ValueError(f"width must be positive, got {width}")
-        delta_max = max(DEFAULT_WINDOW_WIDTHS * width,
-                        DEFAULT_WINDOW_WIDTHS * rate_scale)
-        if n_points is None:
-            n_points = DEFAULT_N_POINTS
-            h_needed = width / SAMPLES_PER_WIDTH
-            n_min = int(np.ceil(2.0 * delta_max / h_needed)) + 1
-            if n_min > n_points:
-                n_points = n_min + 1 if n_min % 2 == 0 else n_min
-        return cls(delta_max=delta_max, n_points=n_points)
+        return cls(*policy_size(width, rate_scale, n_points))
 
     def refine(self, factor: int = 2) -> "SpectralGrid":
         """Same window with spacing divided by ``factor`` (n -> factor*(n-1)+1)."""
@@ -144,9 +151,13 @@ class OnePhotonAmp:
 def lorentzian_values(grid: SpectralGrid, width: float,
                       center: float = 0.0) -> np.ndarray:
     """Lorentzian amplitude sqrt(2 sigma^3 / pi) / (sigma^2 + (d - d0)^2)."""
-    d = grid.samples
-    return (np.sqrt(2.0 * width**3 / np.pi)
-            / (width**2 + (d - center) ** 2)).astype(complex)
+    return lorentzian_at(grid.samples, width, center).astype(complex)
+
+
+def lorentzian_at(d: np.ndarray, width: float,
+                  center: float = 0.0) -> np.ndarray:
+    """:func:`lorentzian_values` at the detunings ``d``, as a real array."""
+    return np.sqrt(2.0 * width**3 / np.pi) / (width**2 + (d - center) ** 2)
 
 
 def gaussian_values(grid: SpectralGrid, width: float,

@@ -18,7 +18,13 @@ _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 
 
 class NoCrossingError(ValueError):
-    """The bracketed function does not change sign."""
+    """The bracketed function does not change sign.
+
+    ``branch`` names the crossing ("lower" or "upper") when
+    :func:`tlsphot.scatter.matching_sigma` raised it, and is None otherwise.
+    """
+
+    branch = None
 
 
 def bisect(fn, lo: float, hi: float, xtol: float = 1e-12,
@@ -78,18 +84,23 @@ def bisect(fn, lo: float, hi: float, xtol: float = 1e-12,
     return b
 
 
-def golden_max(fn, lo: float, hi: float, xtol: float = 1e-10):
+def golden_max(fn, lo: float, hi: float, xtol: float = 1e-10,
+               above: float = math.inf):
     """Maximum of a unimodal fn on [lo, hi]; returns (x, fn(x)).
 
     Brent's method: x lies within xtol + 2 sqrt(eps) |x| of the maximum
     (closer than sqrt(eps) |x| the values differ by rounding alone).  The
-    returned value is the one fn gave at x, not a new evaluation.
+    returned value is the one fn gave at x, not a new evaluation.  The
+    search stops early at the first x where fn(x) > ``above``, and runs to
+    the maximum if there is none.
     """
     a, b = lo, hi
     # minimize -fn; x the best point so far, w the second best, v the
     # previous w
     x = w = v = a + _GOLDEN * (b - a)
     fx = fw = fv = -fn(x)
+    if -fx > above:
+        return x, -fx
     d = e = 0.0
     while True:
         mid = 0.5 * (a + b)
@@ -121,6 +132,8 @@ def golden_max(fn, lo: float, hi: float, xtol: float = 1e-10):
             d = _GOLDEN * e
         u = x + (d if abs(d) >= tol else math.copysign(tol, d))
         fu = -fn(u)
+        if -fu > above:
+            return u, -fu
         if fu <= fx:
             if u >= x:
                 a = x

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import OnePhotonAmp, SpectralGrid, lorentzian_values, normalize
+from .grid import OnePhotonAmp, SpectralGrid, lorentzian_at, policy_size
 from .pairs import FactoredPair, _fast_len, convolve, inner, norm_sq
 from .roots import NoCrossingError, bisect, golden_max
 
@@ -276,15 +276,47 @@ def decompose(p: TlsParams, f: OnePhotonAmp) -> ScatterTwoResult:
 
 def _eta_of_sigma(p: TlsParams, sigma: float,
                   n_points: int | None = None) -> float:
-    """eta at spectral width sigma: closed form when lossless, else numeric."""
+    """eta at spectral width sigma: closed form when lossless, else numeric.
+
+    The numeric value is :func:`eta_numeric`'s for the centred Lorentzian on
+    its policy grid, computed from the M + 1 samples at delta >= 0 of that
+    n = 2M + 1 point grid.  f is real and even and t(-delta) =
+    conj t(delta), so x = -i f s and u = -i w conj(f t) s are Hermitian
+    about delta = 0: their zero-padded DFTs are real, and ``np.fft.hfft``
+    gives them from the half samples.  The spectrum at -k of a Hermitian
+    sequence is that of its conjugate, and f's spectrum F is even, so
+    eta_numeric's sum_k U(k)^2 B(-k) is -i sum_k U(k)^2 X'(k) F(k) with X'
+    the spectrum of conj(x): one real sum over three real spectra.  (The
+    shift that centres the samples cancels in it.)
+    """
     if p.gamma_loss == 0.0:
         return eta_analytic(sigma, p.gamma_wg)
-    grid = SpectralGrid.for_pulse_width(sigma, p.gamma_wg, n_points=n_points)
-    f = normalize(OnePhotonAmp(grid, lorentzian_values(grid, sigma)))
-    return eta_numeric(p, f)
+    delta_max, n = policy_size(sigma, p.gamma_wg, n_points)
+    half = n // 2
+    step = delta_max / half
+    d = step * np.arange(half + 1)
+    # the spacing SpectralGrid reports, rounded as np.linspace rounds its
+    # second sample, so that eta is eta_numeric's to rounding
+    h = (step - delta_max) + delta_max
+    w = np.full(half + 1, h)
+    w[-1] *= 0.5
+    f = lorentzian_at(d, sigma)
+    # the full grid's norm: the centre sample once, every other one twice
+    fw = w * f
+    f /= np.sqrt(2.0 * np.sum(fw * f) - fw[0] * f[0])
+    t = transfer_coeff(p, d)
+    s = _s_of_t(p, t)
+    size = _fast_len(2 * n - 1)
+    u_hat = np.fft.hfft(-1j * w * f * np.conj(t) * s, size)
+    x_hat = np.fft.hfft(1j * f * np.conj(s), size)
+    f_hat = np.fft.hfft(f, size)
+    total = np.sum(u_hat * u_hat * x_hat * f_hat)
+    kappa = 0.5 * np.sqrt(p.gamma_wg) / np.pi
+    return kappa * h / size * abs(float(total))
 
 
-# matching_sigma's width range (peak search, first brackets) and root tolerance
+# matching_sigma's width range (hump search, first brackets) and root
+# tolerance
 _SIGMA_LO, _SIGMA_HI, _XTOL = 0.01, 30.0, 1e-12
 
 
@@ -292,19 +324,25 @@ def matching_sigma(p: TlsParams, branch: str = "upper",
                    n_points: int | None = None) -> float:
     """Spectral width solving the matching condition eta = eps_1^2 / 2.
 
-    The mismatch eta(sigma) - eps_1(sigma)^2 / 2 is single-humped, so its
-    peak on [0.01, 30] brackets one root on each side; ``branch``
-    selects ``"lower"`` or ``"upper"`` (the upper crossing is the
-    recommended operating point, having the smaller loss).  The lower
-    bracket steps down from the peak by factors of 4, to 0.01 at the
-    least, so the costly narrow-pulse grids are built only when the root
-    lies there; the upper one starts at 30 and doubles.  Each width
-    is evaluated once per call, and the root is solved to 1e-12.
+    The mismatch eta(sigma) - eps_1(sigma)^2 / 2 is single-humped, so any
+    width where it is positive lies between its two roots; ``branch``
+    selects the ``"lower"`` or ``"upper"`` one (the upper crossing is the
+    recommended operating point, having the smaller loss).  A Brent search
+    for the hump on [0.01, 30] stops at the first positive width, which is
+    the near end of the bracket.  The far end is the nearest width already
+    evaluated on the branch's side whose mismatch is <= 0; if there is
+    none, the lower bracket steps down from the positive width by factors
+    of 4, to 0.01 at the least, so the costly narrow-pulse grids are built
+    only when the root lies there, and the upper one starts at 30 and
+    doubles.  Each width is evaluated once per call, and the root is solved
+    to 1e-12.
 
     Raises
     ------
     NoCrossingError
-        If the hump never reaches eps_1^2 / 2 for these emitter parameters.
+        If the hump never reaches eps_1^2 / 2 for these emitter parameters,
+        or the branch's bracket finds no sign change; its ``branch`` names
+        the branch.
     """
     if branch not in ("lower", "upper"):
         raise ValueError(f"branch must be 'lower' or 'upper', got {branch!r}")
@@ -316,20 +354,34 @@ def matching_sigma(p: TlsParams, branch: str = "upper",
                            - 0.5 * epsilon1_analytic(p, sigma) ** 2)
         return seen[sigma]
 
-    peak, peak_val = golden_max(mismatch, _SIGMA_LO, _SIGMA_HI, xtol=1e-6)
-    if peak_val <= 0.0:
-        raise NoCrossingError(
-            f"matching condition unreachable at beta_dir={p.beta_dir:.4f}: "
-            f"max(eta - eps1^2/2) = {peak_val:.3e}"
-        )
-    if branch == "lower":
-        lo = peak
-        while lo > _SIGMA_LO and mismatch(lo) > 0.0:
-            lo = max(lo / 4.0, _SIGMA_LO)
-        return bisect(mismatch, lo, peak, xtol=_XTOL)
-    hi = _SIGMA_HI
-    while mismatch(hi) > 0.0:
-        hi *= 2.0
-        if hi > 1e6:
-            raise NoCrossingError("upper matching bracket ran away")
-    return bisect(mismatch, peak, hi, xtol=_XTOL)
+    try:
+        inside, inside_val = golden_max(mismatch, _SIGMA_LO, _SIGMA_HI,
+                                        xtol=1e-6, above=0.0)
+        if inside_val <= 0.0:
+            raise NoCrossingError(
+                f"matching condition unreachable at "
+                f"beta_dir={p.beta_dir:.4f}: "
+                f"max(eta - eps1^2/2) = {inside_val:.3e}"
+            )
+        if branch == "lower":
+            below = [x for x, v in seen.items() if x < inside and v <= 0.0]
+            if below:
+                lo = max(below)
+            else:
+                lo = inside
+                while lo > _SIGMA_LO and mismatch(lo) > 0.0:
+                    lo = max(lo / 4.0, _SIGMA_LO)
+            return bisect(mismatch, lo, inside, xtol=_XTOL)
+        beyond = [x for x, v in seen.items() if x > inside and v <= 0.0]
+        if beyond:
+            hi = min(beyond)
+        else:
+            hi = _SIGMA_HI
+            while mismatch(hi) > 0.0:
+                hi *= 2.0
+                if hi > 1e6:
+                    raise NoCrossingError("upper matching bracket ran away")
+        return bisect(mismatch, inside, hi, xtol=_XTOL)
+    except NoCrossingError as exc:
+        exc.branch = branch
+        raise

@@ -224,6 +224,17 @@ class TestConfigFaults:
         assert "grid.n_points = 2001" in capsys.readouterr().err
         assert not any(out.iterdir())
 
+    def test_no_crossing_exits_2(self, tmp_path, capsys):
+        # neither branch crosses at beta 0.3: the rows record it, and the
+        # upper-branch headline cannot be solved
+        out = tmp_path / "out"
+        assert run_cli(["run", "matching-points", "--beta", "0.3",
+                        "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "tls.beta = 0.3" in err and "upper" in err
+        assert not any(out.iterdir())
+
 
 class TestCsv:
     def test_numpy_bools_written_lowercase(self, tmp_path):

@@ -589,13 +589,7 @@ def max_terms(state):
 @pytest.mark.parametrize("on_policy, loss", [
     pytest.param(False, "lossless", id="lossless"),
     pytest.param(False, "lossy", id="lossy"),
-    pytest.param(True, "lossless", id="policy-lossless",
-                 marks=pytest.mark.xfail(strict=True, reason=(
-                     "make_pump's t f / ||t f|| is the scattered factor t f "
-                     "bit for bit only when ||t f|| rounds to 1.0; on the "
-                     "policy grid (window 100.04) it is 1 - 1 ulp, so "
-                     "terms that merge on (60, 1201) stay apart and Bell "
-                     "and CZ each carry one term more"))),
+    pytest.param(True, "lossless", id="policy-lossless"),
     pytest.param(True, "lossy", id="policy-lossy"),
 ])
 def test_term_counts_stay_bounded(circuit_grid, tls0, sigma_up0, tls95,

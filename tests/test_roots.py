@@ -101,6 +101,22 @@ class TestGoldenMax:
         assert val == fn(x)
         assert counted.calls <= 60
 
+    def test_stops_above_threshold(self):
+        # a hump peaking at 0.3 with value 0.5: the first evaluated point
+        # above 0.25 is returned, before the search has converged
+        def hump(x):
+            return 0.5 - (x - 0.3) ** 2
+
+        counted = Counted(hump)
+        x, val = golden_max(counted, 0.0, 5.0, xtol=1e-6, above=0.25)
+        assert val > 0.25 and val == hump(x)
+        full = Counted(hump)
+        golden_max(full, 0.0, 5.0, xtol=1e-6)
+        assert counted.calls < full.calls
+        # with no value above the threshold the search runs to the maximum
+        x, val = golden_max(hump, 0.0, 5.0, xtol=1e-6, above=1.0)
+        assert abs(x - 0.3) <= 1e-6 and val == hump(x)
+
     def test_eta_peak(self):
         x, val = golden_max(tp.eta_analytic, 0.05, 5.0, xtol=1e-8)
         # d eta / d sigma = 0 at the peak, from the closed form's derivative
@@ -129,7 +145,7 @@ class TestMatchingSolve:
         sigma = tp.matching_sigma(p, branch)
         assert sigma == pytest.approx(SIGMA_LOSSY_GOLDEN[(0.9, branch)],
                                       abs=1e-12)
-        assert len(eta_calls) <= 35
+        assert len(eta_calls) <= 20
         # no width is evaluated twice
         assert len(set(eta_calls)) == len(eta_calls)
         # the costly narrow-pulse grid at sigma_lo is not needed here

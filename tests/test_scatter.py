@@ -3,6 +3,7 @@ import pytest
 
 import dense_oracle as oracle
 import tlsphot as tp
+from tlsphot import scatter
 from tlsphot.grid import gaussian_values, lorentzian_values
 from tlsphot.pairs import FactoredPair, inner, norm_sq
 from tlsphot.roots import NoCrossingError, golden_max
@@ -162,6 +163,23 @@ class TestEta:
         p = tp.TlsParams.from_beta(beta)
         assert tp.eta_numeric(p, f) == pytest.approx(oracle.eta(p, f),
                                                      rel=1e-12)
+        if beta < 1.0 and shape is lorentzian_values:
+            # the scalar path's half-grid kernel, on the Lorentzian's policy
+            # grid at this sample count (lossless it is the closed form)
+            g = tp.SpectralGrid.for_pulse_width(1.0, n_points=201)
+            f = tp.normalize(tp.OnePhotonAmp(g, shape(g, 1.0)))
+            assert scatter._eta_of_sigma(p, 1.0, 201) == pytest.approx(
+                oracle.eta(p, f), rel=1e-12)
+
+    @pytest.mark.parametrize("beta", [0.8, 0.9, 0.99])
+    def test_half_grid_kernel_equals_eta_numeric(self, beta):
+        # widths on both sides of the policy's two regimes: n grows below
+        # sigma = 0.4 (spacing bound), the window above 1 (80 widths)
+        p = tp.TlsParams.from_beta(beta)
+        for sigma in (0.01, 0.037, 0.13, 0.39, 0.41, 1.0, 2.7, 30.0):
+            g = tp.SpectralGrid.for_pulse_width(sigma)
+            assert scatter._eta_of_sigma(p, sigma) == pytest.approx(
+                tp.eta_numeric(p, lorentzian(g, sigma)), abs=1e-13), sigma
 
     def test_maximum_below_bound(self):
         x, val = golden_max(tp.eta_analytic, 0.05, 5.0, xtol=1e-12)
