@@ -89,6 +89,7 @@ class CircuitReport:
     fidelity_to_target: float
     lost_mass: float
     pattern_probs: dict
+    logical_amplitudes: dict | None = None
 
 
 def make_pump(p: TlsParams, pulse: OnePhotonAmp) -> PulseGateSpec:
@@ -110,6 +111,21 @@ def matching_residual(p: TlsParams, pulse: OnePhotonAmp) -> float:
     return abs(eta_numeric(p, pulse) - 0.5 * eps1**2)
 
 
+def _sorters(state: FewPhotonState, rails, p: TlsParams,
+             pulse: OnePhotonAmp) -> FewPhotonState:
+    """A sorter on each of ``rails``, all at one operating point: one
+    matching check, warned at the device's caller, and one pump."""
+    res = matching_residual(p, pulse)
+    if res > 1e-3:
+        warnings.warn(
+            f"pulse is off the sorting condition by {res:.3e}; "
+            "the pair component will partially convert", stacklevel=3)
+    pump = make_pump(p, pulse)
+    for rail in rails:
+        state = sfg_extract(apply_tls(state, rail, p), rail, pump)
+    return state
+
+
 def photon_sorter(state: FewPhotonState, rail: str, p: TlsParams,
                   pulse: OnePhotonAmp) -> FewPhotonState:
     """Emitter pass followed by the pulse gate on ``rail``.
@@ -119,13 +135,7 @@ def photon_sorter(state: FewPhotonState, rail: str, p: TlsParams,
     original frequency.  Off the matching point sorting is imperfect; a
     warning reports the residual.
     """
-    res = matching_residual(p, pulse)
-    if res > 1e-3:
-        warnings.warn(
-            f"pulse is off the sorting condition by {res:.3e}; "
-            "the pair component will partially convert", stacklevel=2)
-    out = apply_tls(state, rail, p)
-    return sfg_extract(out, rail, make_pump(p, pulse))
+    return _sorters(state, (rail,), p, pulse)
 
 
 def logical_state(grid: SpectralGrid, pulse: OnePhotonAmp,
@@ -200,8 +210,7 @@ def bell_analyzer(state: FewPhotonState, p: TlsParams,
         raise ValueError("Bell analyzer needs a two-photon dual-rail input")
     out = beamsplitter(state, "q1u", "q2u", np.pi / 4, 0.0)
     out = beamsplitter(out, "q1l", "q2l", np.pi / 4, np.pi)
-    for rail in RAILS4:
-        out = photon_sorter(out, rail, p, pulse)
+    out = _sorters(out, RAILS4, p, pulse)
     out = beamsplitter(out, "q1u", "q2u", np.pi / 4, 0.0)
     out = beamsplitter(out, "q1l", "q2l", np.pi / 4, 0.0)
     out = beamsplitter(out, "q1u", "q1l", np.pi / 4, np.pi)
@@ -230,14 +239,12 @@ def ns_eta2(p: TlsParams, pulse: OnePhotonAmp) -> float:
     """Skew-compensating pair transmission eps_1^2 / (eps_b - eps_1^2)."""
     if p.gamma_loss == 0.0:
         return 1.0
-    eps1 = scatter_one(p, pulse).epsilon1
-    eps_b = epsilon_b_numeric(p, pulse)
-    return eps1**2 / (eps_b - eps1**2)
+    eps1_sq = scatter_one(p, pulse).epsilon1 ** 2
+    return eps1_sq / (epsilon_b_numeric(p, pulse) - eps1_sq)
 
 
 def ns_gate(state: FewPhotonState, rail: str, p: TlsParams,
-            pulse: OnePhotonAmp,
-            eta2: float | None = None) -> FewPhotonState:
+            pulse: OnePhotonAmp) -> FewPhotonState:
     """Nonlinear-sign chain on one rail.
 
     Emitter pass, pulse-gate extraction of the single-photon content, a pi
@@ -246,22 +253,28 @@ def ns_gate(state: FewPhotonState, rail: str, p: TlsParams,
     emitter pass.  For a time-symmetric pulse at the matching point this
     flips the sign of the two-photon component and restores the mode shape.
     """
+    return _sign_gates(state, (rail,), p, pulse)
+
+
+def _sign_gates(state: FewPhotonState, rails, p: TlsParams,
+                pulse: OnePhotonAmp, compensate=True) -> FewPhotonState:
+    """:func:`ns_gate`'s chain on each of ``rails`` at one operating point,
+    as :func:`_sorters`: one even-pulse check, one eta2 and one pump."""
     even_dev = np.max(np.abs(pulse.values - pulse.values[::-1]))
     if even_dev > 1e-9:
         warnings.warn(
             f"pulse spectrum is not even (deviation {even_dev:.3e}); "
             "the second emitter pass will not restore the mode shape",
-            stacklevel=2)
-    if eta2 is None:
-        eta2 = ns_eta2(p, pulse)
+            stacklevel=3)
+    eta2 = ns_eta2(p, pulse) if compensate else 1.0
     pump = make_pump(p, pulse)
-    out = apply_tls(state, rail, p)
-    out = sfg_extract(out, rail, pump)
-    out = component_phase_loss(out, rail, photons=2, phase=np.pi,
-                               transmission=np.sqrt(eta2))
-    out = sfg_reverse(out, rail, pump)
-    out = gem_invert(out, rail)
-    return apply_tls(out, rail, p)
+    for rail in rails:
+        out = sfg_extract(apply_tls(state, rail, p), rail, pump)
+        out = component_phase_loss(out, rail, photons=2, phase=np.pi,
+                                   transmission=np.sqrt(eta2))
+        out = gem_invert(sfg_reverse(out, rail, pump), rail)
+        state = apply_tls(out, rail, p)
+    return state
 
 
 def cz_gate(state: FewPhotonState, p: TlsParams, pulse: OnePhotonAmp,
@@ -278,15 +291,13 @@ def cz_gate(state: FewPhotonState, p: TlsParams, pulse: OnePhotonAmp,
     if not state.two_photon or state.one_photon or abs(state.vacuum_amp) > 0:
         raise ValueError("CZ gate needs a two-photon dual-rail input")
     input_amps = logical_amplitudes(state, pulse)
-    eta2 = ns_eta2(p, pulse) if compensate else 1.0
     out = state
     if p.gamma_loss > 0.0:
         eps1_amp = scatter_one(p, pulse).epsilon1
         out = loss_channel(out, "q1u", eps1_amp)
         out = loss_channel(out, "q2l", eps1_amp)
     out = beamsplitter(out, "q1l", "q2u", np.pi / 4, 0.0)
-    out = ns_gate(out, "q1l", p, pulse, eta2=eta2)
-    out = ns_gate(out, "q2u", p, pulse, eta2=eta2)
+    out = _sign_gates(out, ("q1l", "q2u"), p, pulse, compensate)
     out = beamsplitter(out, "q1l", "q2u", -np.pi / 4, 0.0)
 
     out_amps = logical_amplitudes(out, pulse)
@@ -306,15 +317,14 @@ def cz_gate(state: FewPhotonState, p: TlsParams, pulse: OnePhotonAmp,
         ra = _QUBIT_RAILS["q1"][basis[0]]
         rb = _QUBIT_RAILS["q2"][basis[1]]
         patterns[(ra, rb)] = project_detection(out, {ra: 1, rb: 1})
-    report = CircuitReport(
+    return CircuitReport(
         output_state=out,
         success_prob=success,
         fidelity_to_target=fid,
         lost_mass=out.lost_mass,
         pattern_probs=patterns,
+        logical_amplitudes=out_amps,
     )
-    report.logical_amplitudes = out_amps
-    return report
 
 
 def success_curves(betas, branch: str = "upper",

@@ -73,14 +73,15 @@ def convolve(x, y, mode: str = "full") -> np.ndarray:
 
     ``mode`` is ``"full"`` (length len(x) + len(y) - 1) or ``"valid"`` (the
     max - min + 1 entries that need no zero padding).  Two real inputs take
-    the real transform and give a real array."""
+    the real transform and give a real array; ``y is x`` takes one forward
+    transform."""
     n = len(x) + len(y) - 1
     size = _fast_len(n)
-    if np.isrealobj(x) and np.isrealobj(y):
-        out = np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(y, size),
-                           size)[:n]
-    else:
-        out = np.fft.ifft(np.fft.fft(x, size) * np.fft.fft(y, size))[:n]
+    real = np.isrealobj(x) and np.isrealobj(y)
+    fft, ifft = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft,
+                                                          np.fft.ifft)
+    x_hat = fft(x, size)
+    out = ifft(x_hat * (x_hat if y is x else fft(y, size)), size)[:n]
     if mode == "full":
         return out
     if mode == "valid":
@@ -297,7 +298,7 @@ def _term_inner(t1, t2, w) -> complex:
     _, a1, b1, c1 = t1
     _, a2, b2, c2 = t2
     x = w * np.conj(a1) * a2
-    y = w * np.conj(b1) * b2
+    y = x if a1 is b1 and a2 is b2 else w * np.conj(b1) * b2
     if c1 is None and c2 is None:
         return np.sum(x) * np.sum(y)
     cc = c2 if c1 is None else (np.conj(c1) if c2 is None
@@ -438,13 +439,26 @@ def _dense_norm_sq(values, w, u=None, vh=None) -> float:
 
 
 def _low_rank(values, width, rng):
-    """u, s, vh with values ~ u @ diag(s) @ vh, from a Gaussian sketch of
-    ``width`` columns (randomized range finder: Halko, Martinsson & Tropp,
-    SIAM Rev. 53, 217 (2011)).  Only N x width arrays are built."""
+    """u, s, vh, values ~ u.T @ diag(s) @ vh with complex contiguous rows,
+    from a Gaussian sketch of ``width`` columns (randomized range finder:
+    Halko, Martinsson & Tropp, SIAM Rev. 53, 217 (2011)); no N x N array."""
     q, _ = np.linalg.qr(values @ rng.standard_normal((values.shape[1],
                                                        width)))
     ub, s, vh = np.linalg.svd(q.conj().T @ values, full_matrices=False)
-    return q @ ub, s, vh
+    return np.asarray(ub.T @ q.T, complex), s, np.asarray(vh, complex)
+
+
+def _door_terms(s, u, vh, align):
+    """(coef, a, b) for the first len(s) singular triples s_k, u_k, conj(v_k)
+    (rows of ``u``, ``vh``): (1, s_k u_k, conj(v_k)), or with ``align`` the
+    diagonal (e^{i phi} s_k, u_k, u_k) where |conj(v_k) - e^{i phi} u_k| <=
+    1e-10 (1 - |<u_k, conj(v_k)>| is only second order in that difference)."""
+    terms = []
+    for sk, uk, vk in zip(s, u, vh):
+        phase = np.exp(1j * np.angle(np.vdot(uk, vk)))
+        aligned = align and np.linalg.norm(vk - phase * uk) <= _DOOR_RTOL
+        terms.append((phase * sk, uk, uk) if aligned else (1.0, sk * uk, vk))
+    return terms
 
 
 def from_dense(values, symmetric: bool) -> FactoredPair:
@@ -456,7 +470,8 @@ def from_dense(values, symmetric: bool) -> FactoredPair:
     s_k u_k(x) conj(v_k)(y), A = U S V^H, widening the sketch until the
     weight the terms leave out is at most (1e-10)^2 of the array's own
     (both from the tiled norm kernel).  For a symmetric array the terms
-    are exchange symmetrized, which is exact because A = A^T.  A rank-1
+    are exchange symmetrized, exact as A = A^T, and diagonal where
+    :func:`_door_terms` aligns them and the bound still holds.  A rank-1
     input such as np.outer(f, f) comes out as one term, exact to rounding.
 
     Raises
@@ -486,12 +501,10 @@ def from_dense(values, symmetric: bool) -> FactoredPair:
         rank = max(int(np.sum(left > _DOOR_RTOL**2 * total)), 1)
         if rank > MAX_DOOR_TERMS or rank == width < n:
             continue
-        u, vh = u[:, :rank] * s[:rank], vh[:rank]
-        if _dense_norm_sq(values, w, u, vh) <= _DOOR_RTOL**2 * total:
-            # the rows of vh are conj(v_k)
-            return FactoredPair._raw(
-                [(1.0, np.array(uk, dtype=complex),
-                  np.array(vk, dtype=complex), None)
-                 for uk, vk in zip(u.T, vh)], symmetric)
+        for align in (True, False) if symmetric else (False,):
+            terms = _door_terms(s[:rank], u, vh, align)
+            k, a, b = (np.array(x) for x in zip(*terms))
+            if _dense_norm_sq(values, w, a.T * k, b) <= _DOOR_RTOL**2 * total:
+                return FactoredPair._raw([(*t, None) for t in terms], symmetric)
     raise ValueError(f"dense pair amplitude needs more than "
                      f"{MAX_DOOR_TERMS} factored terms")

@@ -102,11 +102,13 @@ def scatter_one(p: TlsParams, f: OnePhotonAmp) -> ScatterOneResult:
     return ScatterOneResult(out=out, epsilon1=eps1, lost=1.0 - eps1)
 
 
-def _factored_bound_integral(pair: FactoredPair, s: np.ndarray,
-                             h: float) -> np.ndarray:
-    """I(P) for a factored pair: a term coef a(x) b(y) c(x + y) gives
-    coef c(P) h (conv(a s, b) + conv(a, b s))(P), and a symmetrized term the
-    same, since exchanging a and b swaps the two convolutions."""
+def _bound_term(p: TlsParams, pair: FactoredPair, s: np.ndarray,
+                h: float) -> FactoredPair:
+    """The bound part (i sqrt(Gamma) / 2 pi) s(p1) s(p2) I(p1 + p2) of the
+    scattered ``pair``, as one symmetric term.  A term coef a(x) b(y) c(x + y)
+    of the pair adds coef c(P) h (conv(a s, b) + conv(a, b s))(P) to I(P),
+    and a symmetrized term the same, since exchanging a and b swaps the two
+    convolutions."""
     total = None
     for coef, a, b, c in pair.terms:
         if a is b:
@@ -118,16 +120,8 @@ def _factored_bound_integral(pair: FactoredPair, s: np.ndarray,
         if coef != 1.0:
             term *= coef
         total = term if total is None else total + term
-    return total
-
-
-def _bound_term(p: TlsParams, pair: FactoredPair, s: np.ndarray,
-                h: float) -> FactoredPair:
-    """The bound part (i sqrt(Gamma) / 2 pi) s(p1) s(p2) I(p1 + p2) of the
-    scattered ``pair``, as one symmetric term."""
     kappa = 0.5j * np.sqrt(p.gamma_wg) / np.pi
-    return FactoredPair(((1.0, s, s, kappa * _factored_bound_integral(
-        pair, s, h)),), True)
+    return FactoredPair(((1.0, s, s, kappa * total),), True)
 
 
 def scatter_two(p: TlsParams, grid: SpectralGrid,
@@ -150,10 +144,16 @@ def scatter_two(p: TlsParams, grid: SpectralGrid,
     if not pair.symmetric:
         raise ValueError("factored two-photon amplitude is not exchange "
                          "symmetric by construction")
+    linear, bound = _scattered(p, grid, pair)
+    return linear + bound
+
+
+def _scattered(p: TlsParams, grid: SpectralGrid, pair: FactoredPair):
+    """:func:`scatter_two`'s output in its two parts, the input terms times
+    t(x) t(y) and the bound term, from one evaluation of t."""
     t = transfer_coeff(p, grid.samples)
-    s = _s_of_t(p, t)
-    bound = _bound_term(p, pair, s, grid.spacing)
-    return pair.map_factors(lambda x: t * x) + bound
+    return (pair.map_factors(lambda x: t * x),
+            _bound_term(p, pair, _s_of_t(p, t), grid.spacing))
 
 
 def product_image(p: TlsParams, f: OnePhotonAmp) -> FactoredPair:
@@ -163,44 +163,18 @@ def product_image(p: TlsParams, f: OnePhotonAmp) -> FactoredPair:
 
 def bound_amplitude(p: TlsParams, f: OnePhotonAmp) -> FactoredPair:
     """Bound (spectrally entangled) part of the pair output for input f x f."""
-    grid = f.grid
-    return _bound_term(p, FactoredPair.product(f.values),
-                       s_coeff(p, grid.samples), grid.spacing)
+    return _scattered(p, f.grid, FactoredPair.product(f.values))[1]
 
 
 def eta_numeric(p: TlsParams, f: OnePhotonAmp) -> float:
-    """Distortion overlap eta = |<product image | bound>| / 2 for input f x f.
-
-    <(t f) x (t f) | bound> is the pair inner product of product_image and
-    bound_amplitude with the double sum factored through the anti-diagonal
-    reduction: kappa sum_q conv(u, u)(q) I(q) with u = w conj(t f) s and
-    I = 2 h conv(f s, f).  At one padded length L >= 2N - 1 both
-    convolutions are products of forward FFTs, and Parseval's
-    sum_q x(q) y(q) = sum_k X(k) Y(-k) / L contracts them without an
-    inverse transform: three FFTs in all.
-    """
-    grid = f.grid
-    t = transfer_coeff(p, grid.samples)
-    s = _s_of_t(p, t)
-    u = grid.weights * np.conj(f.values * t) * s
-    size = _fast_len(2 * len(u) - 1)
-    u_hat = np.fft.fft(u, size)
-    bound_hat = np.fft.fft(f.values * s, size) * np.fft.fft(f.values, size)
-    # bound_hat[-k] for k = 0 .. L - 1, as numpy wraps negative indices
-    total = np.sum(u_hat**2 * bound_hat[-np.arange(size)])
-    kappa = 0.5j * np.sqrt(p.gamma_wg) / np.pi
-    return 0.5 * abs(complex(kappa * 2.0 * grid.spacing / size * total))
+    """Distortion overlap eta = |<product image | bound>| / 2 for f x f."""
+    parts = _scattered(p, f.grid, FactoredPair.product(f.values))
+    return 0.5 * abs(inner(*parts, f.grid.weights))
 
 
 def epsilon_b_numeric(p: TlsParams, f: OnePhotonAmp) -> float:
     """Squared norm of the bound amplitude, <bound|bound>, for input f x f."""
-    grid = f.grid
-    s = s_coeff(p, grid.samples)
-    bound_i = _factored_bound_integral(FactoredPair.product(f.values), s,
-                                       grid.spacing)
-    v = grid.weights * np.abs(s) ** 2
-    scale = p.gamma_wg / (4.0 * np.pi**2)
-    return float(scale * np.sum(convolve(v, v) * np.abs(bound_i) ** 2))
+    return norm_sq(bound_amplitude(p, f), f.grid.weights)
 
 
 def eta_analytic(sigma: float, gamma_wg: float = 1.0) -> float:
@@ -256,13 +230,13 @@ class ScatterTwoResult:
 def decompose(p: TlsParams, f: OnePhotonAmp) -> ScatterTwoResult:
     """Scatter f x f and resolve the output against the product image."""
     w = f.grid.weights
-    psi_out = scatter_two(p, f.grid, FactoredPair.product(f.values))
-    eps1 = scatter_one(p, f).epsilon1
-    prod_normed = (1.0 / eps1) * product_image(p, f)
+    image, bound = _scattered(p, f.grid, FactoredPair.product(f.values))
+    psi_out = image + bound
+    prod_normed = (1.0 / scatter_one(p, f).epsilon1) * image
     along = inner(prod_normed, psi_out, w)
     out_norm_sq = norm_sq(psi_out, w)
     orth_sq = max(0.0, out_norm_sq - abs(along) ** 2)
-    c = inner(prod_normed, bound_amplitude(p, f), w)
+    c = inner(prod_normed, bound, w)
     phase_residual = abs(np.angle(-c)) if c != 0 else 0.0
     return ScatterTwoResult(
         out=psi_out,
@@ -278,16 +252,17 @@ def _eta_of_sigma(p: TlsParams, sigma: float,
                   n_points: int | None = None) -> float:
     """eta at spectral width sigma: closed form when lossless, else numeric.
 
-    The numeric value is :func:`eta_numeric`'s for the centred Lorentzian on
-    its policy grid, computed from the M + 1 samples at delta >= 0 of that
-    n = 2M + 1 point grid.  f is real and even and t(-delta) =
-    conj t(delta), so x = -i f s and u = -i w conj(f t) s are Hermitian
-    about delta = 0: their zero-padded DFTs are real, and ``np.fft.hfft``
-    gives them from the half samples.  The spectrum at -k of a Hermitian
-    sequence is that of its conjugate, and f's spectrum F is even, so
-    eta_numeric's sum_k U(k)^2 B(-k) is -i sum_k U(k)^2 X'(k) F(k) with X'
-    the spectrum of conj(x): one real sum over three real spectra.  (The
-    shift that centres the samples cancels in it.)
+    The numeric value is :func:`eta_numeric`'s kappa sum_q conv(u, u) I,
+    u = w conj(f t) s and I = 2 h conv(f s, f), for the centred Lorentzian on
+    its policy grid.  Parseval at one padded length L >= 2N - 1 makes it
+    sum_k U(k)^2 B(-k) / L, B the spectrum of conv(f s, f), computed from
+    the M + 1 samples at delta >= 0 of the n = 2M + 1 point grid: f is real
+    and even and t(-delta) = conj t(delta), so x = -i f s and -i u are
+    Hermitian about delta = 0, their zero-padded DFTs real (``np.fft.hfft``).
+    The spectrum at -k of a Hermitian sequence is that of its conjugate and
+    F, f's, is even, so the sum is -i sum_k U(k)^2 X'(k) F(k), X' the
+    spectrum of conj(x): one real sum over three real spectra, in which the
+    shift that centres the samples cancels.
     """
     if p.gamma_loss == 0.0:
         return eta_analytic(sigma, p.gamma_wg)

@@ -113,6 +113,35 @@ class TestBellAnalyzer:
         with pytest.raises(ValueError):
             tp.bell_analyzer(st, tls0, pulse0)
 
+    def test_off_matching_warns_once(self, circuit_grid, tls0):
+        # the four sorters share one matching check, which warns at the
+        # analyzer's caller
+        pulse = tp.make_pulse(tp.PulseShape("lorentzian", 2.0), circuit_grid)
+        st = tp.bell_state(circuit_grid, pulse, "psi+")
+        with pytest.warns(UserWarning, match="sorting") as record:
+            tp.bell_analyzer(st, tls0, pulse)
+        assert len(record) == 1
+        assert record[0].filename == __file__
+
+    def test_one_operating_point_per_call(self, monkeypatch, circuit_grid,
+                                          tls0, pulse0):
+        calls = count_calls(monkeypatch, "matching_residual", "make_pump")
+        tp.bell_analyzer(tp.bell_state(circuit_grid, pulse0, "phi+"), tls0,
+                         pulse0)
+        assert calls == {"matching_residual": 1, "make_pump": 1}
+
+
+def count_calls(monkeypatch, *names):
+    """Counts of calls to the named ``circuits`` functions, kept up to date
+    as the patched functions run."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(tp.circuits, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(tp.circuits, name, counted)
+    return calls
+
 
 class TestNsGate:
     def test_sign_flip_fidelity(self, circuit_grid, tls0, pulse0):
@@ -222,6 +251,27 @@ class TestCzGate:
         st = FewPhotonState.vacuum(circuit_grid, tp.RAILS4)
         with pytest.raises(ValueError):
             tp.cz_gate(st, tls0, pulse0)
+
+    def test_uneven_pulse_warns_once(self, circuit_grid, tls0):
+        # the two sign gates share one even-pulse check
+        pulse = tp.make_pulse(tp.PulseShape("lorentzian", 1.25, center=0.5),
+                              circuit_grid)
+        st = tp.logical_state(circuit_grid, pulse, {(0, 1): 1.0})
+        with pytest.warns(UserWarning, match="even") as record:
+            tp.cz_gate(st, tls0, pulse)
+        assert len(record) == 1
+        assert record[0].filename == __file__
+
+    def test_one_pump_per_call(self, monkeypatch, circuit_grid, tls95,
+                               pulse95):
+        calls = count_calls(monkeypatch, "make_pump", "ns_eta2")
+        tp.cz_gate(tp.logical_state(circuit_grid, pulse95, {(0, 1): 1.0}),
+                   tls95, pulse95)
+        assert calls == {"make_pump": 1, "ns_eta2": 1}
+
+    def test_report_fields(self, cz_super_report0, bell_reports0):
+        assert set(cz_super_report0.logical_amplitudes) == set(LOGICAL_BASIS)
+        assert bell_reports0["psi+"].logical_amplitudes is None
 
 
 def reference_amplitudes(state, pulse):

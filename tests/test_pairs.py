@@ -268,6 +268,30 @@ class TestDoor:
         u = grid.weights * np.conj(f)
         assert abs(u @ pair @ u - 1.0) < 1e-14
 
+    def test_symmetric_product_is_one_diagonal_term(self):
+        f = PUMP.values
+        pair = pairs.from_dense(np.outer(f, f), True)
+        (_, a, b, c), = pair.terms
+        assert a is b and c is None
+        assert len(pair.expanded()) == 1
+
+    @pytest.mark.parametrize("case", ["distinct", "degenerate"])
+    def test_symmetric_rank2_is_certified(self, case):
+        # distinct singular values give two diagonal terms; equal ones leave
+        # the singular vectors unaligned, and the terms stay symmetrized
+        rng = np.random.default_rng(2)
+        a, b = np.linalg.qr(np.stack([rvec(rng), rvec(rng)], axis=1))[0].T
+        if case == "distinct":
+            values = 2.0 * np.outer(a, a) + 0.5j * np.outer(b, b)
+        else:
+            values = np.outer(a, b) + np.outer(b, a)
+        pair = pairs.from_dense(values, True)
+        assert len(pair.terms) == 2
+        assert all((x is y) == (case == "distinct")
+                   for _, x, y, _ in pair.terms)
+        missed = np.sum(np.abs(pair.dense() - values) ** 2)
+        assert missed <= pairs._DOOR_RTOL**2 * np.sum(np.abs(values) ** 2)
+
     def test_checks_run_before_factorization(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("factorized an invalid array")

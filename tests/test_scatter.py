@@ -173,8 +173,10 @@ class TestEta:
 
     @pytest.mark.parametrize("beta", [0.8, 0.9, 0.99])
     def test_half_grid_kernel_equals_eta_numeric(self, beta):
-        # widths on both sides of the policy's two regimes: n grows below
-        # sigma = 0.4 (spacing bound), the window above 1 (80 widths)
+        # eta_numeric is the pair algebra's inner product (pairs.convolve),
+        # which shares no FFT code with the kernel.  Widths on both sides of
+        # the policy's two regimes: n grows below sigma = 0.4 (spacing
+        # bound), the window above 1 (80 widths)
         p = tp.TlsParams.from_beta(beta)
         for sigma in (0.01, 0.037, 0.13, 0.39, 0.41, 1.0, 2.7, 30.0):
             g = tp.SpectralGrid.for_pulse_width(sigma)
