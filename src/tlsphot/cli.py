@@ -58,7 +58,7 @@ EXPERIMENTS = ("fig1b", "loss-curves", "fig3", "matching-points",
 
 DEFAULTS = {
     "grid": {"n_points": "auto"},
-    "tls": {"beta": "1.0", "gamma_wg": "1.0"},
+    "tls": {"beta": "1.0"},
     "sweep": {"beta_values": "1.0, 0.95, 0.90", "sigma_min": "0.02",
               "sigma_max": "5.0", "sigma_count": "120"},
     "run": {"branch": "upper", "sigma": "auto"},
@@ -138,10 +138,7 @@ def _parse(cfg: dict):
 
     n_points = field("grid", "n_points", auto(
         lambda raw: SpectralGrid(1.0, int(raw)).n_points))
-    gamma_wg = field("tls", "gamma_wg",
-                     lambda raw: TlsParams(gamma_wg=float(raw)).gamma_wg)
-    p = field("tls", "beta", lambda raw: TlsParams.from_beta(
-        float(raw), gamma_wg=gamma_wg or 1.0))
+    p = field("tls", "beta", lambda raw: TlsParams.from_beta(float(raw)))
     betas = field("sweep", "beta_values", lambda raw: SweepSpec(
         beta_values=tuple(float(b) for b in raw.split(","))).beta_values)
     sigma_min = field("sweep", "sigma_min", float)
@@ -165,7 +162,7 @@ def _parse(cfg: dict):
                                f"sweep.sigma_max = {sigma_max}: {exc}")
     if None not in (n_points, sigma, p):
         try:
-            _policy_pulse(p, sigma, n_points)
+            _policy_pulse(sigma, n_points)
         except ResolutionError as exc:
             diagnostics.append(f"grid.n_points = {n_points}, run.sigma = "
                                f"{sigma}: grid resolution: {exc}")
@@ -215,29 +212,26 @@ plt.savefig("{experiment}.png", dpi=150)
 """
 
 
-def _refined_n(width: float, p: TlsParams, n_points: int | None,
-               refine: int) -> int:
-    """Sample count of the policy grid of a pulse of ``width`` refined
-    ``refine`` times, so a rerun is never coarser than its base grid."""
-    grid = SpectralGrid.for_pulse_width(width, p.gamma_wg, n_points=n_points)
-    return grid.refine(refine).n_points
+def _policy_grid(width: float, n_points: int | None, refine: int = 1):
+    """The default-policy grid of a pulse of ``width`` with its spacing
+    divided by ``refine``, so a rerun is never coarser than its base grid."""
+    return SpectralGrid.for_pulse_width(width, n_points).refine(refine)
 
 
-def _policy_pulse(p: TlsParams, sigma: float, n_points: int | None,
-                  refine: int = 1):
-    """Lorentzian pulse of width ``sigma`` on the default grid policy, with
-    its spacing divided by ``refine``; unlike the root finder's
-    evaluations, this refuses a grid that does not resolve the pulse."""
-    grid = SpectralGrid.for_pulse_width(sigma, p.gamma_wg, n_points=n_points)
-    return make_pulse(PulseShape("lorentzian", sigma), grid.refine(refine))
+def _policy_pulse(sigma: float, n_points: int | None, refine: int = 1):
+    """Lorentzian pulse of width ``sigma`` on its :func:`_policy_grid`;
+    unlike the root finder's evaluations, this refuses a grid that does not
+    resolve the pulse."""
+    return make_pulse(PulseShape("lorentzian", sigma),
+                      _policy_grid(sigma, n_points, refine))
 
 
 def _resolved_eta(p: TlsParams, sigma: float, n_points: int | None,
                   refine: int = 1) -> float:
     """eta at width ``sigma``, on its (refined) policy grid if it needs one."""
     if p.gamma_loss == 0.0:
-        return eta_analytic(sigma, p.gamma_wg)
-    return eta_numeric(p, _policy_pulse(p, sigma, n_points, refine))
+        return eta_analytic(sigma)
+    return eta_numeric(p, _policy_pulse(sigma, n_points, refine))
 
 
 # -- experiment table builders --------------------------------------------
@@ -268,7 +262,7 @@ def _build_matched_curve(s: _Settings, columns, curve, name, figure):
     def headline(refine):
         sigma = base if refine == 1 else matching_sigma(
             p, branch=s.branch,
-            n_points=_refined_n(base, p, s.spec.n_points, refine))
+            n_points=_policy_grid(base, s.spec.n_points, refine).n_points)
         return figure(epsilon1_analytic(p, sigma))
 
     return columns, rows, {name: headline}
@@ -310,8 +304,8 @@ def _build_matching_points(s: _Settings):
 
     def headline(refine):
         # the base solve raises NoCrossingError if there is no upper row
-        n_points = s.n_points if refine == 1 else _refined_n(
-            rows[-1]["sigma"], p, s.n_points, refine)
+        n_points = s.n_points if refine == 1 else _policy_grid(
+            rows[-1]["sigma"], s.n_points, refine).n_points
         return matching_sigma(p, branch="upper", n_points=n_points)
 
     return columns, rows, {"sigma_upper": headline}
@@ -445,12 +439,12 @@ def _build_demo(experiment: str, s: _Settings):
     sigma = s.sigma
     if sigma is None:
         sigma = matching_sigma(s.p, branch=s.branch)
-    rows, base = demo_rows(s, sigma, _policy_pulse(s.p, sigma, s.n_points))
+    rows, base = demo_rows(s, sigma, _policy_pulse(sigma, s.n_points))
 
     def headline(refine):
         if refine == 1:
             return base
-        pulse = _policy_pulse(s.p, sigma, s.n_points, refine)
+        pulse = _policy_pulse(sigma, s.n_points, refine)
         return demo_rows(s, sigma, pulse)[1]
 
     return columns, rows, {name: headline}

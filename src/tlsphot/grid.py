@@ -1,12 +1,12 @@
 """Detuning-space discretization and one/two-photon spectral amplitudes.
 
 Everything works in the detuning variable ``delta = c*k - omega_0`` measured
-in units of the waveguide coupling rate (Gamma = 1 by default).  Pulses and
-photon amplitudes are sampled on a uniform grid, symmetric about delta = 0 so
-that the time-reversal map delta -> -delta permutes samples.  Inner products
-are trapezoid-rule quadratures; accuracy is controlled by the resolution
-bounds checked in :func:`make_pulse` and by grid-refinement checks rather
-than by higher-order rules.  Photon-pair amplitudes live in
+in units of the waveguide coupling rate Gamma (the unit, not a parameter).
+Pulses and photon amplitudes are sampled on a uniform grid, symmetric about
+delta = 0 so that the time-reversal map delta -> -delta permutes samples.
+Inner products are trapezoid-rule quadratures; accuracy is controlled by the
+resolution bounds checked in :func:`make_pulse` and by grid-refinement
+checks rather than by higher-order rules.  Photon-pair amplitudes live in
 :mod:`tlsphot.pairs` and take the grid's weights where they need them.
 """
 
@@ -40,20 +40,26 @@ DEFAULT_WINDOW_WIDTHS = 80
 DEFAULT_N_POINTS = 4001
 
 
-def policy_size(width: float, rate_scale: float = 1.0,
+def _check_n_points(n_points: int) -> None:
+    if n_points < 3 or n_points % 2 == 0:
+        raise ValueError(f"n_points must be odd and >= 3, got {n_points}")
+
+
+def policy_size(width: float,
                 n_points: int | None = None) -> tuple[float, int]:
     """(delta_max, n_points) of :meth:`SpectralGrid.for_pulse_width`'s grid,
-    for callers that sample only part of it."""
+    for callers that sample only part of it; it refuses the sizes
+    :class:`SpectralGrid` refuses."""
     if width <= 0:
         raise ValueError(f"width must be positive, got {width}")
-    delta_max = max(DEFAULT_WINDOW_WIDTHS * width,
-                    DEFAULT_WINDOW_WIDTHS * rate_scale)
+    delta_max = DEFAULT_WINDOW_WIDTHS * max(width, 1.0)
     if n_points is None:
         n_points = DEFAULT_N_POINTS
         h_needed = width / SAMPLES_PER_WIDTH
         n_min = int(np.ceil(2.0 * delta_max / h_needed)) + 1
         if n_min > n_points:
             n_points = n_min + 1 if n_min % 2 == 0 else n_min
+    _check_n_points(n_points)
     return delta_max, n_points
 
 
@@ -78,10 +84,7 @@ class SpectralGrid:
     def __post_init__(self):
         if self.delta_max <= 0:
             raise ValueError(f"delta_max must be positive, got {self.delta_max}")
-        if self.n_points < 3 or self.n_points % 2 == 0:
-            raise ValueError(
-                f"n_points must be odd and >= 3, got {self.n_points}"
-            )
+        _check_n_points(self.n_points)
         samples = np.linspace(-self.delta_max, self.delta_max, self.n_points)
         h = samples[1] - samples[0]
         weights = np.full(self.n_points, h)
@@ -99,15 +102,15 @@ class SpectralGrid:
         return -self.delta_max
 
     @classmethod
-    def for_pulse_width(cls, width: float, rate_scale: float = 1.0,
+    def for_pulse_width(cls, width: float,
                         n_points: int | None = None) -> "SpectralGrid":
         """Default grid policy for a pulse of spectral width ``width``.
 
-        The window is max(80*width, 80*rate_scale) and the sample count is
-        ``DEFAULT_N_POINTS``, increased (kept odd) when needed to satisfy the
-        spacing bound h <= width/10.
+        The window is 80 * max(width, 1), so at least 80 Gamma, and the
+        sample count is ``DEFAULT_N_POINTS``, increased (kept odd) when
+        needed to satisfy the spacing bound h <= width/10.
         """
-        return cls(*policy_size(width, rate_scale, n_points))
+        return cls(*policy_size(width, n_points))
 
     def refine(self, factor: int = 2) -> "SpectralGrid":
         """Same window with spacing divided by ``factor`` (n -> factor*(n-1)+1)."""

@@ -362,21 +362,6 @@ def flip(values: FactoredPair, flips) -> FactoredPair:
     return values.map_factors(*(_reversed if f else _keep for f in flips))
 
 
-def has_length(values: FactoredPair, n: int) -> bool:
-    """Whether every term's ``a`` and ``b`` hold n entries and its ``c``
-    2n - 1."""
-    return all(np.shape(a) == np.shape(b) == (n,)
-               and (c is None or np.shape(c) == (2 * n - 1,))
-               for _, a, b, c in values.terms)
-
-
-def is_finite(values: FactoredPair) -> bool:
-    """Whether every coefficient and factor is finite."""
-    return all(np.isfinite(k) and all(np.isfinite(x).all()
-                                      for x in (a, b, c) if x is not None)
-               for k, a, b, c in values.terms)
-
-
 # -- the door for dense input --------------------------------------------------
 
 

@@ -3,19 +3,20 @@
 A two-level emitter chirally coupled to a waveguide transmits a monochromatic
 photon with the coefficient
 
-    t(delta) = (delta + i(gamma - Gamma)/2) / (delta + i(gamma + Gamma)/2),
+    t(delta) = (delta + i(gamma - 1)/2) / (delta + i(gamma + 1)/2),
 
-where Gamma is the coupling to the guided mode, gamma the loss rate into all
-other modes, and delta the detuning from resonance.  Photon pairs acquire in
-addition a spectrally entangled ("bound") component generated by the kernel
+where gamma is the loss rate into all other modes and delta the detuning
+from resonance, both in units of the coupling Gamma to the guided mode (the
+unit, not a parameter).  Photon pairs acquire in addition a spectrally
+entangled ("bound") component generated by the kernel
 
-    T = (i sqrt(Gamma) / 2 pi) delta(k1 + k2 - p1 - p2) s(p1) s(p2)
-        (s(k1) + s(k2)),          s(delta) = (1 - t(delta)) / (i sqrt(Gamma)).
+    T = (i / 2 pi) delta(k1 + k2 - p1 - p2) s(p1) s(p2) (s(k1) + s(k2)),
+    s(delta) = (1 - t(delta)) / i.
 
 The momentum-conserving delta function is consumed analytically: outputs are
 parametrized by the total detuning P = p1 + p2 and the bound term reduces to
 
-    out_b(p1, p2) = (i sqrt(Gamma) / 2 pi) s(p1) s(p2) I(P),
+    out_b(p1, p2) = (i / 2 pi) s(p1) s(p2) I(P),
     I(P) = integral dk psi(k, P - k) [s(k) + s(P - k)],
 
 an anti-diagonal sum over psi.  For a pair held as a sum of terms
@@ -40,18 +41,16 @@ from .roots import NoCrossingError, bisect, golden_max
 
 @dataclass(frozen=True)
 class TlsParams:
-    """Emitter rates: waveguide coupling Gamma and residual loss gamma.
+    """Emitter loss rate gamma, in units of the waveguide coupling Gamma.
 
-    The directional beta factor beta_dir = Gamma / (gamma + Gamma) is 1 for a
+    Build one as ``TlsParams(gamma_loss=...)`` or ``TlsParams.from_beta``.
+    The directional beta factor beta_dir = 1 / (gamma + 1) is 1 for a
     lossless scatterer.
     """
 
-    gamma_wg: float = 1.0
     gamma_loss: float = 0.0
 
     def __post_init__(self):
-        if self.gamma_wg <= 0:
-            raise ValueError(f"gamma_wg must be positive, got {self.gamma_wg}")
         if self.gamma_loss < 0:
             raise ValueError(
                 f"gamma_loss must be non-negative, got {self.gamma_loss}"
@@ -59,30 +58,30 @@ class TlsParams:
 
     @property
     def beta_dir(self) -> float:
-        return self.gamma_wg / (self.gamma_loss + self.gamma_wg)
+        return 1.0 / (self.gamma_loss + 1.0)
 
     @classmethod
-    def from_beta(cls, beta: float, gamma_wg: float = 1.0) -> "TlsParams":
+    def from_beta(cls, beta: float) -> "TlsParams":
         if not 0.0 < beta <= 1.0:
             raise ValueError(f"beta_dir must be in (0, 1], got {beta}")
-        return cls(gamma_wg=gamma_wg, gamma_loss=gamma_wg * (1.0 / beta - 1.0))
+        return cls(gamma_loss=1.0 / beta - 1.0)
 
 
 def transfer_coeff(p: TlsParams, delta):
     """Single-photon transmission t(delta); vectorized over delta."""
-    num = delta + 0.5j * (p.gamma_loss - p.gamma_wg)
-    den = delta + 0.5j * (p.gamma_loss + p.gamma_wg)
+    num = delta + 0.5j * (p.gamma_loss - 1.0)
+    den = delta + 0.5j * (p.gamma_loss + 1.0)
     return num / den
 
 
 def s_coeff(p: TlsParams, delta):
-    """Scattering amplitude s(delta) = (1 - t(delta)) / (i sqrt(Gamma))."""
-    return _s_of_t(p, transfer_coeff(p, delta))
+    """Scattering amplitude s(delta) = (1 - t(delta)) / i."""
+    return _s_of_t(transfer_coeff(p, delta))
 
 
-def _s_of_t(p: TlsParams, t):
+def _s_of_t(t):
     """s(delta) from the transmission t(delta) already computed there."""
-    return (1.0 - t) / (1j * np.sqrt(p.gamma_wg))
+    return (1.0 - t) / 1j
 
 
 @dataclass
@@ -102,9 +101,8 @@ def scatter_one(p: TlsParams, f: OnePhotonAmp) -> ScatterOneResult:
     return ScatterOneResult(out=out, epsilon1=eps1, lost=1.0 - eps1)
 
 
-def _bound_term(p: TlsParams, pair: FactoredPair, s: np.ndarray,
-                h: float) -> FactoredPair:
-    """The bound part (i sqrt(Gamma) / 2 pi) s(p1) s(p2) I(p1 + p2) of the
+def _bound_term(pair: FactoredPair, s: np.ndarray, h: float) -> FactoredPair:
+    """The bound part (i / 2 pi) s(p1) s(p2) I(p1 + p2) of the
     scattered ``pair``, as one symmetric term.  A term coef a(x) b(y) c(x + y)
     of the pair adds coef c(P) h (conv(a s, b) + conv(a, b s))(P) to I(P),
     and a symmetrized term the same, since exchanging a and b swaps the two
@@ -120,7 +118,7 @@ def _bound_term(p: TlsParams, pair: FactoredPair, s: np.ndarray,
         if coef != 1.0:
             term *= coef
         total = term if total is None else total + term
-    kappa = 0.5j * np.sqrt(p.gamma_wg) / np.pi
+    kappa = 0.5j / np.pi
     return FactoredPair(((1.0, s, s, kappa * total),), True)
 
 
@@ -131,7 +129,7 @@ def scatter_two(p: TlsParams, grid: SpectralGrid,
     Returns the full (unnormalized) output amplitude
 
         out(p1, p2) = t(p1) t(p2) psi(p1, p2)
-                      + (i sqrt(Gamma) / 2 pi) s(p1) s(p2) I(p1 + p2)
+                      + (i / 2 pi) s(p1) s(p2) I(p1 + p2)
 
     as the input terms times t(x) t(y) plus the bound part as one more
     term, with I from 1-D convolutions.
@@ -153,7 +151,7 @@ def _scattered(p: TlsParams, grid: SpectralGrid, pair: FactoredPair):
     t(x) t(y) and the bound term, from one evaluation of t."""
     t = transfer_coeff(p, grid.samples)
     return (pair.map_factors(lambda x: t * x),
-            _bound_term(p, pair, _s_of_t(p, t), grid.spacing))
+            _bound_term(pair, _s_of_t(t), grid.spacing))
 
 
 def product_image(p: TlsParams, f: OnePhotonAmp) -> FactoredPair:
@@ -177,31 +175,29 @@ def epsilon_b_numeric(p: TlsParams, f: OnePhotonAmp) -> float:
     return norm_sq(bound_amplitude(p, f), f.grid.weights)
 
 
-def eta_analytic(sigma: float, gamma_wg: float = 1.0) -> float:
+def eta_analytic(sigma: float) -> float:
     """Closed-form eta for a resonant Lorentzian pulse, lossless emitter."""
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    g = gamma_wg
-    return (4 * g**2 * sigma * (3 * g**2 + 38 * g * sigma + 96 * sigma**2)
-            / ((g + 2 * sigma) ** 3 * (3 * g + 2 * sigma) * (g + 6 * sigma)))
+    return (4 * sigma * (3 + 38 * sigma + 96 * sigma**2)
+            / ((1 + 2 * sigma) ** 3 * (3 + 2 * sigma) * (1 + 6 * sigma)))
 
 
 def epsilon1_analytic(p: TlsParams, sigma: float) -> float:
     """Closed-form single-photon survival for a resonant Lorentzian pulse."""
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    g, G = p.gamma_loss, p.gamma_wg
-    return 1.0 - 4 * g * G * (g + G + 4 * sigma) / (
-        (g + G) * (g + G + 2 * sigma) ** 2)
+    g = p.gamma_loss
+    return 1.0 - 4 * g * (g + 1.0 + 4 * sigma) / (
+        (g + 1.0) * (g + 1.0 + 2 * sigma) ** 2)
 
 
 def epsilon_b_analytic(p: TlsParams, sigma: float) -> float:
     """Closed-form <bound|bound> for a resonant Lorentzian pulse."""
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    G = p.gamma_loss + p.gamma_wg
-    g = p.gamma_wg
-    return (16 * g**4 * sigma * (38 * sigma * G + 3 * G**2 + 96 * sigma**2)
+    G = p.gamma_loss + 1.0
+    return (16 * sigma * (38 * sigma * G + 3 * G**2 + 96 * sigma**2)
             / (G**2 * (G + 2 * sigma) ** 3 * (3 * G + 2 * sigma)
                * (G + 6 * sigma)))
 
@@ -265,8 +261,8 @@ def _eta_of_sigma(p: TlsParams, sigma: float,
     shift that centres the samples cancels.
     """
     if p.gamma_loss == 0.0:
-        return eta_analytic(sigma, p.gamma_wg)
-    delta_max, n = policy_size(sigma, p.gamma_wg, n_points)
+        return eta_analytic(sigma)
+    delta_max, n = policy_size(sigma, n_points)
     half = n // 2
     step = delta_max / half
     d = step * np.arange(half + 1)
@@ -280,13 +276,13 @@ def _eta_of_sigma(p: TlsParams, sigma: float,
     fw = w * f
     f /= np.sqrt(2.0 * np.sum(fw * f) - fw[0] * f[0])
     t = transfer_coeff(p, d)
-    s = _s_of_t(p, t)
+    s = _s_of_t(t)
     size = _fast_len(2 * n - 1)
     u_hat = np.fft.hfft(-1j * w * f * np.conj(t) * s, size)
     x_hat = np.fft.hfft(1j * f * np.conj(s), size)
     f_hat = np.fft.hfft(f, size)
     total = np.sum(u_hat * u_hat * x_hat * f_hat)
-    kappa = 0.5 * np.sqrt(p.gamma_wg) / np.pi
+    kappa = 0.5 / np.pi
     return kappa * h / size * abs(float(total))
 
 

@@ -9,6 +9,8 @@ a unit mode f on one rail has amplitude f(x) f(y)).  A pair amplitude is a
 factored sum of terms a(x) b(y) c(x + y) (:mod:`tlsphot.pairs`); a dense
 N x N array given to :meth:`FewPhotonState.from_components` or written into
 ``two_photon`` goes through the door :func:`tlsphot.pairs.from_dense` once.
+A write into a built state's ``one_photon`` or ``two_photon`` gets the
+checks ``from_components`` makes.
 For a cross-rail pair (r, s) with r before s in the rail order, axis 0 of
 the stored pair belongs to the photon on r.  Only :class:`FewPhotonState`
 relies on that rule: other code reads pairs with
@@ -30,6 +32,7 @@ and an operation norms (to prune near-zero amplitudes) only those it writes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -38,9 +41,7 @@ from .grid import OnePhotonAmp, SpectralGrid
 from .pairs import (
     FactoredPair,
     from_dense,
-    has_length,
     inner,
-    is_finite,
     norm_sq,
     scale_axis,
     symmetrized,
@@ -64,33 +65,69 @@ def is_sum_rail(rail: str) -> bool:
     return rail.endswith(SUM_SUFFIX)
 
 
-def _dense_pair(values, a: str, b: str, n: int) -> FactoredPair:
-    """Dense pair values on rails (a, b), checked n x n, through the door."""
-    if np.shape(values) != (n, n):
-        raise ValueError(f"pair amplitude on rails ({a!r}, {b!r}) has shape "
-                         f"{np.shape(values)}, not ({n}, {n})")
-    return from_dense(values, a == b)
+def _checked_one(rails: tuple, n: int, rail: str, values) -> np.ndarray:
+    """One-photon ``values`` on ``rail``, checked: a known rail and n finite
+    entries."""
+    if rail not in rails:
+        raise ValueError(f"unknown rail {rail!r}")
+    values = np.asarray(values, dtype=complex)
+    if values.shape != (n,):
+        raise ValueError(f"one-photon amplitude on rail {rail!r} has shape "
+                         f"{values.shape}, not ({n},)")
+    if not np.isfinite(values).all():
+        raise ValueError("state amplitudes hold non-finite values")
+    return values
 
 
-class PairMap(dict):
-    """Pair amplitudes by storage key, on a grid of ``n`` samples.  A value
-    that is not a :class:`~tlsphot.pairs.FactoredPair` must be n x n and
-    goes through the door :func:`~tlsphot.pairs.from_dense` when it is
-    stored; a factored value passes as it is.
+def _checked_pair(rails: tuple, n: int, key, values,
+                  ordered: bool = True) -> FactoredPair:
+    """Pair ``values`` on the rails (a, b) of ``key``, axis 0 on a, checked:
+    known rails, in the rail order if ``ordered``, sized for n samples (a
+    term's c for 2n - 1), finite, and exchange symmetric if a is b.  A dense
+    array must be n x n and goes through the door :func:`from_dense`."""
+    a, b = key
+    for rail in key:
+        if rail not in rails:
+            raise ValueError(f"unknown rail {rail!r}")
+    if ordered and rails.index(a) > rails.index(b):
+        raise ValueError(f"pair key {key} is not in the rail order {rails}")
+    if not isinstance(values, FactoredPair):
+        if np.shape(values) != (n, n):
+            raise ValueError(f"pair amplitude on rails ({a!r}, {b!r}) has "
+                             f"shape {np.shape(values)}, not ({n}, {n})")
+        return from_dense(values, a == b)
+    terms = values.terms
+    if not all(np.shape(x) == np.shape(y) == (n,)
+               and (c is None or np.shape(c) == (2 * n - 1,))
+               for _, x, y, c in terms):
+        raise ValueError(f"factored pair amplitude on rails ({a!r}, {b!r}) "
+                         f"has a term not sized for {n} samples")
+    if not all(np.isfinite(k) and all(np.isfinite(z).all()
+                                      for z in (x, y, c) if z is not None)
+               for k, x, y, c in terms):
+        raise ValueError("state amplitudes hold non-finite values")
+    if a == b and not values.symmetric:
+        raise ValueError("factored two-photon amplitude is not exchange "
+                         "symmetric by construction")
+    return values
 
-    Ops return new states; only the benchmark's ``ns_input``
-    (``bench/workloads.py``) still writes into a built state."""
 
-    def __init__(self, n: int, items=()):
-        super().__init__()
-        self.n = n
-        for key, values in dict(items).items():
-            self[key] = values
+class CheckedMap(dict):
+    """One sector's amplitudes by storage key: a rail, or a rail pair in the
+    rail order.  A write ``map[key] = values`` (or ``update``) passes the
+    ``check`` :meth:`FewPhotonState.from_components` makes; ops build the
+    maps of their output states around values they hold, unchecked."""
+
+    def __init__(self, check, items=()):
+        super().__init__(items)
+        self._check = check
 
     def __setitem__(self, key, values):
-        if not isinstance(values, FactoredPair):
-            values = _dense_pair(values, *key, self.n)
-        super().__setitem__(key, values)
+        super().__setitem__(key, self._check(key, values))
+
+    def update(self, *args, **kwargs):
+        for key, values in dict(*args, **kwargs).items():
+            self[key] = values
 
 
 @dataclass
@@ -98,13 +135,16 @@ class FewPhotonState:
     grid: SpectralGrid
     rails: tuple
     vacuum_amp: complex = 0.0
-    one_photon: dict = field(default_factory=dict)
-    two_photon: PairMap = field(default_factory=dict)
+    one_photon: CheckedMap = field(default_factory=dict)
+    two_photon: CheckedMap = field(default_factory=dict)
     lost_mass: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.two_photon, PairMap):
-            self.two_photon = PairMap(self.grid.n_points, self.two_photon)
+        n = self.grid.n_points
+        self.one_photon = CheckedMap(
+            functools.partial(_checked_one, self.rails, n), self.one_photon)
+        self.two_photon = CheckedMap(
+            functools.partial(_checked_pair, self.rails, n), self.two_photon)
 
     @classmethod
     def from_components(cls, grid: SpectralGrid, rails, vacuum: complex = 0.0j,
@@ -116,36 +156,19 @@ class FewPhotonState:
         :class:`~tlsphot.pairs.FactoredPair` or an N x N array (factored by
         :func:`~tlsphot.pairs.from_dense`).  Rails must be known, values
         sized for the grid and finite, and same-rail pairs exchange
-        symmetric.
+        symmetric.  A write into a built state's ``one_photon`` or
+        ``two_photon`` gets the same checks.
         """
         rails = tuple(rails)
         if len(set(rails)) != len(rails):
             raise ValueError("duplicate rail labels")
+        if not np.isfinite(vacuum):
+            raise ValueError("state amplitudes hold non-finite values")
         state = cls(grid=grid, rails=rails, vacuum_amp=vacuum)
-        n = grid.n_points
-        for rail, values in (ones or {}).items():
-            state.rail_index(rail)
-            values = np.asarray(values, dtype=complex)
-            if values.shape != (n,):
-                raise ValueError(f"one-photon amplitude on rail {rail!r} has "
-                                 f"shape {values.shape}, not ({n},)")
-            if not np.isfinite(values).all():
-                raise ValueError("state amplitudes hold non-finite values")
-            state.one_photon[rail] = values
+        state.one_photon.update(ones or {})
         for (a, b), values in (pairs or {}).items():
-            state._key(a, b)  # an unknown rail fails before the door
-            if not isinstance(values, FactoredPair):
-                values = _dense_pair(values, a, b, n)
-            elif not has_length(values, n):
-                raise ValueError(
-                    f"factored pair amplitude on rails ({a!r}, {b!r}) has a "
-                    f"term not sized for {n} samples")
-            elif not is_finite(values):
-                raise ValueError("state amplitudes hold non-finite values")
-            elif a == b and not values.symmetric:
-                raise ValueError("factored two-photon amplitude is not "
-                                 "exchange symmetric by construction")
-            state = state.add_pair(a, b, values)
+            state = state.add_pair(a, b, _checked_pair(
+                rails, grid.n_points, (a, b), values, ordered=False))
         return state
 
     @classmethod
@@ -206,9 +229,7 @@ class FewPhotonState:
         """New state with an extra (empty) rail appended."""
         if rail in self.rails:
             raise ValueError(f"rail {rail!r} already exists")
-        return replace(self, rails=self.rails + (rail,),
-                       one_photon=dict(self.one_photon),
-                       two_photon=dict(self.two_photon))
+        return replace(self, rails=self.rails + (rail,))
 
     def _pruned(self, parent: "FewPhotonState",
                 norms=None) -> "FewPhotonState":

@@ -64,10 +64,10 @@ def antidiagonal_sums(psi, s, h):
 
 
 def bound_part(p, grid, psi):
-    """(i sqrt(Gamma) / 2 pi) s(p1) s(p2) I(p1 + p2) of the pair psi."""
+    """(i / 2 pi) s(p1) s(p2) I(p1 + p2) of the pair psi."""
     s = s_coeff(p, grid.samples)
     bound_i = antidiagonal_sums(psi, s, grid.spacing)
-    kappa = 0.5j * np.sqrt(p.gamma_wg) / np.pi
+    kappa = 0.5j / np.pi
     n = grid.n_points
     out = np.empty((n, n), dtype=complex)
     for m in range(n):

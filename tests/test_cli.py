@@ -190,6 +190,19 @@ class TestConfigFaults:
         assert capsys.readouterr().err == validated
         assert not out.exists()
 
+    def test_retired_coupling_key_exits_2(self, tmp_path, capsys):
+        # rates are in units of the waveguide coupling: it is no setting
+        cfg = tmp_path / "coupling.ini"
+        cfg.write_text("[tls]\nbeta = 0.95\ngamma_wg = 2.0\n")
+        line = "unknown key 'gamma_wg' in section [tls]\n"
+        assert run_cli(["validate", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().out == line
+        out = tmp_path / "out"
+        assert run_cli(["run", "fig1b", "--config", str(cfg),
+                        "--out", str(out)]) == 2
+        assert capsys.readouterr().err == line
+        assert not out.exists()
+
     def test_grid_max_flag_is_gone(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli(["run", "sorter-demo", "--grid-max", "40",

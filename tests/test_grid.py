@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 import tlsphot as tp
-from tlsphot.grid import GridMismatchError, ResolutionError, require_symmetric
+from tlsphot.grid import (
+    GridMismatchError,
+    ResolutionError,
+    policy_size,
+    require_symmetric,
+)
 from tlsphot.pairs import _SYMMETRY_TILE, FactoredPair, flip, inner
 
 
@@ -34,6 +39,18 @@ class TestSpectralGrid:
     def test_even_n_rejected(self):
         with pytest.raises(ValueError):
             tp.SpectralGrid(10.0, 4000)
+
+    @pytest.mark.parametrize("n", [1, 2, 4000])
+    def test_policy_size_rejects_what_the_grid_rejects(self, n):
+        # callers that sample only part of the policy grid get its checks
+        with pytest.raises(ValueError, match="odd and >= 3"):
+            policy_size(1.2, n_points=n)
+        with pytest.raises(ValueError, match="odd and >= 3"):
+            tp.SpectralGrid(96.0, n)
+
+    def test_policy_window_is_80_widths_at_least_80(self):
+        assert policy_size(0.5) == (80.0, 4001)
+        assert policy_size(1.25)[0] == 80 * 1.25
 
     def test_refine_keeps_window_and_parity(self, grid):
         fine = grid.refine(2)

@@ -50,12 +50,13 @@ class TestTransferCoeff:
     def test_s_definition_identity(self, lossless, grid):
         d = grid.samples
         lhs = 1.0 - tp.transfer_coeff(lossless, d)
-        rhs = 1j * np.sqrt(lossless.gamma_wg) * tp.s_coeff(lossless, d)
+        rhs = 1j * tp.s_coeff(lossless, d)
         assert np.max(np.abs(lhs - rhs)) < 1e-14
 
     def test_params_validation(self):
-        with pytest.raises(ValueError):
-            tp.TlsParams(gamma_wg=0.0)
+        # Gamma is the unit, not a parameter
+        with pytest.raises(TypeError):
+            tp.TlsParams(gamma_wg=2.0)
         with pytest.raises(ValueError):
             tp.TlsParams(gamma_loss=-0.1)
         with pytest.raises(ValueError):
@@ -316,6 +317,14 @@ class TestMatchingSigma:
         p = tp.TlsParams(gamma_loss=3.0)
         with pytest.raises(NoCrossingError):
             tp.matching_sigma(p, "upper")
+
+    @pytest.mark.parametrize("n_points", [1, 2, 4000])
+    def test_grid_size_checked(self, n_points):
+        # the lossy eta samples half a policy grid; a size SpectralGrid
+        # refuses is refused there too, not turned into a wrong eta
+        with pytest.raises(ValueError, match="odd and >= 3"):
+            tp.matching_sigma(tp.TlsParams.from_beta(0.95),
+                              n_points=n_points)
 
     def test_bad_branch_rejected(self, lossless):
         with pytest.raises(ValueError):

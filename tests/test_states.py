@@ -79,6 +79,85 @@ class TestFromComponents:
                            match=r"rails \('a', 'a'\).*not \(601, 601\)"):
             state.two_photon[("a", "a")] = np.ones((9, 9))
 
+    # a write into a built state gets the checks from_components makes
+
+    def test_direct_one_photon_write_length_checked(self):
+        state = FewPhotonState.vacuum(self.GRID, ("a",))
+        with pytest.raises(ValueError, match=r"rail 'a'.*not \(601,\)"):
+            state.one_photon["a"] = np.ones(7)
+        with pytest.raises(ValueError, match=r"rail 'a'.*not \(601,\)"):
+            state.one_photon.update(a=np.ones(7))
+        assert "a" not in state.one_photon
+
+    def test_direct_one_photon_write_rail_checked(self):
+        state = FewPhotonState.vacuum(self.GRID, ("a",))
+        with pytest.raises(ValueError, match="unknown rail 'zz'"):
+            state.one_photon["zz"] = np.ones(601)
+        assert state.total_probability() == 1.0
+
+    def test_direct_pair_write_rail_checked(self):
+        state = FewPhotonState.vacuum(self.GRID, ("a",))
+        f = np.ones(601, dtype=complex)
+        with pytest.raises(ValueError, match="unknown rail 'zz'"):
+            state.two_photon[("zz", "zz")] = np.outer(f, f)
+        assert state.two_photon == {}
+
+    @pytest.mark.parametrize("pair, match", [
+        (FactoredPair.product(np.ones(7, dtype=complex)), "not sized"),
+        (FactoredPair([(1.0, np.ones(601, dtype=complex),
+                        np.arange(601.0) + 0j, None)], False), "symmetric"),
+    ])
+    def test_direct_factored_write_checked(self, pair, match):
+        state = FewPhotonState.vacuum(self.GRID, ("a",))
+        with pytest.raises(ValueError, match=match):
+            state.two_photon[("a", "a")] = pair
+
+    def test_direct_pair_write_key_in_rail_order(self):
+        # a pair is stored once, under the key in the rail order
+        state = FewPhotonState.vacuum(self.GRID, ("a", "b"))
+        pair = FactoredPair.product(np.ones(601, dtype=complex))
+        with pytest.raises(ValueError, match="rail order"):
+            state.two_photon[("b", "a")] = pair
+        state.two_photon[("a", "b")] = pair
+        assert state.pair("b", "a") is not None
+
+    @pytest.mark.parametrize("vacuum", [np.nan, np.inf, complex(0, np.inf)])
+    def test_non_finite_vacuum_rejected(self, vacuum):
+        with pytest.raises(ValueError, match="non-finite"):
+            FewPhotonState.from_components(self.GRID, ("a",), vacuum)
+
+    def test_writes_into_op_outputs_checked(self):
+        f = np.ones(601, dtype=complex)
+        out = beamsplitter(FewPhotonState.from_components(
+            self.GRID, ("a", "b"), ones={"a": f}), "a", "b", 0.3)
+        with pytest.raises(ValueError, match=r"not \(601,\)"):
+            out.one_photon["b"] = np.ones(7)
+
+    def test_valid_direct_writes_pass(self, grid, pulse):
+        # the one-rail NS input, written into a built state
+        amp = 1.0 / np.sqrt(3.0)
+        state = FewPhotonState.vacuum(grid, ("sig",))
+        state.vacuum_amp = amp
+        state.one_photon["sig"] = amp * pulse.values
+        state.two_photon[("sig", "sig")] = amp * np.outer(pulse.values,
+                                                          pulse.values)
+        assert state.total_probability() == pytest.approx(1.0, abs=1e-12)
+
+    def test_ops_do_not_recheck(self, grid, pulse, monkeypatch):
+        # ops rebuild states from values they hold; the checks are for writes
+        state = FewPhotonState.from_components(
+            grid, ("a", "b"), ones={"a": pulse.values},
+            pairs={("a", "a"): FactoredPair.product(pulse.values)})
+
+        def refuse(*args):
+            raise AssertionError("an op re-ran a write check")
+
+        monkeypatch.setattr(tp.states.CheckedMap, "__setitem__", refuse)
+        out = apply_tls(beamsplitter(state, "a", "b", 0.4), "a",
+                        tp.TlsParams.from_beta(0.95))
+        assert out.total_probability() == pytest.approx(
+            state.total_probability(), abs=1e-6)
+
 
 class TestBeamsplitter:
     def test_hong_ou_mandel(self, grid, pulse):

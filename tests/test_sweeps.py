@@ -47,6 +47,11 @@ class TestFig1b:
             0.5 * tp.epsilon1_analytic(p, mid["sigma_over_gamma"]) ** 2,
             abs=1e-12)
 
+    def test_grid_size_checked(self):
+        spec = SweepSpec(beta_values=(0.95,), sigma_count=2, n_points=4000)
+        with pytest.raises(ValueError, match="odd and >= 3"):
+            fig1b_data(spec)
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             SweepSpec(sigma_range=(0.0, 1.0))
