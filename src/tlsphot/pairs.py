@@ -10,8 +10,10 @@ Walmsley & Eberly, PRL 84, 5304 (2000)), and an emitter pass adds one bound
 term s(x) s(y) I(x + y) (Shen & Fan, PRL 98, 153003 (2007)); linear optics,
 the pulse gate and the memory keep the form.  Norms, overlaps and
 projections are 1-D dot products and convolutions (:func:`convolve`, on
-``numpy.fft``).  An op the form cannot express (a one-axis flip of a term
-with ``c``) raises.
+``numpy.fft``).  Factor arrays are shared between pairs and never written
+to, so norms and overlaps cache each term pair's Gram entry on the
+identities of its factors, through weak references.  An op the form cannot
+express (a one-axis flip of a term with ``c``) raises.
 
 A dense N x N array enters through one door, :func:`from_dense`, which
 checks it and factors it into ``c = None`` terms; no other code here builds
@@ -21,6 +23,7 @@ that ask for one.
 
 from __future__ import annotations
 
+import weakref
 from functools import lru_cache
 
 import numpy as np
@@ -91,8 +94,12 @@ def convolve(x, y, mode: str = "full") -> np.ndarray:
 
 
 def _same(x, y) -> bool:
-    """Whether two factors (arrays or None) hold the same values."""
+    """Whether two factors (arrays or None) hold the same values.  Factors
+    are finite and never empty, so comparing shapes, then first entries,
+    then whole arrays gives ``np.array_equal``'s answer; most factors that
+    differ already differ at entry 0."""
     return x is y or (x is not None and y is not None
+                      and x.shape == y.shape and x[0] == y[0]
                       and np.array_equal(x, y))
 
 
@@ -172,7 +179,9 @@ class FactoredPair:
     exchange symmetric by construction.  The flag is declared by whoever
     builds the pair, never inferred from the terms.  Terms sharing two of
     their three factors are merged, which keeps the term count bounded.
-    Factor arrays are shared between pairs and never written to.
+    Factors are numpy arrays, shared between pairs and never written to,
+    so norms and overlaps cache each term pair's Gram entry on the
+    identities of its factors, through weak references.
     """
 
     __array_ufunc__ = None  # numpy operators defer to the methods below
@@ -292,11 +301,31 @@ def project_term(u, term) -> np.ndarray:
     return k * b * convolve(c, (u * a)[::-1], mode="valid")
 
 
+# Gram entries computed by _term_inner, keyed on the ids of the seven
+# arrays (or None) each came from.  An entry holds its arrays through weak
+# references only; the first of them to die drops the entry, before its id
+# can be reused.  Factor arrays are never written to, so an entry is valid
+# for as long as its arrays live.
+_GRAM = {}
+
+
 def _term_inner(t1, t2, w) -> complex:
-    """<t1|t2> of two terms without their coefficients:
-    sum_q conj(c1) c2 conv(w conj(a1) a2, w conj(b1) b2) at q = i + j."""
-    _, a1, b1, c1 = t1
-    _, a2, b2, c2 = t2
+    """<t1|t2> of two terms without their coefficients, computed once per
+    set of factor arrays and weights (:data:`_GRAM`)."""
+    arrays = (*t1[1:], *t2[1:], w)
+    key = tuple(map(id, arrays))
+    entry = _GRAM.get(key)
+    if entry is None:
+        def drop(_):
+            _GRAM.pop(key, None)
+        entry = _GRAM[key] = (_gram_entry(*arrays),
+                              [weakref.ref(x, drop) for x in arrays
+                               if x is not None])
+    return entry[0]
+
+
+def _gram_entry(a1, b1, c1, a2, b2, c2, w) -> complex:
+    """sum_q conj(c1) c2 conv(w conj(a1) a2, w conj(b1) b2) at q = i + j."""
     x = w * np.conj(a1) * a2
     y = x if a1 is b1 and a2 is b2 else w * np.conj(b1) * b2
     if c1 is None and c2 is None:

@@ -97,6 +97,11 @@ def _checked_pair(rails: tuple, n: int, key, values,
                              f"shape {np.shape(values)}, not ({n}, {n})")
         return from_dense(values, a == b)
     terms = values.terms
+    # norms cache Gram entries on factor identity, through weak references
+    if not all(isinstance(z, np.ndarray) for term in terms
+               for z in term[1:] if z is not None):
+        raise ValueError(f"factored pair amplitude on rails ({a!r}, {b!r}) "
+                         "has a factor that is not a numpy array")
     if not all(np.shape(x) == np.shape(y) == (n,)
                and (c is None or np.shape(c) == (2 * n - 1,))
                for _, x, y, c in terms):

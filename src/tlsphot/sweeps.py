@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import success_curves
+from .grid import _check_n_points
 from .scatter import TlsParams, _eta_of_sigma, epsilon1_analytic
 
 DEFAULT_BETAS = (1.0, 0.95, 0.90)
@@ -28,6 +29,10 @@ class SweepSpec:
         if any(not 0.0 < b <= 1.0 for b in self.beta_values):
             raise ValueError(f"beta values must lie in (0, 1], "
                              f"got {self.beta_values}")
+        # checked here: a lossless figure takes closed forms, samples no
+        # grid, and so would never refuse the size
+        if self.n_points is not None:
+            _check_n_points(self.n_points)
 
     def sigmas(self) -> np.ndarray:
         lo, hi = self.sigma_range

@@ -1,11 +1,14 @@
 """Factored pair amplitudes against the dense N x N oracle.
 
-Unit checks of each pair operation against its array, the door for dense
-input (``pairs.from_dense``), a hypothesis property test that runs random op
-sequences in the library and in the independent dense implementation of
-``dense_oracle``, self-inverse checks, the Bell analyzer, CZ gate and NS gate
-in both, and a guard on the term counts the circuits produce.
+Unit checks of each pair operation against its array, the cache of Gram
+entries, the door for dense input (``pairs.from_dense``), a hypothesis
+property test that runs random op sequences in the library and in the
+independent dense implementation of ``dense_oracle``, self-inverse checks,
+the Bell analyzer, CZ gate and NS gate in both, and a guard on the term
+counts the circuits produce.
 """
+
+import weakref
 
 import numpy as np
 import pytest
@@ -237,6 +240,75 @@ class TestCancellation:
         assert ("a", "b") in self.written(small).two_photon
 
 
+class TestGramCache:
+    """``pairs._term_inner`` computes each Gram entry once per set of
+    factor arrays and weights, and drops it when one of them dies."""
+
+    @pytest.fixture
+    def convolutions(self, monkeypatch):
+        """The arguments of every ``pairs.convolve`` call from here on."""
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return convolve(*args, **kwargs)
+
+        convolve = pairs.convolve
+        monkeypatch.setattr(pairs, "convolve", counted)
+        return calls
+
+    def test_second_norm_runs_no_convolution(self, convolutions):
+        pair = random_pair(np.random.default_rng(11), True)
+        first = pairs.norm_sq(pair, W)
+        assert convolutions
+        convolutions.clear()
+        assert pairs.norm_sq(pair, W) == first
+        assert not convolutions
+
+    def test_scaled_pair_norms_from_cached_entries(self, convolutions):
+        pair = random_pair(np.random.default_rng(12), False)
+        norm = pairs.norm_sq(pair, W)
+        convolutions.clear()
+        k = 0.3 - 1.1j
+        scaled = pairs.norm_sq(k * pair, W)
+        assert not convolutions
+        assert scaled == pytest.approx(abs(k) ** 2 * norm, rel=1e-13)
+        assert scaled == pytest.approx(
+            oracle.norm2(W, (k * pair).dense()), rel=1e-13)
+
+    def test_entries_die_with_their_factors(self):
+        pair = random_pair(np.random.default_rng(13), True)
+        before = set(pairs._GRAM)
+        pairs.norm_sq(pair, W)
+        added = set(pairs._GRAM) - before
+        assert added
+        factor = weakref.ref(pair.terms[0][1])
+        del pair
+        assert factor() is None
+        assert not added & set(pairs._GRAM)
+        assert len(pairs._GRAM) <= len(before)
+
+    def test_reused_ids_get_fresh_entries(self):
+        def build(x):
+            # one array object each, filled in place, so a new pair takes
+            # the ids the last one freed
+            f = np.empty(N, complex)
+            f.fill(x)
+            c = np.empty(2 * N - 1, complex)
+            c.fill(1j * x)
+            return FactoredPair([(1.0, f, f, c)], True)
+
+        pair = build(1.0)
+        ids = [id(x) for x in pair.terms[0][1:]]
+        first = pairs.norm_sq(pair, W)
+        del pair
+        pair = build(2.0)
+        assert [id(x) for x in pair.terms[0][1:]] == ids
+        assert pairs.norm_sq(pair, W) == pytest.approx(
+            oracle.norm2(W, pair.dense()), rel=1e-13)
+        assert pairs.norm_sq(pair, W) == pytest.approx(64 * first, rel=1e-13)
+
+
 class TestDoor:
     """``pairs.from_dense``: the one way a dense N x N array becomes a
     pair."""
@@ -411,6 +483,10 @@ def test_random_circuits_match_dense(seed, ops):
         assert isinstance(values, FactoredPair)
         if a == b:
             assert values.symmetric
+        # a cached Gram entry is the float the formula computes
+        warm = pairs.norm_sq(values, W)
+        pairs._GRAM.clear()
+        assert pairs.norm_sq(values, W) == warm
 
 
 @settings(max_examples=20, deadline=None)

@@ -48,9 +48,15 @@ class TestFig1b:
             abs=1e-12)
 
     def test_grid_size_checked(self):
-        spec = SweepSpec(beta_values=(0.95,), sigma_count=2, n_points=4000)
         with pytest.raises(ValueError, match="odd and >= 3"):
-            fig1b_data(spec)
+            fig1b_data(SweepSpec(beta_values=(0.95,), sigma_count=2,
+                                 n_points=4000))
+
+    @pytest.mark.parametrize("n_points", [4000, 1])
+    def test_lossless_spec_refuses_grid_size(self, n_points):
+        # at beta = 1 the figures take closed forms and sample no grid
+        with pytest.raises(ValueError, match="odd and >= 3"):
+            fig3_data(SweepSpec(beta_values=(1.0,), n_points=n_points))
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
