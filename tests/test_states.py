@@ -104,9 +104,9 @@ class TestFromComponents:
 
     @pytest.mark.parametrize("pair, match", [
         (FactoredPair.product(np.ones(7, dtype=complex)), "not sized"),
-        (FactoredPair.product([1.0 + 0j] * 601), "not a numpy array"),
         (FactoredPair([(1.0, np.ones(601, dtype=complex),
                         np.arange(601.0) + 0j, None)], False), "symmetric"),
+        (FactoredPair.product([1.0 + 0j] * 601), "not a numpy array"),
     ])
     def test_direct_factored_write_checked(self, pair, match):
         state = FewPhotonState.vacuum(self.GRID, ("a",))
