@@ -65,9 +65,8 @@ from .circuits import (
     make_pump,
     ns_gate,
     photon_sorter,
-    success_curves,
 )
-from .sweeps import SweepSpec, fig1b_data, fig3_data, loss_curves
+from .sweeps import SweepSpec, fig1b_data, fig3_data, success_curves
 from .roots import NoCrossingError
 
 __version__ = "0.1.0"

@@ -45,14 +45,10 @@ from .modeops import (
     sfg_extract,
     sfg_reverse,
 )
-from .roots import NoCrossingError
 from .scatter import (
     TlsParams,
-    epsilon1_analytic,
-    epsilon_b_analytic,
     epsilon_b_numeric,
     eta_numeric,
-    matching_sigma,
     scatter_one,
 )
 from .states import (
@@ -146,6 +142,10 @@ def logical_state(grid: SpectralGrid, pulse: OnePhotonAmp,
     basis state is a photon pair in the pulse mode on the corresponding
     rails, held as one factored term coef f(x) f(y).
     """
+    for key in amplitudes:
+        if key not in LOGICAL_BASIS:
+            raise ValueError(f"logical label {key!r} is not one of "
+                             f"{LOGICAL_BASIS}")
     ff = FactoredPair.product(pulse.values)
     pairs = {(_QUBIT_RAILS["q1"][b1], _QUBIT_RAILS["q2"][b2]): coef * ff
              for (b1, b2), coef in amplitudes.items() if coef != 0}
@@ -228,9 +228,10 @@ def bell_analyzer(state: FewPhotonState, p: TlsParams,
 
 
 def identify_bell_state(pattern) -> str | None:
-    """Bell state a conclusive detector pair announces, or None."""
+    """Bell state a conclusive detector pair announces, in either order, or
+    None."""
     for name, patterns in BELL_PATTERNS.items():
-        if tuple(pattern) in patterns:
+        if tuple(sorted(pattern)) in patterns:
             return name
     return None
 
@@ -326,40 +327,3 @@ def cz_gate(state: FewPhotonState, p: TlsParams, pulse: OnePhotonAmp,
         logical_amplitudes=out_amps,
     )
 
-
-def success_curves(betas, branch: str = "upper",
-                   n_points: int | None = None) -> list:
-    """Operating point and success/loss figures per directional beta factor.
-
-    Each row holds the matched spectral width, the analytic eps_1 and eps_b
-    there, the Bell-measurement average success eps_b / 2, the CZ success
-    eps_1^4, and the pair / two-single-photon loss probabilities.  Betas
-    without a matching point are flagged instead of raising.
-    """
-    rows = []
-    for beta in betas:
-        p = TlsParams.from_beta(beta)
-        row = {"beta": float(beta), "matched": True}
-        try:
-            sigma = matching_sigma(p, branch=branch, n_points=n_points)
-        except NoCrossingError:
-            row.update(matched=False, sigma=float("nan"),
-                       eps1=float("nan"), eps_b=float("nan"),
-                       bell_success=float("nan"), cz_success=float("nan"),
-                       two_photon_loss=float("nan"),
-                       two_singles_loss=float("nan"))
-            rows.append(row)
-            continue
-        eps1 = epsilon1_analytic(p, sigma)
-        eps_b = epsilon_b_analytic(p, sigma)
-        row.update(
-            sigma=sigma,
-            eps1=eps1,
-            eps_b=eps_b,
-            bell_success=0.5 * eps_b,
-            cz_success=eps1**4,
-            two_photon_loss=1.0 + eps1**2 - eps_b,
-            two_singles_loss=1.0 - eps1**2,
-        )
-        rows.append(row)
-    return rows

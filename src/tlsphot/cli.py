@@ -20,7 +20,7 @@ import configparser
 import functools
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +51,7 @@ from .scatter import (
     scatter_two,
 )
 from .states import FewPhotonState, fidelity, project_detection
-from .sweeps import SweepSpec, fig1b_data, fig3_data, loss_curves
+from .sweeps import SweepSpec, fig1b_data, success_curves
 
 EXPERIMENTS = ("fig1b", "loss-curves", "fig3", "matching-points",
                "sorter-demo", "bell-demo", "ns-demo", "cz-demo")
@@ -129,7 +129,7 @@ def _parse(cfg: dict):
         raw = cfg[sec][key]
         try:
             return convert(raw)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # int(float("inf"))
             diagnostics.append(f"{sec}.{key} = {raw}: {exc}")
             return None
 
@@ -251,19 +251,23 @@ def _build_fig1b(s: _Settings):
     return columns, rows, {"eta_sigma_half": headline}
 
 
-def _build_matched_curve(s: _Settings, columns, curve, name, figure):
-    """Rows of a matched-point curve; the headline evaluates ``figure``
-    (of eps_1) at the smallest matched beta's width."""
-    rows = curve(s.spec, branch=s.branch)
-    betas = [r["beta"] for r in rows if r["matched"]]
-    p = TlsParams.from_beta(min(betas) if betas else 1.0)
-    base = matching_sigma(p, branch=s.branch, n_points=s.spec.n_points)
+def _build_matched_curve(s: _Settings, columns, name):
+    """The matched-point table's ``columns``; the headline is its ``name``
+    column at the smallest matched beta (beta = 1 if none matched), rerun
+    on that width's refined policy grid."""
+    rows = success_curves(s.spec, s.branch)
+    matched = [r for r in rows if r["matched"]]
+    base = (min(matched, key=lambda r: r["beta"]) if matched
+            else success_curves(replace(s.spec, beta_values=(1.0,)),
+                                s.branch)[0])
 
     def headline(refine):
-        sigma = base if refine == 1 else matching_sigma(
-            p, branch=s.branch,
-            n_points=_policy_grid(base, s.spec.n_points, refine).n_points)
-        return figure(epsilon1_analytic(p, sigma))
+        if refine == 1:
+            return base[name]
+        n_points = _policy_grid(base["sigma"], s.spec.n_points,
+                                refine).n_points
+        spec = replace(s.spec, beta_values=(base["beta"],), n_points=n_points)
+        return success_curves(spec, s.branch)[0][name]
 
     return columns, rows, {name: headline}
 
@@ -271,14 +275,12 @@ def _build_matched_curve(s: _Settings, columns, curve, name, figure):
 def _build_loss_curves(s: _Settings):
     return _build_matched_curve(
         s, ["beta", "sigma", "two_photon_loss", "two_singles_loss",
-            "matched"], loss_curves, "two_singles_loss",
-        lambda eps1: 1.0 - eps1**2)
+            "matched"], "two_singles_loss")
 
 
 def _build_fig3(s: _Settings):
     return _build_matched_curve(
-        s, ["beta", "bell_success", "cz_success", "matched"], fig3_data,
-        "cz_success", lambda eps1: eps1**4)
+        s, ["beta", "bell_success", "cz_success", "matched"], "cz_success")
 
 
 def _build_matching_points(s: _Settings):

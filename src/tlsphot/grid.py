@@ -50,8 +50,8 @@ def policy_size(width: float,
     """(delta_max, n_points) of :meth:`SpectralGrid.for_pulse_width`'s grid,
     for callers that sample only part of it; it refuses the sizes
     :class:`SpectralGrid` refuses."""
-    if width <= 0:
-        raise ValueError(f"width must be positive, got {width}")
+    if not 0.0 < width < np.inf:  # NaN fails every comparison
+        raise ValueError(f"width must be positive and finite, got {width}")
     delta_max = DEFAULT_WINDOW_WIDTHS * max(width, 1.0)
     if n_points is None:
         n_points = DEFAULT_N_POINTS
@@ -82,8 +82,9 @@ class SpectralGrid:
     weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.delta_max <= 0:
-            raise ValueError(f"delta_max must be positive, got {self.delta_max}")
+        if not 0.0 < self.delta_max < np.inf:
+            raise ValueError(f"delta_max must be positive and finite, "
+                             f"got {self.delta_max}")
         _check_n_points(self.n_points)
         samples = np.linspace(-self.delta_max, self.delta_max, self.n_points)
         h = samples[1] - samples[0]
@@ -136,8 +137,11 @@ class PulseShape:
     def __post_init__(self):
         if self.kind not in ("lorentzian", "gaussian"):
             raise ValueError(f"unknown pulse kind {self.kind!r}")
-        if self.width <= 0:
-            raise ValueError(f"width must be positive, got {self.width}")
+        if not 0.0 < self.width < np.inf:
+            raise ValueError(f"width must be positive and finite, "
+                             f"got {self.width}")
+        if not np.isfinite(self.center):
+            raise ValueError(f"center must be finite, got {self.center}")
 
 
 @dataclass

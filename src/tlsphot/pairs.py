@@ -281,8 +281,6 @@ class FactoredPair:
             return FactoredPair(self.terms + other.terms, True)
         return FactoredPair(self.expanded() + other.expanded())
 
-    __radd__ = __add__
-
     def __rmatmul__(self, u):
         """u @ A: the axis-0 contraction, one correlation per term."""
         out = np.zeros(self.n, dtype=complex)

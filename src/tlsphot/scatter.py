@@ -51,10 +51,9 @@ class TlsParams:
     gamma_loss: float = 0.0
 
     def __post_init__(self):
-        if self.gamma_loss < 0:
-            raise ValueError(
-                f"gamma_loss must be non-negative, got {self.gamma_loss}"
-            )
+        if not 0.0 <= self.gamma_loss < np.inf:
+            raise ValueError(f"gamma_loss must be non-negative and finite, "
+                             f"got {self.gamma_loss}")
 
     @property
     def beta_dir(self) -> float:
@@ -177,16 +176,16 @@ def epsilon_b_numeric(p: TlsParams, f: OnePhotonAmp) -> float:
 
 def eta_analytic(sigma: float) -> float:
     """Closed-form eta for a resonant Lorentzian pulse, lossless emitter."""
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not 0.0 < sigma < np.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     return (4 * sigma * (3 + 38 * sigma + 96 * sigma**2)
             / ((1 + 2 * sigma) ** 3 * (3 + 2 * sigma) * (1 + 6 * sigma)))
 
 
 def epsilon1_analytic(p: TlsParams, sigma: float) -> float:
     """Closed-form single-photon survival for a resonant Lorentzian pulse."""
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not 0.0 < sigma < np.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     g = p.gamma_loss
     return 1.0 - 4 * g * (g + 1.0 + 4 * sigma) / (
         (g + 1.0) * (g + 1.0 + 2 * sigma) ** 2)
@@ -194,8 +193,8 @@ def epsilon1_analytic(p: TlsParams, sigma: float) -> float:
 
 def epsilon_b_analytic(p: TlsParams, sigma: float) -> float:
     """Closed-form <bound|bound> for a resonant Lorentzian pulse."""
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not 0.0 < sigma < np.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     G = p.gamma_loss + 1.0
     return (16 * sigma * (38 * sigma * G + 3 * G**2 + 96 * sigma**2)
             / (G**2 * (G + 2 * sigma) ** 3 * (3 * G + 2 * sigma)

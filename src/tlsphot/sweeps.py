@@ -6,9 +6,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import success_curves
 from .grid import _check_n_points
-from .scatter import TlsParams, _eta_of_sigma, epsilon1_analytic
+from .roots import NoCrossingError
+from .scatter import (
+    TlsParams,
+    _eta_of_sigma,
+    epsilon1_analytic,
+    epsilon_b_analytic,
+    matching_sigma,
+)
 
 DEFAULT_BETAS = (1.0, 0.95, 0.90)
 
@@ -24,7 +30,8 @@ class SweepSpec:
 
     def __post_init__(self):
         lo, hi = self.sigma_range
-        if lo <= 0 or hi <= lo:
+        # NaN fails every comparison
+        if not 0.0 < lo < hi < np.inf:
             raise ValueError(f"bad sigma_range {self.sigma_range}")
         if any(not 0.0 < b <= 1.0 for b in self.beta_values):
             raise ValueError(f"beta values must lie in (0, 1], "
@@ -67,18 +74,40 @@ def fig1b_data(spec: SweepSpec) -> list:
     return rows
 
 
-def loss_curves(spec: SweepSpec, branch: str = "upper") -> list:
-    """Pair and two-single-photon loss at the matched operating point."""
-    rows = success_curves(spec.beta_values, branch=branch,
-                          n_points=spec.n_points)
-    return [{k: r[k] for k in ("beta", "matched", "sigma", "two_photon_loss",
-                               "two_singles_loss")} for r in rows]
+_FIGURES = ("sigma", "eps1", "eps_b", "bell_success", "cz_success",
+            "two_photon_loss", "two_singles_loss")
+
+
+def success_curves(spec: SweepSpec, branch: str = "upper") -> list:
+    """Operating point and success/loss figures per directional beta factor.
+
+    Each row holds the matched spectral width, the closed-form eps_1 and
+    eps_b there, the Bell-measurement average success eps_b / 2, the CZ
+    success eps_1^4, and the pair / two-single-photon loss probabilities.
+    Betas without a matching point are flagged, their figures NaN, instead
+    of raising.
+    """
+    rows = []
+    for beta in spec.beta_values:
+        p = TlsParams.from_beta(beta)
+        try:
+            sigma = matching_sigma(p, branch=branch, n_points=spec.n_points)
+        except NoCrossingError:
+            rows.append({"beta": float(beta), "matched": False,
+                         **dict.fromkeys(_FIGURES, float("nan"))})
+            continue
+        eps1 = epsilon1_analytic(p, sigma)
+        eps_b = epsilon_b_analytic(p, sigma)
+        figures = (sigma, eps1, eps_b, 0.5 * eps_b, eps1**4,
+                   1.0 + eps1**2 - eps_b, 1.0 - eps1**2)
+        rows.append({"beta": float(beta), "matched": True,
+                     **dict(zip(_FIGURES, figures))})
+    return rows
 
 
 def fig3_data(spec: SweepSpec, branch: str = "upper") -> list:
-    """Bell-measurement and CZ success probabilities vs beta."""
-    rows = success_curves(spec.beta_values, branch=branch,
-                          n_points=spec.n_points)
-    return [{"beta": r["beta"], "bell_success": r["bell_success"],
-             "cz_success": r["cz_success"], "matched": r["matched"]}
-            for r in rows]
+    """Bell-measurement and CZ success probabilities vs beta: the
+    :func:`success_curves` table's Fig. 3 columns."""
+    return [{k: r[k] for k in ("beta", "bell_success", "cz_success",
+                               "matched")}
+            for r in success_curves(spec, branch)]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,11 @@ class TestBellAnalyzer:
         assert tp.identify_bell_state((1, 4)) == "psi+"
         assert tp.identify_bell_state((6, 8)) == "phi-"
         assert tp.identify_bell_state((1, 3)) is None
+
+    def test_identify_ignores_detector_order(self):
+        for name, patterns in tp.BELL_PATTERNS.items():
+            for first, second in patterns:
+                assert tp.identify_bell_state((second, first)) == name
 
     def test_rejects_wrong_photon_number(self, circuit_grid, tls0, pulse0):
         st = FewPhotonState.vacuum(circuit_grid, tp.RAILS4)
@@ -288,6 +295,12 @@ def reference_cz_fidelity(out, state, pulse):
 
 
 class TestLogicalReadout:
+    @pytest.mark.parametrize("key", [(0, 2), "01", (0, 1, 1)])
+    def test_logical_state_rejects_bad_label(self, circuit_grid, pulse0,
+                                             key):
+        with pytest.raises(ValueError, match=re.escape(repr(key))):
+            tp.logical_state(circuit_grid, pulse0, {key: 1.0})
+
     @pytest.mark.parametrize("seed", range(4))
     def test_random_states_match_overlaps(self, seed):
         grid = tp.SpectralGrid(10.0, 41)
@@ -339,7 +352,7 @@ class TestLogicalReadout:
 
 class TestSuccessCurves:
     def test_lossless_limit(self):
-        rows = tp.success_curves([1.0])
+        rows = tp.success_curves(tp.SweepSpec(beta_values=(1.0,)))
         assert rows[0]["bell_success"] == pytest.approx(1.0, abs=1e-9)
         assert rows[0]["cz_success"] == pytest.approx(1.0, abs=1e-9)
         assert rows[0]["eps_b"] == pytest.approx(2.0, abs=1e-9)
@@ -348,7 +361,7 @@ class TestSuccessCurves:
         # 1e-9 slack: the curves meet at beta = 1 and the root solve leaves
         # ~1e-13 jitter there
         betas = np.linspace(0.8, 1.0, 9)
-        rows = tp.success_curves(betas)
+        rows = tp.success_curves(tp.SweepSpec(beta_values=tuple(betas)))
         bell = [r["bell_success"] for r in rows]
         cz = [r["cz_success"] for r in rows]
         assert all(b >= c - 1e-9 for b, c in zip(bell, cz))
@@ -356,6 +369,7 @@ class TestSuccessCurves:
         assert all(c2 >= c1 - 1e-9 for c1, c2 in zip(cz, cz[1:]))
 
     def test_unmatched_beta_flagged(self):
-        rows = tp.success_curves([0.2])
+        rows = tp.success_curves(tp.SweepSpec(beta_values=(0.2,)))
         assert rows[0]["matched"] is False
-        assert np.isnan(rows[0]["sigma"])
+        assert all(np.isnan(v) for k, v in rows[0].items()
+                   if k not in ("beta", "matched"))

@@ -5,7 +5,7 @@ import runpy
 import numpy as np
 import pytest
 
-from tlsphot import cli
+from tlsphot import cli, sweeps
 from tlsphot.grid import SpectralGrid
 from tlsphot.pairs import FactoredPair
 from tlsphot.scatter import TlsParams
@@ -110,13 +110,13 @@ class TestRun:
         cfg = tmp_path / "lower.ini"
         cfg.write_text("[sweep]\nbeta_values = 0.95\n[run]\nbranch = lower\n")
         counts = []
-        solve = cli.matching_sigma
+        solve = sweeps.matching_sigma
 
         def spy(p, branch, n_points=None):
             counts.append(n_points)
             return solve(p, branch, n_points)
 
-        monkeypatch.setattr(cli, "matching_sigma", spy)
+        monkeypatch.setattr(sweeps, "matching_sigma", spy)
         assert run_cli(["run", "loss-curves", "--config", str(cfg),
                         "--out", str(tmp_path / "out")]) == 0
         sigma = solve(TlsParams.from_beta(0.95), "lower")
@@ -223,6 +223,32 @@ class TestConfigFaults:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_sigma_flag_exits_2(self, tmp_path, capsys, value):
+        out = tmp_path / "out"
+        assert run_cli(["run", "sorter-demo", "--sigma", value,
+                        "--out", str(out)]) == 2
+        assert f"run.sigma = {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, key", [
+        ("[sweep]\nsigma_min = nan\n", "sweep.sigma_min"),
+        ("[sweep]\nsigma_max = inf\n", "sweep.sigma_max"),
+        ("[sweep]\nsigma_count = inf\n", "sweep.sigma_count"),
+        ("[run]\nsigma = nan\n", "run.sigma"),
+    ])
+    def test_non_finite_value_exits_2(self, tmp_path, capsys, text, key):
+        cfg = tmp_path / "nonfinite.ini"
+        cfg.write_text(text)
+        assert run_cli(["validate", "--config", str(cfg)]) == 2
+        validated = capsys.readouterr().out
+        assert key in validated
+        out = tmp_path / "out"
+        assert run_cli(["run", "fig1b", "--config", str(cfg),
+                        "--out", str(out)]) == 2
+        assert capsys.readouterr().err == validated
+        assert not out.exists()
 
     @pytest.mark.parametrize("experiment", ["fig1b", "matching-points"])
     def test_unresolved_pulse_exits_2(self, tmp_path, capsys, experiment):

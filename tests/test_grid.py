@@ -104,6 +104,17 @@ class TestMakePulse:
         with pytest.raises(ValueError):
             tp.PulseShape("sinc", 1.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("build", [
+        lambda v: tp.PulseShape("lorentzian", v),
+        lambda v: tp.PulseShape("gaussian", 1.0, center=v),
+        lambda v: tp.SpectralGrid(v, 5),
+        lambda v: policy_size(v),
+    ], ids=["width", "center", "delta_max", "policy_size"])
+    def test_non_finite_params_rejected(self, build, value):
+        with pytest.raises(ValueError, match="finite"):
+            build(value)
+
 
 class TestInnerProducts:
     def test_self_inner_is_one(self, lor):

@@ -62,6 +62,17 @@ class TestTransferCoeff:
         with pytest.raises(ValueError):
             tp.TlsParams.from_beta(1.2)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_params_rejected(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            tp.TlsParams(gamma_loss=value)
+        p = tp.TlsParams.from_beta(0.95)
+        for figure in (tp.eta_analytic,
+                       lambda s: tp.epsilon1_analytic(p, s),
+                       lambda s: tp.epsilon_b_analytic(p, s)):
+            with pytest.raises(ValueError, match="finite"):
+                figure(value)
+
     def test_beta_roundtrip(self):
         p = tp.TlsParams.from_beta(0.9)
         assert p.beta_dir == pytest.approx(0.9, abs=1e-15)

@@ -1,7 +1,7 @@
 import pytest
 
 import tlsphot as tp
-from tlsphot.sweeps import SweepSpec, fig1b_data, fig3_data, loss_curves
+from tlsphot.sweeps import SweepSpec, fig1b_data, fig3_data, success_curves
 
 
 @pytest.fixture(scope="module")
@@ -64,23 +64,29 @@ class TestFig1b:
         with pytest.raises(ValueError):
             SweepSpec(beta_values=(1.2,))
 
+    @pytest.mark.parametrize("sigma_range", [
+        (float("nan"), 5.0), (0.02, float("nan")), (0.02, float("inf"))])
+    def test_non_finite_sigma_range_rejected(self, sigma_range):
+        with pytest.raises(ValueError, match="sigma_range"):
+            SweepSpec(sigma_range=sigma_range)
+
 
 class TestLossCurves:
     def test_lossless_losses_vanish(self):
-        rows = loss_curves(SweepSpec(beta_values=(1.0,)))
+        rows = success_curves(SweepSpec(beta_values=(1.0,)))
         assert rows[0]["two_photon_loss"] == pytest.approx(0.0, abs=1e-9)
         assert rows[0]["two_singles_loss"] == pytest.approx(0.0, abs=1e-9)
 
     def test_nonlinear_loss_gap(self):
-        rows = loss_curves(SweepSpec(beta_values=(0.9, 0.95)))
+        rows = success_curves(SweepSpec(beta_values=(0.9, 0.95)))
         for r in rows:
             # the pair loses less than two independent photons would
             assert r["two_photon_loss"] < r["two_singles_loss"]
 
     def test_upper_branch_loses_less(self):
         spec = SweepSpec(beta_values=(0.95,))
-        upper = loss_curves(spec, branch="upper")[0]
-        lower = loss_curves(spec, branch="lower")[0]
+        upper = success_curves(spec, branch="upper")[0]
+        lower = success_curves(spec, branch="lower")[0]
         assert upper["two_photon_loss"] < lower["two_photon_loss"]
         assert upper["two_singles_loss"] < lower["two_singles_loss"]
 
