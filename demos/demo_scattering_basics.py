@@ -25,13 +25,13 @@ print(f"photon pair at width sigma = {sigma}:")
 print(f"  component along the product mode : {res.coeff_along.real:+.4f}"
       f"   (1 - 2 eta)")
 print(f"  orthogonal (entangled) component : {res.coeff_orth:+.4f}")
-print(f"  eta from the closed form         : {tp.eta_analytic(sigma):.5f}")
+print(f"  eta from the closed form         : {tp.eta_analytic(p, sigma):.5f}")
 print(f"  eta from quadrature              : "
       f"{tp.eta_numeric(p, pulse):.5f}\n")
 
 print("eta against spectral width (closed form):")
 for s in (0.05, 0.16, 0.3, 0.47, 0.8, 1.25, 3.0):
-    bar = "#" * int(60 * tp.eta_analytic(s))
+    bar = "#" * int(60 * tp.eta_analytic(p, s))
     print(f"  sigma = {s:4.2f}  {bar}")
 
 lo = tp.matching_sigma(p, "lower")

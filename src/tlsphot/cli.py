@@ -143,8 +143,8 @@ def _parse(cfg: dict):
         beta_values=tuple(float(b) for b in raw.split(","))).beta_values)
     sigma_min = field("sweep", "sigma_min", float)
     sigma_max = field("sweep", "sigma_max", float)
-    count = field("sweep", "sigma_count", lambda raw: _check(
-        int(float(raw)), lambda n: n >= 2, "must be at least 2"))
+    count = field("sweep", "sigma_count", lambda raw: SweepSpec(
+        sigma_count=int(float(raw))).sigma_count)
     branch = field("run", "branch", lambda raw: _check(
         raw, lambda b: b in ("upper", "lower"), "must be upper or lower"))
     sigma = field("run", "sigma", auto(
@@ -230,7 +230,7 @@ def _resolved_eta(p: TlsParams, sigma: float, n_points: int | None,
                   refine: int = 1) -> float:
     """eta at width ``sigma``, on its (refined) policy grid if it needs one."""
     if p.gamma_loss == 0.0:
-        return eta_analytic(sigma)
+        return eta_analytic(p, sigma)
     return eta_numeric(p, _policy_pulse(sigma, n_points, refine))
 
 

@@ -174,12 +174,29 @@ def epsilon_b_numeric(p: TlsParams, f: OnePhotonAmp) -> float:
     return norm_sq(bound_amplitude(p, f), f.grid.weights)
 
 
-def eta_analytic(sigma: float) -> float:
-    """Closed-form eta for a resonant Lorentzian pulse, lossless emitter."""
+def eta_analytic(p: TlsParams, sigma: float) -> float:
+    """Closed-form eta for a resonant Lorentzian pulse of width sigma.
+
+    With G = gamma + 1 = 1 / beta_dir and u = (G - 2)^2,
+
+        eta = 4 sigma Q / (G^2 (G + 2 sigma)^4 (G + 6 sigma) (3G + 2 sigma)),
+        Q = u (3G^3 + 44G^2 sigma + 124G sigma^2 + 64 sigma^3)
+            + 16 sigma^2 (3G + 8 sigma).
+
+    In the time domain every factor of the overlap (f, f s, conj(t) f s) is
+    rational with simple poles, so its Fourier transform is a sum of
+    exponentials on each half line and the last integral is elementary.
+    """
     if not 0.0 < sigma < np.inf:
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
-    return (4 * sigma * (3 + 38 * sigma + 96 * sigma**2)
-            / ((1 + 2 * sigma) ** 3 * (3 + 2 * sigma) * (1 + 6 * sigma)))
+    G = p.gamma_loss + 1.0
+    u = (G - 2.0) ** 2
+    q = (u * (3 * G**3 + 44 * G**2 * sigma + 124 * G * sigma**2
+              + 64 * sigma**3)
+         + 16 * sigma**2 * (3 * G + 8 * sigma))
+    return (4 * sigma * q
+            / (G**2 * (G + 2 * sigma) ** 4 * (G + 6 * sigma)
+               * (3 * G + 2 * sigma)))
 
 
 def epsilon1_analytic(p: TlsParams, sigma: float) -> float:
@@ -243,24 +260,24 @@ def decompose(p: TlsParams, f: OnePhotonAmp) -> ScatterTwoResult:
     )
 
 
-def _eta_of_sigma(p: TlsParams, sigma: float,
-                  n_points: int | None = None) -> float:
-    """eta at spectral width sigma: closed form when lossless, else numeric.
+def _eta_kernel(ps, sigma: float, n_points: int | None = None) -> list:
+    """:func:`eta_numeric` at width sigma for each lossy emitter of ``ps``.
 
-    The numeric value is :func:`eta_numeric`'s kappa sum_q conv(u, u) I,
-    u = w conj(f t) s and I = 2 h conv(f s, f), for the centred Lorentzian on
-    its policy grid.  Parseval at one padded length L >= 2N - 1 makes it
-    sum_k U(k)^2 B(-k) / L, B the spectrum of conv(f s, f), computed from
-    the M + 1 samples at delta >= 0 of the n = 2M + 1 point grid: f is real
-    and even and t(-delta) = conj t(delta), so x = -i f s and -i u are
-    Hermitian about delta = 0, their zero-padded DFTs real (``np.fft.hfft``).
-    The spectrum at -k of a Hermitian sequence is that of its conjugate and
-    F, f's, is even, so the sum is -i sum_k U(k)^2 X'(k) F(k), X' the
-    spectrum of conj(x): one real sum over three real spectra, in which the
-    shift that centres the samples cancels.
+    The value is eta_numeric's kappa sum_q conv(u, u) I, u = w conj(f t) s
+    and I = 2 h conv(f s, f), for the centred Lorentzian on its policy grid.
+    Parseval at one padded length L >= 2N - 1 makes it sum_k U(k)^2 B(-k) / L,
+    B the spectrum of conv(f s, f), computed from the M + 1 samples at
+    delta >= 0 of the n = 2M + 1 point grid: f is real and even and
+    t(-delta) = conj t(delta), so x = -i f s and -i u are Hermitian about
+    delta = 0, their zero-padded DFTs real (``np.fft.hfft``).  The spectrum
+    at -k of a Hermitian sequence is that of its conjugate and F, f's, is
+    even, so the sum is -i sum_k U(k)^2 X'(k) F(k), X' the spectrum of
+    conj(x): one real sum over three real spectra, in which the shift that
+    centres the samples cancels.  ``hfft(a)`` is the unscaled ``irfft`` of
+    conj(a), so the spectra are taken from i conj(u), x and f, built
+    directly, without hfft's copy.  F depends on the width alone, so one
+    transform of the pulse serves every emitter.
     """
-    if p.gamma_loss == 0.0:
-        return eta_analytic(sigma)
     delta_max, n = policy_size(sigma, n_points)
     half = n // 2
     step = delta_max / half
@@ -272,50 +289,85 @@ def _eta_of_sigma(p: TlsParams, sigma: float,
     w[-1] *= 0.5
     f = lorentzian_at(d, sigma)
     # the full grid's norm: the centre sample once, every other one twice
-    fw = w * f
-    f /= np.sqrt(2.0 * np.sum(fw * f) - fw[0] * f[0])
-    t = transfer_coeff(p, d)
-    s = _s_of_t(t)
+    f /= np.sqrt(2.0 * np.sum(w * f * f) - w[0] * f[0] * f[0])
     size = _fast_len(2 * n - 1)
-    u_hat = np.fft.hfft(-1j * w * f * np.conj(t) * s, size)
-    x_hat = np.fft.hfft(1j * f * np.conj(s), size)
-    f_hat = np.fft.hfft(f, size)
-    total = np.sum(u_hat * u_hat * x_hat * f_hat)
     kappa = 0.5 / np.pi
-    return kappa * h / size * abs(float(total))
+    f_hat = None
+    etas = []
+    for p in ps:
+        t = transfer_coeff(p, d)
+        s = _s_of_t(t)
+        conj_iu, x = 1j * w * f * t * np.conj(s), -1j * f * s
+        # U^2 X' F in place, multiplied in that order.  Each array is freed
+        # once it is used and F taken after the first emitter's U^2 X',
+        # which keeps the peak memory down
+        del t, s
+        g = np.fft.irfft(conj_iu, size, norm="forward")
+        del conj_iu
+        g *= g
+        g *= np.fft.irfft(x, size, norm="forward")
+        del x
+        if f_hat is None:
+            f_hat = np.fft.irfft(f, size, norm="forward")
+        g *= f_hat
+        etas.append(kappa * h / size * abs(float(g.sum())))
+    return etas
 
 
-# matching_sigma's width range (hump search, first brackets) and root
-# tolerance
-_SIGMA_LO, _SIGMA_HI, _XTOL = 0.01, 30.0, 1e-12
+def _eta_of_sigma(p: TlsParams, sigma: float,
+                  n_points: int | None = None) -> float:
+    """eta at spectral width sigma: closed form when lossless, else the
+    numeric value on the policy grid (:func:`_eta_kernel`)."""
+    if p.gamma_loss == 0.0:
+        return eta_analytic(p, sigma)
+    return _eta_kernel((p,), sigma, n_points)[0]
+
+
+# matching_sigma's closed-form search range, the narrowest width it solves
+# on a numeric grid (a memory guard: the policy grid at sigma = 0.002 has
+# about 800 001 samples), the relative half-width of its first numeric
+# bracket, and its root tolerance
+_SIGMA_MIN, _SIGMA_HI = 1e-6, 30.0
+_SIGMA_LO, _POLISH, _XTOL = 0.005, 1e-5, 1e-12
 
 
 def matching_sigma(p: TlsParams, branch: str = "upper",
                    n_points: int | None = None) -> float:
     """Spectral width solving the matching condition eta = eps_1^2 / 2.
 
-    The mismatch eta(sigma) - eps_1(sigma)^2 / 2 is single-humped, so any
-    width where it is positive lies between its two roots; ``branch``
-    selects the ``"lower"`` or ``"upper"`` one (the upper crossing is the
-    recommended operating point, having the smaller loss).  A Brent search
-    for the hump on [0.01, 30] stops at the first positive width, which is
-    the near end of the bracket.  The far end is the nearest width already
-    evaluated on the branch's side whose mismatch is <= 0; if there is
-    none, the lower bracket steps down from the positive width by factors
-    of 4, to 0.01 at the least, so the costly narrow-pulse grids are built
-    only when the root lies there, and the upper one starts at 30 and
-    doubles.  Each width is evaluated once per call, and the root is solved
-    to 1e-12.
+    The mismatch eta(sigma) - eps_1(sigma)^2 / 2 is single-humped, and
+    ``branch`` selects the ``"lower"`` or ``"upper"`` of the two roots that
+    bracket its hump (the upper crossing is the recommended operating
+    point, having the smaller loss).  The lower root falls to sigma = 0 as
+    beta_dir falls to 0.5 and comes back below it.
+
+    The root sigma_c is found first on the closed form
+    (:func:`eta_analytic`), in a fraction of a millisecond: a Brent search
+    for the hump's peak on [1e-6, 30], then the root between the peak and
+    the end of that range on the branch's side.  Lossless, eta is that
+    closed form and sigma_c is the answer.  Lossy, the root of the numeric
+    eta on the policy grid (:func:`_eta_of_sigma`) lies within a few 1e-6
+    of sigma_c, relative: it is solved on
+    [sigma_c (1 - 1e-5), sigma_c (1 + 1e-5)], widened by 16 until the
+    mismatch changes sign on it, held to the branch's side of the peak and
+    above sigma = 0.005, below which the policy grid grows past 300 000
+    samples.  Each width is evaluated once per call, four or five numeric
+    evaluations per solve, and the root is solved to 1e-12.
 
     Raises
     ------
     NoCrossingError
         If the hump never reaches eps_1^2 / 2 for these emitter parameters,
-        or the branch's bracket finds no sign change; its ``branch`` names
-        the branch.
+        the branch's root lies below sigma = 0.005, or no widened bracket
+        finds a sign change; its ``branch`` names the branch.
     """
     if branch not in ("lower", "upper"):
         raise ValueError(f"branch must be 'lower' or 'upper', got {branch!r}")
+
+    def closed(sigma: float) -> float:
+        return (eta_analytic(p, sigma)
+                - 0.5 * epsilon1_analytic(p, sigma) ** 2)
+
     seen = {}
 
     def mismatch(sigma: float) -> float:
@@ -325,33 +377,40 @@ def matching_sigma(p: TlsParams, branch: str = "upper",
         return seen[sigma]
 
     try:
-        inside, inside_val = golden_max(mismatch, _SIGMA_LO, _SIGMA_HI,
-                                        xtol=1e-6, above=0.0)
-        if inside_val <= 0.0:
+        peak, peak_val = golden_max(closed, _SIGMA_MIN, _SIGMA_HI, xtol=1e-6)
+        if peak_val <= 0.0:
             raise NoCrossingError(
                 f"matching condition unreachable at "
                 f"beta_dir={p.beta_dir:.4f}: "
-                f"max(eta - eps1^2/2) = {inside_val:.3e}"
+                f"max(eta - eps1^2/2) = {peak_val:.3e}"
             )
         if branch == "lower":
-            below = [x for x, v in seen.items() if x < inside and v <= 0.0]
-            if below:
-                lo = max(below)
-            else:
-                lo = inside
-                while lo > _SIGMA_LO and mismatch(lo) > 0.0:
-                    lo = max(lo / 4.0, _SIGMA_LO)
-            return bisect(mismatch, lo, inside, xtol=_XTOL)
-        beyond = [x for x, v in seen.items() if x > inside and v <= 0.0]
-        if beyond:
-            hi = min(beyond)
+            if closed(_SIGMA_MIN) > 0.0:
+                raise NoCrossingError(
+                    f"no sign change above the width floor {_SIGMA_LO:g}: "
+                    f"the closed-form lower root lies below sigma = "
+                    f"{_SIGMA_MIN:g}")
+            root = bisect(closed, _SIGMA_MIN, peak, xtol=_XTOL)
+            side = (_SIGMA_LO, peak)
         else:
-            hi = _SIGMA_HI
-            while mismatch(hi) > 0.0:
-                hi *= 2.0
-                if hi > 1e6:
-                    raise NoCrossingError("upper matching bracket ran away")
-        return bisect(mismatch, inside, hi, xtol=_XTOL)
+            root = bisect(closed, peak, _SIGMA_HI, xtol=_XTOL)
+            side = (peak, np.inf)
+        if root < _SIGMA_LO:
+            raise NoCrossingError(
+                f"no sign change above the width floor {_SIGMA_LO:g}: the "
+                f"closed-form {branch} root is sigma = {root:.6g}")
+        if p.gamma_loss == 0.0:
+            return root
+        reach = _POLISH
+        while True:
+            lo = max(root * (1.0 - reach), side[0])
+            hi = min(root * (1.0 + reach), side[1])
+            try:
+                return bisect(mismatch, lo, hi, xtol=_XTOL)
+            except NoCrossingError:
+                reach *= 16.0
+                if reach >= 1.0:
+                    raise
     except NoCrossingError as exc:
         exc.branch = branch
         raise

@@ -10,9 +10,10 @@ from .grid import _check_n_points
 from .roots import NoCrossingError
 from .scatter import (
     TlsParams,
-    _eta_of_sigma,
+    _eta_kernel,
     epsilon1_analytic,
     epsilon_b_analytic,
+    eta_analytic,
     matching_sigma,
 )
 
@@ -33,6 +34,9 @@ class SweepSpec:
         # NaN fails every comparison
         if not 0.0 < lo < hi < np.inf:
             raise ValueError(f"bad sigma_range {self.sigma_range}")
+        if not self.sigma_count >= 2:
+            raise ValueError(f"sigma_count must be at least 2, "
+                             f"got {self.sigma_count}")
         if any(not 0.0 < b <= 1.0 for b in self.beta_values):
             raise ValueError(f"beta values must lie in (0, 1], "
                              f"got {self.beta_values}")
@@ -53,11 +57,17 @@ def fig1b_data(spec: SweepSpec) -> list:
     crossing flag marks rows where eta - eps_1^2/2 changes sign before the
     next row, i.e. the sorting operating points.
     """
+    sigmas = spec.sigmas()
+    ps = [TlsParams.from_beta(beta) for beta in spec.beta_values]
+    lossy = [p for p in ps if p.gamma_loss > 0.0]
+    # widths first: one transform of each width's pulse serves every lossy
+    # beta, and numeric yields the lossy betas' columns in order
+    numeric = iter(zip(*[_eta_kernel(lossy, s, spec.n_points)
+                         for s in sigmas]) if lossy else ())
     rows = []
-    for beta in spec.beta_values:
-        p = TlsParams.from_beta(beta)
-        sigmas = spec.sigmas()
-        etas = [_eta_of_sigma(p, s, spec.n_points) for s in sigmas]
+    for beta, p in zip(spec.beta_values, ps):
+        etas = (next(numeric) if p.gamma_loss > 0.0
+                else [eta_analytic(p, s) for s in sigmas])
         halves = [0.5 * epsilon1_analytic(p, s) ** 2 for s in sigmas]
         diffs = [e - h for e, h in zip(etas, halves)]
         for i, sigma in enumerate(sigmas):

@@ -48,7 +48,7 @@ def ns_refinement_chain(tls0, sigma_up0):
 def test_01_eta_analytic_numeric_agreement(tls0):
     sigmas = (0.1, 0.25, 0.5, 1.0, 2.0)
     for sigma in sigmas:
-        expected = tp.eta_analytic(sigma)
+        expected = tp.eta_analytic(tls0, sigma)
         start = time.monotonic()
         grid = tp.SpectralGrid.for_pulse_width(sigma)
         f = tp.make_pulse(tp.PulseShape("lorentzian", sigma), grid)
@@ -72,13 +72,14 @@ def test_02_matching_points(tls0):
     assert lower == pytest.approx(SIGMA_LOWER_GOLDEN, abs=1e-6)
     assert upper == pytest.approx(SIGMA_UPPER_GOLDEN, abs=1e-6)
     for s in (lower, upper):
-        assert abs(tp.eta_analytic(s) - 0.5) < 1e-10
+        assert abs(tp.eta_analytic(tls0, s) - 0.5) < 1e-10
     print(f"\nACCEPTANCE 2 PASS: matching points sigma/Gamma = {lower:.9f} "
           f"(lower), {upper:.9f} (upper), residuals < 1e-10")
 
 
-def test_03_eta_bound():
-    x, peak = golden_max(tp.eta_analytic, 0.05, 5.0, xtol=1e-12)
+def test_03_eta_bound(tls0):
+    x, peak = golden_max(lambda s: tp.eta_analytic(tls0, s), 0.05, 5.0,
+                         xtol=1e-12)
     assert peak < 0.75
     assert peak == pytest.approx(0.7196, abs=1e-3)
     assert x == pytest.approx(0.47, abs=0.01)
@@ -107,7 +108,7 @@ def test_04_lossy_closed_forms():
     p0 = tp.TlsParams()
     for sigma in sigmas:
         assert abs(tp.epsilon_b_analytic(p0, float(sigma))
-                   - 4.0 * tp.eta_analytic(float(sigma))) < 1e-12
+                   - 4.0 * tp.eta_analytic(p0, float(sigma))) < 1e-12
     print(f"\nACCEPTANCE 4 PASS: eps1 within {worst_eps1:.2e} (tol 1e-6), "
           f"eps_b within {worst_epsb:.2e} (tol 1e-4) over a 25-point "
           "(gamma, sigma) grid; eps_b = 4 eta identity < 1e-12")

@@ -250,6 +250,19 @@ class TestConfigFaults:
         assert capsys.readouterr().err == validated
         assert not out.exists()
 
+    @pytest.mark.parametrize("count", ["0", "1", "-3"])
+    def test_sigma_count_below_two_exits_2(self, tmp_path, capsys, count):
+        # SweepSpec refuses the count, and the diagnostic names the key
+        cfg = tmp_path / "count.ini"
+        cfg.write_text(f"[sweep]\nsigma_count = {count}\n")
+        assert run_cli(["validate", "--config", str(cfg)]) == 2
+        assert f"sweep.sigma_count = {count}" in capsys.readouterr().out
+        out = tmp_path / "out"
+        assert run_cli(["run", "fig1b", "--config", str(cfg),
+                        "--out", str(out)]) == 2
+        assert "sweep.sigma_count" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("experiment", ["fig1b", "matching-points"])
     def test_unresolved_pulse_exits_2(self, tmp_path, capsys, experiment):
         # the sweep and operating-point grids are only checked when a pulse

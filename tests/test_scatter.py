@@ -4,7 +4,7 @@ import pytest
 import dense_oracle as oracle
 import tlsphot as tp
 from tlsphot import scatter
-from tlsphot.grid import gaussian_values, lorentzian_values
+from tlsphot.grid import gaussian_values, lorentzian_values, policy_size
 from tlsphot.pairs import FactoredPair, inner, norm_sq
 from tlsphot.roots import NoCrossingError, golden_max
 
@@ -67,7 +67,7 @@ class TestTransferCoeff:
         with pytest.raises(ValueError, match="finite"):
             tp.TlsParams(gamma_loss=value)
         p = tp.TlsParams.from_beta(0.95)
-        for figure in (tp.eta_analytic,
+        for figure in (lambda s: tp.eta_analytic(p, s),
                        lambda s: tp.epsilon1_analytic(p, s),
                        lambda s: tp.epsilon_b_analytic(p, s)):
             with pytest.raises(ValueError, match="finite"):
@@ -139,24 +139,47 @@ class TestScatterTwo:
 
 
 class TestEta:
-    def test_analytic_at_half(self):
-        assert tp.eta_analytic(0.5) == pytest.approx(92.0 / 128.0, abs=1e-15)
+    def test_analytic_at_half(self, lossless):
+        assert tp.eta_analytic(lossless, 0.5) == pytest.approx(92.0 / 128.0, abs=1e-15)
 
-    def test_analytic_small_width_slope(self):
+    def test_analytic_small_width_slope(self, lossless):
         # leading order of the closed form: 12 G^4 s / (3 G^5) = 4 s / G
         for s in (1e-4, 1e-5):
-            assert tp.eta_analytic(s) == pytest.approx(4 * s, rel=1e-2)
+            assert tp.eta_analytic(lossless, s) == pytest.approx(
+                4 * s, rel=1e-2)
 
-    def test_analytic_limits_vanish(self):
-        assert tp.eta_analytic(1e-9) < 1e-7
-        assert tp.eta_analytic(1e9) < 1e-7
+    def test_analytic_limits_vanish(self, lossless):
+        assert tp.eta_analytic(lossless, 1e-9) < 1e-7
+        assert tp.eta_analytic(lossless, 1e9) < 1e-7
+
+    def test_analytic_lossless_limit(self, lossless):
+        # at G = 1 the closed form reduces to the lossless expression
+        for s in np.geomspace(1e-4, 1e4, 200):
+            lossless_form = (4 * s * (3 + 38 * s + 96 * s**2)
+                             / ((1 + 2 * s) ** 3 * (3 + 2 * s) * (1 + 6 * s)))
+            assert abs(tp.eta_analytic(lossless, s) - lossless_form) < 1e-15
+
+    @pytest.mark.parametrize("beta", [0.95, 0.8, 0.5])
+    @pytest.mark.parametrize("sigma", [0.3, 1.2143, 3.0])
+    def test_analytic_matches_window_extrapolated_numeric(self, beta, sigma):
+        # the policy grid's window error falls as W^-3: doubling the window
+        # at the same spacing and extrapolating, (8 q(2W) - q(W)) / 7,
+        # leaves a residue far below the policy grid's own 7e-7
+        p = tp.TlsParams.from_beta(beta)
+        delta_max, n = policy_size(sigma)
+        q = [tp.eta_numeric(p, lorentzian(tp.SpectralGrid(k * delta_max,
+                                                          k * (n - 1) + 1),
+                                          sigma))
+             for k in (1, 2)]
+        assert abs((8 * q[1] - q[0]) / 7
+                   - tp.eta_analytic(p, sigma)) < 1e-9
 
     def test_numeric_matches_analytic(self, lossless):
         for sigma in (0.05, 0.2, 0.5, 1.0, 3.0, 5.0):
             g = tp.SpectralGrid.for_pulse_width(sigma)
             f = tp.make_pulse(tp.PulseShape("lorentzian", sigma), g)
             assert tp.eta_numeric(lossless, f) == pytest.approx(
-                tp.eta_analytic(sigma), abs=1e-4)
+                tp.eta_analytic(lossless, sigma), abs=1e-4)
 
     def test_fast_path_equals_dense_inner2(self, lossless):
         g = tp.SpectralGrid(40.0, 1001)
@@ -195,15 +218,16 @@ class TestEta:
             assert scatter._eta_of_sigma(p, sigma) == pytest.approx(
                 tp.eta_numeric(p, lorentzian(g, sigma)), abs=1e-13), sigma
 
-    def test_maximum_below_bound(self):
-        x, val = golden_max(tp.eta_analytic, 0.05, 5.0, xtol=1e-12)
+    def test_maximum_below_bound(self, lossless):
+        x, val = golden_max(lambda s: tp.eta_analytic(lossless, s), 0.05,
+                            5.0, xtol=1e-12)
         assert val < 0.75
         assert val == pytest.approx(0.7196, abs=1e-3)
         assert x == pytest.approx(0.47, abs=0.01)
 
-    def test_domain_errors(self):
+    def test_domain_errors(self, lossless):
         with pytest.raises(ValueError):
-            tp.eta_analytic(-1.0)
+            tp.eta_analytic(lossless, -1.0)
         with pytest.raises(ValueError):
             tp.epsilon_b_analytic(tp.TlsParams(), 0.0)
 
@@ -233,7 +257,7 @@ class TestEpsilonB:
     def test_identity_with_eta_when_lossless(self, lossless):
         for sigma in (0.05, 0.16, 0.5, 1.25, 4.0):
             assert abs(tp.epsilon_b_analytic(lossless, sigma)
-                       - 4 * tp.eta_analytic(sigma)) < 1e-12
+                       - 4 * tp.eta_analytic(lossless, sigma)) < 1e-12
 
     def test_lossless_matched_value_is_two(self, lossless):
         sigma = tp.matching_sigma(lossless, "upper")
@@ -312,7 +336,7 @@ class TestMatchingSigma:
     def test_root_residual(self, lossless):
         for branch in ("lower", "upper"):
             s = tp.matching_sigma(lossless, branch)
-            assert abs(tp.eta_analytic(s) - 0.5) < 1e-10
+            assert abs(tp.eta_analytic(lossless, s) - 0.5) < 1e-10
 
     def test_lossy_root_satisfies_condition(self):
         p = tp.TlsParams.from_beta(0.95)
@@ -322,6 +346,28 @@ class TestMatchingSigma:
         eta = tp.eta_numeric(p, f)
         assert eta == pytest.approx(
             0.5 * tp.epsilon1_analytic(p, s) ** 2, abs=1e-8)
+
+    def test_lower_root_near_half_beta(self):
+        # the lower root falls towards sigma = 0 as beta falls to 0.5; at
+        # 0.55 it lies below the numeric search's former 0.01 floor
+        p = tp.TlsParams.from_beta(0.55)
+        s = tp.matching_sigma(p, "lower")
+        assert s == pytest.approx(0.0075594928, abs=1e-8)
+        f = lorentzian(tp.SpectralGrid.for_pulse_width(s), s)
+        assert abs(tp.eta_numeric(p, f)
+                   - 0.5 * tp.epsilon1_analytic(p, s) ** 2) < 1e-10
+
+    @pytest.mark.parametrize("beta, root", [(0.52, "0.00142422"),
+                                            (0.5, "below sigma = 1e-06")])
+    def test_root_below_width_floor_raises(self, beta, root):
+        # the numeric grid below the floor is refused; the message names the
+        # closed-form root and the floor
+        p = tp.TlsParams.from_beta(beta)
+        with pytest.raises(NoCrossingError, match="floor 0.005") as info:
+            tp.matching_sigma(p, "lower")
+        assert root in str(info.value)
+        assert info.value.branch == "lower"
+        assert tp.matching_sigma(p, "upper") > 0.5
 
     def test_no_crossing_raises(self):
         # strong loss pushes eps_1^2/2 above the whole eta curve

@@ -15,7 +15,8 @@ class TestFig1b:
         rows = [r for r in fig1b_data(small_spec) if r["beta"] == 1.0]
         for r in rows:
             assert r["eta"] == pytest.approx(
-                tp.eta_analytic(r["sigma_over_gamma"]), abs=1e-12)
+                tp.eta_analytic(tp.TlsParams(), r["sigma_over_gamma"]),
+                abs=1e-12)
             assert r["half_eps1_sq"] == pytest.approx(0.5, abs=1e-12)
 
     def test_peak_location_and_height(self):
@@ -46,6 +47,22 @@ class TestFig1b:
         assert mid["half_eps1_sq"] == pytest.approx(
             0.5 * tp.epsilon1_analytic(p, mid["sigma_over_gamma"]) ** 2,
             abs=1e-12)
+
+    @pytest.mark.parametrize("betas", [(0.95, 0.9), (0.9, 1.0, 0.95)])
+    def test_rows_equal_one_beta_runs(self, betas):
+        # the widths-first evaluation gives each beta the rows of its own run
+        spec = SweepSpec(beta_values=betas, sigma_range=(0.05, 4.0),
+                         sigma_count=9)
+        alone = [r for b in betas
+                 for r in fig1b_data(SweepSpec(beta_values=(b,),
+                                               sigma_range=(0.05, 4.0),
+                                               sigma_count=9))]
+        assert fig1b_data(spec) == alone
+
+    @pytest.mark.parametrize("count", [0, 1, -3])
+    def test_sigma_count_checked(self, count):
+        with pytest.raises(ValueError, match="sigma_count"):
+            SweepSpec(sigma_count=count)
 
     def test_grid_size_checked(self):
         with pytest.raises(ValueError, match="odd and >= 3"):
