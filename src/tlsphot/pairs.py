@@ -50,24 +50,18 @@ _SKETCH_WIDTHS = (8, 16, MAX_DOOR_TERMS + 8)
 
 @lru_cache(maxsize=256)
 def _fast_len(n: int) -> int:
-    """The least 11-smooth integer >= n: a length the FFT splits into
-    radix-2, 3, 5, 7 and 11 passes (``scipy.fft.next_fast_len`` for complex
-    input)."""
+    """The least 5-smooth integer >= n, one with no prime factor above 5:
+    numpy's FFTs split such a length into radix-2, 3 and 5 passes, and run
+    slower at lengths with a factor 7 or 11."""
     best = 1 << (n - 1).bit_length()  # the least power of two >= n
-    p11 = 1
-    while p11 < best:
-        p7 = p11
-        while p7 < best:
-            p5 = p7
-            while p5 < best:
-                p3 = p5
-                while p3 < best:
-                    # the least p3 * 2^k >= n
-                    best = min(best, p3 << ((n - 1) // p3).bit_length())
-                    p3 *= 3
-                p5 *= 5
-            p7 *= 7
-        p11 *= 11
+    p5 = 1
+    while p5 < best:
+        p3 = p5
+        while p3 < best:
+            # the least p3 * 2^k >= n
+            best = min(best, p3 << ((n - 1) // p3).bit_length())
+            p3 *= 3
+        p5 *= 5
     return best
 
 

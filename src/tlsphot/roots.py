@@ -84,23 +84,18 @@ def bisect(fn, lo: float, hi: float, xtol: float = 1e-12,
     return b
 
 
-def golden_max(fn, lo: float, hi: float, xtol: float = 1e-10,
-               above: float = math.inf):
+def golden_max(fn, lo: float, hi: float, xtol: float = 1e-10):
     """Maximum of a unimodal fn on [lo, hi]; returns (x, fn(x)).
 
     Brent's method: x lies within xtol + 2 sqrt(eps) |x| of the maximum
     (closer than sqrt(eps) |x| the values differ by rounding alone).  The
-    returned value is the one fn gave at x, not a new evaluation.  The
-    search stops early at the first x where fn(x) > ``above``, and runs to
-    the maximum if there is none.
+    returned value is the one fn gave at x, not a new evaluation.
     """
     a, b = lo, hi
     # minimize -fn; x the best point so far, w the second best, v the
     # previous w
     x = w = v = a + _GOLDEN * (b - a)
     fx = fw = fv = -fn(x)
-    if -fx > above:
-        return x, -fx
     d = e = 0.0
     while True:
         mid = 0.5 * (a + b)
@@ -132,8 +127,6 @@ def golden_max(fn, lo: float, hi: float, xtol: float = 1e-10,
             d = _GOLDEN * e
         u = x + (d if abs(d) >= tol else math.copysign(tol, d))
         fu = -fn(u)
-        if -fu > above:
-            return u, -fu
         if fu <= fx:
             if u >= x:
                 a = x

@@ -265,18 +265,23 @@ def _eta_kernel(ps, sigma: float, n_points: int | None = None) -> list:
 
     The value is eta_numeric's kappa sum_q conv(u, u) I, u = w conj(f t) s
     and I = 2 h conv(f s, f), for the centred Lorentzian on its policy grid.
-    Parseval at one padded length L >= 2N - 1 makes it sum_k U(k)^2 B(-k) / L,
-    B the spectrum of conv(f s, f), computed from the M + 1 samples at
-    delta >= 0 of the n = 2M + 1 point grid: f is real and even and
-    t(-delta) = conj t(delta), so x = -i f s and -i u are Hermitian about
-    delta = 0, their zero-padded DFTs real (``np.fft.hfft``).  The spectrum
-    at -k of a Hermitian sequence is that of its conjugate and F, f's, is
-    even, so the sum is -i sum_k U(k)^2 X'(k) F(k), X' the spectrum of
-    conj(x): one real sum over three real spectra, in which the shift that
-    centres the samples cancels.  ``hfft(a)`` is the unscaled ``irfft`` of
-    conj(a), so the spectra are taken from i conj(u), x and f, built
-    directly, without hfft's copy.  F depends on the width alone, so one
-    transform of the pulse serves every emitter.
+    Parseval at one padded length L >= 2N - 1 (:func:`pairs._fast_len`)
+    makes it sum_k U(k)^2 B(-k) / L, B the spectrum of conv(f s, f),
+    computed from the M + 1 samples at delta >= 0 of the n = 2M + 1 point
+    grid: f is real and even and t(-delta) = conj t(delta), so x = -i f s
+    and -i u are Hermitian about delta = 0 and their zero-padded DFTs are
+    real.  The spectrum at -k of a Hermitian sequence is that of its
+    conjugate and F, f's, is even, so the sum is -i sum_k U(k)^2 X'(k) F(k),
+    X' the spectrum of conj(x): one real sum over three real spectra, in
+    which the shift that centres the samples cancels.  Each spectrum is the
+    unscaled ``np.fft.irfft`` of the conjugate half sequence, of i conj(u),
+    x and f.  With a = G / 2 (G = gamma + 1), s = 1 / (delta + i a) and
+    t = 1 - i s, so for r = f / (delta^2 + a^2) the first two are
+
+        i conj(u) = w r ((1 - a) + i delta),    x = -r (a + i delta),
+
+    filled in from real arrays, with no complex division.  F depends on
+    the width alone, so one transform of the pulse serves every emitter.
     """
     delta_max, n = policy_size(sigma, n_points)
     half = n // 2
@@ -290,23 +295,28 @@ def _eta_kernel(ps, sigma: float, n_points: int | None = None) -> list:
     f = lorentzian_at(d, sigma)
     # the full grid's norm: the centre sample once, every other one twice
     f /= np.sqrt(2.0 * np.sum(w * f * f) - w[0] * f[0] * f[0])
+    d_sq = d * d
     size = _fast_len(2 * n - 1)
     kappa = 0.5 / np.pi
     f_hat = None
     etas = []
     for p in ps:
-        t = transfer_coeff(p, d)
-        s = _s_of_t(t)
-        conj_iu, x = 1j * w * f * t * np.conj(s), -1j * f * s
-        # U^2 X' F in place, multiplied in that order.  Each array is freed
-        # once it is used and F taken after the first emitter's U^2 X',
-        # which keeps the peak memory down
-        del t, s
-        g = np.fft.irfft(conj_iu, size, norm="forward")
-        del conj_iu
+        a = 0.5 * (p.gamma_loss + 1.0)
+        r = f / (d_sq + a * a)
+        z = np.empty(half + 1, complex)
+        # U^2 X' F in place, multiplied in that order, z holding i conj(u)
+        # and then x.  Each array is freed once it is used and F taken
+        # after the first emitter's U^2 X', which keeps the peak memory down
+        wr = w * r
+        np.multiply(wr, 1.0 - a, out=z.real)
+        np.multiply(wr, d, out=z.imag)
+        del wr
+        g = np.fft.irfft(z, size, norm="forward")
         g *= g
-        g *= np.fft.irfft(x, size, norm="forward")
-        del x
+        np.multiply(r, -a, out=z.real)
+        np.multiply(r, -d, out=z.imag)
+        g *= np.fft.irfft(z, size, norm="forward")
+        del r, z
         if f_hat is None:
             f_hat = np.fft.irfft(f, size, norm="forward")
         g *= f_hat
@@ -325,10 +335,11 @@ def _eta_of_sigma(p: TlsParams, sigma: float,
 
 # matching_sigma's closed-form search range, the narrowest width it solves
 # on a numeric grid (a memory guard: the policy grid at sigma = 0.002 has
-# about 800 001 samples), the relative half-width of its first numeric
-# bracket, and its root tolerance
+# about 800 001 samples), its root tolerance, and how far, relative, and in
+# how many numeric evaluations its polish may move from the closed-form root
 _SIGMA_MIN, _SIGMA_HI = 1e-6, 30.0
-_SIGMA_LO, _POLISH, _XTOL = 0.005, 1e-5, 1e-12
+_SIGMA_LO, _XTOL = 0.005, 1e-12
+_REACH, _POLISH_EVALS = 0.2, 8
 
 
 def matching_sigma(p: TlsParams, branch: str = "upper",
@@ -347,19 +358,23 @@ def matching_sigma(p: TlsParams, branch: str = "upper",
     the end of that range on the branch's side.  Lossless, eta is that
     closed form and sigma_c is the answer.  Lossy, the root of the numeric
     eta on the policy grid (:func:`_eta_of_sigma`) lies within a few 1e-6
-    of sigma_c, relative: it is solved on
-    [sigma_c (1 - 1e-5), sigma_c (1 + 1e-5)], widened by 16 until the
-    mismatch changes sign on it, held to the branch's side of the peak and
-    above sigma = 0.005, below which the policy grid grows past 300 000
-    samples.  Each width is evaluated once per call, four or five numeric
-    evaluations per solve, and the root is solved to 1e-12.
+    of sigma_c, relative, and is polished from it: one Newton step with
+    the closed form's slope at sigma_c, then secant steps on the numeric
+    mismatch.  Each iterate is held within 20 % of sigma_c, on the
+    branch's side of the peak and above sigma = 0.005, below which the
+    policy grid grows past 300 000 samples.  The last evaluated width is
+    returned once the next step is at most 5e-13, half the root tolerance
+    1e-12: two numeric evaluations per solve on the lower branch (one at
+    some beta_dir below 0.6, where the Newton step is already that short),
+    two to four on the upper.
 
     Raises
     ------
     NoCrossingError
         If the hump never reaches eps_1^2 / 2 for these emitter parameters,
-        the branch's root lies below sigma = 0.005, or no widened bracket
-        finds a sign change; its ``branch`` names the branch.
+        the branch's root lies below sigma = 0.005, or the polish finds no
+        numeric root within 20 % of sigma_c in eight numeric evaluations;
+        its ``branch`` names the branch.
     """
     if branch not in ("lower", "upper"):
         raise ValueError(f"branch must be 'lower' or 'upper', got {branch!r}")
@@ -368,13 +383,9 @@ def matching_sigma(p: TlsParams, branch: str = "upper",
         return (eta_analytic(p, sigma)
                 - 0.5 * epsilon1_analytic(p, sigma) ** 2)
 
-    seen = {}
-
     def mismatch(sigma: float) -> float:
-        if sigma not in seen:
-            seen[sigma] = (_eta_of_sigma(p, sigma, n_points)
-                           - 0.5 * epsilon1_analytic(p, sigma) ** 2)
-        return seen[sigma]
+        return (_eta_of_sigma(p, sigma, n_points)
+                - 0.5 * epsilon1_analytic(p, sigma) ** 2)
 
     try:
         peak, peak_val = golden_max(closed, _SIGMA_MIN, _SIGMA_HI, xtol=1e-6)
@@ -391,26 +402,38 @@ def matching_sigma(p: TlsParams, branch: str = "upper",
                     f"the closed-form lower root lies below sigma = "
                     f"{_SIGMA_MIN:g}")
             root = bisect(closed, _SIGMA_MIN, peak, xtol=_XTOL)
-            side = (_SIGMA_LO, peak)
+            lo, hi = _SIGMA_LO, peak
         else:
             root = bisect(closed, peak, _SIGMA_HI, xtol=_XTOL)
-            side = (peak, np.inf)
+            lo, hi = peak, np.inf
         if root < _SIGMA_LO:
             raise NoCrossingError(
                 f"no sign change above the width floor {_SIGMA_LO:g}: the "
                 f"closed-form {branch} root is sigma = {root:.6g}")
         if p.gamma_loss == 0.0:
             return root
-        reach = _POLISH
-        while True:
-            lo = max(root * (1.0 - reach), side[0])
-            hi = min(root * (1.0 + reach), side[1])
-            try:
-                return bisect(mismatch, lo, hi, xtol=_XTOL)
-            except NoCrossingError:
-                reach *= 16.0
-                if reach >= 1.0:
-                    raise
+        # a Newton step with the closed form's slope, then secant steps
+        lo = max(lo, (1.0 - _REACH) * root)
+        hi = min(hi, (1.0 + _REACH) * root)
+        dx = 1e-6 * root
+        slope = (closed(root + dx) - closed(root - dx)) / (2.0 * dx)
+        x, prev = root, None
+        for _ in range(_POLISH_EVALS):
+            fx = mismatch(x)
+            if prev is not None:
+                if fx == prev[1]:
+                    break
+                slope = (fx - prev[1]) / (x - prev[0])
+            step = -fx / slope
+            if abs(step) <= 0.5 * _XTOL:
+                return x
+            prev = x, fx
+            x = min(max(x + step, lo), hi)
+            if x == prev[0]:
+                break
+        raise NoCrossingError(
+            f"no numeric {branch} root found within {_REACH:.0%} of the "
+            f"closed-form root sigma = {root:.6g}")
     except NoCrossingError as exc:
         exc.branch = branch
         raise

@@ -508,18 +508,22 @@ def test_self_inverses(seed, rails, theta, phi, one_rail):
 # -- the FFT convolution -------------------------------------------------------
 
 
-def smooth11(n):
-    for p in (2, 3, 5, 7, 11):
+def smooth5(n):
+    for p in (2, 3, 5):
         while n % p == 0:
             n //= p
     return n == 1
 
 
-def test_fast_len_is_least_11_smooth():
+def test_fast_len_is_least_5_smooth():
     for n in list(range(1, 2000)) + [4001, 8001, 24617, 160001, 320001]:
         got = pairs._fast_len(n)
-        assert got >= n and smooth11(got), n
-        assert not any(smooth11(m) for m in range(n, got)), n
+        assert got >= n and smooth5(got), n
+        assert not any(smooth5(m) for m in range(n, got)), n
+    # the pair convolutions at n = 1201 and 4001, whose 11-smooth lengths
+    # were 2401 = 7^4 and 8019 = 3^6 * 11
+    assert pairs._fast_len(2401) == 2430
+    assert pairs._fast_len(8001) == 8100
 
 
 def sequence(real):
