@@ -7,6 +7,7 @@ included.
 
 from .grid import (
     GridMismatchError,
+    GridSizeError,
     OnePhotonAmp,
     PulseShape,
     ResolutionError,

@@ -38,7 +38,14 @@ from .circuits import (
     ns_gate,
     photon_sorter,
 )
-from .grid import PulseShape, ResolutionError, SpectralGrid, make_pulse
+from .grid import (
+    MAX_N_POINTS,
+    GridSizeError,
+    PulseShape,
+    ResolutionError,
+    SpectralGrid,
+    make_pulse,
+)
 from .modeops import leakage_metric, sum_rail
 from .pairs import FactoredPair
 from .roots import NoCrossingError
@@ -117,6 +124,16 @@ def _check(value, ok, message: str):
     return value
 
 
+def _grid_n(raw: str) -> int:
+    """A ``grid.n_points`` value; the headlines rerun on the doubled grid,
+    of 2 n - 1 samples, so that must be affordable too."""
+    n = SpectralGrid(1.0, int(raw)).n_points
+    if 2 * n - 1 > MAX_N_POINTS:
+        raise GridSizeError(f"the headline rerun needs 2 n - 1 = {2 * n - 1} "
+                            f"samples, above the maximum of {MAX_N_POINTS}")
+    return n
+
+
 def _parse(cfg: dict):
     """Typed settings of a resolved configuration (None if it has faults),
     and one diagnostic per fault, naming its key.
@@ -136,8 +153,7 @@ def _parse(cfg: dict):
     def auto(convert):
         return lambda raw: None if raw == "auto" else convert(raw)
 
-    n_points = field("grid", "n_points", auto(
-        lambda raw: SpectralGrid(1.0, int(raw)).n_points))
+    n_points = field("grid", "n_points", auto(_grid_n))
     p = field("tls", "beta", lambda raw: TlsParams.from_beta(float(raw)))
     betas = field("sweep", "beta_values", lambda raw: SweepSpec(
         beta_values=tuple(float(b) for b in raw.split(","))).beta_values)
@@ -160,12 +176,16 @@ def _parse(cfg: dict):
         except ValueError as exc:
             diagnostics.append(f"sweep.sigma_min = {sigma_min}, "
                                f"sweep.sigma_max = {sigma_max}: {exc}")
-    if None not in (n_points, sigma, p):
+    if sigma is not None:
+        where = (f"grid.n_points = {cfg['grid']['n_points']}, "
+                 f"run.sigma = {sigma}")
         try:
             _policy_pulse(sigma, n_points)
+            _policy_grid(sigma, n_points, refine=2)  # the headline rerun's
         except ResolutionError as exc:
-            diagnostics.append(f"grid.n_points = {n_points}, run.sigma = "
-                               f"{sigma}: grid resolution: {exc}")
+            diagnostics.append(f"{where}: grid resolution: {exc}")
+        except GridSizeError as exc:
+            diagnostics.append(f"{where}: {exc}")
     if diagnostics:
         return None, diagnostics
     return _Settings(p=p, spec=spec, n_points=n_points, branch=branch,
@@ -485,9 +505,10 @@ def run(experiment: str, cfg: dict, out_dir: str) -> int:
     try:
         columns, rows, headlines = _BUILDERS[experiment](settings)
         values = {name: (fn(1), fn(2)) for name, fn in headlines.items()}
-    except ResolutionError as exc:
+    except (ResolutionError, GridSizeError) as exc:
         # grids the configuration does not spell out (sweep widths, the
-        # matched operating point) are only checked when a pulse is sampled
+        # matched operating point, the headline reruns) are only checked
+        # when they are built
         print(f"grid.n_points = {cfg['grid']['n_points']}: {exc}",
               file=sys.stderr)
         return 2

@@ -28,6 +28,10 @@ class ResolutionError(ValueError):
     """A pulse is not resolved by the grid it is sampled on."""
 
 
+class GridSizeError(ValueError):
+    """A grid would hold more than :data:`MAX_N_POINTS` samples."""
+
+
 # Resolution bounds enforced when sampling a pulse: at least this many samples
 # per spectral width, and a window at least this many widths wide.
 SAMPLES_PER_WIDTH = 10
@@ -39,24 +43,40 @@ WINDOW_WIDTHS = 25
 DEFAULT_WINDOW_WIDTHS = 80
 DEFAULT_N_POINTS = 4001
 
+# The most samples a grid may have, 16 MB per real array, so that a width
+# too narrow to afford is refused before anything is allocated.  The policy
+# grid reaches it at widths just below 8e-4; the narrowest matching width,
+# sigma = 0.005, needs 320 001 samples.
+MAX_N_POINTS = 2_000_001
+
 
 def _check_n_points(n_points: int) -> None:
     if n_points < 3 or n_points % 2 == 0:
         raise ValueError(f"n_points must be odd and >= 3, got {n_points}")
+    if n_points > MAX_N_POINTS:
+        raise GridSizeError(f"n_points {n_points} is above the maximum of "
+                            f"{MAX_N_POINTS} samples")
 
 
 def policy_size(width: float,
                 n_points: int | None = None) -> tuple[float, int]:
     """(delta_max, n_points) of :meth:`SpectralGrid.for_pulse_width`'s grid,
     for callers that sample only part of it; it refuses the sizes
-    :class:`SpectralGrid` refuses."""
+    :class:`SpectralGrid` refuses, and raises :class:`GridSizeError` for a
+    width whose policy grid would exceed :data:`MAX_N_POINTS`."""
     if not 0.0 < width < np.inf:  # NaN fails every comparison
         raise ValueError(f"width must be positive and finite, got {width}")
     delta_max = DEFAULT_WINDOW_WIDTHS * max(width, 1.0)
     if n_points is None:
         n_points = DEFAULT_N_POINTS
         h_needed = width / SAMPLES_PER_WIDTH
-        n_min = int(np.ceil(2.0 * delta_max / h_needed)) + 1
+        # bounded as a float first: a subnormal width gives h_needed = 0
+        span = 2.0 * delta_max / h_needed if h_needed > 0.0 else np.inf
+        if not span <= MAX_N_POINTS - 1:
+            raise GridSizeError(
+                f"width {width:g} needs {span + 1.0:.6g} samples on its "
+                f"policy grid, above the maximum of {MAX_N_POINTS}")
+        n_min = int(np.ceil(span)) + 1
         if n_min > n_points:
             n_points = n_min + 1 if n_min % 2 == 0 else n_min
     _check_n_points(n_points)

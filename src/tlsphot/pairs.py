@@ -10,10 +10,27 @@ Walmsley & Eberly, PRL 84, 5304 (2000)), and an emitter pass adds one bound
 term s(x) s(y) I(x + y) (Shen & Fan, PRL 98, 153003 (2007)); linear optics,
 the pulse gate and the memory keep the form.  Norms, overlaps and
 projections are 1-D dot products and convolutions (:func:`convolve`, on
-``numpy.fft``).  Factor arrays are shared between pairs and never written
-to, so norms and overlaps cache each term pair's Gram entry on the
-identities of its factors, through weak references.  An op the form cannot
-express (a one-axis flip of a term with ``c``) raises.
+``numpy.fft``).  An op the form cannot express (a one-axis flip of a term
+with ``c``) raises.
+
+Two caches spare repeated work, and neither moves a bit of any result:
+
+- Factor arrays are shared between pairs and never written to, so norms and
+  overlaps cache each term pair's Gram entry (a complex number) on the
+  identities of its seven arrays (six factors and the weights), through
+  weak references: :data:`_GRAM`, O(1) per hit, an entry dying with the
+  first of its arrays.
+- On a :data:`_GRAM` miss, and for the emitter's bound term
+  (``scatter._bound_term``), the convolution comes from :data:`_CONV`, a
+  memo of full convolutions keyed on the input lengths, dtypes and four
+  sampled entries, which hits only on inputs equal bit for bit to a stored
+  pair.  An entry holds byte copies of its two inputs, never a factor, and
+  its read-only result.  The memo keeps at most 1.5 MB, least recently
+  used out first, and stores no entry above a sixteenth of that: it is live
+  for complex inputs of up to 1465 samples (a (60, 1201) circuit grid),
+  and off on every grid the CLI samples a pulse on (4001 samples by
+  default, and at least 1601 to resolve a pulse).  ``project_term``
+  convolves uncached.
 
 A dense N x N array enters through one door, :func:`from_dense`, which
 checks it and factors it into ``c = None`` terms; no other code here builds
@@ -24,6 +41,7 @@ that ask for one.
 from __future__ import annotations
 
 import weakref
+from collections import OrderedDict
 from functools import lru_cache
 
 import numpy as np
@@ -85,6 +103,68 @@ def convolve(x, y, mode: str = "full") -> np.ndarray:
         short = min(len(x), len(y))
         return out[short - 1:n - short + 1]
     raise ValueError(f"mode must be 'full' or 'valid', got {mode!r}")
+
+
+class _ConvMemo:
+    """Full convolutions of input pairs seen before, least recently used
+    first out.
+
+    Device calls at one operating point convolve fresh arrays holding the
+    values of earlier calls' arrays, which :data:`_GRAM`'s identity keys
+    cannot match.  A hit needs both inputs equal to the stored ones bit for
+    bit, so it returns what :func:`convolve` would.  Entries (input bytes
+    and result) take at most ``budget`` bytes, and a pair whose entry would
+    take more than a sixteenth of that is neither looked up nor stored: on
+    large grids entries are large and repeats few.
+    """
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.entries = OrderedDict()  # key -> (x bytes, y bytes, result)
+        self.nbytes = 0
+
+    def clear(self) -> None:
+        self.entries.clear()
+        self.nbytes = 0
+
+    def convolve(self, x, y) -> np.ndarray:
+        """:func:`convolve` (x, y), from the memo where it can be."""
+        size = (x.nbytes + y.nbytes
+                + (len(x) + len(y) - 1) * max(x.itemsize, y.itemsize))
+        if 16 * size > self.budget:
+            return convolve(x, y)
+        key = (x.dtype.char, y.dtype.char, len(x), len(y),
+               _sampled(x), _sampled(y))
+        x_bytes = x.tobytes()
+        y_bytes = x_bytes if y is x else y.tobytes()
+        entry = self.entries.get(key)
+        if entry is not None and entry[:2] == (x_bytes, y_bytes):
+            self.entries.move_to_end(key)
+            return entry[2]
+        out = convolve(x, y)
+        out.flags.writeable = False
+        if entry is not None:  # same samples, other values: replace it
+            del self.entries[key]
+            self.nbytes -= _entry_bytes(entry)
+        entry = self.entries[key] = (x_bytes, y_bytes, out)
+        self.nbytes += _entry_bytes(entry)
+        while self.nbytes > self.budget:
+            self.nbytes -= _entry_bytes(self.entries.popitem(last=False)[1])
+        return out
+
+
+def _sampled(x) -> bytes:
+    """Four entries of x, spread over its length, as bytes."""
+    n = len(x)
+    return x[[0, n // 3, 2 * n // 3, n - 1]].tobytes()
+
+
+def _entry_bytes(entry) -> int:
+    x_bytes, y_bytes, out = entry
+    return len(x_bytes) + len(y_bytes) + out.nbytes
+
+
+_CONV = _ConvMemo(budget=1_500_000)
 
 
 def _same(x, y) -> bool:
@@ -324,7 +404,7 @@ def _gram_entry(a1, b1, c1, a2, b2, c2, w) -> complex:
         return np.sum(x) * np.sum(y)
     cc = c2 if c1 is None else (np.conj(c1) if c2 is None
                                 else np.conj(c1) * c2)
-    return np.sum(cc * convolve(x, y))
+    return np.sum(cc * _CONV.convolve(x, y))
 
 
 def norm_sq(values: FactoredPair, w) -> float:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import OnePhotonAmp, SpectralGrid, lorentzian_at, policy_size
-from .pairs import FactoredPair, _fast_len, convolve, inner, norm_sq
+from .pairs import _CONV, FactoredPair, _fast_len, inner, norm_sq
 from .roots import NoCrossingError, bisect, golden_max
 
 
@@ -105,13 +105,14 @@ def _bound_term(pair: FactoredPair, s: np.ndarray, h: float) -> FactoredPair:
     scattered ``pair``, as one symmetric term.  A term coef a(x) b(y) c(x + y)
     of the pair adds coef c(P) h (conv(a s, b) + conv(a, b s))(P) to I(P),
     and a symmetrized term the same, since exchanging a and b swaps the two
-    convolutions."""
+    convolutions.  The convolutions come from the memo of repeated
+    inputs (:data:`pairs._CONV`)."""
     total = None
     for coef, a, b, c in pair.terms:
         if a is b:
-            term = 2.0 * h * convolve(a * s, a)
+            term = 2.0 * h * _CONV.convolve(a * s, a)
         else:
-            term = h * (convolve(a * s, b) + convolve(a, b * s))
+            term = h * (_CONV.convolve(a * s, b) + _CONV.convolve(a, b * s))
         if c is not None:
             term *= c
         if coef != 1.0:

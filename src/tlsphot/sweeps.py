@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import _check_n_points
+from .grid import policy_size
 from .roots import NoCrossingError
 from .scatter import (
     TlsParams,
@@ -41,9 +41,10 @@ class SweepSpec:
             raise ValueError(f"beta values must lie in (0, 1], "
                              f"got {self.beta_values}")
         # checked here: a lossless figure takes closed forms, samples no
-        # grid, and so would never refuse the size
-        if self.n_points is not None:
-            _check_n_points(self.n_points)
+        # grid, and so would never refuse the size.  A lossy beta samples
+        # every width on its policy grid, the narrowest on the largest
+        if self.n_points is not None or any(b < 1.0 for b in self.beta_values):
+            policy_size(lo, self.n_points)
 
     def sigmas(self) -> np.ndarray:
         lo, hi = self.sigma_range

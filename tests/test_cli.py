@@ -224,6 +224,36 @@ class TestConfigFaults:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("flags, key", [
+        # the policy grid of sigma = 1e-9 would hold 1.6e12 samples
+        (["--sigma", "1e-9"], "run.sigma = 1e-09"),
+        (["--grid-n", "3000001"], "grid.n_points = 3000001"),
+        # the headlines rerun on 2 n - 1 = 3000001 samples
+        (["--grid-n", "1500001"], "grid.n_points = 1500001"),
+    ])
+    def test_unaffordable_grid_flag_exits_2(self, tmp_path, capsys, flags,
+                                            key):
+        out = tmp_path / "out"
+        assert run_cli(["run", "cz-demo", *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert key in err
+        assert "above the maximum" in err
+        assert not out.exists()
+
+    def test_unaffordable_sweep_width_exits_2(self, tmp_path, capsys):
+        # the default betas are lossy, so fig1b samples sigma_min's grid
+        cfg = tmp_path / "narrow.ini"
+        cfg.write_text("[sweep]\nsigma_min = 1e-9\n")
+        assert run_cli(["validate", "--config", str(cfg)]) == 2
+        validated = capsys.readouterr().out
+        assert "sweep.sigma_min = 1e-09" in validated
+        assert "above the maximum" in validated
+        out = tmp_path / "out"
+        assert run_cli(["run", "fig1b", "--beta", "0.95", "--config",
+                        str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == validated
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_sigma_flag_exits_2(self, tmp_path, capsys, value):
         out = tmp_path / "out"

@@ -3,6 +3,7 @@ import pytest
 
 import tlsphot as tp
 from tlsphot.grid import (
+    MAX_N_POINTS,
     GridMismatchError,
     ResolutionError,
     policy_size,
@@ -47,6 +48,27 @@ class TestSpectralGrid:
             policy_size(1.2, n_points=n)
         with pytest.raises(ValueError, match="odd and >= 3"):
             tp.SpectralGrid(96.0, n)
+
+    @pytest.mark.parametrize("width", [1e-9, 7.9e-4, 5e-324])
+    def test_unaffordable_policy_grid_refused(self, width):
+        # refused from the sizes alone, before any array is allocated
+        with pytest.raises(tp.GridSizeError, match="above the maximum"):
+            policy_size(width)
+        with pytest.raises(tp.GridSizeError):
+            tp.SpectralGrid.for_pulse_width(width)
+
+    def test_largest_policy_grids_admitted(self):
+        # the narrowest width matching_sigma solves on a numeric grid
+        assert policy_size(0.005) == (80.0, 320001)
+        assert policy_size(8.1e-4)[1] <= MAX_N_POINTS
+
+    def test_grid_above_the_maximum_refused(self):
+        with pytest.raises(tp.GridSizeError, match="above the maximum"):
+            tp.SpectralGrid(1.0, MAX_N_POINTS + 2)
+        with pytest.raises(tp.GridSizeError):
+            policy_size(1.0, n_points=MAX_N_POINTS + 2)
+        with pytest.raises(tp.GridSizeError):
+            tp.SpectralGrid(1.0, (MAX_N_POINTS + 5) // 2).refine(2)
 
     def test_policy_window_is_80_widths_at_least_80(self):
         assert policy_size(0.5) == (80.0, 4001)

@@ -240,22 +240,23 @@ class TestCancellation:
         assert ("a", "b") in self.written(small).two_photon
 
 
+@pytest.fixture
+def convolutions(monkeypatch):
+    """The arguments of every ``pairs.convolve`` call from here on."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return convolve(*args, **kwargs)
+
+    convolve = pairs.convolve
+    monkeypatch.setattr(pairs, "convolve", counted)
+    return calls
+
+
 class TestGramCache:
     """``pairs._term_inner`` computes each Gram entry once per set of
     factor arrays and weights, and drops it when one of them dies."""
-
-    @pytest.fixture
-    def convolutions(self, monkeypatch):
-        """The arguments of every ``pairs.convolve`` call from here on."""
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return convolve(*args, **kwargs)
-
-        convolve = pairs.convolve
-        monkeypatch.setattr(pairs, "convolve", counted)
-        return calls
 
     def test_second_norm_runs_no_convolution(self, convolutions):
         pair = random_pair(np.random.default_rng(11), True)
@@ -279,9 +280,12 @@ class TestGramCache:
     def test_entries_die_with_their_factors(self):
         pair = random_pair(np.random.default_rng(13), True)
         before = set(pairs._GRAM)
+        pairs._CONV.clear()
         pairs.norm_sq(pair, W)
         added = set(pairs._GRAM) - before
         assert added
+        # the memo of convolutions holds entries of this norm, but copies
+        assert pairs._CONV.entries
         factor = weakref.ref(pair.terms[0][1])
         del pair
         assert factor() is None
@@ -307,6 +311,77 @@ class TestGramCache:
         assert pairs.norm_sq(pair, W) == pytest.approx(
             oracle.norm2(W, pair.dense()), rel=1e-13)
         assert pairs.norm_sq(pair, W) == pytest.approx(64 * first, rel=1e-13)
+
+
+class TestConvMemo:
+    """``pairs._CONV``: convolutions of inputs equal, bit for bit, to ones
+    seen before come from a bounded memo."""
+
+    def test_equal_fresh_pair_runs_no_transform(self, convolutions):
+        # new arrays of equal values: the Gram cache misses, the memo hits
+        first = pairs.norm_sq(random_pair(np.random.default_rng(14), True), W)
+        convolutions.clear()
+        again = pairs.norm_sq(random_pair(np.random.default_rng(14), True), W)
+        assert not convolutions
+        assert again == first
+
+    def test_inputs_sharing_the_sampled_entries_differ(self):
+        memo = pairs._ConvMemo(budget=pairs._CONV.budget)
+        rng = np.random.default_rng(15)
+        x, y = rvec(rng), rvec(rng)
+        x2 = x.copy()
+        x2[1] += 1.0  # not one of the entries the key samples
+        assert pairs._sampled(x2) == pairs._sampled(x)
+        for _ in range(2):
+            for v in (x, x2):
+                got = memo.convolve(v, y)
+                assert np.array_equal(got, pairs.convolve(v, y))
+
+    def test_results_are_read_only(self):
+        rng = np.random.default_rng(16)
+        out = pairs._ConvMemo(budget=10**6).convolve(rvec(rng), rvec(rng))
+        with pytest.raises(ValueError, match="read-only"):
+            out[0] = 0.0
+
+    def test_bytes_stay_within_budget(self):
+        memo = pairs._ConvMemo(budget=pairs._CONV.budget)
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            memo.convolve(rvec(rng, 1201), rvec(rng, 1201))
+            assert memo.nbytes == sum(
+                len(x) + len(y) + out.nbytes
+                for x, y, out in memo.entries.values())
+            assert memo.nbytes <= memo.budget
+        assert 0 < len(memo.entries) < 40
+        # an entry at the default n = 4001 would take 256 KB: not stored
+        keys = list(memo.entries)
+        x, y = rvec(rng, 4001), rvec(rng, 4001)
+        assert np.array_equal(memo.convolve(x, y), pairs.convolve(x, y))
+        assert list(memo.entries) == keys
+
+    @pytest.mark.parametrize("loss", ["lossless", "lossy"])
+    def test_devices_equal_with_memo_cold_and_warm(self, tls0, sigma_up0,
+                                                   tls95, sigma_up95, loss,
+                                                   convolutions):
+        p, sigma = (tls0, sigma_up0) if loss == "lossless" else (tls95,
+                                                                 sigma_up95)
+        grid = tp.SpectralGrid(60.0, 1201)  # where the memo is live
+        pulse = tp.make_pulse(tp.PulseShape("lorentzian", sigma), grid)
+
+        def run():
+            reports = [tp.bell_analyzer(s, p, pulse)
+                       for s in bell_inputs(grid, pulse)]
+            reports += [tp.cz_gate(s, p, pulse)
+                        for s in cz_inputs(grid, pulse)]
+            return [(r.success_prob, r.pattern_probs, r.logical_amplitudes)
+                    for r in reports]
+
+        pairs._CONV.clear()
+        cold = run()
+        computed = len(convolutions)
+        convolutions.clear()
+        assert run() == cold
+        assert len(convolutions) < computed  # the warm run hits the memo
 
 
 class TestDoor:

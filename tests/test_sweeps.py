@@ -75,6 +75,18 @@ class TestFig1b:
         with pytest.raises(ValueError, match="odd and >= 3"):
             fig3_data(SweepSpec(beta_values=(1.0,), n_points=n_points))
 
+    def test_unaffordable_narrowest_width_refused(self):
+        # a lossy beta samples sigma_min on its policy grid: 1.6e12 samples
+        with pytest.raises(tp.GridSizeError, match="width 1e-09"):
+            SweepSpec(beta_values=(1.0, 0.95), sigma_range=(1e-9, 5.0))
+
+    def test_lossless_spec_samples_no_grid(self):
+        # at beta = 1 every figure is closed form, at any width
+        spec = SweepSpec(beta_values=(1.0,), sigma_range=(1e-9, 5.0),
+                         sigma_count=3)
+        assert [r["eta"] for r in fig1b_data(spec)] == [
+            tp.eta_analytic(tp.TlsParams(), s) for s in spec.sigmas()]
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             SweepSpec(sigma_range=(0.0, 1.0))
