@@ -10,8 +10,11 @@ Walmsley & Eberly, PRL 84, 5304 (2000)), and an emitter pass adds one bound
 term s(x) s(y) I(x + y) (Shen & Fan, PRL 98, 153003 (2007)); linear optics,
 the pulse gate and the memory keep the form.  Norms, overlaps and
 projections are 1-D dot products and convolutions (:func:`convolve`, on
-``numpy.fft``).  An op the form cannot express (a one-axis flip of a term
-with ``c``) raises.
+``numpy.fft``).  A Gram entry of two terms that share their ``a`` and
+their ``b`` convolves the real w |a|^2 and w |b|^2 by the real transform;
+a projection of a term with ``c`` is one cyclic convolution at
+``_fast_len(2N - 1)`` points, the least at which no kept entry wraps.  An
+op the form cannot express (a one-axis flip of a term with ``c``) raises.
 
 Two caches spare repeated work, and neither moves a bit of any result:
 
@@ -19,7 +22,12 @@ Two caches spare repeated work, and neither moves a bit of any result:
   overlaps cache each term pair's Gram entry (a complex number) on the
   identities of its seven arrays (six factors and the weights), through
   weak references: :data:`_GRAM`, O(1) per hit, an entry dying with the
-  first of its arrays.
+  first of its arrays.  :func:`flip` reverses factors as views and records,
+  in O(1), the array each view reverses (:data:`_REVERSES`).  A term pair
+  whose six factors are all such views takes the entry of the arrays they
+  reverse when the weights read the same reversed, which is decided once
+  per weights array (:data:`_SYMMETRIC`): the sum has the same products in
+  another order, so the memory's output norms from its input's entries.
 - On a :data:`_GRAM` miss, and for the emitter's bound term
   (``scatter._bound_term``), the convolution comes from :data:`_CONV`, a
   memo of full convolutions keyed on the input lengths, dtypes and four
@@ -83,26 +91,22 @@ def _fast_len(n: int) -> int:
     return best
 
 
-def convolve(x, y, mode: str = "full") -> np.ndarray:
-    """Linear convolution of two 1-D arrays by FFT at :func:`_fast_len`.
-
-    ``mode`` is ``"full"`` (length len(x) + len(y) - 1) or ``"valid"`` (the
-    max - min + 1 entries that need no zero padding).  Two real inputs take
-    the real transform and give a real array; ``y is x`` takes one forward
-    transform."""
+def convolve(x, y) -> np.ndarray:
+    """Linear convolution of two 1-D arrays, length len(x) + len(y) - 1, by
+    FFT at :func:`_fast_len`."""
     n = len(x) + len(y) - 1
-    size = _fast_len(n)
+    return _cyclic(x, y, _fast_len(n))[:n]
+
+
+def _cyclic(x, y, size) -> np.ndarray:
+    """Cyclic convolution of x and y, each zero-padded to ``size``.  Two
+    real inputs take the real transform and give a real array; ``y is x``
+    takes one forward transform."""
     real = np.isrealobj(x) and np.isrealobj(y)
     fft, ifft = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft,
                                                           np.fft.ifft)
     x_hat = fft(x, size)
-    out = ifft(x_hat * (x_hat if y is x else fft(y, size)), size)[:n]
-    if mode == "full":
-        return out
-    if mode == "valid":
-        short = min(len(x), len(y))
-        return out[short - 1:n - short + 1]
-    raise ValueError(f"mode must be 'full' or 'valid', got {mode!r}")
+    return ifft(x_hat * (x_hat if y is x else fft(y, size)), size)
 
 
 class _ConvMemo:
@@ -368,38 +372,75 @@ def project_term(u, term) -> np.ndarray:
     k, a, b, c = term
     if c is None:
         return (k * (u @ a)) * b
-    # sum_i u_i a_i c_{i+j} is the valid part of c convolved with (u a)
-    # reversed
-    return k * b * convolve(c, (u * a)[::-1], mode="valid")
+    # sum_i u_i a_i c_{i+j} is entry n - 1 + j of c convolved with (u a)
+    # reversed; a cyclic convolution at 2n - 1 points or more wraps none of
+    # the 3n - 2 linear entries onto the n kept
+    n = len(b)
+    full = _cyclic(c, (u * a)[::-1], _fast_len(len(c)))
+    return k * b * full[n - 1:2 * n - 1]
 
 
-# Gram entries computed by _term_inner, keyed on the ids of the seven
-# arrays (or None) each came from.  An entry holds its arrays through weak
-# references only; the first of them to die drops the entry, before its id
-# can be reused.  Factor arrays are never written to, so an entry is valid
-# for as long as its arrays live.
+def _held(cache, arrays, make):
+    """``cache``'s value for the identities of ``arrays`` (or None), made by
+    ``make()`` on a miss.  An entry holds its arrays through weak references
+    only; the first of them to die drops the entry, before its id can be
+    reused.  Arrays here are never written to, so an entry is valid for as
+    long as its arrays live."""
+    key = tuple(map(id, arrays))
+    entry = cache.get(key)
+    if entry is None:
+        def drop(_):
+            cache.pop(key, None)
+        entry = cache[key] = (make(), [weakref.ref(x, drop) for x in arrays
+                                       if x is not None])
+    return entry[0]
+
+
+# Gram entries computed by _term_inner, keyed on the seven arrays (or None)
+# each came from
 _GRAM = {}
+# the array each reversed view that _reversed made reverses, keyed on the view
+_REVERSES = {}
+# whether a weights array reads the same reversed
+_SYMMETRIC = {}
 
 
 def _term_inner(t1, t2, w) -> complex:
     """<t1|t2> of two terms without their coefficients, computed once per
-    set of factor arrays and weights (:data:`_GRAM`)."""
-    arrays = (*t1[1:], *t2[1:], w)
-    key = tuple(map(id, arrays))
-    entry = _GRAM.get(key)
-    if entry is None:
-        def drop(_):
-            _GRAM.pop(key, None)
-        entry = _GRAM[key] = (_gram_entry(*arrays),
-                              [weakref.ref(x, drop) for x in arrays
-                               if x is not None])
-    return entry[0]
+    set of factor arrays and weights (:data:`_GRAM`).
+
+    When all six factors are views :func:`_reversed` made and the weights
+    are symmetric, the entry is that of the arrays they reverse: reversing
+    every axis reorders the sum's products without changing one, so the
+    entry is exact, and it is the one the unreversed pair gets."""
+    arrays = (*_canonical((*t1[1:], *t2[1:]), w), w)
+    return _held(_GRAM, arrays, lambda: _gram_entry(*arrays))
+
+
+def _canonical(factors, w):
+    """The arrays the ``factors`` reverse if each is a view
+    :func:`_reversed` made (or None) and ``w`` is symmetric, else
+    ``factors``."""
+    bases = []
+    for x in factors:
+        base = _unreversed(x)
+        if base is None and x is not None:
+            return factors
+        bases.append(base)
+    if _held(_SYMMETRIC, (w,), lambda: np.array_equal(w, w[::-1])):
+        return bases
+    return factors
 
 
 def _gram_entry(a1, b1, c1, a2, b2, c2, w) -> complex:
     """sum_q conj(c1) c2 conv(w conj(a1) a2, w conj(b1) b2) at q = i + j."""
-    x = w * np.conj(a1) * a2
-    y = x if a1 is b1 and a2 is b2 else w * np.conj(b1) * b2
+    if a1 is a2 and b1 is b2:
+        # w |a1|^2 and w |b1|^2 are real: the real transform serves them
+        x = w * (a1.real**2 + a1.imag**2)
+        y = x if a1 is b1 else w * (b1.real**2 + b1.imag**2)
+    else:
+        x = w * np.conj(a1) * a2
+        y = x if a1 is b1 and a2 is b2 else w * np.conj(b1) * b2
     if c1 is None and c2 is None:
         return np.sum(x) * np.sum(y)
     cc = c2 if c1 is None else (np.conj(c1) if c2 is None
@@ -447,11 +488,25 @@ def _keep(x):
 
 
 def _reversed(x):
-    return x[::-1].copy()
+    """x reversed, as a view that :data:`_REVERSES` maps back to x; the
+    reversal of such a view is the array it reverses."""
+    base = _unreversed(x)
+    if base is not None:
+        return base
+    view = x[::-1]
+    _held(_REVERSES, (view,), lambda: x)
+    return view
+
+
+def _unreversed(x):
+    """The array x reverses if :func:`_reversed` made x, else None."""
+    entry = None if x is None else _REVERSES.get((id(x),))
+    return None if entry is None else entry[0]
 
 
 def flip(values: FactoredPair, flips) -> FactoredPair:
-    """``values`` with the axes flagged in ``flips`` reversed.
+    """``values`` with the axes flagged in ``flips`` reversed, its factors
+    reversed views (:func:`_reversed`) of the input's.
 
     Reversing both axes reverses c(x + y) too; a one-axis flip of a term
     with c has no factored form and raises."""

@@ -33,14 +33,14 @@ def rvec(rng, n=N):
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
-def random_pair(rng, same_rail, with_c=True):
-    """Two or three terms, one with c(x + y) if ``with_c``; exchange
-    symmetric for a same-rail pair (a diagonal term and a symmetrized
-    one)."""
-    a, b = rvec(rng), rvec(rng)
+def random_pair(rng, same_rail, with_c=True, n=N):
+    """Two or three terms on an ``n``-point grid, one with c(x + y) if
+    ``with_c``; exchange symmetric for a same-rail pair (a diagonal term and
+    a symmetrized one)."""
+    a, b = rvec(rng, n), rvec(rng, n)
     terms = [(rng.standard_normal() + 1j, a, a if same_rail else b, None),
-             (0.7j, rvec(rng), rvec(rng), rvec(rng, 2 * N - 1)),
-             (-0.4, a, rvec(rng), None)]
+             (0.7j, rvec(rng, n), rvec(rng, n), rvec(rng, 2 * n - 1)),
+             (-0.4, a, rvec(rng, n), None)]
     if not with_c:
         del terms[1]
     return FactoredPair(terms, symmetric=same_rail)
@@ -311,6 +311,58 @@ class TestGramCache:
         assert pairs.norm_sq(pair, W) == pytest.approx(
             oracle.norm2(W, pair.dense()), rel=1e-13)
         assert pairs.norm_sq(pair, W) == pytest.approx(64 * first, rel=1e-13)
+
+
+class TestReversedViews:
+    """``pairs.flip`` reverses factors as views, and a term pair whose six
+    factors are all reversed takes the Gram entry of the arrays they
+    reverse."""
+
+    @staticmethod
+    def term_pairs(pair):
+        terms = pair.expanded()
+        return [(t1, t2) for t1 in terms for t2 in terms]
+
+    def test_reversed_entries_are_the_unreversed_ones(self):
+        pair = random_pair(np.random.default_rng(21), True)
+        flipped = pairs.flip(pair, (True, True))
+        want = [pairs._term_inner(t1, t2, W)
+                for t1, t2 in self.term_pairs(pair)]
+        pairs._GRAM.clear()
+        got = [pairs._term_inner(t1, t2, W)
+               for t1, t2 in self.term_pairs(flipped)]
+        assert got == want  # bit for bit, computed after a clear
+        assert pairs.norm_sq(flipped, W) == pairs.norm_sq(pair, W)
+        assert pairs.norm_sq(flipped, W) == pytest.approx(
+            oracle.norm2(W, flipped.dense()), rel=1e-13)
+
+    def test_asymmetric_weights_take_the_direct_formula(self):
+        pair = random_pair(np.random.default_rng(22), True)
+        flipped = pairs.flip(pair, (True, True))
+        w = W * np.linspace(0.5, 1.5, N)
+        for t1, t2 in self.term_pairs(flipped):
+            assert pairs._term_inner(t1, t2, w) == pairs._gram_entry(
+                *t1[1:], *t2[1:], w)
+        assert pairs.norm_sq(flipped, w) == pytest.approx(
+            oracle.norm2(w, flipped.dense()), rel=1e-13)
+        assert pairs.norm_sq(flipped, w) != pytest.approx(
+            pairs.norm_sq(pair, w), rel=1e-3)
+
+    def test_memory_output_shares_its_input_factors(self):
+        state = random_factored_state(RAILS, 23)
+        out = tp.gem_invert(state)
+        back = tp.gem_invert(out)
+        for key, amp in state.two_photon.items():
+            for old, new, again in zip(amp.terms, out.two_photon[key].terms,
+                                       back.two_photon[key].terms):
+                for x, y, z in zip(old[1:], new[1:], again[1:]):
+                    if x is None:
+                        assert y is None and z is None
+                        continue
+                    assert np.shares_memory(x, y)
+                    assert np.array_equal(y, x[::-1])
+                    # the reversal of a reversed view is the array itself
+                    assert z is x
 
 
 class TestConvMemo:
@@ -601,6 +653,31 @@ def test_fast_len_is_least_5_smooth():
     assert pairs._fast_len(8001) == 8100
 
 
+@pytest.mark.parametrize("with_c", [True, False])
+def test_real_diagonal_gram_entry(with_c):
+    # a1 is a2 and b1 is b2 take the real transform; equal copies take the
+    # complex one
+    rng = np.random.default_rng(24)
+    a, b = rvec(rng), rvec(rng)
+    c = rvec(rng, 2 * N - 1) if with_c else None
+    real = pairs._gram_entry(a, b, c, a, b, c, W)
+    full = pairs._gram_entry(a, b, c, a.copy(), b.copy(), c, W)
+    assert abs(real - full) <= 1e-15 * abs(full)
+
+
+@pytest.mark.parametrize("n", [41, 42])
+def test_projection_matches_dense(n):
+    # at n = 41 the cyclic length _fast_len(2n - 1) is 2n - 1 itself
+    assert (pairs._fast_len(2 * n - 1) == 2 * n - 1) == (n == 41)
+    rng = np.random.default_rng(n)
+    u = rvec(rng, n)
+    for same_rail in (False, True):
+        pair = random_pair(rng, same_rail, n=n)
+        want = u @ pair.dense()
+        assert np.max(np.abs(u @ pair - want)) <= 1e-13 * np.max(
+            np.abs(want))
+
+
 def sequence(real):
     values = st.floats(-1e3, 1e3, allow_nan=False)
     if real:
@@ -610,13 +687,12 @@ def sequence(real):
 
 
 @settings(max_examples=200, deadline=None)
-@given(data=st.data(), real_x=st.booleans(), real_y=st.booleans(),
-       mode=st.sampled_from(["full", "valid"]))
-def test_convolve_matches_numpy(data, real_x, real_y, mode):
+@given(data=st.data(), real_x=st.booleans(), real_y=st.booleans())
+def test_convolve_matches_numpy(data, real_x, real_y):
     x = data.draw(sequence(real_x))
     y = data.draw(sequence(real_y))
-    got = pairs.convolve(x, y, mode)
-    want = np.convolve(x, y, mode)
+    got = pairs.convolve(x, y)
+    want = np.convolve(x, y)
     assert got.shape == want.shape
     # real inputs give a real array, as fftconvolve does
     assert np.isrealobj(got) == (real_x and real_y)
@@ -631,18 +707,11 @@ def assert_convolve_close(got, want, x, y):
     assert np.max(np.abs(got - want), initial=0.0) <= bound
 
 
-@pytest.mark.parametrize("mode", ["full", "valid"])
-def test_convolve_subnormal_scale(mode):
+def test_convolve_subnormal_scale():
     # a fresh example database need not find this one: FFT rounding leaves
     # 5e-324 where np.convolve gives 0, and 1e-13 * 5e-324 is 0
     x, y = np.array([0.0, 1.0]), np.array([0.0, 5e-324j])
-    assert_convolve_close(pairs.convolve(x, y, mode), np.convolve(x, y, mode),
-                          x, y)
-
-
-def test_convolve_rejects_unknown_mode():
-    with pytest.raises(ValueError, match="mode"):
-        pairs.convolve(np.ones(3), np.ones(2), "same")
+    assert_convolve_close(pairs.convolve(x, y), np.convolve(x, y), x, y)
 
 
 # -- ops that leave a pair as it is add no terms -------------------------------
