@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import OnePhotonAmp, SpectralGrid, normalize
-from .pairs import FactoredPair
+from .pairs import FactoredPair, projector, shared
 from .modeops import (
     PulseGateSpec,
     component_phase_loss,
@@ -92,12 +92,15 @@ def make_pump(p: TlsParams, pulse: OnePhotonAmp) -> PulseGateSpec:
     """Pulse-gate pump for sorting after one emitter pass: t(delta) f(delta).
 
     t f is normalized unless its norm is within 4 eps of 1 (a lossless
-    emitter): then it is kept as it is, the scattered pair's own factor
-    bit for bit, so the pulse gate's terms merge with the pair's.
+    emitter): then it is kept as it is, the array the scattered pair holds
+    as its factor, so the pulse gate's terms merge with the pair's.  Each
+    array is made once per emitter and pulse (:func:`pairs.shared`).
     """
     mode = scatter_one(p, pulse).out
     if abs(np.sqrt(mode.norm_sq()) - 1.0) > 4.0 * np.finfo(float).eps:
-        mode = normalize(mode)
+        mode = OnePhotonAmp(mode.grid, shared(
+            "unit", (mode.values, mode.grid.weights),
+            lambda: normalize(mode).values))
     return PulseGateSpec(pump_mode=mode)
 
 
@@ -159,7 +162,7 @@ def logical_amplitudes(state: FewPhotonState, pulse: OnePhotonAmp) -> dict:
     with the product f(x) f(y), u @ pair @ u with u = w * conj(f).
     """
     state.grid.require_same(pulse.grid)
-    u = state.grid.weights * np.conj(pulse.values)
+    u = projector(state.grid.weights, pulse.values)
     amps = {}
     for b1, b2 in LOGICAL_BASIS:
         amp = state.pair(_QUBIT_RAILS["q1"][b1], _QUBIT_RAILS["q2"][b2])

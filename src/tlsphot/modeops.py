@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grid import OnePhotonAmp
-from .pairs import FactoredPair, flip, project_term
+from .pairs import FactoredPair, flip, project_term, projector
 from .states import FewPhotonState, _pair_lift, _scale_rail, sum_rail
 
 
@@ -44,10 +44,11 @@ class PulseGateSpec:
 
 def _gate_terms(gate: PulseGateSpec):
     """Pump mode, the weighted conjugate u that projects onto it (``u @ v``
-    is the pump-mode amplitude of v along axis 0) and the matrix M."""
+    is the pump-mode amplitude of v along axis 0, one shared array per pump)
+    and the matrix M."""
     pump = gate.pump_mode.values
     kappa, rho = np.sqrt(gate.efficiency), np.sqrt(1.0 - gate.efficiency)
-    return (pump, gate.pump_mode.grid.weights * np.conj(pump),
+    return (pump, projector(gate.pump_mode.grid.weights, pump),
             np.array([[rho, -kappa], [kappa, rho]]))
 
 

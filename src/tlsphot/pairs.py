@@ -16,29 +16,28 @@ a projection of a term with ``c`` is one cyclic convolution at
 ``_fast_len(2N - 1)`` points, the least at which no kept entry wraps.  An
 op the form cannot express (a one-axis flip of a term with ``c``) raises.
 
-Two caches spare repeated work, and neither moves a bit of any result:
+Factor arrays are never written to, so work derived from them is done once
+per set of input arrays, by one rule (:func:`_held`): an entry is keyed on
+the identities of its inputs, holds them through weak references only and
+dies with the first of them.  The inputs are made read-only, so a write
+that would leave an entry stale raises.  No result depends on an entry.
 
-- Factor arrays are shared between pairs and never written to, so norms and
-  overlaps cache each term pair's Gram entry (a complex number) on the
-  identities of its seven arrays (six factors and the weights), through
-  weak references: :data:`_GRAM`, O(1) per hit, an entry dying with the
-  first of its arrays.  :func:`flip` reverses factors as views and records,
-  in O(1), the array each view reverses (:data:`_REVERSES`).  A term pair
-  whose six factors are all such views takes the entry of the arrays they
-  reverse when the weights read the same reversed, which is decided once
-  per weights array (:data:`_SYMMETRIC`): the sum has the same products in
-  another order, so the memory's output norms from its input's entries.
-- On a :data:`_GRAM` miss, and for the emitter's bound term
-  (``scatter._bound_term``), the convolution comes from :data:`_CONV`, a
-  memo of full convolutions keyed on the input lengths, dtypes and four
-  sampled entries, which hits only on inputs equal bit for bit to a stored
-  pair.  An entry holds byte copies of its two inputs, never a factor, and
-  its read-only result.  The memo keeps at most 1.5 MB, least recently
-  used out first, and stores no entry above a sixteenth of that: it is live
-  for complex inputs of up to 1465 samples (a (60, 1201) circuit grid),
-  and off on every grid the CLI samples a pulse on (4001 samples by
-  default, and at least 1601 to resolve a pulse).  ``project_term``
-  convolves uncached.
+- :data:`_SHARED` (:func:`shared`) holds derived factor arrays, read-only:
+  an emitter's t on a grid's samples (so it lives as long as the grid) and
+  s, the products t x and s x, the projector w conj(f), the normalized
+  lossy pump, each bound-term convolution (keyed on a, b and s), that of
+  :func:`project_term` (on u, a and c) and that of a Gram entry (on its a
+  and b factors and the weights, not on c).  Calls at one operating point,
+  such as the Bell analyzer's four sorters or the CZ gate's two sign
+  gates, so get the same arrays and hit every later cache.
+- :data:`_GRAM` holds each term pair's Gram entry, keyed on its six factors
+  and the weights.
+- :data:`_REVERSES` maps each view :func:`flip` makes to the array it
+  reverses.  A term pair whose six factors are all such views takes the
+  entry of the arrays they reverse when the weights read the same reversed
+  (decided once per weights array, :data:`_SYMMETRIC`): the sum has the
+  same products in another order, so the memory's output norms from its
+  input's entries.
 
 A dense N x N array enters through one door, :func:`from_dense`, which
 checks it and factors it into ``c = None`` terms; no other code here builds
@@ -49,7 +48,6 @@ that ask for one.
 from __future__ import annotations
 
 import weakref
-from collections import OrderedDict
 from functools import lru_cache
 
 import numpy as np
@@ -107,68 +105,6 @@ def _cyclic(x, y, size) -> np.ndarray:
                                                           np.fft.ifft)
     x_hat = fft(x, size)
     return ifft(x_hat * (x_hat if y is x else fft(y, size)), size)
-
-
-class _ConvMemo:
-    """Full convolutions of input pairs seen before, least recently used
-    first out.
-
-    Device calls at one operating point convolve fresh arrays holding the
-    values of earlier calls' arrays, which :data:`_GRAM`'s identity keys
-    cannot match.  A hit needs both inputs equal to the stored ones bit for
-    bit, so it returns what :func:`convolve` would.  Entries (input bytes
-    and result) take at most ``budget`` bytes, and a pair whose entry would
-    take more than a sixteenth of that is neither looked up nor stored: on
-    large grids entries are large and repeats few.
-    """
-
-    def __init__(self, budget: int):
-        self.budget = budget
-        self.entries = OrderedDict()  # key -> (x bytes, y bytes, result)
-        self.nbytes = 0
-
-    def clear(self) -> None:
-        self.entries.clear()
-        self.nbytes = 0
-
-    def convolve(self, x, y) -> np.ndarray:
-        """:func:`convolve` (x, y), from the memo where it can be."""
-        size = (x.nbytes + y.nbytes
-                + (len(x) + len(y) - 1) * max(x.itemsize, y.itemsize))
-        if 16 * size > self.budget:
-            return convolve(x, y)
-        key = (x.dtype.char, y.dtype.char, len(x), len(y),
-               _sampled(x), _sampled(y))
-        x_bytes = x.tobytes()
-        y_bytes = x_bytes if y is x else y.tobytes()
-        entry = self.entries.get(key)
-        if entry is not None and entry[:2] == (x_bytes, y_bytes):
-            self.entries.move_to_end(key)
-            return entry[2]
-        out = convolve(x, y)
-        out.flags.writeable = False
-        if entry is not None:  # same samples, other values: replace it
-            del self.entries[key]
-            self.nbytes -= _entry_bytes(entry)
-        entry = self.entries[key] = (x_bytes, y_bytes, out)
-        self.nbytes += _entry_bytes(entry)
-        while self.nbytes > self.budget:
-            self.nbytes -= _entry_bytes(self.entries.popitem(last=False)[1])
-        return out
-
-
-def _sampled(x) -> bytes:
-    """Four entries of x, spread over its length, as bytes."""
-    n = len(x)
-    return x[[0, n // 3, 2 * n // 3, n - 1]].tobytes()
-
-
-def _entry_bytes(entry) -> int:
-    x_bytes, y_bytes, out = entry
-    return len(x_bytes) + len(y_bytes) + out.nbytes
-
-
-_CONV = _ConvMemo(budget=1_500_000)
 
 
 def _same(x, y) -> bool:
@@ -376,26 +312,53 @@ def project_term(u, term) -> np.ndarray:
     # reversed; a cyclic convolution at 2n - 1 points or more wraps none of
     # the 3n - 2 linear entries onto the n kept
     n = len(b)
-    full = _cyclic(c, (u * a)[::-1], _fast_len(len(c)))
-    return k * b * full[n - 1:2 * n - 1]
+    kept = shared("project", (u, a, c), lambda: _cyclic(
+        c, (u * a)[::-1], _fast_len(len(c)))[n - 1:2 * n - 1])
+    return k * b * kept
 
 
-def _held(cache, arrays, make):
-    """``cache``'s value for the identities of ``arrays`` (or None), made by
-    ``make()`` on a miss.  An entry holds its arrays through weak references
-    only; the first of them to die drops the entry, before its id can be
-    reused.  Arrays here are never written to, so an entry is valid for as
-    long as its arrays live."""
-    key = tuple(map(id, arrays))
+def _held(cache, arrays, make, tag=None):
+    """``cache``'s value for ``tag`` and the identities of ``arrays`` (or
+    None), made by ``make()`` on a miss.  An entry holds its arrays through
+    weak references only; the first of them to die drops the entry, before
+    its id can be reused.  The arrays are made read-only, so that an entry
+    stays valid for as long as they live."""
+    key = (tag, *map(id, arrays))
     entry = cache.get(key)
     if entry is None:
         def drop(_):
             cache.pop(key, None)
-        entry = cache[key] = (make(), [weakref.ref(x, drop) for x in arrays
-                                       if x is not None])
+        live = [x for x in arrays if x is not None]
+        for x in live:
+            x.flags.writeable = False
+        entry = cache[key] = (make(), [weakref.ref(x, drop) for x in live])
     return entry[0]
 
 
+def shared(tag, arrays, make) -> np.ndarray:
+    """The array ``make()`` derives from ``arrays`` as ``tag`` names, made
+    once while they live and shared read-only (:data:`_SHARED`).  It must
+    not be one of ``arrays`` or a view of one: the entry would never die."""
+    def made():
+        out = make()
+        out.flags.writeable = False
+        return out
+    return _held(_SHARED, arrays, made, tag)
+
+
+def times(t, x) -> np.ndarray:
+    """t x, pointwise, one shared array per pair of inputs."""
+    return shared("*", (t, x), lambda: t * x)
+
+
+def projector(w, f) -> np.ndarray:
+    """u = w conj(f), shared: ``u @ v`` is the overlap <f|v> on weights w."""
+    return shared("u", (w, f), lambda: w * np.conj(f))
+
+
+# arrays derived from factor arrays (shared), keyed on a tag naming the
+# derivation and the identities of its inputs
+_SHARED = {}
 # Gram entries computed by _term_inner, keyed on the seven arrays (or None)
 # each came from
 _GRAM = {}
@@ -433,19 +396,24 @@ def _canonical(factors, w):
 
 
 def _gram_entry(a1, b1, c1, a2, b2, c2, w) -> complex:
-    """sum_q conj(c1) c2 conv(w conj(a1) a2, w conj(b1) b2) at q = i + j."""
-    if a1 is a2 and b1 is b2:
-        # w |a1|^2 and w |b1|^2 are real: the real transform serves them
-        x = w * (a1.real**2 + a1.imag**2)
-        y = x if a1 is b1 else w * (b1.real**2 + b1.imag**2)
-    else:
+    """sum_q conj(c1) c2 conv(w conj(a1) a2, w conj(b1) b2) at q = i + j.
+    The convolution does not depend on c1 and c2, and entries that differ
+    only there share it (:func:`shared`)."""
+    def factors():
+        if a1 is a2 and b1 is b2:
+            # w |a1|^2 and w |b1|^2 are real: the real transform serves them
+            x = w * (a1.real**2 + a1.imag**2)
+            return x, x if a1 is b1 else w * (b1.real**2 + b1.imag**2)
         x = w * np.conj(a1) * a2
-        y = x if a1 is b1 and a2 is b2 else w * np.conj(b1) * b2
+        return x, x if a1 is b1 and a2 is b2 else w * np.conj(b1) * b2
+
     if c1 is None and c2 is None:
+        x, y = factors()
         return np.sum(x) * np.sum(y)
     cc = c2 if c1 is None else (np.conj(c1) if c2 is None
                                 else np.conj(c1) * c2)
-    return np.sum(cc * _CONV.convolve(x, y))
+    return np.sum(cc * shared("gram", (a1, b1, a2, b2, w),
+                              lambda: convolve(*factors())))
 
 
 def norm_sq(values: FactoredPair, w) -> float:
@@ -479,7 +447,7 @@ def symmetrized(x):
 def scale_axis(values: FactoredPair, t, axis) -> FactoredPair:
     """Pair with axis ``axis`` multiplied pointwise by ``t``."""
     fns = [_keep, _keep]
-    fns[axis] = lambda x: t * x
+    fns[axis] = lambda x: times(t, x)
     return values.map_factors(*fns)
 
 
@@ -500,7 +468,7 @@ def _reversed(x):
 
 def _unreversed(x):
     """The array x reverses if :func:`_reversed` made x, else None."""
-    entry = None if x is None else _REVERSES.get((id(x),))
+    entry = None if x is None else _REVERSES.get((None, id(x)))
     return None if entry is None else entry[0]
 
 

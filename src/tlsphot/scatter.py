@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import OnePhotonAmp, SpectralGrid, lorentzian_at, policy_size
-from .pairs import _CONV, FactoredPair, _fast_len, inner, norm_sq
+from .pairs import FactoredPair, _fast_len, inner, norm_sq, shared, times
 from .roots import NoCrossingError, bisect, golden_max
 
 
@@ -83,6 +83,13 @@ def _s_of_t(t):
     return (1.0 - t) / 1j
 
 
+def transfer_on(p: TlsParams, grid: SpectralGrid) -> np.ndarray:
+    """t on the grid's samples, made once per emitter and grid and shared
+    (:func:`pairs.shared`) for as long as the grid's samples live."""
+    return shared(("t", p), (grid.samples,),
+                  lambda: transfer_coeff(p, grid.samples))
+
+
 @dataclass
 class ScatterOneResult:
     """Scattered single photon: unnormalized output, survival eps_1, loss."""
@@ -94,8 +101,7 @@ class ScatterOneResult:
 
 def scatter_one(p: TlsParams, f: OnePhotonAmp) -> ScatterOneResult:
     """Scatter a single photon: f(delta) -> f(delta) t(delta)."""
-    t = transfer_coeff(p, f.grid.samples)
-    out = OnePhotonAmp(f.grid, f.values * t)
+    out = OnePhotonAmp(f.grid, times(transfer_on(p, f.grid), f.values))
     eps1 = out.norm_sq()
     return ScatterOneResult(out=out, epsilon1=eps1, lost=1.0 - eps1)
 
@@ -103,23 +109,43 @@ def scatter_one(p: TlsParams, f: OnePhotonAmp) -> ScatterOneResult:
 def _bound_term(pair: FactoredPair, s: np.ndarray, h: float) -> FactoredPair:
     """The bound part (i / 2 pi) s(p1) s(p2) I(p1 + p2) of the
     scattered ``pair``, as one symmetric term.  A term coef a(x) b(y) c(x + y)
-    of the pair adds coef c(P) h (conv(a s, b) + conv(a, b s))(P) to I(P),
+    of the pair adds coef c(P) h J(P) to I(P), J = conv(a s, b) + conv(a, b s),
     and a symmetrized term the same, since exchanging a and b swaps the two
-    convolutions.  The convolutions come from the memo of repeated
-    inputs (:data:`pairs._CONV`)."""
-    total = None
-    for coef, a, b, c in pair.terms:
-        if a is b:
-            term = 2.0 * h * _CONV.convolve(a * s, a)
-        else:
-            term = h * (_CONV.convolve(a * s, b) + _CONV.convolve(a, b * s))
-        if c is not None:
-            term *= c
-        if coef != 1.0:
-            term *= coef
-        total = term if total is None else total + term
+    convolutions.
+
+    Factors carry shape and coefficients amplitude: a pair of one term
+    without c gives (i h coef / 2 pi, s, s, J), with J the one array every
+    call on the same a, b and s shares (:func:`pairs.shared`).  Otherwise
+    the terms without c add their spectra and take one inverse transform,
+    and each term with c takes its shared J."""
     kappa = 0.5j / np.pi
-    return FactoredPair(((1.0, s, s, kappa * total),), True)
+    (coef, a, b, c), *rest = pair.terms
+    if c is None and not rest:
+        return FactoredPair._raw(
+            ((kappa * h * coef, s, s, _bound_conv(a, b, s)),), True)
+    spectra = [coef * _bound_spectrum(a, b, s)
+               for coef, a, b, c in pair.terms if c is None]
+    parts = [coef * c * _bound_conv(a, b, s)
+             for coef, a, b, c in pair.terms if c is not None]
+    if spectra:
+        parts.append(np.fft.ifft(sum(spectra))[:2 * pair.n - 1])
+    return FactoredPair._raw(((kappa * h, s, s, sum(parts)),), True)
+
+
+def _bound_spectrum(a, b, s) -> np.ndarray:
+    """The spectrum of J = conv(a s, b) + conv(a, b s) at the
+    :func:`pairs._fast_len` of 2N - 1 points, 2 FFT(a s) FFT(a) if a is b."""
+    fft, size = np.fft.fft, _fast_len(2 * len(a) - 1)
+    if a is b:
+        return 2.0 * (fft(times(s, a), size) * fft(a, size))
+    return (fft(times(s, a), size) * fft(b, size)
+            + fft(a, size) * fft(times(s, b), size))
+
+
+def _bound_conv(a, b, s) -> np.ndarray:
+    """J of :func:`_bound_spectrum`, its 2N - 1 linear entries, shared."""
+    return shared("bound", (a, b, s), lambda: np.fft.ifft(
+        _bound_spectrum(a, b, s))[:2 * len(a) - 1])
 
 
 def scatter_two(p: TlsParams, grid: SpectralGrid,
@@ -149,9 +175,10 @@ def scatter_two(p: TlsParams, grid: SpectralGrid,
 def _scattered(p: TlsParams, grid: SpectralGrid, pair: FactoredPair):
     """:func:`scatter_two`'s output in its two parts, the input terms times
     t(x) t(y) and the bound term, from one evaluation of t."""
-    t = transfer_coeff(p, grid.samples)
-    return (pair.map_factors(lambda x: t * x),
-            _bound_term(pair, _s_of_t(t), grid.spacing))
+    t = transfer_on(p, grid)
+    s = shared("s", (t,), lambda: _s_of_t(t))
+    return (pair.map_factors(lambda x: times(t, x)),
+            _bound_term(pair, s, grid.spacing))
 
 
 def product_image(p: TlsParams, f: OnePhotonAmp) -> FactoredPair:

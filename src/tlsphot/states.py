@@ -45,8 +45,9 @@ from .pairs import (
     norm_sq,
     scale_axis,
     symmetrized,
+    times,
 )
-from .scatter import TlsParams, scatter_two, transfer_coeff
+from .scatter import TlsParams, scatter_two, transfer_on
 
 _PRUNE_SQ = 1e-28  # drop amplitudes whose probability falls below this
 
@@ -379,13 +380,13 @@ def apply_tls(state: FewPhotonState, rail: str, p: TlsParams) -> FewPhotonState:
     full nonlinear two-photon map.  Norm deficits accrue to lost_mass.
     """
     state.rail_index(rail)
-    t = transfer_coeff(p, state.grid.samples)
+    t = transfer_on(p, state.grid)
     lost = state.lost_mass
     norms = {}
     ones = dict(state.one_photon)
     if rail in ones:
         before = state.norm1_sq(ones[rail])
-        ones[rail] = ones[rail] * t
+        ones[rail] = times(t, ones[rail])
         norms[rail] = state.norm1_sq(ones[rail])
         lost += before - norms[rail]
     twos = dict(state.two_photon)

@@ -1,11 +1,11 @@
 """Factored pair amplitudes against the dense N x N oracle.
 
 Unit checks of each pair operation against its array, the cache of Gram
-entries, the door for dense input (``pairs.from_dense``), a hypothesis
-property test that runs random op sequences in the library and in the
-independent dense implementation of ``dense_oracle``, self-inverse checks,
-the Bell analyzer, CZ gate and NS gate in both, and a guard on the term
-counts the circuits produce.
+entries, the sharing of derived arrays, the door for dense input
+(``pairs.from_dense``), a hypothesis property test that runs random op
+sequences in the library and in the independent dense implementation of
+``dense_oracle``, self-inverse checks, the Bell analyzer, CZ gate and NS
+gate in both, and a guard on the term counts the circuits produce.
 """
 
 import weakref
@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import dense_oracle as oracle
 import tlsphot as tp
+from conftest import ns_input
 from tlsphot import pairs
 from tlsphot.circuits import LOGICAL_BASIS
 from tlsphot.grid import lorentzian_values, require_symmetric
@@ -279,35 +280,39 @@ class TestGramCache:
 
     def test_entries_die_with_their_factors(self):
         pair = random_pair(np.random.default_rng(13), True)
-        before = set(pairs._GRAM)
-        pairs._CONV.clear()
+        before = table_keys()
         pairs.norm_sq(pair, W)
-        added = set(pairs._GRAM) - before
-        assert added
-        # the memo of convolutions holds entries of this norm, but copies
-        assert pairs._CONV.entries
+        added = {name: keys - before[name]
+                 for name, keys in table_keys().items()}
+        # the Gram entries and the convolutions they share
+        assert added["_GRAM"] and added["_SHARED"]
         factor = weakref.ref(pair.terms[0][1])
         del pair
         assert factor() is None
-        assert not added & set(pairs._GRAM)
-        assert len(pairs._GRAM) <= len(before)
+        for name, keys in table_keys().items():
+            assert not added[name] & keys
+        assert len(pairs._GRAM) <= len(before["_GRAM"])
 
     def test_reused_ids_get_fresh_entries(self):
-        def build(x):
-            # one array object each, filled in place, so a new pair takes
-            # the ids the last one freed
-            f = np.empty(N, complex)
+        def arrays():
+            return np.empty(N, complex), np.empty(2 * N - 1, complex)
+
+        def filled(x, f, c):
             f.fill(x)
-            c = np.empty(2 * N - 1, complex)
             c.fill(1j * x)
             return FactoredPair([(1.0, f, f, c)], True)
 
-        pair = build(1.0)
-        ids = [id(x) for x in pair.terms[0][1:]]
+        pair = filled(1.0, *arrays())
+        freed = [id(x) for x in pair.terms[0][2:]]
         first = pairs.norm_sq(pair, W)
         del pair
-        pair = build(2.0)
-        assert [id(x) for x in pair.terms[0][1:]] == ids
+        # new array objects take the freed ids.  The entry's shared
+        # convolution dies with it and frees array objects too, so the ids
+        # go to some of the next few arrays, not to the next two
+        held = [arrays() for _ in range(8)]
+        f, c = ({id(x): x for x in xs} for xs in zip(*held))
+        assert freed[0] in f and freed[1] in c
+        pair = filled(2.0, f[freed[0]], c[freed[1]])
         assert pairs.norm_sq(pair, W) == pytest.approx(
             oracle.norm2(W, pair.dense()), rel=1e-13)
         assert pairs.norm_sq(pair, W) == pytest.approx(64 * first, rel=1e-13)
@@ -365,75 +370,117 @@ class TestReversedViews:
                     assert z is x
 
 
-class TestConvMemo:
-    """``pairs._CONV``: convolutions of inputs equal, bit for bit, to ones
-    seen before come from a bounded memo."""
+def device_runs(p, pulse):
+    """Bell analyses of the four Bell states, CZ gates on the basis and two
+    superpositions and an NS gate, all at one operating point."""
+    grid = pulse.grid
+    outs = [tp.bell_analyzer(s, p, pulse) for s in bell_inputs(grid, pulse)]
+    outs += [tp.cz_gate(s, p, pulse) for s in cz_inputs(grid, pulse)]
+    return outs + [tp.ns_gate(ns_input(grid, pulse), "sig", p, pulse)]
 
-    def test_equal_fresh_pair_runs_no_transform(self, convolutions):
-        # new arrays of equal values: the Gram cache misses, the memo hits
-        first = pairs.norm_sq(random_pair(np.random.default_rng(14), True), W)
-        convolutions.clear()
-        again = pairs.norm_sq(random_pair(np.random.default_rng(14), True), W)
-        assert not convolutions
-        assert again == first
 
-    def test_inputs_sharing_the_sampled_entries_differ(self):
-        memo = pairs._ConvMemo(budget=pairs._CONV.budget)
-        rng = np.random.default_rng(15)
-        x, y = rvec(rng), rvec(rng)
-        x2 = x.copy()
-        x2[1] += 1.0  # not one of the entries the key samples
-        assert pairs._sampled(x2) == pairs._sampled(x)
-        for _ in range(2):
-            for v in (x, x2):
-                got = memo.convolve(v, y)
-                assert np.array_equal(got, pairs.convolve(v, y))
+def bits(out):
+    """A device output as numbers and the factor arrays of its state."""
+    state = getattr(out, "output_state", out)
+    report = ([] if state is out else
+              [out.success_prob, out.pattern_probs, out.logical_amplitudes])
+    ones = {r: v.tobytes() for r, v in state.one_photon.items()}
+    twos = {key: [(k, *(None if x is None else x.tobytes() for x in xs))
+                  for k, *xs in amp.terms]
+            for key, amp in state.two_photon.items()}
+    return report + [state.vacuum_amp, state.lost_mass, ones, twos]
 
-    def test_results_are_read_only(self):
-        rng = np.random.default_rng(16)
-        out = pairs._ConvMemo(budget=10**6).convolve(rvec(rng), rvec(rng))
-        with pytest.raises(ValueError, match="read-only"):
-            out[0] = 0.0
 
-    def test_bytes_stay_within_budget(self):
-        memo = pairs._ConvMemo(budget=pairs._CONV.budget)
-        rng = np.random.default_rng(17)
-        for _ in range(40):
-            memo.convolve(rvec(rng, 1201), rvec(rng, 1201))
-            assert memo.nbytes == sum(
-                len(x) + len(y) + out.nbytes
-                for x, y, out in memo.entries.values())
-            assert memo.nbytes <= memo.budget
-        assert 0 < len(memo.entries) < 40
-        # an entry at the default n = 4001 would take 256 KB: not stored
-        keys = list(memo.entries)
-        x, y = rvec(rng, 4001), rvec(rng, 4001)
-        assert np.array_equal(memo.convolve(x, y), pairs.convolve(x, y))
-        assert list(memo.entries) == keys
+# every table of arrays or numbers the pairs module keys on array identity
+TABLES = ("_SHARED", "_GRAM", "_REVERSES", "_SYMMETRIC")
 
+
+def table_keys():
+    return {name: set(getattr(pairs, name)) for name in TABLES}
+
+
+class TestSharing:
+    """``pairs.shared``: every derived factor array is made once per set of
+    input arrays, read-only, and dies with them."""
+
+    @pytest.mark.parametrize("on_policy", [False, True],
+                             ids=["n1201", "policy_grid"])
     @pytest.mark.parametrize("loss", ["lossless", "lossy"])
-    def test_devices_equal_with_memo_cold_and_warm(self, tls0, sigma_up0,
-                                                   tls95, sigma_up95, loss,
-                                                   convolutions):
+    def test_devices_equal_cold_and_warm(self, tls0, sigma_up0, tls95,
+                                         sigma_up95, on_policy, loss,
+                                         convolutions):
         p, sigma = (tls0, sigma_up0) if loss == "lossless" else (tls95,
                                                                  sigma_up95)
-        grid = tp.SpectralGrid(60.0, 1201)  # where the memo is live
+        # a fresh grid and pulse: nothing derived from them is held yet
+        grid = (tp.SpectralGrid.for_pulse_width(sigma) if on_policy
+                else tp.SpectralGrid(60.0, 1201))
         pulse = tp.make_pulse(tp.PulseShape("lorentzian", sigma), grid)
-
-        def run():
-            reports = [tp.bell_analyzer(s, p, pulse)
-                       for s in bell_inputs(grid, pulse)]
-            reports += [tp.cz_gate(s, p, pulse)
-                        for s in cz_inputs(grid, pulse)]
-            return [(r.success_prob, r.pattern_probs, r.logical_amplitudes)
-                    for r in reports]
-
-        pairs._CONV.clear()
-        cold = run()
+        cold = [bits(out) for out in device_runs(p, pulse)]
         computed = len(convolutions)
         convolutions.clear()
-        assert run() == cold
-        assert len(convolutions) < computed  # the warm run hits the memo
+        assert [bits(out) for out in device_runs(p, pulse)] == cold
+        assert len(convolutions) < computed  # the warm run shares arrays
+
+    def test_tables_stop_growing(self, tls95, sigma_up95):
+        grid = tp.SpectralGrid(60.0, 1201)
+        pulse = tp.make_pulse(tp.PulseShape("lorentzian", sigma_up95), grid)
+        # CZ and Bell calls in turn, the CZ superpositions (which touch
+        # every rail pair) first
+        calls = ([(tp.cz_gate, s) for s in cz_inputs(grid, pulse)[::-1]],
+                 [(tp.bell_analyzer, s) for s in bell_inputs(grid, pulse)])
+        sizes = []
+        for i in range(120):
+            inputs = calls[i % 2]
+            device, state = inputs[i // 2 % len(inputs)]
+            device(state, tls95, pulse)
+            sizes.append([len(getattr(pairs, name)) for name in TABLES])
+        assert all(size == sizes[4] for size in sizes[4:])
+
+    def test_dropping_pulse_and_grid_empties_tables(self, tls95, sigma_up95):
+        before = table_keys()
+
+        def run():
+            grid = tp.SpectralGrid(60.0, 1201)
+            pulse = tp.make_pulse(tp.PulseShape("lorentzian", sigma_up95),
+                                  grid)
+            outs = device_runs(tls95, pulse)
+            # the memory's reversed views live in the CZ and NS outputs
+            assert all(keys - before[name]
+                       for name, keys in table_keys().items())
+            assert outs
+
+        run()
+        assert all(not keys - before[name]
+                   for name, keys in table_keys().items())
+
+    def test_shared_arrays_are_read_only(self, tls95, sigma_up95):
+        grid = tp.SpectralGrid(60.0, 1201)
+        pulse = tp.make_pulse(tp.PulseShape("lorentzian", sigma_up95), grid)
+        outs = device_runs(tls95, pulse)
+        assert outs and pairs._SHARED
+        for value, _ in pairs._SHARED.values():
+            assert not value.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                value[0] = 0.0
+
+    def test_keyed_inputs_are_read_only(self, tls95, sigma_up95):
+        # a write into a pulse would leave the arrays derived from it stale
+        grid = tp.SpectralGrid(60.0, 1201)
+        pulse = tp.make_pulse(tp.PulseShape("lorentzian", sigma_up95), grid)
+        tp.scatter_one(tls95, pulse)
+        for x in (pulse.values, grid.samples):
+            with pytest.raises(ValueError, match="read-only"):
+                x *= 0.5
+
+    def test_scalar_path_holds_no_grid(self, tls95):
+        before = set(pairs._SHARED)
+        for sigma in np.linspace(0.5, 2.0, 20):
+            grid = tp.SpectralGrid.for_pulse_width(sigma)
+            tp.eta_numeric(tls95, tp.make_pulse(
+                tp.PulseShape("lorentzian", sigma), grid))
+        assert set(pairs._SHARED) - before
+        del grid
+        assert not set(pairs._SHARED) - before
 
 
 class TestDoor:
