@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grid import OnePhotonAmp
-from .pairs import FactoredPair, flip, project_term, projector
+from .pairs import FactoredPair, _reversed, flip, project_term, projector
 from .states import FewPhotonState, _pair_lift, _scale_rail, sum_rail
 
 
@@ -240,7 +240,7 @@ def gem_invert(state: FewPhotonState, rail=None) -> FewPhotonState:
         state.rail_index(r)
 
     out = replace(state, two_photon={}, one_photon={
-        r: v[::-1].copy() if r in selected else v
+        r: _reversed(v) if r in selected else v
         for r, v in state.one_photon.items()})
     for a, b in state.two_photon:
         amp = state.pair(a, b)

@@ -26,18 +26,17 @@ that would leave an entry stale raises.  No result depends on an entry.
   an emitter's t on a grid's samples (so it lives as long as the grid) and
   s, the products t x and s x, the projector w conj(f), the normalized
   lossy pump, each bound-term convolution (keyed on a, b and s), that of
-  :func:`project_term` (on u, a and c) and that of a Gram entry (on its a
-  and b factors and the weights, not on c).  Calls at one operating point,
-  such as the Bell analyzer's four sorters or the CZ gate's two sign
-  gates, so get the same arrays and hit every later cache.
+  :func:`project_term` (on u, a and c), that of a Gram entry (on its a
+  and b factors and the weights, not on c) and the memory's reversal of a
+  factor (:func:`flip`).  Calls at one operating point, such as the Bell
+  analyzer's four sorters or the CZ gate's two sign gates, so get the same
+  arrays and hit every later cache, on either side of the memory.
 - :data:`_GRAM` holds each term pair's Gram entry, keyed on its six factors
   and the weights.
-- :data:`_REVERSES` maps each view :func:`flip` makes to the array it
-  reverses.  A term pair whose six factors are all such views takes the
-  entry of the arrays they reverse when the weights read the same reversed
-  (decided once per weights array, :data:`_SYMMETRIC`): the sum has the
-  same products in another order, so the memory's output norms from its
-  input's entries.
+
+A pair flipped on both axes keeps the pair it reverses, and on weights that
+read the same reversed its norm is that pair's: reversing both axes
+reorders the sum's products without changing one.
 
 A dense N x N array enters through one door, :func:`from_dense`, which
 checks it and factors it into ``c = None`` terms; no other code here builds
@@ -170,21 +169,6 @@ def _merged(terms, symmetric):
     return out
 
 
-def _memo(fn):
-    """fn applied once per factor array, so factors that were one array
-    stay one array (a diagonal term stays diagonal); None passes."""
-    seen = {}
-
-    def call(x):
-        if x is None:
-            return None
-        if id(x) not in seen:
-            seen[id(x)] = (x, fn(x))  # holds x so its id stays unique
-        return seen[id(x)][1]
-
-    return call
-
-
 class FactoredPair:
     """Pair amplitude sum coef a(x) b(y) c(x + y) over a few terms.
 
@@ -200,6 +184,8 @@ class FactoredPair:
 
     __array_ufunc__ = None  # numpy operators defer to the methods below
     ndim = 2
+    # the pair a full flip reversed (:func:`flip`), whose norm this one has
+    reverses = None
 
     def __init__(self, terms, symmetric=False):
         self.terms = tuple(_merged(terms, symmetric))
@@ -241,16 +227,16 @@ class FactoredPair:
         return tuple(out)
 
     def map_factors(self, fn_a, fn_b=None, fn_c=None) -> "FactoredPair":
-        """Pair with each term's factors replaced by fn(factor), one memo
-        per function; ``fn_b`` defaults to ``fn_a``, ``fn_c`` to identity.
-        Different functions on a and b break exchange symmetry, so the
-        terms are then written out."""
-        fa = _memo(fn_a)
-        fb = fa if fn_b is None else _memo(fn_b)
-        fc = _keep if fn_c is None else _memo(fn_c)
-        sym = self.symmetric and fn_b is None
+        """Pair with each term's factors replaced by fn(factor), each fn a
+        :func:`shared` derivation or the identity, so a diagonal term stays
+        diagonal; ``fn_b`` defaults to ``fn_a``, ``fn_c`` (and a c of None)
+        to identity.  Different functions on a and b break exchange
+        symmetry, so the terms are then written out."""
+        fn_b, fn_c = fn_b or fn_a, fn_c or _keep
+        sym = self.symmetric and fn_b is fn_a
         terms = self.terms if sym else self.expanded()
-        return FactoredPair._raw([(k, fa(a), fb(b), fc(c))
+        return FactoredPair._raw([(k, fn_a(a), fn_b(b),
+                                   None if c is None else fn_c(c))
                                   for k, a, b, c in terms], sym)
 
     @property
@@ -339,11 +325,9 @@ def shared(tag, arrays, make) -> np.ndarray:
     """The array ``make()`` derives from ``arrays`` as ``tag`` names, made
     once while they live and shared read-only (:data:`_SHARED`).  It must
     not be one of ``arrays`` or a view of one: the entry would never die."""
-    def made():
-        out = make()
-        out.flags.writeable = False
-        return out
-    return _held(_SHARED, arrays, made, tag)
+    out = _held(_SHARED, arrays, make, tag)
+    out.flags.writeable = False
+    return out
 
 
 def times(t, x) -> np.ndarray:
@@ -359,40 +343,15 @@ def projector(w, f) -> np.ndarray:
 # arrays derived from factor arrays (shared), keyed on a tag naming the
 # derivation and the identities of its inputs
 _SHARED = {}
-# Gram entries computed by _term_inner, keyed on the seven arrays (or None)
-# each came from
+# Gram entries (_term_inner), keyed on the seven arrays (or None) of each
 _GRAM = {}
-# the array each reversed view that _reversed made reverses, keyed on the view
-_REVERSES = {}
-# whether a weights array reads the same reversed
-_SYMMETRIC = {}
 
 
 def _term_inner(t1, t2, w) -> complex:
     """<t1|t2> of two terms without their coefficients, computed once per
-    set of factor arrays and weights (:data:`_GRAM`).
-
-    When all six factors are views :func:`_reversed` made and the weights
-    are symmetric, the entry is that of the arrays they reverse: reversing
-    every axis reorders the sum's products without changing one, so the
-    entry is exact, and it is the one the unreversed pair gets."""
-    arrays = (*_canonical((*t1[1:], *t2[1:]), w), w)
+    set of factor arrays and weights (:data:`_GRAM`)."""
+    arrays = (*t1[1:], *t2[1:], w)
     return _held(_GRAM, arrays, lambda: _gram_entry(*arrays))
-
-
-def _canonical(factors, w):
-    """The arrays the ``factors`` reverse if each is a view
-    :func:`_reversed` made (or None) and ``w`` is symmetric, else
-    ``factors``."""
-    bases = []
-    for x in factors:
-        base = _unreversed(x)
-        if base is None and x is not None:
-            return factors
-        bases.append(base)
-    if _held(_SYMMETRIC, (w,), lambda: np.array_equal(w, w[::-1])):
-        return bases
-    return factors
 
 
 def _gram_entry(a1, b1, c1, a2, b2, c2, w) -> complex:
@@ -420,7 +379,10 @@ def norm_sq(values: FactoredPair, w) -> float:
     """Squared norm sum_ij w_i w_j |A_ij|^2 of a pair.
 
     Terms that cancel leave a Gram-sum residue near eps (sum |k| ||term||)^2;
-    a total below a small multiple of that is returned as 0."""
+    a total below a small multiple of that is returned as 0.  On weights
+    that read the same reversed, a full flip has its source's norm."""
+    if values.reverses is not None and np.array_equal(w, w[::-1]):
+        return norm_sq(values.reverses, w)
     terms = values.expanded()
     total = scale = 0.0
     for i, t1 in enumerate(terms):
@@ -456,34 +418,25 @@ def _keep(x):
 
 
 def _reversed(x):
-    """x reversed, as a view that :data:`_REVERSES` maps back to x; the
-    reversal of such a view is the array it reverses."""
-    base = _unreversed(x)
-    if base is not None:
-        return base
-    view = x[::-1]
-    _held(_REVERSES, (view,), lambda: x)
-    return view
-
-
-def _unreversed(x):
-    """The array x reverses if :func:`_reversed` made x, else None."""
-    entry = None if x is None else _REVERSES.get((None, id(x)))
-    return None if entry is None else entry[0]
+    """x reversed, one shared read-only copy per array (:func:`shared`)."""
+    return shared("rev", (x,), lambda: x[::-1].copy())
 
 
 def flip(values: FactoredPair, flips) -> FactoredPair:
     """``values`` with the axes flagged in ``flips`` reversed, its factors
-    reversed views (:func:`_reversed`) of the input's.
+    the shared reversed copies (:func:`_reversed`) of the input's.
 
-    Reversing both axes reverses c(x + y) too; a one-axis flip of a term
-    with c has no factored form and raises."""
-    if all(flips):
-        return values.map_factors(_reversed, fn_c=_reversed)
-    if any(c is not None for _, _, _, c in values.terms):
+    Reversing both axes reverses c(x + y) too, and the output keeps
+    ``values`` as the pair it reverses; a one-axis flip of a term with c has
+    no factored form and raises."""
+    if not all(flips) and any(c is not None for *_, c in values.terms):
         raise ValueError("gem_invert of one photon of a pair: a term "
                          "c(x + y) has no one-axis mirror in factored form")
-    return values.map_factors(*(_reversed if f else _keep for f in flips))
+    out = values.map_factors(*(_reversed if f else _keep for f in flips),
+                             fn_c=_reversed)
+    if all(flips):
+        out.reverses = values
+    return out
 
 
 # -- the door for dense input --------------------------------------------------

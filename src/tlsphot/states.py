@@ -83,9 +83,9 @@ def _checked_one(rails: tuple, n: int, rail: str, values) -> np.ndarray:
 def _checked_pair(rails: tuple, n: int, key, values,
                   ordered: bool = True) -> FactoredPair:
     """Pair ``values`` on the rails (a, b) of ``key``, axis 0 on a, checked:
-    known rails, in the rail order if ``ordered``, sized for n samples (a
-    term's c for 2n - 1), finite, and exchange symmetric if a is b.  A dense
-    array must be n x n and goes through the door :func:`from_dense`."""
+    known rails, in the rail order if ``ordered``, one term or more, each
+    sized for n samples (c for 2n - 1), finite, and exchange symmetric if a
+    is b.  A dense array must be n x n and goes through :func:`from_dense`."""
     a, b = key
     for rail in key:
         if rail not in rails:
@@ -98,6 +98,9 @@ def _checked_pair(rails: tuple, n: int, key, values,
                              f"shape {np.shape(values)}, not ({n}, {n})")
         return from_dense(values, a == b)
     terms = values.terms
+    if not terms:
+        raise ValueError(f"factored pair amplitude on rails ({a!r}, {b!r}) "
+                         "has no terms")
     # norms cache Gram entries on factor identity, through weak references
     if not all(isinstance(z, np.ndarray) for term in terms
                for z in term[1:] if z is not None):
@@ -305,6 +308,8 @@ def beamsplitter(state: FewPhotonState, rail_i: str, rail_j: str,
     if is_sum_rail(rail_i) != is_sum_rail(rail_j):
         raise ValueError(f"carrier mismatch: {rail_i!r} and {rail_j!r} "
                          "carry different frequencies")
+    if not (np.isfinite(theta) and np.isfinite(phi)):
+        raise ValueError(f"angles must be finite, got {theta}, {phi}")
     c, s = np.cos(theta), np.sin(theta)
     m_ii, m_ij = complex(c), np.exp(1j * phi) * s
     m_ji, m_jj = -np.exp(-1j * phi) * s, complex(c)
@@ -342,6 +347,8 @@ def _scale_rail(state: FewPhotonState, rail: str, photons, transmission: float,
     e^{i phase} transmission**k; the removed probability goes to lost_mass."""
     if not 0.0 <= transmission <= 1.0:
         raise ValueError(f"transmission must be in [0, 1], got {transmission}")
+    if not np.isfinite(phase):
+        raise ValueError(f"phase must be finite, got {phase}")
     state.rail_index(rail)
     lost = state.lost_mass
     norms = {}

@@ -325,6 +325,13 @@ class TestComponentPhaseLoss:
         assert np.allclose(out.one_photon["a"], pump_pulse.values,
                            atol=1e-15)
 
+    @pytest.mark.parametrize("phase", [np.nan, np.inf, -np.inf])
+    def test_non_finite_phase_rejected(self, grid, pump_pulse, phase):
+        st = FewPhotonState.from_components(
+            grid, ("a",), ones={"a": pump_pulse.values})
+        with pytest.raises(ValueError, match="finite"):
+            tp.component_phase_loss(st, "a", photons=1, phase=phase)
+
     def test_transmission_range(self, grid, pump_pulse):
         st = FewPhotonState.from_components(
             grid, ("a",), ones={"a": pump_pulse.values})

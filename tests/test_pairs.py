@@ -318,56 +318,63 @@ class TestGramCache:
         assert pairs.norm_sq(pair, W) == pytest.approx(64 * first, rel=1e-13)
 
 
-class TestReversedViews:
-    """``pairs.flip`` reverses factors as views, and a term pair whose six
-    factors are all reversed takes the Gram entry of the arrays they
-    reverse."""
+@pytest.fixture
+def ffts(monkeypatch):
+    """The number of ``numpy.fft`` transforms from here on, in a list."""
+    count = [0]
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        def counted(*args, _fn=getattr(np.fft, name), **kwargs):
+            count[0] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    return count
 
-    @staticmethod
-    def term_pairs(pair):
-        terms = pair.expanded()
-        return [(t1, t2) for t1 in terms for t2 in terms]
 
-    def test_reversed_entries_are_the_unreversed_ones(self):
-        pair = random_pair(np.random.default_rng(21), True)
+class TestReversal:
+    """The memory reverses each factor into one shared read-only copy
+    (``pairs._reversed``), and a full flip has its source's norm."""
+
+    def test_flip_shares_read_only_copies(self):
+        state = random_factored_state(RAILS, 21)
+        out, again = tp.gem_invert(state), tp.gem_invert(state)
+        for rail, v in state.one_photon.items():
+            assert out.one_photon[rail] is again.one_photon[rail]
+            assert np.array_equal(out.one_photon[rail], v[::-1])
+        for key, amp in state.two_photon.items():
+            for old, new, twice in zip(amp.terms, out.two_photon[key].terms,
+                                       again.two_photon[key].terms):
+                for x, y, z in zip(old[1:], new[1:], twice[1:]):
+                    if x is None:
+                        assert y is None and z is None
+                        continue
+                    assert y is z and not y.flags.writeable
+                    assert np.array_equal(y, x[::-1])
+                    assert not np.shares_memory(x, y)
+
+    def test_flip_has_its_source_norm(self, convolutions):
+        pair = random_pair(np.random.default_rng(3), True)
         flipped = pairs.flip(pair, (True, True))
-        want = [pairs._term_inner(t1, t2, W)
-                for t1, t2 in self.term_pairs(pair)]
-        pairs._GRAM.clear()
-        got = [pairs._term_inner(t1, t2, W)
-               for t1, t2 in self.term_pairs(flipped)]
-        assert got == want  # bit for bit, computed after a clear
-        assert pairs.norm_sq(flipped, W) == pairs.norm_sq(pair, W)
-        assert pairs.norm_sq(flipped, W) == pytest.approx(
-            oracle.norm2(W, flipped.dense()), rel=1e-13)
-
-    def test_asymmetric_weights_take_the_direct_formula(self):
-        pair = random_pair(np.random.default_rng(22), True)
-        flipped = pairs.flip(pair, (True, True))
+        assert flipped.reverses is pair
+        norm = pairs.norm_sq(pair, W)
+        convolutions.clear()
+        # bit for bit, from the source's Gram entries
+        assert pairs.norm_sq(flipped, W) == norm
+        assert not convolutions
+        # asymmetric weights: the flip's own entries, against the oracle
         w = W * np.linspace(0.5, 1.5, N)
-        for t1, t2 in self.term_pairs(flipped):
-            assert pairs._term_inner(t1, t2, w) == pairs._gram_entry(
-                *t1[1:], *t2[1:], w)
         assert pairs.norm_sq(flipped, w) == pytest.approx(
             oracle.norm2(w, flipped.dense()), rel=1e-13)
         assert pairs.norm_sq(flipped, w) != pytest.approx(
             pairs.norm_sq(pair, w), rel=1e-3)
 
-    def test_memory_output_shares_its_input_factors(self):
-        state = random_factored_state(RAILS, 23)
-        out = tp.gem_invert(state)
-        back = tp.gem_invert(out)
-        for key, amp in state.two_photon.items():
-            for old, new, again in zip(amp.terms, out.two_photon[key].terms,
-                                       back.two_photon[key].terms):
-                for x, y, z in zip(old[1:], new[1:], again[1:]):
-                    if x is None:
-                        assert y is None and z is None
-                        continue
-                    assert np.shares_memory(x, y)
-                    assert np.array_equal(y, x[::-1])
-                    # the reversal of a reversed view is the array itself
-                    assert z is x
+    def test_repeated_cz_gate_repeats_little(self, tls95, sigma_up95, ffts):
+        grid = tp.SpectralGrid(60.0, 1201)
+        pulse = tp.make_pulse(tp.PulseShape("lorentzian", sigma_up95), grid)
+        state = tp.logical_state(grid, pulse, {(0, 1): 1.0})
+        tp.cz_gate(state, tls95, pulse)
+        cold, ffts[0] = ffts[0], 0
+        tp.cz_gate(state, tls95, pulse)
+        assert 3 * ffts[0] <= cold
 
 
 def device_runs(p, pulse):
@@ -392,7 +399,7 @@ def bits(out):
 
 
 # every table of arrays or numbers the pairs module keys on array identity
-TABLES = ("_SHARED", "_GRAM", "_REVERSES", "_SYMMETRIC")
+TABLES = ("_SHARED", "_GRAM")
 
 
 def table_keys():
@@ -444,7 +451,7 @@ class TestSharing:
             pulse = tp.make_pulse(tp.PulseShape("lorentzian", sigma_up95),
                                   grid)
             outs = device_runs(tls95, pulse)
-            # the memory's reversed views live in the CZ and NS outputs
+            # the memory's reversed copies live in the CZ and NS outputs
             assert all(keys - before[name]
                        for name, keys in table_keys().items())
             assert outs

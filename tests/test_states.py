@@ -122,6 +122,12 @@ class TestFromComponents:
         state.two_photon[("a", "b")] = pair
         assert state.pair("b", "a") is not None
 
+    def test_pair_without_terms_rejected(self):
+        # it would pass every per-term check and fail later in an op
+        with pytest.raises(ValueError, match="no terms"):
+            FewPhotonState.from_components(
+                self.GRID, ("a",), pairs={("a", "a"): FactoredPair([], True)})
+
     @pytest.mark.parametrize("vacuum", [np.nan, np.inf, complex(0, np.inf)])
     def test_non_finite_vacuum_rejected(self, vacuum):
         with pytest.raises(ValueError, match="non-finite"):
@@ -173,6 +179,15 @@ class TestBeamsplitter:
                                                                  abs=1e-9)
         # the cancelled coincidence amplitude is pruned, not kept as zeros
         assert ("a", "b") not in out.two_photon
+
+    @pytest.mark.parametrize("theta, phi", [(np.nan, 0.0), (np.inf, 0.0),
+                                            (0.3, np.nan), (0.3, -np.inf)])
+    def test_non_finite_angles_rejected(self, grid, pulse, theta, phi):
+        # pruning would drop every NaN amplitude and book none of it as lost
+        st = FewPhotonState.from_components(grid, ("a", "b"),
+                                            ones={"a": pulse.values})
+        with pytest.raises(ValueError, match="finite"):
+            beamsplitter(st, "a", "b", theta, phi)
 
     def test_zero_angle_is_identity(self, grid, pulse):
         st = random_state(grid, ("a", "b"), seed=11)
