@@ -17,13 +17,22 @@ global delay phase it also imparts is dropped as physically irrelevant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import OnePhotonAmp
 from .pairs import FactoredPair, _reversed, flip, project_term, projector
-from .states import FewPhotonState, _pair_lift, _scale_rail, sum_rail
+from .states import (
+    FewPhotonState,
+    _output,
+    _pair_lift,
+    _positions,
+    _put,
+    _read,
+    _scale_rail,
+    sum_rail,
+)
 
 
 @dataclass(frozen=True)
@@ -119,42 +128,46 @@ def _mapped_terms(vs, pump, u, step):
 
 
 def _pump_map(state: FewPhotonState, rail: str, gate: PulseGateSpec, m,
-              extra=None) -> FewPhotonState:
+              rails: tuple, lost: float, extra=None) -> FewPhotonState:
     """``state`` with the pump-mode matrix ``m`` applied to ``rail`` and its
-    ancilla.  A single photon, or a photon whose partner is on another rail,
-    is projected as g = u @ v and written once, as v + pump (outer) ((m - 1)
-    g) (:func:`_mapped_ones`, :func:`_mapped_terms`).  A pair on the two
-    gated rails mixes only its both-in-pump coefficient u @ A @ u, through
-    the bosonic pair lift.  ``extra`` maps a gated rail pair to (k, x, y)
-    terms added to its output as k x (outer) y, exchange symmetrized on a
-    same-rail pair."""
+    ancilla, on the output ``rails`` (the ancilla may be new) with lost mass
+    ``lost``.  A single photon, or a photon whose partner is on another
+    rail, is projected as g = u @ v and written once, as v + pump (outer)
+    ((m - 1) g) (:func:`_mapped_ones`, :func:`_mapped_terms`).  A pair on the
+    two gated rails mixes only its both-in-pump coefficient u @ A @ u,
+    through the bosonic pair lift.  ``extra`` maps a gated rail pair to (k,
+    x, y) terms added to its output as k x (outer) y, exchange symmetrized
+    on a same-rail pair."""
     anc = sum_rail(rail)
     gated = (rail, anc)
     pump, u, _ = _gate_terms(gate)
     step = m - np.eye(2)
+    order = _positions(rails)
+    pairs_in = state.two_photon
 
     ones = {r: v for r, v in state.one_photon.items() if r not in gated}
     ones.update((r, v) for r, v in zip(gated, _mapped_ones(
         [state.one_photon.get(r) for r in gated], pump, u, step))
         if v is not None)
-    out = replace(state, one_photon=ones, two_photon={
-        key: amp for key, amp in state.two_photon.items()
-        if key[0] not in gated and key[1] not in gated})
-    for other in (r for r in state.rails if r not in gated):
-        for r, v in zip(gated, _mapped_terms(
-                (state.pair(rail, other), state.pair(anc, other)),
-                pump, u, step)):
-            out = out.add_pair(r, other, v)
+    twos = {key: amp for key, amp in pairs_in.items()
+            if key[0] not in gated and key[1] not in gated}
+    for other in (r for r in rails if r not in gated):
+        vs = (_read(pairs_in, order, rail, other),
+              _read(pairs_in, order, anc, other))
+        if vs[0] is None and vs[1] is None:
+            continue
+        for r, v in zip(gated, _mapped_terms(vs, pump, u, step)):
+            _put(twos, order, r, other, v)
 
     keys = ((rail, rail), (anc, anc), (rail, anc))
-    amps = [state.pair(*key) for key in keys]
+    amps = [_read(pairs_in, order, *key) for key in keys]
     coefs = [None if a is None else u @ a @ u for a in amps]
     for key, amp, old, new in zip(keys, amps, coefs, _pair_lift(m, *coefs)):
         delta = (new or 0.0) - (old or 0.0)
-        out = out.add_pair(*key, _plus_outer(
+        _put(twos, order, *key, _plus_outer(
             amp, [(delta, pump, pump)] + (extra or {}).get(key, []),
             key[0] == key[1]))
-    return out._pruned(state)
+    return _output(state, ones, twos, lost=lost, rails=rails)
 
 
 def sfg_extract(state: FewPhotonState, rail: str, gate: PulseGateSpec,
@@ -174,11 +187,11 @@ def sfg_extract(state: FewPhotonState, rail: str, gate: PulseGateSpec,
     anc = sum_rail(rail)
     if anc in state.one_photon or any(anc in k for k in state.two_photon):
         raise ValueError(f"sum-frequency rail {anc!r} is not empty")
-    out = state if anc in state.rails else state.with_rail(anc)
+    rails = state.rails if anc in state.rails else state.rails + (anc,)
     pump, _, m = _gate_terms(gate)
     amp = state.pair(rail, rail)
     if ideal or amp is None:
-        return _pump_map(out, rail, gate, m)
+        return _pump_map(state, rail, gate, m, rails, state.lost_mass)
     # photon-wise: the pump photon of pump x g_perp + g_perp x pump keeps a
     # factor rho on the rail and converts with a factor sqrt(2) kappa
     g_perp = _single_pump(gate, amp)
@@ -186,12 +199,12 @@ def sfg_extract(state: FewPhotonState, rail: str, gate: PulseGateSpec,
     converted = np.sqrt(2.0) * m[1, 0] * g_perp
     # the symmetric term (2, pump, kept) is pump x kept + kept x pump
     extra = {(rail, rail): [(2.0, pump, kept)]}
+    lost = state.lost_mass
     if keep_single_converted:
         extra[(rail, anc)] = [(1.0, converted, pump)]
     else:
-        out = replace(out, lost_mass=out.lost_mass + out.norm1_sq(converted)
-                      * out.norm1_sq(pump))
-    return _pump_map(out, rail, gate, m, extra)
+        lost += state.norm1_sq(converted) * state.norm1_sq(pump)
+    return _pump_map(state, rail, gate, m, rails, lost, extra)
 
 
 def sfg_reverse(state: FewPhotonState, rail: str,
@@ -223,7 +236,8 @@ def sfg_reverse(state: FewPhotonState, rail: str,
         if off > 1e-12:
             raise ValueError("ancilla content is not in the pump mode "
                              f"(orthogonal weight {off:.3e})")
-    return _pump_map(state, rail, gate, m.T)
+    return _pump_map(state, rail, gate, m.T, state.rails,
+                     state.lost_mass)
 
 
 def gem_invert(state: FewPhotonState, rail=None) -> FewPhotonState:
@@ -239,15 +253,13 @@ def gem_invert(state: FewPhotonState, rail=None) -> FewPhotonState:
     for r in selected:
         state.rail_index(r)
 
-    out = replace(state, two_photon={}, one_photon={
-        r: _reversed(v) if r in selected else v
-        for r, v in state.one_photon.items()})
-    for a, b in state.two_photon:
-        amp = state.pair(a, b)
-        if not selected.isdisjoint((a, b)):
-            amp = flip(amp, (a in selected, b in selected))
-        out = out.add_pair(a, b, amp)
-    return out
+    ones = {r: _reversed(v) if r in selected else v
+            for r, v in state.one_photon.items()}
+    twos = {(a, b): amp if selected.isdisjoint((a, b))
+            else flip(amp, (a in selected, b in selected))
+            for (a, b), amp in state.two_photon.items()}
+    return state._build(state.grid, state.rails, state.vacuum_amp, ones, twos,
+                        state.lost_mass)
 
 
 def component_phase_loss(state: FewPhotonState, rail: str, photons: int,

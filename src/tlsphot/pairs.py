@@ -16,6 +16,10 @@ a projection of a term with ``c`` is one cyclic convolution at
 ``_fast_len(2N - 1)`` points, the least at which no kept entry wraps.  An
 op the form cannot express (a one-axis flip of a term with ``c``) raises.
 
+Terms of a pair merge when their factors are the same arrays, not merely
+equal ones: derived factors are shared by construction (:func:`shared`), so
+identity finds every merge the ops make.
+
 Factor arrays are never written to, so work derived from them is done once
 per set of input arrays, by one rule (:func:`_held`): an entry is keyed on
 the identities of its inputs, holds them through weak references only and
@@ -106,16 +110,6 @@ def _cyclic(x, y, size) -> np.ndarray:
     return ifft(x_hat * (x_hat if y is x else fft(y, size)), size)
 
 
-def _same(x, y) -> bool:
-    """Whether two factors (arrays or None) hold the same values.  Factors
-    are finite and never empty, so comparing shapes, then first entries,
-    then whole arrays gives ``np.array_equal``'s answer; most factors that
-    differ already differ at entry 0."""
-    return x is y or (x is not None and y is not None
-                      and x.shape == y.shape and x[0] == y[0]
-                      and np.array_equal(x, y))
-
-
 def _lin(k1, x1, k2, x2):
     """k1 x1 + k2 x2 for factors, as one new array."""
     out = k1 * x1
@@ -125,14 +119,17 @@ def _lin(k1, x1, k2, x2):
 
 def _merge(t1, t2, symmetric, partial):
     """One term equal to the sum of terms t1 and t2, or None.  Terms with
-    the same three factors add their coefficients; with ``partial`` set,
-    terms sharing two factors combine the third (c only when both set it).
-    In a symmetric pair a term also matches its exchanged form."""
+    the same three factor arrays add their coefficients; with ``partial``
+    set, terms sharing two factor arrays combine the third (c only when both
+    set it).  Factors match by identity: derived factors are shared by
+    construction (:func:`shared`), so equal values in distinct arrays stay
+    separate terms.  In a symmetric pair a term also matches its exchanged
+    form."""
     k1, a1, b1, c1 = t1
     k2, a2, b2, c2 = t2
-    same_c = _same(c1, c2)
+    same_c = c1 is c2
     for a, b in ((a2, b2), (b2, a2)) if symmetric else ((a2, b2),):
-        same_a, same_b = _same(a1, a), _same(b1, b)
+        same_a, same_b = a1 is a, b1 is b
         if same_a and same_b and same_c:
             return (k1 + k2, a1, b1, c1)
         if not partial:
@@ -176,10 +173,12 @@ class FactoredPair:
     form (a(x) b(y) + b(x) a(y)) c(x + y) / 2, so a same-rail pair is
     exchange symmetric by construction.  The flag is declared by whoever
     builds the pair, never inferred from the terms.  Terms sharing two of
-    their three factors are merged, which keeps the term count bounded.
-    Factors are numpy arrays, shared between pairs and never written to,
-    so norms and overlaps cache each term pair's Gram entry on the
-    identities of its factors, through weak references.
+    their three factors are merged, which keeps the term count bounded;
+    factors are shared when they are the same arrays, and equal values in
+    distinct arrays stay separate terms.  Factors are numpy arrays, shared
+    between pairs and never written to, so norms and overlaps cache each
+    term pair's Gram entry on the identities of its factors, through weak
+    references.
     """
 
     __array_ufunc__ = None  # numpy operators defer to the methods below

@@ -7,14 +7,28 @@ amplitudes are exchange symmetric and normalized so that their discrete
 double integral is the occupation probability (a pair of identical photons in
 a unit mode f on one rail has amplitude f(x) f(y)).  A pair amplitude is a
 factored sum of terms a(x) b(y) c(x + y) (:mod:`tlsphot.pairs`); a dense
-N x N array given to :meth:`FewPhotonState.from_components` or written into
-``two_photon`` goes through the door :func:`tlsphot.pairs.from_dense` once.
-A write into a built state's ``one_photon`` or ``two_photon`` gets the
-checks ``from_components`` makes.
+N x N array given to the constructor or written into ``two_photon`` goes
+through the door :func:`tlsphot.pairs.from_dense` once.
+
+The public constructor, ``FewPhotonState(...)`` and so
+:meth:`FewPhotonState.from_components` and ``dataclasses.replace``, checks
+what it is given: distinct rails, a finite vacuum amplitude, and for each
+amplitude a known rail, the grid's sizes, finite values and, on a same-rail
+pair, exchange symmetry.  A write ``state.one_photon[rail] = values`` or
+``state.two_photon[key] = values`` (or ``update``, ``setdefault``, ``|=``)
+gets the same checks.  Attribute writes (``state.vacuum_amp = ...``,
+``state.rails = ...``) stay unchecked until the state is frozen.
+
+Every op builds its output exactly once, through the private
+:meth:`FewPhotonState._build`, which checks nothing: the op collects the
+output's maps in plain dicts, prunes the amplitudes it wrote there
+(:func:`_output`; the memory, which keeps every norm, does not prune) and
+hands them over.
 For a cross-rail pair (r, s) with r before s in the rail order, axis 0 of
-the stored pair belongs to the photon on r.  Only :class:`FewPhotonState`
-relies on that rule: other code reads pairs with
-:meth:`FewPhotonState.pair` and writes them with
+the stored pair belongs to the photon on r.  That rule lives in one reader
+and one writer, :func:`_read` and :func:`_put`, which the ops here and in
+:mod:`tlsphot.modeops` use; other code reads pairs with
+:meth:`FewPhotonState.pair` and adds to them with
 :meth:`FewPhotonState.add_pair`, both oriented by the rails they name.
 
 A rail's carrier is read from its label: light on a sum-frequency rail
@@ -33,7 +47,7 @@ and an operation norms (to prune near-zero amplitudes) only those it writes.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -87,10 +101,11 @@ def _checked_pair(rails: tuple, n: int, key, values,
     sized for n samples (c for 2n - 1), finite, and exchange symmetric if a
     is b.  A dense array must be n x n and goes through :func:`from_dense`."""
     a, b = key
+    order = _positions(rails)
     for rail in key:
-        if rail not in rails:
+        if rail not in order:
             raise ValueError(f"unknown rail {rail!r}")
-    if ordered and rails.index(a) > rails.index(b):
+    if ordered and order[a] > order[b]:
         raise ValueError(f"pair key {key} is not in the rail order {rails}")
     if not isinstance(values, FactoredPair):
         if np.shape(values) != (n, n):
@@ -123,9 +138,9 @@ def _checked_pair(rails: tuple, n: int, key, values,
 
 class CheckedMap(dict):
     """One sector's amplitudes by storage key: a rail, or a rail pair in the
-    rail order.  A write ``map[key] = values`` (or ``update``) passes the
-    ``check`` :meth:`FewPhotonState.from_components` makes; ops build the
-    maps of their output states around values they hold, unchecked."""
+    rail order.  A write ``map[key] = values`` (or ``update``, ``setdefault``
+    or ``|=``) passes the ``check`` the public constructor makes; ops build
+    the maps of their output states around values they hold, unchecked."""
 
     def __init__(self, check, items=()):
         super().__init__(items)
@@ -138,9 +153,56 @@ class CheckedMap(dict):
         for key, values in dict(*args, **kwargs).items():
             self[key] = values
 
+    def setdefault(self, key, default=None):
+        if key not in self:
+            self[key] = default
+        return self[key]
+
+    def __ior__(self, other):
+        self.update(other)
+        return self
+
+
+@functools.lru_cache(maxsize=256)
+def _positions(rails: tuple) -> dict:
+    """Each rail's position in ``rails``, one dict per rails tuple."""
+    return {r: i for i, r in enumerate(rails)}
+
+
+def _checks(rails: tuple, n: int):
+    """The write checks of a state's one-photon and pair maps."""
+    return (functools.partial(_checked_one, rails, n),
+            functools.partial(_checked_pair, rails, n))
+
+
+def _read(twos, order, a, b):
+    """Pair on rails (a, b) of the storage map ``twos`` with axis 0 on
+    ``a``, or None; ``order`` holds the rails' positions."""
+    if order[a] <= order[b]:
+        return twos.get((a, b))
+    amp = twos.get((b, a))
+    return None if amp is None else amp.T
+
+
+def _put(twos, order, a, b, values) -> None:
+    """Add ``values`` (axis 0 on ``a``, None adds nothing) to the (a, b)
+    pair of the storage map ``twos``, under the key in the rail order."""
+    if values is None:
+        return
+    if order[a] > order[b]:
+        a, b, values = b, a, values.T
+    old = twos.get((a, b))
+    twos[(a, b)] = values if old is None else old + values
+
 
 @dataclass
 class FewPhotonState:
+    """A superposition of up to two photons on ``rails``.
+
+    The constructor checks its arguments as :meth:`from_components` says;
+    ops build their outputs once, through :meth:`_build`, around values
+    they hold."""
+
     grid: SpectralGrid
     rails: tuple
     vacuum_amp: complex = 0.0
@@ -149,11 +211,34 @@ class FewPhotonState:
     lost_mass: float = 0.0
 
     def __post_init__(self):
-        n = self.grid.n_points
-        self.one_photon = CheckedMap(
-            functools.partial(_checked_one, self.rails, n), self.one_photon)
-        self.two_photon = CheckedMap(
-            functools.partial(_checked_pair, self.rails, n), self.two_photon)
+        self.rails = rails = tuple(self.rails)
+        if len(set(rails)) != len(rails):
+            raise ValueError("duplicate rail labels")
+        if not np.isfinite(self.vacuum_amp):
+            raise ValueError("state amplitudes hold non-finite values")
+        check_one, check_pair = _checks(rails, self.grid.n_points)
+        ones = {r: check_one(r, v) for r, v in self.one_photon.items()}
+        twos = {}
+        for key, values in self.two_photon.items():
+            _put(twos, _positions(rails), *key,
+                 check_pair(key, values, ordered=False))
+        self.one_photon = CheckedMap(check_one, ones)
+        self.two_photon = CheckedMap(check_pair, twos)
+
+    @classmethod
+    def _build(cls, grid, rails, vacuum, ones, twos,
+               lost) -> "FewPhotonState":
+        """State around the maps ``ones`` and ``twos`` (pair keys in the rail
+        order), unchecked: the one constructor of op outputs."""
+        state = cls.__new__(cls)
+        check_one, check_pair = _checks(rails, grid.n_points)
+        state.grid = grid
+        state.rails = rails
+        state.vacuum_amp = vacuum
+        state.one_photon = CheckedMap(check_one, ones)
+        state.two_photon = CheckedMap(check_pair, twos)
+        state.lost_mass = lost
+        return state
 
     @classmethod
     def from_components(cls, grid: SpectralGrid, rails, vacuum: complex = 0.0j,
@@ -163,22 +248,14 @@ class FewPhotonState:
         ``ones`` maps a rail to its one-photon spectral values; ``pairs`` maps
         a rail pair (a, b) to its pair values with axis 0 on a, a
         :class:`~tlsphot.pairs.FactoredPair` or an N x N array (factored by
-        :func:`~tlsphot.pairs.from_dense`).  Rails must be known, values
-        sized for the grid and finite, and same-rail pairs exchange
-        symmetric.  A write into a built state's ``one_photon`` or
-        ``two_photon`` gets the same checks.
+        :func:`~tlsphot.pairs.from_dense`); pairs given on both (a, b) and
+        (b, a) add up.  Rails must be distinct and known, values sized for
+        the grid and finite, and same-rail pairs exchange symmetric.  The
+        constructor takes the same arguments and makes the same checks, and
+        a write into a built state's ``one_photon`` or ``two_photon`` gets
+        them too.
         """
-        rails = tuple(rails)
-        if len(set(rails)) != len(rails):
-            raise ValueError("duplicate rail labels")
-        if not np.isfinite(vacuum):
-            raise ValueError("state amplitudes hold non-finite values")
-        state = cls(grid=grid, rails=rails, vacuum_amp=vacuum)
-        state.one_photon.update(ones or {})
-        for (a, b), values in (pairs or {}).items():
-            state = state.add_pair(a, b, _checked_pair(
-                rails, grid.n_points, (a, b), values, ordered=False))
-        return state
+        return cls(grid, rails, vacuum, ones or {}, pairs or {})
 
     @classmethod
     def vacuum(cls, grid: SpectralGrid, rails) -> "FewPhotonState":
@@ -186,38 +263,33 @@ class FewPhotonState:
 
     # -- bookkeeping helpers -------------------------------------------------
 
-    def rail_index(self, rail: str) -> int:
-        try:
-            return self.rails.index(rail)
-        except ValueError:
-            raise ValueError(f"unknown rail {rail!r}") from None
+    def _order(self, *rails) -> dict:
+        """The positions of this state's rails, once ``rails`` are known."""
+        order = _positions(self.rails)
+        for rail in rails:
+            if rail not in order:
+                raise ValueError(f"unknown rail {rail!r}")
+        return order
 
-    def _key(self, a: str, b: str):
-        """Storage key of the rail pair (a, b), and whether it reverses them."""
-        if self.rail_index(a) <= self.rail_index(b):
-            return (a, b), False
-        return (b, a), True
+    def rail_index(self, rail: str) -> int:
+        return self._order(rail)[rail]
 
     def pair(self, a: str, b: str):
         """Pair amplitude on rails (a, b) with axis 0 on ``a``, or
         None if the state holds none."""
-        key, flip = self._key(a, b)
-        amp = self.two_photon.get(key)
-        return amp.T if flip and amp is not None else amp
+        return _read(self.two_photon, self._order(a, b), a, b)
 
     def add_pair(self, a: str, b: str,
                  values: FactoredPair | None) -> "FewPhotonState":
         """New state with ``values`` (axis 0 on ``a``) added to the (a, b)
         pair amplitude; None adds nothing."""
-        key, flip = self._key(a, b)
+        order = self._order(a, b)
         if values is None:
             return self
-        if flip:
-            values = values.T
-        old = self.two_photon.get(key)
         twos = dict(self.two_photon)
-        twos[key] = values if old is None else old + values
-        return replace(self, two_photon=twos)
+        _put(twos, order, a, b, values)
+        return self._build(self.grid, self.rails, self.vacuum_amp,
+                           dict(self.one_photon), twos, self.lost_mass)
 
     def norm1_sq(self, values: np.ndarray) -> float:
         return OnePhotonAmp(self.grid, values).norm_sq()
@@ -234,34 +306,30 @@ class FewPhotonState:
     def total_probability(self) -> float:
         return self.surviving_norm_sq() + self.lost_mass
 
-    def with_rail(self, rail: str) -> "FewPhotonState":
-        """New state with an extra (empty) rail appended."""
-        if rail in self.rails:
-            raise ValueError(f"rail {rail!r} already exists")
-        return replace(self, rails=self.rails + (rail,))
 
-    def _pruned(self, parent: "FewPhotonState",
-                norms=None) -> "FewPhotonState":
-        """Drop the amplitudes written since ``parent`` whose probability
-        falls below _PRUNE_SQ.
+def _output(state: FewPhotonState, ones: dict, twos: dict, norms=None,
+            lost=None, rails=None) -> FewPhotonState:
+    """The output of an op on ``state``, built once from its maps ``ones``
+    and ``twos`` (pair keys in the rail order of ``rails``, by default the
+    state's) and its lost mass ``lost`` (by default the state's).
 
-        Ops never mutate arrays, so an array shared with ``parent`` was not
-        written and is not re-normed.  ``norms`` maps rails and pair keys to
-        norms the op has already computed for its written arrays.
-        """
-        norms = norms or {}
-
-        def kept(key, values, old, norm_sq):
-            if values is old:
-                return True
-            norm = norms[key] if key in norms else norm_sq(values)
-            return norm > _PRUNE_SQ
-
-        ones = {r: v for r, v in self.one_photon.items()
-                if kept(r, v, parent.one_photon.get(r), self.norm1_sq)}
-        twos = {k: v for k, v in self.two_photon.items()
-                if kept(k, v, parent.two_photon.get(k), self.norm2_sq)}
-        return replace(self, one_photon=ones, two_photon=twos)
+    The amplitudes written since ``state`` whose probability falls below
+    _PRUNE_SQ are dropped first.  Ops never mutate arrays, so an array
+    shared with ``state`` was not written and is not re-normed.  ``norms``
+    maps rails and pair keys to norms the op has already computed for its
+    written arrays.
+    """
+    norms = norms or {}
+    for amps, old, norm_sq in ((ones, state.one_photon, state.norm1_sq),
+                               (twos, state.two_photon, state.norm2_sq)):
+        for key in [k for k, v in amps.items() if v is not old.get(k)
+                    and (norms[k] if k in norms else norm_sq(v))
+                    <= _PRUNE_SQ]:
+            del amps[key]
+    return FewPhotonState._build(
+        state.grid, state.rails if rails is None else rails,
+        state.vacuum_amp, ones, twos,
+        state.lost_mass if lost is None else lost)
 
 
 def _lincomb(*terms):
@@ -303,8 +371,7 @@ def beamsplitter(state: FewPhotonState, rail_i: str, rail_j: str,
     """
     if rail_i == rail_j:
         raise ValueError("beamsplitter needs two distinct rails")
-    state.rail_index(rail_i)
-    state.rail_index(rail_j)
+    order = state._order(rail_i, rail_j)
     if is_sum_rail(rail_i) != is_sum_rail(rail_j):
         raise ValueError(f"carrier mismatch: {rail_i!r} and {rail_j!r} "
                          "carry different frequencies")
@@ -322,23 +389,27 @@ def beamsplitter(state: FewPhotonState, rail_i: str, rail_j: str,
         (rail_i, _lincomb((m_ii, vi), (m_ij, vj))),
         (rail_j, _lincomb((m_ji, vi), (m_jj, vj)))) if v is not None)
 
-    out = replace(state, one_photon=ones, two_photon={
-        key: amp for key, amp in state.two_photon.items()
-        if key[0] not in mixed and key[1] not in mixed})
+    pairs_in = state.two_photon
+    twos = {key: amp for key, amp in pairs_in.items()
+            if key[0] not in mixed and key[1] not in mixed}
     a, b, x = _pair_lift(((m_ii, m_ij), (m_ji, m_jj)),
-                         state.pair(rail_i, rail_i),
-                         state.pair(rail_j, rail_j), state.pair(rail_i, rail_j))
-    out = (out.add_pair(rail_i, rail_i, a).add_pair(rail_j, rail_j, b)
-           .add_pair(rail_i, rail_j, x))
+                         _read(pairs_in, order, rail_i, rail_i),
+                         _read(pairs_in, order, rail_j, rail_j),
+                         _read(pairs_in, order, rail_i, rail_j))
+    _put(twos, order, rail_i, rail_i, a)
+    _put(twos, order, rail_j, rail_j, b)
+    _put(twos, order, rail_i, rail_j, x)
 
     for other in state.rails:
         if other in mixed:
             continue
-        ai = state.pair(rail_i, other)
-        aj = state.pair(rail_j, other)
-        out = (out.add_pair(rail_i, other, _lincomb((m_ii, ai), (m_ij, aj)))
-               .add_pair(rail_j, other, _lincomb((m_ji, ai), (m_jj, aj))))
-    return out._pruned(state)
+        ai = _read(pairs_in, order, rail_i, other)
+        aj = _read(pairs_in, order, rail_j, other)
+        if ai is None and aj is None:
+            continue
+        _put(twos, order, rail_i, other, _lincomb((m_ii, ai), (m_ij, aj)))
+        _put(twos, order, rail_j, other, _lincomb((m_ji, ai), (m_jj, aj)))
+    return _output(state, ones, twos)
 
 
 def _scale_rail(state: FewPhotonState, rail: str, photons, transmission: float,
@@ -369,8 +440,7 @@ def _scale_rail(state: FewPhotonState, rail: str, photons, transmission: float,
     for key, amp in state.two_photon.items():
         if key.count(rail) in photons:
             twos[key] = scaled(key, key.count(rail), amp, state.norm2_sq)
-    return replace(state, one_photon=ones, two_photon=twos,
-                   lost_mass=lost)._pruned(state, norms)
+    return _output(state, ones, twos, norms, lost)
 
 
 def loss_channel(state: FewPhotonState, rail: str,
@@ -410,9 +480,7 @@ def apply_tls(state: FewPhotonState, rail: str, p: TlsParams) -> FewPhotonState:
         lost += before - norms[key]
     # The two-photon map is unitary only up to quadrature error, which can
     # push the accrued deficit slightly negative; lost_mass stays a probability.
-    lost = max(lost, 0.0)
-    return replace(state, one_photon=ones, two_photon=twos,
-                   lost_mass=lost)._pruned(state, norms)
+    return _output(state, ones, twos, norms, max(lost, 0.0))
 
 
 def project_detection(state: FewPhotonState, pattern: dict) -> float:
@@ -434,8 +502,9 @@ def project_detection(state: FewPhotonState, pattern: dict) -> float:
         (rail,) = counts
         v = state.one_photon.get(rail)
         return 0.0 if v is None else state.norm1_sq(v)
-    photons = [r for r, c in counts.items() for _ in range(c)]
-    amp = state.two_photon.get(state._key(*photons)[0])
+    a, b = (r for r, c in counts.items() for _ in range(c))
+    order = state._order()
+    amp = state.two_photon.get((a, b) if order[a] <= order[b] else (b, a))
     return 0.0 if amp is None else state.norm2_sq(amp)
 
 

@@ -175,6 +175,25 @@ class TestFactoredPair:
         want = sum(FactoredPair([t]).dense() for t in terms)
         assert np.allclose(pair.dense(), want, atol=TOL)
 
+    def test_equal_but_distinct_factors_stay_separate(self):
+        # terms merge on factor identity: derived factors are shared by
+        # construction, so a copy holding the same values is another array.
+        # Each pair of terms below shares at most one factor array.
+        rng = np.random.default_rng(12)
+        a, b, c = rvec(rng), rvec(rng), rvec(rng, 2 * N - 1)
+        for terms, symmetric in (
+                ([(1.0, a, b, None), (2.0, a.copy(), b.copy(), None)], False),
+                ([(1.0, a, b, c), (2.0, a.copy(), b, c.copy())], False),
+                ([(1.0, a, b, c), (2.0, a, b.copy(), c.copy())], False),
+                ([(1.0, a, b, c), (2.0, a.copy(), b.copy(), c)], False),
+                ([(1.0, a, b, None), (2.0, b.copy(), a.copy(), None)], True)):
+            pair = FactoredPair(terms, symmetric)
+            assert len(pair.terms) == 2
+            want = sum(FactoredPair([t], symmetric).dense() for t in terms)
+            assert np.allclose(pair.dense(), want, atol=TOL)
+        # the same arrays merge
+        assert len(FactoredPair([(1.0, a, b, c), (2.0, a, b, c)]).terms) == 1
+
     def test_symmetry_is_declared_not_inferred(self):
         rng = np.random.default_rng(10)
         a, b = rvec(rng), rvec(rng)

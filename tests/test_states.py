@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -164,6 +166,88 @@ class TestFromComponents:
                         tp.TlsParams.from_beta(0.95))
         assert out.total_probability() == pytest.approx(
             state.total_probability(), abs=1e-6)
+
+    # the public constructor makes the checks from_components makes, for a
+    # bare call and for dataclasses.replace alike
+
+    def test_bare_constructor_checked(self):
+        with pytest.raises(ValueError, match="unknown rail 'zz'"):
+            FewPhotonState(self.GRID, ("a",), 1.0,
+                           one_photon={"zz": np.ones(7)})
+        with pytest.raises(ValueError, match=r"rail 'a'.*not \(601,\)"):
+            FewPhotonState(self.GRID, ("a",), one_photon={"a": np.ones(7)})
+        with pytest.raises(ValueError, match="duplicate"):
+            FewPhotonState(self.GRID, ("a", "a"), 1.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            FewPhotonState(self.GRID, ("a",), np.nan)
+        f = np.ones(601, dtype=complex)
+        with pytest.raises(ValueError, match="symmetric"):
+            FewPhotonState(self.GRID, ("a",), two_photon={
+                ("a", "a"): FactoredPair([(1.0, f, 2.0 * f, None)])})
+
+    def test_bare_constructor_orients_pairs(self):
+        # pair keys in either order, as from_components takes them
+        f = np.ones(601, dtype=complex)
+        pair = FactoredPair([(1.0, f, np.arange(601.0) + 0j, None)])
+        state = FewPhotonState(self.GRID, ("a", "b"),
+                               two_photon={("b", "a"): pair})
+        assert list(state.two_photon) == [("a", "b")]
+        assert state.pair("b", "a").terms == pair.terms
+
+    def test_replace_checked(self):
+        state = FewPhotonState.vacuum(self.GRID, ("a",))
+        with pytest.raises(ValueError, match="non-finite"):
+            dataclasses.replace(state, vacuum_amp=np.inf)
+        with pytest.raises(ValueError, match=r"not \(601,\)"):
+            dataclasses.replace(state, one_photon={"a": np.ones(7)})
+        with pytest.raises(ValueError, match="unknown rail 'zz'"):
+            dataclasses.replace(state, one_photon={"zz": np.ones(601)})
+        out = dataclasses.replace(state, one_photon={"a": np.ones(601)})
+        assert out.total_probability() > state.total_probability()
+
+    @pytest.mark.parametrize("sector, key, bad", [
+        ("one_photon", "a", np.ones(7)),
+        ("one_photon", "zz", np.ones(601)),
+        ("two_photon", ("a", "a"), np.ones((9, 9))),
+        ("two_photon", ("zz", "zz"), np.ones((601, 601))),
+    ])
+    def test_setdefault_and_ior_checked(self, sector, key, bad):
+        # neither write path may skip the checks a plain write makes
+        state = FewPhotonState.vacuum(self.GRID, ("a",))
+        amps = getattr(state, sector)
+        with pytest.raises(ValueError):
+            amps.setdefault(key, bad)
+        with pytest.raises(ValueError):
+            amps |= {key: bad}
+        assert amps == {}
+        assert state.total_probability() == 1.0
+
+    def test_setdefault_and_ior_write_checked_values(self):
+        state = FewPhotonState.vacuum(self.GRID, ("a", "b"))
+        f = np.ones(601)
+        # a dense pair goes through the door, as a plain write does
+        pair = state.two_photon.setdefault(("a", "a"), np.outer(f, f))
+        assert isinstance(pair, FactoredPair)
+        assert state.two_photon.setdefault(("a", "a"), None) is pair
+        state.one_photon |= {"b": f}
+        assert state.one_photon["b"].dtype == complex
+        # the emitter pass runs on pairs factored when they were written
+        out = apply_tls(state, "a", tp.TlsParams.from_beta(1.0))
+        assert out.total_probability() == pytest.approx(
+            state.total_probability(), rel=1e-9)
+
+    @pytest.mark.parametrize("call", [
+        lambda s: s.rail_index("zz"),
+        lambda s: s.pair("a", "zz"),
+        lambda s: s.pair("zz", "a"),
+        lambda s: beamsplitter(s, "a", "zz", 0.3),
+        lambda s: beamsplitter(s, "zz", "a", 0.3),
+    ], ids=["rail_index", "pair", "pair_first", "beamsplitter",
+            "beamsplitter_first"])
+    def test_unknown_rail_message(self, call):
+        state = FewPhotonState.vacuum(self.GRID, ("a", "b"))
+        with pytest.raises(ValueError, match=r"^unknown rail 'zz'$"):
+            call(state)
 
 
 class TestBeamsplitter:
@@ -439,3 +523,94 @@ class TestBookkeepingInvariant:
         st = beamsplitter(st, "a", "b", -0.5, 0.2)
         assert st.total_probability() == pytest.approx(1.0, abs=5e-4)
         assert st.lost_mass > 0.0
+
+
+class TestOneConstruction:
+    """Every op builds its output state once, through the private
+    constructor, and never through the checking public one."""
+
+    GRID = tp.SpectralGrid(30.0, 601)
+    RAILS = ("a", "b", "c", "d")
+
+    @pytest.fixture(scope="class")
+    def pump(self):
+        return tp.make_pulse(tp.PulseShape("lorentzian", 1.0), self.GRID)
+
+    @pytest.fixture(scope="class")
+    def state(self, pump):
+        # gated and mixed rails a, b; spectator pairs c-d and d-d that no op
+        # below touches, and a cross pair b-c that moves with one photon
+        f = pump.values
+        g = tp.make_pulse(tp.PulseShape("gaussian", 1.2, center=0.5),
+                          self.GRID).values
+        half = 0.5 * FactoredPair.product(f)
+        return FewPhotonState.from_components(
+            self.GRID, self.RAILS, 0.3, ones={"a": 0.3 * f, "c": 0.2 * g},
+            pairs={("a", "a"): half, ("b", "a"): FactoredPair(
+                [(0.4, g, f, None)]), ("b", "c"): FactoredPair(
+                [(0.3, f, g, None)]), ("c", "d"): FactoredPair(
+                [(0.3, g, f, None)]), ("d", "d"): 0.2 * FactoredPair.product(
+                g)})
+
+    OPS = {
+        "beamsplitter": lambda s, gate: beamsplitter(s, "a", "b", 0.4, 0.2),
+        "beamsplitter_reversed": lambda s, gate: beamsplitter(s, "c", "a",
+                                                              0.7),
+        "apply_tls": lambda s, gate: apply_tls(
+            s, "a", tp.TlsParams.from_beta(0.95)),
+        "loss_channel": lambda s, gate: loss_channel(s, "b", 0.8),
+        "component_phase_loss": lambda s, gate: tp.component_phase_loss(
+            s, "a", 2, 0.5, 0.9),
+        "gem_invert": lambda s, gate: tp.gem_invert(s, ("a", "c")),
+        "gem_invert_all": lambda s, gate: tp.gem_invert(s),
+        "sfg_extract": lambda s, gate: tp.sfg_extract(s, "a", gate),
+        "sfg_extract_photonwise": lambda s, gate: tp.sfg_extract(
+            s, "a", gate, ideal=False),
+        "sfg_extract_keep_single": lambda s, gate: tp.sfg_extract(
+            s, "a", gate, ideal=False, keep_single_converted=True),
+        "add_pair": lambda s, gate: s.add_pair("d", "a", s.pair("a", "b")),
+    }
+
+    def count(self, monkeypatch):
+        """Counts of (public, private) constructions from here on."""
+        counts = [0, 0]
+        post_init, build = (FewPhotonState.__post_init__,
+                            FewPhotonState._build.__func__)
+
+        def public(self):
+            counts[0] += 1
+            post_init(self)
+
+        def private(cls, *args):
+            counts[1] += 1
+            return build(cls, *args)
+
+        monkeypatch.setattr(FewPhotonState, "__post_init__", public)
+        monkeypatch.setattr(FewPhotonState, "_build", classmethod(private))
+        return counts
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_op_builds_once(self, op, state, pump, monkeypatch):
+        gate = tp.PulseGateSpec(pump, 0.8)
+        before = state.total_probability()
+        counts = self.count(monkeypatch)
+        out = self.OPS[op](state, gate)
+        assert counts == [0, 1]
+        if op != "add_pair":
+            assert out.total_probability() == pytest.approx(before, abs=1e-4)
+
+    def test_sfg_reverse_builds_once(self, state, pump, monkeypatch):
+        gate = tp.PulseGateSpec(pump, 0.8)
+        gated = tp.sfg_extract(state, "a", gate)
+        counts = self.count(monkeypatch)
+        out = tp.sfg_reverse(gated, "a", gate)
+        assert counts == [0, 1]
+        assert fidelity(out, state) == pytest.approx(1.0, abs=1e-12)
+
+    def test_from_components_builds_once(self, state, monkeypatch):
+        counts = self.count(monkeypatch)
+        out = FewPhotonState.from_components(
+            self.GRID, state.rails[::-1], state.vacuum_amp,
+            state.one_photon, state.two_photon)
+        assert counts == [1, 0]
+        assert fidelity(out, state) == pytest.approx(1.0, abs=1e-12)
