@@ -31,6 +31,7 @@ from .states import (
     _put,
     _read,
     _scale_rail,
+    is_sum_rail,
     sum_rail,
 )
 
@@ -128,16 +129,16 @@ def _mapped_terms(vs, pump, u, step):
 
 
 def _pump_map(state: FewPhotonState, rail: str, gate: PulseGateSpec, m,
-              rails: tuple, lost: float, extra=None) -> FewPhotonState:
+              rails: tuple, extra=None, lossy=False) -> FewPhotonState:
     """``state`` with the pump-mode matrix ``m`` applied to ``rail`` and its
-    ancilla, on the output ``rails`` (the ancilla may be new) with lost mass
-    ``lost``.  A single photon, or a photon whose partner is on another
-    rail, is projected as g = u @ v and written once, as v + pump (outer)
-    ((m - 1) g) (:func:`_mapped_ones`, :func:`_mapped_terms`).  A pair on the
-    two gated rails mixes only its both-in-pump coefficient u @ A @ u,
-    through the bosonic pair lift.  ``extra`` maps a gated rail pair to (k,
-    x, y) terms added to its output as k x (outer) y, exchange symmetrized
-    on a same-rail pair."""
+    ancilla, on the output ``rails`` (the ancilla may be new).  A single
+    photon, or a photon whose partner is on another rail, is projected as
+    g = u @ v and written once, as v + pump (outer) ((m - 1) g)
+    (:func:`_mapped_ones`, :func:`_mapped_terms`).  A pair on the two gated
+    rails mixes only its both-in-pump coefficient u @ A @ u, through the
+    bosonic pair lift.  ``extra`` maps a gated rail pair to (k, x, y) terms
+    added to its output as k x (outer) y, exchange symmetrized on a
+    same-rail pair; a ``lossy`` map books the norm it removes as lost."""
     anc = sum_rail(rail)
     gated = (rail, anc)
     pump, u, _ = _gate_terms(gate)
@@ -167,7 +168,18 @@ def _pump_map(state: FewPhotonState, rail: str, gate: PulseGateSpec, m,
         _put(twos, order, *key, _plus_outer(
             amp, [(delta, pump, pump)] + (extra or {}).get(key, []),
             key[0] == key[1]))
-    return _output(state, ones, twos, lost=lost, rails=rails)
+    return _output(state, ones, twos, rails, lossy)
+
+
+def _ancilla(state: FewPhotonState, rail: str, gate: PulseGateSpec) -> str:
+    """The sum-frequency rail of ``rail``, once ``gate`` is on the state's
+    grid and ``rail`` one of its rails with original-frequency light."""
+    state.grid.require_same(gate.pump_mode.grid)
+    state.rail_index(rail)
+    if is_sum_rail(rail):
+        raise ValueError(f"rail {rail!r} carries sum-frequency light; the "
+                         "pulse gate acts on original-frequency rails")
+    return sum_rail(rail)
 
 
 def sfg_extract(state: FewPhotonState, rail: str, gate: PulseGateSpec,
@@ -182,29 +194,24 @@ def sfg_extract(state: FewPhotonState, rail: str, gate: PulseGateSpec,
     original-frequency photon plus one sum-frequency photon is outside the
     computational subspace of every circuit built here.
     """
-    state.grid.require_same(gate.pump_mode.grid)
-    state.rail_index(rail)
-    anc = sum_rail(rail)
+    anc = _ancilla(state, rail, gate)
     if anc in state.one_photon or any(anc in k for k in state.two_photon):
         raise ValueError(f"sum-frequency rail {anc!r} is not empty")
     rails = state.rails if anc in state.rails else state.rails + (anc,)
     pump, _, m = _gate_terms(gate)
     amp = state.pair(rail, rail)
     if ideal or amp is None:
-        return _pump_map(state, rail, gate, m, rails, state.lost_mass)
+        return _pump_map(state, rail, gate, m, rails)
     # photon-wise: the pump photon of pump x g_perp + g_perp x pump keeps a
     # factor rho on the rail and converts with a factor sqrt(2) kappa
     g_perp = _single_pump(gate, amp)
     kept = (m[0, 0] - 1.0) * g_perp
-    converted = np.sqrt(2.0) * m[1, 0] * g_perp
     # the symmetric term (2, pump, kept) is pump x kept + kept x pump
     extra = {(rail, rail): [(2.0, pump, kept)]}
-    lost = state.lost_mass
     if keep_single_converted:
-        extra[(rail, anc)] = [(1.0, converted, pump)]
-    else:
-        lost += state.norm1_sq(converted) * state.norm1_sq(pump)
-    return _pump_map(state, rail, gate, m, rails, lost, extra)
+        extra[(rail, anc)] = [(1.0, np.sqrt(2.0) * m[1, 0] * g_perp, pump)]
+    return _pump_map(state, rail, gate, m, rails, extra,
+                     lossy=not keep_single_converted)
 
 
 def sfg_reverse(state: FewPhotonState, rail: str,
@@ -216,8 +223,7 @@ def sfg_reverse(state: FewPhotonState, rail: str,
     ancilla that is not in the pump mode violates the gate contract and
     raises.
     """
-    state.grid.require_same(gate.pump_mode.grid)
-    anc = sum_rail(rail)
+    anc = _ancilla(state, rail, gate)
     if anc not in state.rails:
         raise ValueError(f"no sum-frequency rail for {rail!r}")
     pump, u, m = _gate_terms(gate)
@@ -236,8 +242,7 @@ def sfg_reverse(state: FewPhotonState, rail: str,
         if off > 1e-12:
             raise ValueError("ancilla content is not in the pump mode "
                              f"(orthogonal weight {off:.3e})")
-    return _pump_map(state, rail, gate, m.T, state.rails,
-                     state.lost_mass)
+    return _pump_map(state, rail, gate, m.T, state.rails)
 
 
 def gem_invert(state: FewPhotonState, rail=None) -> FewPhotonState:

@@ -29,18 +29,23 @@ that would leave an entry stale raises.  No result depends on an entry.
 - :data:`_SHARED` (:func:`shared`) holds derived factor arrays, read-only:
   an emitter's t on a grid's samples (so it lives as long as the grid) and
   s, the products t x and s x, the projector w conj(f), the normalized
-  lossy pump, each bound-term convolution (keyed on a, b and s), that of
-  :func:`project_term` (on u, a and c), that of a Gram entry (on its a
-  and b factors and the weights, not on c) and the memory's reversal of a
-  factor (:func:`flip`).  Calls at one operating point, such as the Bell
-  analyzer's four sorters or the CZ gate's two sign gates, so get the same
-  arrays and hit every later cache, on either side of the memory.
+  lossy pump, the bound-term convolution J of each term of a scattered
+  pair (keyed on its a and b and on s), that of :func:`project_term` (on
+  u, a and c), that of a Gram entry (on its a and b factors and the
+  weights, not on c) and the memory's reversal of a factor (:func:`flip`).
+  Calls at one operating point, such as the Bell analyzer's four sorters
+  or the CZ gate's two sign gates, so get the same arrays and hit every
+  later cache, on either side of the memory; a pair scattered again takes
+  no transform, whatever its number of terms.
 - :data:`_GRAM` holds each term pair's Gram entry, keyed on its six factors
   and the weights.
 
-A pair flipped on both axes keeps the pair it reverses, and on weights that
-read the same reversed its norm is that pair's: reversing both axes
-reorders the sum's products without changing one.
+A pair keeps its norm on the weights array it was last normed on
+(:func:`norm_sq`); it cannot go stale, as the terms never change and the
+factors and weights are read-only from the first Gram lookup on.  A pair
+flipped on both axes keeps the pair it reverses, and on weights that read
+the same reversed its norm is that pair's: reversing both axes reorders
+the sum's products without changing one.
 
 A dense N x N array enters through one door, :func:`from_dense`, which
 checks it and factors it into ``c = None`` terms; no other code here builds
@@ -185,6 +190,8 @@ class FactoredPair:
     ndim = 2
     # the pair a full flip reversed (:func:`flip`), whose norm this one has
     reverses = None
+    # (w, norm) once :func:`norm_sq` has normed the pair on weights w
+    _norm = None
 
     def __init__(self, terms, symmetric=False):
         self.terms = tuple(_merged(terms, symmetric))
@@ -379,19 +386,25 @@ def norm_sq(values: FactoredPair, w) -> float:
 
     Terms that cancel leave a Gram-sum residue near eps (sum |k| ||term||)^2;
     a total below a small multiple of that is returned as 0.  On weights
-    that read the same reversed, a full flip has its source's norm."""
+    that read the same reversed, a full flip has its source's norm.  The
+    pair keeps its norm, for the last weights array it was normed on."""
+    if values._norm is not None and values._norm[0] is w:
+        return values._norm[1]
     if values.reverses is not None and np.array_equal(w, w[::-1]):
-        return norm_sq(values.reverses, w)
-    terms = values.expanded()
-    total = scale = 0.0
-    for i, t1 in enumerate(terms):
-        diag = abs(t1[0]) ** 2 * _term_inner(t1, t1, w).real
-        total += diag
-        scale += np.sqrt(max(diag, 0.0))
-        for t2 in terms[i + 1:]:
-            total += 2.0 * (np.conj(t1[0]) * t2[0]
-                            * _term_inner(t1, t2, w)).real
-    return float(total) if total > _CANCEL_EPS * scale**2 else 0.0
+        norm = norm_sq(values.reverses, w)
+    else:
+        terms = values.expanded()
+        total = scale = 0.0
+        for i, t1 in enumerate(terms):
+            diag = abs(t1[0]) ** 2 * _term_inner(t1, t1, w).real
+            total += diag
+            scale += np.sqrt(max(diag, 0.0))
+            for t2 in terms[i + 1:]:
+                total += 2.0 * (np.conj(t1[0]) * t2[0]
+                                * _term_inner(t1, t2, w)).real
+        norm = float(total) if total > _CANCEL_EPS * scale**2 else 0.0
+    values._norm = (w, norm)
+    return norm
 
 
 def inner(x: FactoredPair, y: FactoredPair, w) -> complex:

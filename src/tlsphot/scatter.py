@@ -115,37 +115,32 @@ def _bound_term(pair: FactoredPair, s: np.ndarray, h: float) -> FactoredPair:
 
     Factors carry shape and coefficients amplitude: a pair of one term
     without c gives (i h coef / 2 pi, s, s, J), with J the one array every
-    call on the same a, b and s shares (:func:`pairs.shared`).  Otherwise
-    the terms without c add their spectra and take one inverse transform,
-    and each term with c takes its shared J."""
+    call on the same a, b and s shares (:func:`_bound_conv`).  Otherwise c
+    is the sum of each term's shared J times its coefficient and c, which
+    takes no transform once the terms' factors have been seen."""
     kappa = 0.5j / np.pi
     (coef, a, b, c), *rest = pair.terms
     if c is None and not rest:
         return FactoredPair._raw(
             ((kappa * h * coef, s, s, _bound_conv(a, b, s)),), True)
-    spectra = [coef * _bound_spectrum(a, b, s)
-               for coef, a, b, c in pair.terms if c is None]
-    parts = [coef * c * _bound_conv(a, b, s)
-             for coef, a, b, c in pair.terms if c is not None]
-    if spectra:
-        parts.append(np.fft.ifft(sum(spectra))[:2 * pair.n - 1])
-    return FactoredPair._raw(((kappa * h, s, s, sum(parts)),), True)
-
-
-def _bound_spectrum(a, b, s) -> np.ndarray:
-    """The spectrum of J = conv(a s, b) + conv(a, b s) at the
-    :func:`pairs._fast_len` of 2N - 1 points, 2 FFT(a s) FFT(a) if a is b."""
-    fft, size = np.fft.fft, _fast_len(2 * len(a) - 1)
-    if a is b:
-        return 2.0 * (fft(times(s, a), size) * fft(a, size))
-    return (fft(times(s, a), size) * fft(b, size)
-            + fft(a, size) * fft(times(s, b), size))
+    return FactoredPair._raw(((kappa * h, s, s, sum(
+        coef * (_bound_conv(a, b, s) if c is None
+                else c * _bound_conv(a, b, s))
+        for coef, a, b, c in pair.terms)),), True)
 
 
 def _bound_conv(a, b, s) -> np.ndarray:
-    """J of :func:`_bound_spectrum`, its 2N - 1 linear entries, shared."""
-    return shared("bound", (a, b, s), lambda: np.fft.ifft(
-        _bound_spectrum(a, b, s))[:2 * len(a) - 1])
+    """J = conv(a s, b) + conv(a, b s), its 2N - 1 linear entries, from
+    spectra at the :func:`pairs._fast_len` of 2N - 1 points (2 FFT(a s)
+    FFT(a) if a is b): made once per a, b and s and shared."""
+    def make():
+        fft, size = np.fft.fft, _fast_len(2 * len(a) - 1)
+        sa, fa = fft(times(s, a), size), fft(a, size)
+        spectrum = (2.0 * (sa * fa) if a is b
+                    else sa * fft(b, size) + fa * fft(times(s, b), size))
+        return np.fft.ifft(spectrum)[:2 * len(a) - 1]
+
+    return shared("bound", (a, b, s), make)
 
 
 def scatter_two(p: TlsParams, grid: SpectralGrid,

@@ -37,11 +37,13 @@ A rail's carrier is read from its label: light on a sum-frequency rail
 Probability that leaks out of the tracked rails (emitter loss, loss channels,
 discarded sorter branches) accumulates in the scalar ``lost_mass``; the total
 probability including it stays 1 up to quadrature error of the two-photon
-scattering map.
+scattering map.  One rule books it (:func:`_output`): a lossy op adds the
+norm that the amplitudes it writes lose, and no other op touches it.
 
 All operations return new states; stored amplitudes are never mutated in
 place, so untouched amplitudes are shared between input and output states,
-and an operation norms (to prune near-zero amplitudes) only those it writes.
+and an operation norms only those it writes, once each (a pair keeps its
+norm, :func:`tlsphot.pairs.norm_sq`, for the next op to read).
 """
 
 from __future__ import annotations
@@ -307,29 +309,35 @@ class FewPhotonState:
         return self.surviving_norm_sq() + self.lost_mass
 
 
-def _output(state: FewPhotonState, ones: dict, twos: dict, norms=None,
-            lost=None, rails=None) -> FewPhotonState:
+def _output(state: FewPhotonState, ones: dict, twos: dict, rails=None,
+            lossy: bool = False) -> FewPhotonState:
     """The output of an op on ``state``, built once from its maps ``ones``
     and ``twos`` (pair keys in the rail order of ``rails``, by default the
-    state's) and its lost mass ``lost`` (by default the state's).
+    state's).
 
-    The amplitudes written since ``state`` whose probability falls below
-    _PRUNE_SQ are dropped first.  Ops never mutate arrays, so an array
-    shared with ``state`` was not written and is not re-normed.  ``norms``
-    maps rails and pair keys to norms the op has already computed for its
-    written arrays.
+    Each amplitude written since ``state`` (ops never mutate arrays, so one
+    shared with ``state`` was not) is normed once and dropped if below
+    _PRUNE_SQ.  A ``lossy`` op adds to lost_mass the norms of the amplitudes
+    of ``state`` it replaced or dropped less those it wrote, clamped at 0
+    against the quadrature error of the two-photon map.
     """
-    norms = norms or {}
+    lost = state.lost_mass
     for amps, old, norm_sq in ((ones, state.one_photon, state.norm1_sq),
                                (twos, state.two_photon, state.norm2_sq)):
-        for key in [k for k, v in amps.items() if v is not old.get(k)
-                    and (norms[k] if k in norms else norm_sq(v))
-                    <= _PRUNE_SQ]:
-            del amps[key]
+        if lossy:
+            lost += sum(norm_sq(v) for k, v in old.items() if k not in amps)
+        for key, v in list(amps.items()):
+            before = old.get(key)
+            if v is before:
+                continue
+            norm = norm_sq(v)
+            if lossy:
+                lost += (0.0 if before is None else norm_sq(before)) - norm
+            if norm <= _PRUNE_SQ:
+                del amps[key]
     return FewPhotonState._build(
         state.grid, state.rails if rails is None else rails,
-        state.vacuum_amp, ones, twos,
-        state.lost_mass if lost is None else lost)
+        state.vacuum_amp, ones, twos, max(lost, 0.0) if lossy else lost)
 
 
 def _lincomb(*terms):
@@ -415,32 +423,20 @@ def beamsplitter(state: FewPhotonState, rail_i: str, rail_j: str,
 def _scale_rail(state: FewPhotonState, rail: str, photons, transmission: float,
                 phase: float = 0.0) -> FewPhotonState:
     """Scale every component with k in ``photons`` photons on ``rail`` by
-    e^{i phase} transmission**k; the removed probability goes to lost_mass."""
+    e^{i phase} transmission**k; the removed probability goes to lost_mass
+    (:func:`_output`), none at unit transmission."""
     if not 0.0 <= transmission <= 1.0:
         raise ValueError(f"transmission must be in [0, 1], got {transmission}")
     if not np.isfinite(phase):
         raise ValueError(f"phase must be finite, got {phase}")
     state.rail_index(rail)
-    lost = state.lost_mass
-    norms = {}
-
-    def scaled(key, k, amp, norm_sq):
-        nonlocal lost
-        # at unit transmission nothing is lost and the norm is unchanged
-        if transmission != 1.0:
-            norm = norm_sq(amp)
-            lost += (1.0 - transmission ** (2 * k)) * norm
-            norms[key] = transmission ** (2 * k) * norm
-        return np.exp(1j * phase) * transmission**k * amp
-
-    ones = dict(state.one_photon)
-    if 1 in photons and rail in ones:
-        ones[rail] = scaled(rail, 1, ones[rail], state.norm1_sq)
-    twos = dict(state.two_photon)
-    for key, amp in state.two_photon.items():
-        if key.count(rail) in photons:
-            twos[key] = scaled(key, key.count(rail), amp, state.norm2_sq)
-    return _output(state, ones, twos, norms, lost)
+    phased = np.exp(1j * phase)
+    ones = {r: phased * transmission * v if r == rail and 1 in photons else v
+            for r, v in state.one_photon.items()}
+    twos = {key: phased * transmission**key.count(rail) * amp
+            if key.count(rail) in photons else amp
+            for key, amp in state.two_photon.items()}
+    return _output(state, ones, twos, lossy=transmission != 1.0)
 
 
 def loss_channel(state: FewPhotonState, rail: str,
@@ -454,33 +450,20 @@ def apply_tls(state: FewPhotonState, rail: str, p: TlsParams) -> FewPhotonState:
 
     Single photons (and single-rail factors of cross-rail pairs) receive the
     transfer coefficient pointwise; a same-rail photon pair goes through the
-    full nonlinear two-photon map.  Norm deficits accrue to lost_mass.
+    full nonlinear two-photon map.  Norm deficits accrue to lost_mass
+    (:func:`_output`).
     """
     state.rail_index(rail)
     t = transfer_on(p, state.grid)
-    lost = state.lost_mass
-    norms = {}
-    ones = dict(state.one_photon)
-    if rail in ones:
-        before = state.norm1_sq(ones[rail])
-        ones[rail] = times(t, ones[rail])
-        norms[rail] = state.norm1_sq(ones[rail])
-        lost += before - norms[rail]
+    ones = {r: times(t, v) if r == rail else v
+            for r, v in state.one_photon.items()}
     twos = dict(state.two_photon)
     for key, amp in state.two_photon.items():
-        if rail not in key:
-            continue
-        before = state.norm2_sq(amp)
         if key == (rail, rail):
-            new = scatter_two(p, state.grid, amp)
-        else:
-            new = scale_axis(amp, t, key.index(rail))
-        twos[key] = new
-        norms[key] = state.norm2_sq(new)
-        lost += before - norms[key]
-    # The two-photon map is unitary only up to quadrature error, which can
-    # push the accrued deficit slightly negative; lost_mass stays a probability.
-    return _output(state, ones, twos, norms, max(lost, 0.0))
+            twos[key] = scatter_two(p, state.grid, amp)
+        elif rail in key:
+            twos[key] = scale_axis(amp, t, key.index(rail))
+    return _output(state, ones, twos, lossy=True)
 
 
 def project_detection(state: FewPhotonState, pattern: dict) -> float:
@@ -502,9 +485,7 @@ def project_detection(state: FewPhotonState, pattern: dict) -> float:
         (rail,) = counts
         v = state.one_photon.get(rail)
         return 0.0 if v is None else state.norm1_sq(v)
-    a, b = (r for r, c in counts.items() for _ in range(c))
-    order = state._order()
-    amp = state.two_photon.get((a, b) if order[a] <= order[b] else (b, a))
+    amp = state.pair(*(r for r, c in counts.items() for _ in range(c)))
     return 0.0 if amp is None else state.norm2_sq(amp)
 
 

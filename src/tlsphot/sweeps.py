@@ -24,6 +24,10 @@ DEFAULT_BETAS = (1.0, 0.95, 0.90)
 class SweepSpec:
     """What to sweep: beta values, a spectral-width range, grid override."""
 
+    # fig1b at the default betas takes about 4 ms per width on one core, so
+    # this is a run of under a minute; a larger count is refused unsampled
+    MAX_SIGMA_COUNT = 10_000  # unannotated: a constant, not a field
+
     beta_values: tuple = DEFAULT_BETAS
     sigma_range: tuple = (0.02, 5.0)
     sigma_count: int = 120
@@ -34,9 +38,9 @@ class SweepSpec:
         # NaN fails every comparison
         if not 0.0 < lo < hi < np.inf:
             raise ValueError(f"bad sigma_range {self.sigma_range}")
-        if not self.sigma_count >= 2:
-            raise ValueError(f"sigma_count must be at least 2, "
-                             f"got {self.sigma_count}")
+        if not 2 <= self.sigma_count <= self.MAX_SIGMA_COUNT:
+            raise ValueError(f"sigma_count must be in [2, "
+                             f"{self.MAX_SIGMA_COUNT}], got {self.sigma_count}")
         if any(not 0.0 < b <= 1.0 for b in self.beta_values):
             raise ValueError(f"beta values must lie in (0, 1], "
                              f"got {self.beta_values}")

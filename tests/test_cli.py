@@ -254,6 +254,23 @@ class TestConfigFaults:
         assert capsys.readouterr().err == validated
         assert not out.exists()
 
+    def test_oversized_sigma_count_exits_2(self, tmp_path, capsys,
+                                           monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep's widths were sampled")
+
+        monkeypatch.setattr(np, "geomspace", refuse)
+        cfg = tmp_path / "count.ini"
+        cfg.write_text("[sweep]\nsigma_count = 1e12\n")
+        assert run_cli(["validate", "--config", str(cfg)]) == 2
+        validated = capsys.readouterr().out
+        assert validated.startswith("sweep.sigma_count = 1e12: ")
+        out = tmp_path / "out"
+        assert run_cli(["run", "fig1b", "--config", str(cfg),
+                        "--out", str(out)]) == 2
+        assert capsys.readouterr().err == validated
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_sigma_flag_exits_2(self, tmp_path, capsys, value):
         out = tmp_path / "out"

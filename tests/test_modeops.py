@@ -244,6 +244,25 @@ def test_extract_reverse_round_trip(seed, rails, efficiency):
     assert fidelity(out, state) == pytest.approx(1.0, abs=1e-12)
 
 
+class TestGatedRail:
+    """The pulse gate acts on a known original-frequency rail."""
+
+    def test_reverse_checks_the_rail(self, grid, gate):
+        st = FewPhotonState.vacuum(grid, (ANC,))
+        with pytest.raises(ValueError, match="unknown rail 'sig'"):
+            tp.sfg_reverse(st, "sig", gate)
+
+    @pytest.mark.parametrize("op", [tp.sfg_extract, tp.sfg_reverse])
+    def test_sum_frequency_rail_refused(self, grid, pump_pulse, gate, op):
+        # a gate on 'sig@sum' would feed 'sig@sum@sum', which reads as the
+        # same carrier as 'sig@sum'
+        st = FewPhotonState.from_components(
+            grid, ("sig", ANC), ones={ANC: pump_pulse.values})
+        with pytest.raises(ValueError, match="'sig@sum' carries "
+                           "sum-frequency light"):
+            op(st, ANC, gate)
+
+
 class TestGemInvert:
     def test_involution(self, grid):
         rng = np.random.default_rng(1)

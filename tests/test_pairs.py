@@ -325,16 +325,74 @@ class TestGramCache:
         freed = [id(x) for x in pair.terms[0][2:]]
         first = pairs.norm_sq(pair, W)
         del pair
-        # new array objects take the freed ids.  The entry's shared
-        # convolution dies with it and frees array objects too, so the ids
-        # go to some of the next few arrays, not to the next two
-        held = [arrays() for _ in range(8)]
-        f, c = ({id(x): x for x in xs} for xs in zip(*held))
-        assert freed[0] in f and freed[1] in c
-        pair = filled(2.0, f[freed[0]], c[freed[1]])
+        # new array objects take the freed ids.  Which new array gets one is
+        # up to the allocator (the entry's shared convolution dies too and
+        # frees array objects of the same size), so arrays of each size are
+        # made and held until one of that size has its id; one that takes
+        # the id meant for the other size is given back at once
+        sizes = dict(zip(freed, (N, 2 * N - 1)))
+        held, got = [], {}
+        while len(got) < 2 and len(held) < 20_000:
+            for target in [t for t in sizes if t not in got]:
+                x = np.empty(sizes[target], complex)
+                if id(x) == target:
+                    got[target] = x
+                elif id(x) not in sizes:
+                    held.append(x)
+                del x
+        assert len(got) == 2
+        pair = filled(2.0, got[freed[0]], got[freed[1]])
         assert pairs.norm_sq(pair, W) == pytest.approx(
             oracle.norm2(W, pair.dense()), rel=1e-13)
         assert pairs.norm_sq(pair, W) == pytest.approx(64 * first, rel=1e-13)
+
+
+@pytest.fixture
+def gram_lookups(monkeypatch):
+    """The arguments of every ``pairs._term_inner`` call from here on."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return term_inner(*args)
+
+    term_inner = pairs._term_inner
+    monkeypatch.setattr(pairs, "_term_inner", counted)
+    return calls
+
+
+class TestStoredNorm:
+    """``pairs.norm_sq`` keeps a pair's norm on the pair, for the weights
+    array it was computed on."""
+
+    def test_second_norm_computes_no_gram_entry(self, gram_lookups):
+        pair = random_pair(np.random.default_rng(31), True)
+        first = pairs.norm_sq(pair, W)
+        assert gram_lookups
+        gram_lookups.clear()
+        assert pairs.norm_sq(pair, W) == first
+        assert not gram_lookups
+
+    def test_other_weights_recompute(self, gram_lookups):
+        pair = random_pair(np.random.default_rng(32), False)
+        first = pairs.norm_sq(pair, W)
+        gram_lookups.clear()
+        assert pairs.norm_sq(pair, 2.0 * W) == pytest.approx(4.0 * first,
+                                                              rel=1e-13)
+        assert gram_lookups
+        gram_lookups.clear()
+        # equal values in another array are other weights too
+        assert pairs.norm_sq(pair, W.copy()) == pytest.approx(first,
+                                                              rel=1e-13)
+        assert gram_lookups
+
+    def test_scaled_pair_recomputes(self, gram_lookups):
+        pair = random_pair(np.random.default_rng(33), True)
+        first = pairs.norm_sq(pair, W)
+        gram_lookups.clear()
+        k = 0.6 + 0.8j
+        assert pairs.norm_sq(k * pair, W) == pytest.approx(first, rel=1e-13)
+        assert gram_lookups
 
 
 @pytest.fixture
@@ -394,6 +452,19 @@ class TestReversal:
         cold, ffts[0] = ffts[0], 0
         tp.cz_gate(state, tls95, pulse)
         assert 3 * ffts[0] <= cold
+
+
+def test_second_scatter_makes_no_fft(ffts):
+    # each term's bound convolution J is shared, so a multi-term pair,
+    # one of its terms with c(x + y), scatters from cached arrays
+    pair = random_pair(np.random.default_rng(41), True)
+    p = tp.TlsParams.from_beta(0.9)
+    first = tp.scatter_two(p, GRID, pair)
+    assert ffts[0]
+    ffts[0] = 0
+    again = tp.scatter_two(p, GRID, pair)
+    assert ffts[0] == 0
+    assert np.array_equal(again.dense(), first.dense())
 
 
 def device_runs(p, pulse):

@@ -525,9 +525,8 @@ class TestBookkeepingInvariant:
         assert st.lost_mass > 0.0
 
 
-class TestOneConstruction:
-    """Every op builds its output state once, through the private
-    constructor, and never through the checking public one."""
+class _FourRails:
+    """A four-rail state with spectator pairs, and ops on it."""
 
     GRID = tp.SpectralGrid(30.0, 601)
     RAILS = ("a", "b", "c", "d")
@@ -571,6 +570,12 @@ class TestOneConstruction:
         "add_pair": lambda s, gate: s.add_pair("d", "a", s.pair("a", "b")),
     }
 
+
+
+class TestOneConstruction(_FourRails):
+    """Every op builds its output state once, through the private
+    constructor, and never through the checking public one."""
+
     def count(self, monkeypatch):
         """Counts of (public, private) constructions from here on."""
         counts = [0, 0]
@@ -589,7 +594,7 @@ class TestOneConstruction:
         monkeypatch.setattr(FewPhotonState, "_build", classmethod(private))
         return counts
 
-    @pytest.mark.parametrize("op", sorted(OPS))
+    @pytest.mark.parametrize("op", sorted(_FourRails.OPS))
     def test_op_builds_once(self, op, state, pump, monkeypatch):
         gate = tp.PulseGateSpec(pump, 0.8)
         before = state.total_probability()
@@ -614,3 +619,46 @@ class TestOneConstruction:
             state.one_photon, state.two_photon)
         assert counts == [1, 0]
         assert fidelity(out, state) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestLostMass(_FourRails):
+    """One rule books lost probability (``states._output``): a lossy op adds
+    to lost_mass the surviving norm its written amplitudes lose, and a
+    lossless op leaves lost_mass as it is."""
+
+    @pytest.fixture(scope="class")
+    def booked(self, state, pump):
+        # a lost mass carried in, and single-pump content on the gated pair,
+        # which the photon-wise pulse gate discards
+        g = tp.make_pulse(tp.PulseShape("gaussian", 1.1, center=-0.7),
+                          self.GRID).values
+        st = state.add_pair("a", "a", FactoredPair(
+            [(0.3, pump.values, g, None)], symmetric=True))
+        return dataclasses.replace(st, lost_mass=0.0123)
+
+    LOSSLESS = {
+        "component_phase_only": lambda s, gate: tp.component_phase_loss(
+            s, "a", 2, 0.5),
+        "loss_channel_unit": lambda s, gate: loss_channel(s, "b", 1.0),
+        "sfg_reverse": lambda s, gate: tp.sfg_reverse(
+            tp.sfg_extract(s, "a", gate), "a", gate),
+    }
+
+    @pytest.mark.parametrize("op", ["apply_tls", "loss_channel",
+                                    "component_phase_loss",
+                                    "sfg_extract_photonwise"])
+    def test_lossy_op_books_the_norm_it_removes(self, op, booked, pump):
+        out = self.OPS[op](booked, tp.PulseGateSpec(pump, 0.8))
+        removed = booked.surviving_norm_sq() - out.surviving_norm_sq()
+        assert removed > 1e-3
+        assert out.lost_mass - booked.lost_mass == pytest.approx(
+            removed, rel=1e-12)
+
+    @pytest.mark.parametrize("op", ["beamsplitter", "beamsplitter_reversed",
+                                    "gem_invert", "gem_invert_all",
+                                    "sfg_extract", "sfg_extract_keep_single",
+                                    *LOSSLESS])
+    def test_lossless_op_keeps_lost_mass(self, op, booked, pump):
+        out = {**self.OPS, **self.LOSSLESS}[op](booked,
+                                                tp.PulseGateSpec(pump, 0.8))
+        assert out.lost_mass == booked.lost_mass

@@ -59,10 +59,17 @@ class TestFig1b:
                                                sigma_count=9))]
         assert fig1b_data(spec) == alone
 
-    @pytest.mark.parametrize("count", [0, 1, -3])
+    # an oversized count is refused when the spec is built, before any
+    # array is allocated
+    @pytest.mark.parametrize("count", [0, 1, -3,
+                                       SweepSpec.MAX_SIGMA_COUNT + 1, 10**12])
     def test_sigma_count_checked(self, count):
         with pytest.raises(ValueError, match="sigma_count"):
             SweepSpec(sigma_count=count)
+
+    def test_sigma_count_cap_accepted(self):
+        top = SweepSpec.MAX_SIGMA_COUNT
+        assert len(SweepSpec(sigma_count=top).sigmas()) == top
 
     def test_grid_size_checked(self):
         with pytest.raises(ValueError, match="odd and >= 3"):
