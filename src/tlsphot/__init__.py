@@ -56,6 +56,7 @@ from .modeops import (
 from .circuits import (
     BELL_PATTERNS,
     CircuitReport,
+    CompensationError,
     RAILS4,
     bell_analyzer,
     bell_state,

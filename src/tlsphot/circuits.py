@@ -57,6 +57,7 @@ from .states import (
     beamsplitter,
     loss_channel,
     project_detection,
+    sum_rail,
 )
 
 RAILS4 = ("q1u", "q1l", "q2u", "q2l")
@@ -67,8 +68,8 @@ LOGICAL_BASIS = ((0, 0), (0, 1), (1, 0), (1, 1))
 CZ_SIGNS = {(0, 0): 1.0, (0, 1): -1.0, (1, 0): 1.0, (1, 1): 1.0}
 
 BELL_DETECTORS = {
-    "q1u@sum": 1, "q1l@sum": 2, "q2u@sum": 3, "q2l@sum": 4,
-    "q1u": 5, "q1l": 6, "q2u": 7, "q2l": 8,
+    **{sum_rail(rail): d for d, rail in enumerate(RAILS4, 1)},
+    **{rail: d for d, rail in enumerate(RAILS4, 5)},
 }
 BELL_PATTERNS = {
     "psi+": frozenset({(1, 4), (2, 3)}),
@@ -239,12 +240,24 @@ def identify_bell_state(pattern) -> str | None:
     return None
 
 
+class CompensationError(ValueError):
+    """No passive loss compensates the sign gate's skew at this pulse: the
+    pair transmission eta2 it needs lies outside (0, 1]."""
+
+
 def ns_eta2(p: TlsParams, pulse: OnePhotonAmp) -> float:
-    """Skew-compensating pair transmission eps_1^2 / (eps_b - eps_1^2)."""
+    """Skew-compensating pair transmission eps_1^2 / (eps_b - eps_1^2);
+    :class:`CompensationError` if no loss realizes it."""
     if p.gamma_loss == 0.0:
         return 1.0
     eps1_sq = scatter_one(p, pulse).epsilon1 ** 2
-    return eps1_sq / (epsilon_b_numeric(p, pulse) - eps1_sq)
+    eta2 = eps1_sq / (epsilon_b_numeric(p, pulse) - eps1_sq)
+    if not 0.0 < eta2 <= 1.0:  # NaN fails every comparison
+        raise CompensationError(
+            f"passive skew compensation needs eta2 in (0, 1], got "
+            f"{eta2:.3g} at beta_dir={p.beta_dir:.4f}: the pulse is too far "
+            f"from the matching width")
+    return eta2
 
 
 def ns_gate(state: FewPhotonState, rail: str, p: TlsParams,

@@ -1,8 +1,8 @@
 """Batch front-end: named experiments, CSV emission, convergence reporting.
 
 Every run writes one CSV table, a manifest that echoes the resolved
-configuration, a convergence report comparing each headline scalar at the
-base grid and at doubled resolution, and a minimal plot script.  Outputs are
+configuration, a convergence report comparing its one headline scalar at the
+base grid and on :func:`_rerun_grid`, and a minimal plot script.  Outputs are
 deterministic: identical configuration yields byte-identical files.
 
 Every pulse an experiment samples, a sweep width or the operating point of a
@@ -28,6 +28,7 @@ import numpy as np
 from . import __version__
 from .circuits import (
     LOGICAL_BASIS,
+    CompensationError,
     bell_analyzer,
     bell_state,
     cz_gate,
@@ -59,9 +60,6 @@ from .scatter import (
 )
 from .states import FewPhotonState, fidelity, project_detection
 from .sweeps import SweepSpec, fig1b_data, success_curves
-
-EXPERIMENTS = ("fig1b", "loss-curves", "fig3", "matching-points",
-               "sorter-demo", "bell-demo", "ns-demo", "cz-demo")
 
 DEFAULTS = {
     "grid": {"n_points": "auto"},
@@ -125,8 +123,8 @@ def _check(value, ok, message: str):
 
 
 def _grid_n(raw: str) -> int:
-    """A ``grid.n_points`` value; the headlines rerun on the doubled grid,
-    of 2 n - 1 samples, so that must be affordable too."""
+    """A ``grid.n_points`` value; the headline reruns on 2 n - 1 samples
+    (:func:`_rerun_grid`), so that must be affordable too."""
     n = SpectralGrid(1.0, int(raw)).n_points
     if 2 * n - 1 > MAX_N_POINTS:
         raise GridSizeError(f"the headline rerun needs 2 n - 1 = {2 * n - 1} "
@@ -181,7 +179,7 @@ def _parse(cfg: dict):
                  f"run.sigma = {sigma}")
         try:
             _policy_pulse(sigma, n_points)
-            _policy_grid(sigma, n_points, refine=2)  # the headline rerun's
+            _rerun_grid(sigma, n_points)
         except ResolutionError as exc:
             diagnostics.append(f"{where}: grid resolution: {exc}")
         except GridSizeError as exc:
@@ -232,64 +230,56 @@ plt.savefig("{experiment}.png", dpi=150)
 """
 
 
-def _policy_grid(width: float, n_points: int | None, refine: int = 1):
-    """The default-policy grid of a pulse of ``width`` with its spacing
-    divided by ``refine``, so a rerun is never coarser than its base grid."""
-    return SpectralGrid.for_pulse_width(width, n_points).refine(refine)
-
-
-def _policy_pulse(sigma: float, n_points: int | None, refine: int = 1):
-    """Lorentzian pulse of width ``sigma`` on its :func:`_policy_grid`;
+def _policy_pulse(sigma: float, n_points: int | None):
+    """Lorentzian pulse of width ``sigma`` on its default-policy grid;
     unlike the root finder's evaluations, this refuses a grid that does not
     resolve the pulse."""
     return make_pulse(PulseShape("lorentzian", sigma),
-                      _policy_grid(sigma, n_points, refine))
+                      SpectralGrid.for_pulse_width(sigma, n_points))
 
 
-def _resolved_eta(p: TlsParams, sigma: float, n_points: int | None,
-                  refine: int = 1) -> float:
-    """eta at width ``sigma``, on its (refined) policy grid if it needs one."""
+def _rerun_grid(width: float, n_points: int | None) -> SpectralGrid:
+    """The grid a headline of pulse width ``width`` reruns on: that width's
+    policy grid with its spacing halved, 2 n - 1 samples."""
+    return SpectralGrid.for_pulse_width(width, n_points).refine(2)
+
+
+def _resolved_eta(p: TlsParams, sigma: float, n_points: int | None) -> float:
+    """eta at width ``sigma``, on its policy grid if it needs one."""
     if p.gamma_loss == 0.0:
         return eta_analytic(p, sigma)
-    return eta_numeric(p, _policy_pulse(sigma, n_points, refine))
+    return eta_numeric(p, _policy_pulse(sigma, n_points))
 
 
 # -- experiment table builders --------------------------------------------
-# Each builder returns (columns, rows, headlines); headlines maps a scalar
-# name to a callable taking a refinement factor (1 = base grid, 2 = doubled).
+# Each builder returns (columns, rows, headline).  The headline is
+# (name, base value, pulse width, at): at(n_points) recomputes the value on
+# the width's policy grid of n_points samples, and run() picks the rerun's.
 
 
 def _build_fig1b(s: _Settings):
     rows = fig1b_data(s.spec)
     columns = ["beta", "sigma_over_gamma", "eta", "half_eps1_sq",
                "is_crossing"]
-    p = TlsParams.from_beta(s.spec.beta_values[0])
-
-    def headline(refine):
-        return _resolved_eta(p, 0.5, s.spec.n_points, refine)
-
-    return columns, rows, {"eta_sigma_half": headline}
+    at = functools.partial(_resolved_eta,
+                           TlsParams.from_beta(s.spec.beta_values[0]), 0.5)
+    return columns, rows, ("eta_sigma_half", at(s.n_points), 0.5, at)
 
 
 def _build_matched_curve(s: _Settings, columns, name):
     """The matched-point table's ``columns``; the headline is its ``name``
-    column at the smallest matched beta (beta = 1 if none matched), rerun
-    on that width's refined policy grid."""
+    column at the smallest matched beta (beta = 1 if none matched)."""
     rows = success_curves(s.spec, s.branch)
     matched = [r for r in rows if r["matched"]]
     base = (min(matched, key=lambda r: r["beta"]) if matched
             else success_curves(replace(s.spec, beta_values=(1.0,)),
                                 s.branch)[0])
 
-    def headline(refine):
-        if refine == 1:
-            return base[name]
-        n_points = _policy_grid(base["sigma"], s.spec.n_points,
-                                refine).n_points
+    def at(n_points):
         spec = replace(s.spec, beta_values=(base["beta"],), n_points=n_points)
         return success_curves(spec, s.branch)[0][name]
 
-    return columns, rows, {name: headline}
+    return columns, rows, (name, base[name], base["sigma"], at)
 
 
 def _build_loss_curves(s: _Settings):
@@ -310,6 +300,8 @@ def _build_matching_points(s: _Settings):
         try:
             sigma = matching_sigma(p, branch=branch, n_points=s.n_points)
         except NoCrossingError:
+            if branch == "upper":  # the headline's root: no table without it
+                raise
             rows.append({"branch": branch, "sigma": float("nan"),
                          "eta_at_sigma": float("nan"),
                          "residual": float("nan"), "matched": False})
@@ -323,14 +315,8 @@ def _build_matching_points(s: _Settings):
             "matched": True,
         })
     columns = ["branch", "sigma", "eta_at_sigma", "residual", "matched"]
-
-    def headline(refine):
-        # the base solve raises NoCrossingError if there is no upper row
-        n_points = s.n_points if refine == 1 else _policy_grid(
-            rows[-1]["sigma"], s.n_points, refine).n_points
-        return matching_sigma(p, branch="upper", n_points=n_points)
-
-    return columns, rows, {"sigma_upper": headline}
+    at = functools.partial(matching_sigma, p, "upper")
+    return columns, rows, ("sigma_upper", sigma, sigma, at)
 
 
 # Each demo's rows function takes (settings, sigma, pulse), the pulse of
@@ -455,21 +441,17 @@ _DEMOS = {
 
 def _build_demo(experiment: str, s: _Settings):
     """A demo's rows at the operating width (matched unless ``run.sigma``
-    is set) on its policy grid; the headline reruns it only on that grid
-    refined."""
+    is set) on its policy grid."""
     demo_rows, columns, name = _DEMOS[experiment]
     sigma = s.sigma
     if sigma is None:
         sigma = matching_sigma(s.p, branch=s.branch)
     rows, base = demo_rows(s, sigma, _policy_pulse(sigma, s.n_points))
 
-    def headline(refine):
-        if refine == 1:
-            return base
-        pulse = _policy_pulse(sigma, s.n_points, refine)
-        return demo_rows(s, sigma, pulse)[1]
+    def at(n_points):
+        return demo_rows(s, sigma, _policy_pulse(sigma, n_points))[1]
 
-    return columns, rows, {name: headline}
+    return columns, rows, (name, base, sigma, at)
 
 
 _BUILDERS = {
@@ -479,6 +461,7 @@ _BUILDERS = {
     "matching-points": _build_matching_points,
     **{name: functools.partial(_build_demo, name) for name in _DEMOS},
 }
+EXPERIMENTS = tuple(_BUILDERS)
 
 
 def run(experiment: str, cfg: dict, out_dir: str) -> int:
@@ -503,8 +486,9 @@ def run(experiment: str, cfg: dict, out_dir: str) -> int:
         return 1
 
     try:
-        columns, rows, headlines = _BUILDERS[experiment](settings)
-        values = {name: (fn(1), fn(2)) for name, fn in headlines.items()}
+        columns, rows, (name, base, width, at) = _BUILDERS[experiment](
+            settings)
+        refined = at(_rerun_grid(width, settings.n_points).n_points)
     except (ResolutionError, GridSizeError) as exc:
         # grids the configuration does not spell out (sweep widths, the
         # matched operating point, the headline reruns) are only checked
@@ -517,6 +501,11 @@ def run(experiment: str, cfg: dict, out_dir: str) -> int:
         print(f"tls.beta = {cfg['tls']['beta']}: no {exc.branch} matching "
               f"point: {exc}", file=sys.stderr)
         return 2
+    except CompensationError as exc:
+        # checked when the sign gate is built, at the operating width
+        print(f"run.sigma = {cfg['run']['sigma']}, tls.beta = "
+              f"{cfg['tls']['beta']}: {exc}", file=sys.stderr)
+        return 2
     stem = experiment.replace("-", "_")
     try:
         write_csv(out / f"{stem}.csv", columns, rows)
@@ -525,18 +514,11 @@ def run(experiment: str, cfg: dict, out_dir: str) -> int:
         return 1
 
     tolerance = settings.tolerance
-    conv_rows = []
-    converged = True
-    for name, (base, refined) in values.items():
-        drift = abs(refined - base)
-        ok = drift <= tolerance
-        converged &= ok
-        conv_rows.append({"scalar": name, "base_value": base,
-                          "refined_value": refined, "drift": drift,
-                          "tolerance": tolerance, "converged": ok})
-    write_csv(out / "convergence.csv",
-              ["scalar", "base_value", "refined_value", "drift", "tolerance",
-               "converged"], conv_rows)
+    drift = abs(refined - base)
+    converged = drift <= tolerance
+    report = {"scalar": name, "base_value": base, "refined_value": refined,
+              "drift": drift, "tolerance": tolerance, "converged": converged}
+    write_csv(out / "convergence.csv", list(report), [report])
 
     manifest = {
         "experiment": experiment,

@@ -254,6 +254,24 @@ class TestCzGate:
         assert eps1**2 - (eps_b - eps1**2) * eta2 == pytest.approx(0.0,
                                                                    abs=1e-15)
 
+    @pytest.mark.parametrize("sigma, eta2", [(1.5, "1.32"), (3.0, "-4.51")])
+    def test_uncompensable_skew_is_refused(self, circuit_grid, tls95, sigma,
+                                           eta2):
+        # off the matching width the loss that would remove the skew is a
+        # gain (eta2 > 1) or no transmission at all (eta2 < 0)
+        pulse = tp.make_pulse(tp.PulseShape("lorentzian", sigma), circuit_grid)
+        st = tp.logical_state(circuit_grid, pulse, {(0, 1): 1.0})
+        with pytest.raises(tp.CompensationError, match=f"got {eta2} "):
+            ns_eta2(tls95, pulse)
+        with pytest.raises(tp.CompensationError):
+            tp.ns_gate(ns_input(circuit_grid, pulse), "sig", tls95, pulse)
+        with pytest.raises(tp.CompensationError):
+            tp.cz_gate(st, tls95, pulse)
+        assert issubclass(tp.CompensationError, ValueError)
+        # uncompensated, the gate runs and keeps the skew
+        report = tp.cz_gate(st, tls95, pulse, compensate=False)
+        assert 0.0 < report.success_prob < 1.0
+
     def test_rejects_empty_input(self, circuit_grid, tls0, pulse0):
         st = FewPhotonState.vacuum(circuit_grid, tp.RAILS4)
         with pytest.raises(ValueError):

@@ -105,24 +105,71 @@ class TestRun:
     def test_headline_rerun_refines_the_base_grid(self, tmp_path,
                                                   monkeypatch):
         # the lower matched width at beta 0.95 (0.1485) needs about 10800
-        # samples on its policy grid; the rerun halves that grid's spacing
-        # instead of solving on the default policy's refined 8001
+        # samples on its policy grid; each experiment reruns its headline
+        # on 2 n - 1 samples of its own width's policy grid, not on the
+        # default policy's refined 8001
         cfg = tmp_path / "lower.ini"
-        cfg.write_text("[sweep]\nbeta_values = 0.95\n[run]\nbranch = lower\n")
+        cfg.write_text("[tls]\nbeta = 0.95\n[sweep]\nbeta_values = 0.95\n"
+                       "sigma_min = 0.1\nsigma_max = 2.0\nsigma_count = 4\n"
+                       "[run]\nbranch = lower\n")
+        p = TlsParams.from_beta(0.95)
+        lower = sweeps.matching_sigma(p, "lower")
+        upper = sweeps.matching_sigma(p, "upper")
+        assert SpectralGrid.for_pulse_width(lower).n_points > 4001
+
+        def solve_spy(solve, counts):
+            def spy(p, branch="upper", n_points=None):
+                counts.append(n_points)
+                return solve(p, branch=branch, n_points=n_points)
+            return spy
+
+        def pulse_spy(fn, counts):
+            def spy(*args):
+                counts.append(args[-1].grid.n_points)
+                return fn(*args)
+            return spy
+
+        # the call each experiment reruns, as (spy, module or dict, name),
+        # and the pulse width of its headline
+        reruns = {
+            "fig1b": (pulse_spy, cli, "eta_numeric", 0.5),
+            "loss-curves": (solve_spy, sweeps, "matching_sigma", lower),
+            "fig3": (solve_spy, sweeps, "matching_sigma", lower),
+            "matching-points": (solve_spy, cli, "matching_sigma", upper),
+        }
+        for name in cli._DEMOS:
+            reruns[name] = (pulse_spy, cli._DEMOS, name, lower)
+        assert tuple(reruns) == cli.EXPERIMENTS
+        for experiment, (make_spy, home, attr, width) in reruns.items():
+            counts = []
+            with monkeypatch.context() as m:
+                if isinstance(home, dict):
+                    rows, *rest = home[attr]
+                    m.setitem(home, attr, (make_spy(rows, counts), *rest))
+                else:
+                    m.setattr(home, attr, make_spy(getattr(home, attr),
+                                                   counts))
+                assert run_cli(["run", experiment, "--config", str(cfg),
+                                "--out", str(tmp_path / experiment)]) == 0
+            n_base = SpectralGrid.for_pulse_width(width).n_points
+            assert counts[-1] == 2 * n_base - 1, experiment
+            assert counts[-2] in (None, n_base), experiment
+
+    def test_matching_points_solves_each_root_once(self, tmp_path,
+                                                   monkeypatch):
+        # the headline's base value is the upper row's root: one solve per
+        # branch and one rerun
         counts = []
-        solve = sweeps.matching_sigma
+        solve = cli.matching_sigma
 
-        def spy(p, branch, n_points=None):
-            counts.append(n_points)
-            return solve(p, branch, n_points)
+        def spy(p, branch="upper", n_points=None):
+            counts.append((branch, n_points))
+            return solve(p, branch=branch, n_points=n_points)
 
-        monkeypatch.setattr(sweeps, "matching_sigma", spy)
-        assert run_cli(["run", "loss-curves", "--config", str(cfg),
+        monkeypatch.setattr(cli, "matching_sigma", spy)
+        assert run_cli(["run", "matching-points",
                         "--out", str(tmp_path / "out")]) == 0
-        sigma = solve(TlsParams.from_beta(0.95), "lower")
-        n_base = SpectralGrid.for_pulse_width(sigma).n_points
-        assert n_base > 4001
-        assert counts == [None, 2 * (n_base - 1) + 1]
+        assert counts == [("lower", None), ("upper", None), ("upper", 8001)]
 
 
 class TestValidate:
@@ -332,6 +379,21 @@ class TestConfigFaults:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "tls.beta = 0.3" in err and "upper" in err
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("experiment, sigma", [("ns-demo", "1.5"),
+                                                   ("cz-demo", "3")])
+    def test_uncompensable_sign_gate_exits_2(self, tmp_path, capsys,
+                                             experiment, sigma):
+        # off its matching width a lossy sign gate would need a pair
+        # transmission outside (0, 1]; refused when the gate is built
+        out = tmp_path / "out"
+        assert run_cli(["run", experiment, "--beta", "0.95", "--sigma", sigma,
+                        "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"run.sigma = {float(sigma)}, tls.beta = 0.95: " in err
+        assert "eta2 in (0, 1]" in err
         assert not any(out.iterdir())
 
 
