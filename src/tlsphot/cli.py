@@ -2,8 +2,8 @@
 
 Every run writes one CSV table, a manifest that echoes the resolved
 configuration, a convergence report comparing its one headline scalar at the
-base grid and on :func:`_rerun_grid`, and a minimal plot script.  Outputs are
-deterministic: identical configuration yields byte-identical files.
+base grid and on :func:`_rerun_size` samples, and a minimal plot script.
+Outputs are deterministic: the same configuration gives byte-identical files.
 
 Every pulse an experiment samples, a sweep width or the operating point of a
 circuit demo, lies on the default grid policy
@@ -46,6 +46,7 @@ from .grid import (
     ResolutionError,
     SpectralGrid,
     make_pulse,
+    policy_size,
 )
 from .modeops import leakage_metric, sum_rail
 from .pairs import FactoredPair
@@ -123,12 +124,9 @@ def _check(value, ok, message: str):
 
 
 def _grid_n(raw: str) -> int:
-    """A ``grid.n_points`` value; the headline reruns on 2 n - 1 samples
-    (:func:`_rerun_grid`), so that must be affordable too."""
-    n = SpectralGrid(1.0, int(raw)).n_points
-    if 2 * n - 1 > MAX_N_POINTS:
-        raise GridSizeError(f"the headline rerun needs 2 n - 1 = {2 * n - 1} "
-                            f"samples, above the maximum of {MAX_N_POINTS}")
+    """A ``grid.n_points`` value whose :func:`_rerun_size` is affordable."""
+    n = int(raw)
+    _rerun_size(1.0, n)
     return n
 
 
@@ -179,7 +177,7 @@ def _parse(cfg: dict):
                  f"run.sigma = {sigma}")
         try:
             _policy_pulse(sigma, n_points)
-            _rerun_grid(sigma, n_points)
+            _rerun_size(sigma, n_points)
         except ResolutionError as exc:
             diagnostics.append(f"{where}: grid resolution: {exc}")
         except GridSizeError as exc:
@@ -238,10 +236,14 @@ def _policy_pulse(sigma: float, n_points: int | None):
                       SpectralGrid.for_pulse_width(sigma, n_points))
 
 
-def _rerun_grid(width: float, n_points: int | None) -> SpectralGrid:
-    """The grid a headline of pulse width ``width`` reruns on: that width's
-    policy grid with its spacing halved, 2 n - 1 samples."""
-    return SpectralGrid.for_pulse_width(width, n_points).refine(2)
+def _rerun_size(width: float, n_points: int | None) -> int:
+    """Sample count a headline of pulse width ``width`` reruns on: that
+    width's policy grid with its spacing halved, 2 n - 1 samples."""
+    n = 2 * policy_size(width, n_points)[1] - 1
+    if n > MAX_N_POINTS:
+        raise GridSizeError(f"the headline rerun needs 2 n - 1 = {n} "
+                            f"samples, above the maximum of {MAX_N_POINTS}")
+    return n
 
 
 def _resolved_eta(p: TlsParams, sigma: float, n_points: int | None) -> float:
@@ -488,7 +490,7 @@ def run(experiment: str, cfg: dict, out_dir: str) -> int:
     try:
         columns, rows, (name, base, width, at) = _BUILDERS[experiment](
             settings)
-        refined = at(_rerun_grid(width, settings.n_points).n_points)
+        refined = at(_rerun_size(width, settings.n_points))
     except (ResolutionError, GridSizeError) as exc:
         # grids the configuration does not spell out (sweep widths, the
         # matched operating point, the headline reruns) are only checked

@@ -113,9 +113,11 @@ class TestRun:
                        "sigma_min = 0.1\nsigma_max = 2.0\nsigma_count = 4\n"
                        "[run]\nbranch = lower\n")
         p = TlsParams.from_beta(0.95)
-        lower = sweeps.matching_sigma(p, "lower")
-        upper = sweeps.matching_sigma(p, "upper")
-        assert SpectralGrid.for_pulse_width(lower).n_points > 4001
+        n_half, n_lower, n_upper = (
+            SpectralGrid.for_pulse_width(width).n_points for width in (
+                0.5, sweeps.matching_sigma(p, "lower"),
+                sweeps.matching_sigma(p, "upper")))
+        assert n_lower > 4001
 
         def solve_spy(solve, counts):
             def spy(p, branch="upper", n_points=None):
@@ -130,17 +132,23 @@ class TestRun:
             return spy
 
         # the call each experiment reruns, as (spy, module or dict, name),
-        # and the pulse width of its headline
+        # and the sample counts of every such call: the base run's, then
+        # the rerun's 2 n - 1 on its headline width's policy grid
         reruns = {
-            "fig1b": (pulse_spy, cli, "eta_numeric", 0.5),
-            "loss-curves": (solve_spy, sweeps, "matching_sigma", lower),
-            "fig3": (solve_spy, sweeps, "matching_sigma", lower),
-            "matching-points": (solve_spy, cli, "matching_sigma", upper),
+            "fig1b": (pulse_spy, cli, "eta_numeric",
+                      [n_half, 2 * n_half - 1]),
+            "loss-curves": (solve_spy, sweeps, "matching_sigma",
+                            [None, 2 * n_lower - 1]),
+            "fig3": (solve_spy, sweeps, "matching_sigma",
+                     [None, 2 * n_lower - 1]),
+            "matching-points": (solve_spy, cli, "matching_sigma",
+                                [None, None, 2 * n_upper - 1]),
         }
         for name in cli._DEMOS:
-            reruns[name] = (pulse_spy, cli._DEMOS, name, lower)
+            reruns[name] = (pulse_spy, cli._DEMOS, name,
+                            [n_lower, 2 * n_lower - 1])
         assert tuple(reruns) == cli.EXPERIMENTS
-        for experiment, (make_spy, home, attr, width) in reruns.items():
+        for experiment, (make_spy, home, attr, expected) in reruns.items():
             counts = []
             with monkeypatch.context() as m:
                 if isinstance(home, dict):
@@ -151,9 +159,7 @@ class TestRun:
                                                    counts))
                 assert run_cli(["run", experiment, "--config", str(cfg),
                                 "--out", str(tmp_path / experiment)]) == 0
-            n_base = SpectralGrid.for_pulse_width(width).n_points
-            assert counts[-1] == 2 * n_base - 1, experiment
-            assert counts[-2] in (None, n_base), experiment
+            assert counts == expected, experiment
 
     def test_matching_points_solves_each_root_once(self, tmp_path,
                                                    monkeypatch):
