@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import OnePhotonAmp, SpectralGrid, normalize
-from .pairs import FactoredPair, projector, shared
+from .pairs import FactoredPair, inner, shared
 from .modeops import (
     PulseGateSpec,
     component_phase_loss,
@@ -55,6 +55,7 @@ from .states import (
     FewPhotonState,
     apply_tls,
     beamsplitter,
+    fidelity,
     loss_channel,
     project_detection,
     sum_rail,
@@ -159,15 +160,17 @@ def logical_state(grid: SpectralGrid, pulse: OnePhotonAmp,
 def logical_amplitudes(state: FewPhotonState, pulse: OnePhotonAmp) -> dict:
     """Project a state onto the four dual-rail basis states in the pulse mode.
 
-    The amplitude of basis state (b1, b2) is the overlap of its rail pair
-    with the product f(x) f(y), u @ pair @ u with u = w * conj(f).
+    The amplitude of basis state (b1, b2) is the overlap <f f|pair>
+    (:func:`pairs.inner`) of its rail pair with the product f(x) f(y), on
+    the Gram entries that norms use.
     """
     state.grid.require_same(pulse.grid)
-    u = projector(state.grid.weights, pulse.values)
+    ff = FactoredPair.product(pulse.values)
     amps = {}
     for b1, b2 in LOGICAL_BASIS:
         amp = state.pair(_QUBIT_RAILS["q1"][b1], _QUBIT_RAILS["q2"][b2])
-        amps[(b1, b2)] = 0j if amp is None else complex(u @ amp @ u)
+        amps[(b1, b2)] = (0j if amp is None
+                          else inner(ff, amp, state.grid.weights))
     return amps
 
 
@@ -319,16 +322,8 @@ def cz_gate(state: FewPhotonState, p: TlsParams, pulse: OnePhotonAmp,
 
     out_amps = logical_amplitudes(out, pulse)
     success = sum(abs(a) ** 2 for a in out_amps.values())
-    # fidelity to the sign-flipped input, whose basis pairs are the products
-    # f(x) f(y) of norm ||f||^4 on four distinct rail pairs
-    target_amps = {b: CZ_SIGNS[b] * a for b, a in input_amps.items()}
-    ns = out.surviving_norm_sq()
-    nt = (sum(abs(a) ** 2 for a in target_amps.values())
-          * pulse.norm_sq() ** 2)
-    if ns == 0.0 or nt == 0.0:
-        raise ValueError("fidelity of a fully lost state is undefined")
-    ov = sum(np.conj(target_amps[b]) * out_amps[b] for b in LOGICAL_BASIS)
-    fid = abs(ov) ** 2 / (ns * nt)
+    target = logical_state(state.grid, pulse, {
+        b: CZ_SIGNS[b] * a for b, a in input_amps.items()})
     patterns = {}
     for basis in LOGICAL_BASIS:
         ra = _QUBIT_RAILS["q1"][basis[0]]
@@ -337,7 +332,7 @@ def cz_gate(state: FewPhotonState, p: TlsParams, pulse: OnePhotonAmp,
     return CircuitReport(
         output_state=out,
         success_prob=success,
-        fidelity_to_target=fid,
+        fidelity_to_target=fidelity(out, target),
         lost_mass=out.lost_mass,
         pattern_probs=patterns,
         logical_amplitudes=out_amps,

@@ -509,19 +509,11 @@ def run(experiment: str, cfg: dict, out_dir: str) -> int:
               f"{cfg['tls']['beta']}: {exc}", file=sys.stderr)
         return 2
     stem = experiment.replace("-", "_")
-    try:
-        write_csv(out / f"{stem}.csv", columns, rows)
-    except OSError as exc:
-        print(f"failed to write CSV: {exc}", file=sys.stderr)
-        return 1
-
     tolerance = settings.tolerance
     drift = abs(refined - base)
     converged = drift <= tolerance
     report = {"scalar": name, "base_value": base, "refined_value": refined,
               "drift": drift, "tolerance": tolerance, "converged": converged}
-    write_csv(out / "convergence.csv", list(report), [report])
-
     manifest = {
         "experiment": experiment,
         "version": __version__,
@@ -530,16 +522,21 @@ def run(experiment: str, cfg: dict, out_dir: str) -> int:
         "convergence_tolerance": tolerance,
         "outputs": [f"{stem}.csv", "convergence.csv", f"plot_{stem}.py"],
     }
-    with open(out / "manifest.json", "w", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
     numeric = [c for c in columns[1:]
                if rows and isinstance(rows[0][c], (int, float, np.floating))
                and not isinstance(rows[0][c], bool)]
     plot = _PLOT_TEMPLATE.format(experiment=stem, csv_name=f"{stem}.csv",
                                  x=columns[0], y_cols=numeric[:4])
-    (out / f"plot_{stem}.py").write_text(plot)
+    try:
+        write_csv(out / f"{stem}.csv", columns, rows)
+        write_csv(out / "convergence.csv", list(report), [report])
+        with open(out / "manifest.json", "w", newline="\n") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        (out / f"plot_{stem}.py").write_text(plot)
+    except OSError as exc:
+        print(f"failed to write output: {exc}", file=sys.stderr)
+        return 1
 
     if not converged:
         print("convergence failure; see convergence.csv", file=sys.stderr)

@@ -385,7 +385,8 @@ def norm_sq(values: FactoredPair, w) -> float:
     """Squared norm sum_ij w_i w_j |A_ij|^2 of a pair.
 
     Terms that cancel leave a Gram-sum residue near eps (sum |k| ||term||)^2;
-    a total below a small multiple of that is returned as 0.  On weights
+    a total below a small multiple of that is returned as 0, and a total
+    that is not finite (a NaN factor, an inf coefficient) as NaN.  On weights
     that read the same reversed, a full flip has its source's norm.  The
     pair keeps its norm, for the last weights array it was normed on."""
     if values._norm is not None and values._norm[0] is w:
@@ -402,7 +403,8 @@ def norm_sq(values: FactoredPair, w) -> float:
             for t2 in terms[i + 1:]:
                 total += 2.0 * (np.conj(t1[0]) * t2[0]
                                 * _term_inner(t1, t2, w)).real
-        norm = float(total) if total > _CANCEL_EPS * scale**2 else 0.0
+        norm = (float("nan") if not np.isfinite(total) else
+                float(total) if total > _CANCEL_EPS * scale**2 else 0.0)
     values._norm = (w, norm)
     return norm
 

@@ -281,13 +281,15 @@ class FewPhotonState:
         None if the state holds none."""
         return _read(self.two_photon, self._order(a, b), a, b)
 
-    def add_pair(self, a: str, b: str,
-                 values: FactoredPair | None) -> "FewPhotonState":
+    def add_pair(self, a: str, b: str, values) -> "FewPhotonState":
         """New state with ``values`` (axis 0 on ``a``) added to the (a, b)
-        pair amplitude; None adds nothing."""
+        pair amplitude; None adds nothing.  ``values`` get the constructor's
+        pair checks, and an N x N array goes through the dense door."""
         order = self._order(a, b)
         if values is None:
             return self
+        values = _checked_pair(self.rails, self.grid.n_points, (a, b),
+                               values, ordered=False)
         twos = dict(self.two_photon)
         _put(twos, order, a, b, values)
         return self._build(self.grid, self.rails, self.vacuum_amp,

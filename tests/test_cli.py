@@ -71,6 +71,17 @@ class TestRun:
         assert run_cli(["run", "matching-points", "--out",
                         str(occupied)]) == 1
 
+    @pytest.mark.parametrize("blocked", ["fig3.csv", "convergence.csv",
+                                         "manifest.json", "plot_fig3.py"])
+    def test_failed_output_write_exits_1(self, tmp_path, capsys, blocked):
+        # a directory where an output file should go: one line, no traceback
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        assert run_cli(["run", "fig3", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("failed to write output: ")
+        assert err.count("\n") == 1 and blocked in err
+
     def test_convergence_failure_exits_3(self, tmp_path):
         cfg = tmp_path / "strict.ini"
         cfg.write_text(

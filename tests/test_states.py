@@ -124,6 +124,33 @@ class TestFromComponents:
         state.two_photon[("a", "b")] = pair
         assert state.pair("b", "a") is not None
 
+    @pytest.mark.parametrize("key, values, match", [
+        (("a", "a"), FactoredPair([(1.0, np.ones(601, dtype=complex),
+                                    np.arange(601.0) + 0j, None)]),
+         "symmetric"),
+        (("b", "a"), FactoredPair.product(np.ones(7, dtype=complex)),
+         "not sized"),
+        (("a", "b"), FactoredPair.product(np.full(601, np.nan + 0j)),
+         "non-finite"),
+        (("zz", "a"), FactoredPair.product(np.ones(601, dtype=complex)),
+         "unknown rail 'zz'"),
+    ], ids=["asymmetric", "short", "nan", "unknown_rail"])
+    def test_add_pair_checked(self, key, values, match):
+        # the public write path gets the constructor's pair checks
+        state = FewPhotonState.vacuum(self.GRID, ("a", "b"))
+        with pytest.raises(ValueError, match=match):
+            state.add_pair(*key, values)
+
+    def test_add_pair_dense_goes_through_the_door(self):
+        state = FewPhotonState.vacuum(self.GRID, ("a", "b"))
+        w = self.GRID.weights
+        dense = np.outer(np.arange(601.0), np.ones(601)) / 601.0 + 0j
+        out = state.add_pair("b", "a", dense)  # axis 0 on b
+        assert isinstance(out.two_photon[("a", "b")], FactoredPair)
+        assert np.allclose(out.pair("b", "a").dense(), dense, atol=1e-12)
+        assert out.total_probability() == pytest.approx(
+            1.0 + np.sum(np.outer(w, w) * np.abs(dense) ** 2), rel=1e-12)
+
     def test_pair_without_terms_rejected(self):
         # it would pass every per-term check and fail later in an op
         with pytest.raises(ValueError, match="no terms"):
