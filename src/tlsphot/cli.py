@@ -9,6 +9,7 @@ Every pulse an experiment samples, a sweep width or the operating point of a
 circuit demo, lies on the default grid policy
 :meth:`~tlsphot.grid.SpectralGrid.for_pulse_width`; ``grid.n_points``
 (``--grid-n``) fixes its sample count, and the window follows the width.
+A fixed count that does not resolve a width the run samples exits 2.
 
 Exit codes: 0 success, 1 I/O failure, 2 usage error, 3 convergence failure.
 """
@@ -53,9 +54,8 @@ from .pairs import FactoredPair
 from .roots import NoCrossingError
 from .scatter import (
     TlsParams,
+    _eta_kernel,
     epsilon1_analytic,
-    eta_analytic,
-    eta_numeric,
     matching_sigma,
     scatter_two,
 )
@@ -229,9 +229,7 @@ plt.savefig("{experiment}.png", dpi=150)
 
 
 def _policy_pulse(sigma: float, n_points: int | None):
-    """Lorentzian pulse of width ``sigma`` on its default-policy grid;
-    unlike the root finder's evaluations, this refuses a grid that does not
-    resolve the pulse."""
+    """Lorentzian pulse of width ``sigma`` on its default-policy grid."""
     return make_pulse(PulseShape("lorentzian", sigma),
                       SpectralGrid.for_pulse_width(sigma, n_points))
 
@@ -246,13 +244,6 @@ def _rerun_size(width: float, n_points: int | None) -> int:
     return n
 
 
-def _resolved_eta(p: TlsParams, sigma: float, n_points: int | None) -> float:
-    """eta at width ``sigma``, on its policy grid if it needs one."""
-    if p.gamma_loss == 0.0:
-        return eta_analytic(p, sigma)
-    return eta_numeric(p, _policy_pulse(sigma, n_points))
-
-
 # -- experiment table builders --------------------------------------------
 # Each builder returns (columns, rows, headline).  The headline is
 # (name, base value, pulse width, at): at(n_points) recomputes the value on
@@ -263,8 +254,11 @@ def _build_fig1b(s: _Settings):
     rows = fig1b_data(s.spec)
     columns = ["beta", "sigma_over_gamma", "eta", "half_eps1_sq",
                "is_crossing"]
-    at = functools.partial(_resolved_eta,
-                           TlsParams.from_beta(s.spec.beta_values[0]), 0.5)
+    p = TlsParams.from_beta(s.spec.beta_values[0])
+
+    def at(n_points):
+        return _eta_kernel((p,), 0.5, n_points)[0]
+
     return columns, rows, ("eta_sigma_half", at(s.n_points), 0.5, at)
 
 
@@ -308,7 +302,7 @@ def _build_matching_points(s: _Settings):
                          "eta_at_sigma": float("nan"),
                          "residual": float("nan"), "matched": False})
             continue
-        eta = _resolved_eta(p, sigma, s.n_points)
+        eta = _eta_kernel((p,), sigma, s.n_points)[0]
         rows.append({
             "branch": branch,
             "sigma": sigma,

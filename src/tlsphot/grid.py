@@ -195,6 +195,19 @@ def gaussian_values(grid: SpectralGrid, width: float,
             * np.exp(-((d - center) ** 2) / (4.0 * width**2))).astype(complex)
 
 
+def _check_resolution(h: float, delta_max: float, width: float) -> None:
+    """:func:`make_pulse`'s bounds on the spacing and the half-window."""
+    # the 1e-9 slack keeps exact boundary grids from failing to rounding
+    if h > width / SAMPLES_PER_WIDTH * (1.0 + 1e-9):
+        raise ResolutionError(
+            f"grid too coarse: spacing {h:.4g} exceeds width/"
+            f"{SAMPLES_PER_WIDTH} = {width / SAMPLES_PER_WIDTH:.4g}")
+    if delta_max < WINDOW_WIDTHS * width * (1.0 - 1e-9):
+        raise ResolutionError(
+            f"window too narrow: delta_max {delta_max:.4g} is below "
+            f"{WINDOW_WIDTHS}*width = {WINDOW_WIDTHS * width:.4g}")
+
+
 def make_pulse(shape: PulseShape, grid: SpectralGrid) -> OnePhotonAmp:
     """Sample a pulse shape on a grid and renormalize to unit discrete norm.
 
@@ -204,18 +217,7 @@ def make_pulse(shape: PulseShape, grid: SpectralGrid) -> OnePhotonAmp:
         If the grid spacing exceeds width/10 or the window is narrower than
         25 widths (bounds that keep the quadratures convergent).
     """
-    h = grid.spacing
-    # the 1e-9 slack keeps exact boundary grids from failing to rounding
-    if h > shape.width / SAMPLES_PER_WIDTH * (1.0 + 1e-9):
-        raise ResolutionError(
-            f"grid too coarse: spacing {h:.4g} exceeds width/"
-            f"{SAMPLES_PER_WIDTH} = {shape.width / SAMPLES_PER_WIDTH:.4g}"
-        )
-    if grid.delta_max < WINDOW_WIDTHS * shape.width * (1.0 - 1e-9):
-        raise ResolutionError(
-            f"window too narrow: delta_max {grid.delta_max:.4g} is below "
-            f"{WINDOW_WIDTHS}*width = {WINDOW_WIDTHS * shape.width:.4g}"
-        )
+    _check_resolution(grid.spacing, grid.delta_max, shape.width)
     if shape.kind == "lorentzian":
         values = lorentzian_values(grid, shape.width, shape.center)
     else:

@@ -274,9 +274,13 @@ class FactoredPair:
     def __mul__(self, k):
         if np.ndim(k) != 0:
             return NotImplemented
-        return FactoredPair._raw([(k * k0, a, b, c)
-                                  for k0, a, b, c in self.terms],
-                                 self.symmetric)
+        out = FactoredPair._raw([(k * k0, a, b, c)
+                                 for k0, a, b, c in self.terms],
+                                self.symmetric)
+        if self._norm is not None:  # |k|^2 times the source's, NaN if inf
+            norm = float(abs(k) ** 2 * self._norm[1])
+            out._norm = (self._norm[0], norm if norm < np.inf else np.nan)
+        return out
 
     __rmul__ = __mul__
 

@@ -34,7 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import OnePhotonAmp, SpectralGrid, lorentzian_at, policy_size
+from .grid import (OnePhotonAmp, SpectralGrid, _check_resolution,
+                   lorentzian_at, policy_size)
 from .pairs import FactoredPair, _fast_len, inner, norm_sq, shared, times
 from .roots import NoCrossingError, bisect, golden_max
 
@@ -284,10 +285,11 @@ def decompose(p: TlsParams, f: OnePhotonAmp) -> ScatterTwoResult:
 
 
 def _eta_kernel(ps, sigma: float, n_points: int | None = None) -> list:
-    """:func:`eta_numeric` at width sigma for each lossy emitter of ``ps``.
+    """eta at width sigma for each emitter of ``ps``: the closed form
+    (:func:`eta_analytic`) if lossless, sampling nothing, else
+    :func:`eta_numeric` of the centred Lorentzian on its policy grid.
 
-    The value is eta_numeric's kappa sum_q conv(u, u) I, u = w conj(f t) s
-    and I = 2 h conv(f s, f), for the centred Lorentzian on its policy grid.
+    That is kappa sum_q conv(u, u) I, u = w conj(f t) s, I = 2 h conv(f s, f).
     Parseval at one padded length L >= 2N - 1 (:func:`pairs._fast_len`)
     makes it sum_k U(k)^2 B(-k) / L, B the spectrum of conv(f s, f),
     computed from the M + 1 samples at delta >= 0 of the n = 2M + 1 point
@@ -305,14 +307,18 @@ def _eta_kernel(ps, sigma: float, n_points: int | None = None) -> list:
 
     filled in from real arrays, with no complex division.  F depends on
     the width alone, so one transform of the pulse serves every emitter.
+    A grid that does not resolve sigma raises make_pulse's ResolutionError.
     """
+    if all(p.gamma_loss == 0.0 for p in ps):
+        return [eta_analytic(p, sigma) for p in ps]
     delta_max, n = policy_size(sigma, n_points)
     half = n // 2
     step = delta_max / half
-    d = step * np.arange(half + 1)
     # the spacing SpectralGrid reports, rounded as np.linspace rounds its
-    # second sample, so that eta is eta_numeric's to rounding
+    # second sample: eta is eta_numeric's to rounding, refusals make_pulse's
     h = (step - delta_max) + delta_max
+    _check_resolution(h, delta_max, sigma)
+    d = step * np.arange(half + 1)
     w = np.full(half + 1, h)
     w[-1] *= 0.5
     f = lorentzian_at(d, sigma)
@@ -324,6 +330,9 @@ def _eta_kernel(ps, sigma: float, n_points: int | None = None) -> list:
     f_hat = None
     etas = []
     for p in ps:
+        if p.gamma_loss == 0.0:
+            etas.append(eta_analytic(p, sigma))
+            continue
         a = 0.5 * (p.gamma_loss + 1.0)
         r = f / (d_sq + a * a)
         z = np.empty(half + 1, complex)
@@ -345,15 +354,6 @@ def _eta_kernel(ps, sigma: float, n_points: int | None = None) -> list:
         g *= f_hat
         etas.append(kappa * h / size * abs(float(g.sum())))
     return etas
-
-
-def _eta_of_sigma(p: TlsParams, sigma: float,
-                  n_points: int | None = None) -> float:
-    """eta at spectral width sigma: closed form when lossless, else the
-    numeric value on the policy grid (:func:`_eta_kernel`)."""
-    if p.gamma_loss == 0.0:
-        return eta_analytic(p, sigma)
-    return _eta_kernel((p,), sigma, n_points)[0]
 
 
 # matching_sigma's closed-form search range, the narrowest width it solves
@@ -380,7 +380,7 @@ def matching_sigma(p: TlsParams, branch: str = "upper",
     for the hump's peak on [1e-6, 30], then the root between the peak and
     the end of that range on the branch's side.  Lossless, eta is that
     closed form and sigma_c is the answer.  Lossy, the root of the numeric
-    eta on the policy grid (:func:`_eta_of_sigma`) lies within a few 1e-6
+    eta on the policy grid (:func:`_eta_kernel`) lies within a few 1e-6
     of sigma_c, relative, and is polished from it: one Newton step with
     the closed form's slope at sigma_c, then secant steps on the numeric
     mismatch.  Each iterate is held within 20 % of sigma_c, on the
@@ -398,6 +398,8 @@ def matching_sigma(p: TlsParams, branch: str = "upper",
         the branch's root lies below sigma = 0.005, or the polish finds no
         numeric root within 20 % of sigma_c in eight numeric evaluations;
         its ``branch`` names the branch.
+    ResolutionError
+        If ``n_points`` does not resolve a width the lossy polish evaluates.
     """
     if branch not in ("lower", "upper"):
         raise ValueError(f"branch must be 'lower' or 'upper', got {branch!r}")
@@ -407,7 +409,7 @@ def matching_sigma(p: TlsParams, branch: str = "upper",
                 - 0.5 * epsilon1_analytic(p, sigma) ** 2)
 
     def mismatch(sigma: float) -> float:
-        return (_eta_of_sigma(p, sigma, n_points)
+        return (_eta_kernel((p,), sigma, n_points)[0]
                 - 0.5 * epsilon1_analytic(p, sigma) ** 2)
 
     try:

@@ -13,7 +13,6 @@ from .scatter import (
     _eta_kernel,
     epsilon1_analytic,
     epsilon_b_analytic,
-    eta_analytic,
     matching_sigma,
 )
 
@@ -60,19 +59,15 @@ def fig1b_data(spec: SweepSpec) -> list:
 
     Rows hold (beta, sigma_over_gamma, eta, half_eps1_sq, is_crossing); the
     crossing flag marks rows where eta - eps_1^2/2 changes sign before the
-    next row, i.e. the sorting operating points.
+    next row, i.e. the sorting operating points.  A lossy beta raises
+    ResolutionError at a width its grid does not resolve.
     """
     sigmas = spec.sigmas()
     ps = [TlsParams.from_beta(beta) for beta in spec.beta_values]
-    lossy = [p for p in ps if p.gamma_loss > 0.0]
-    # widths first: one transform of each width's pulse serves every lossy
-    # beta, and numeric yields the lossy betas' columns in order
-    numeric = iter(zip(*[_eta_kernel(lossy, s, spec.n_points)
-                         for s in sigmas]) if lossy else ())
+    # widths first: one transform of each width's pulse serves every beta
+    columns = zip(*[_eta_kernel(ps, s, spec.n_points) for s in sigmas])
     rows = []
-    for beta, p in zip(spec.beta_values, ps):
-        etas = (next(numeric) if p.gamma_loss > 0.0
-                else [eta_analytic(p, s) for s in sigmas])
+    for beta, p, etas in zip(spec.beta_values, ps, columns):
         halves = [0.5 * epsilon1_analytic(p, s) ** 2 for s in sigmas]
         diffs = [e - h for e, h in zip(etas, halves)]
         for i, sigma in enumerate(sigmas):

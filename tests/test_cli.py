@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tlsphot import cli, sweeps
-from tlsphot.grid import SpectralGrid
+from tlsphot.grid import SpectralGrid, policy_size
 from tlsphot.pairs import FactoredPair
 from tlsphot.scatter import TlsParams
 
@@ -142,11 +142,18 @@ class TestRun:
                 return fn(*args)
             return spy
 
+        def kernel_spy(kernel, counts):
+            # the size of the policy grid the kernel samples
+            def spy(ps, sigma, n_points=None):
+                counts.append(policy_size(sigma, n_points)[1])
+                return kernel(ps, sigma, n_points)
+            return spy
+
         # the call each experiment reruns, as (spy, module or dict, name),
         # and the sample counts of every such call: the base run's, then
         # the rerun's 2 n - 1 on its headline width's policy grid
         reruns = {
-            "fig1b": (pulse_spy, cli, "eta_numeric",
+            "fig1b": (kernel_spy, cli, "_eta_kernel",
                       [n_half, 2 * n_half - 1]),
             "loss-curves": (solve_spy, sweeps, "matching_sigma",
                             [None, 2 * n_lower - 1]),
@@ -374,17 +381,27 @@ class TestConfigFaults:
         assert "sweep.sigma_count" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("experiment", ["fig1b", "matching-points"])
-    def test_unresolved_pulse_exits_2(self, tmp_path, capsys, experiment):
-        # the sweep and operating-point grids are only checked when a pulse
+    @pytest.mark.parametrize("experiment, flags", [
+        pytest.param("fig1b", ["--grid-n", "2001", "--beta", "0.93"],
+                     id="fig1b"),
+        pytest.param("matching-points", ["--grid-n", "2001", "--beta", "0.93"],
+                     id="matching-points"),
+        # the headline's width, 0.5, is resolved on 4001 samples; the
+        # sweep's narrowest, 0.02, is not
+        pytest.param("fig1b", ["--grid-n", "4001"], id="fig1b-sweep-width"),
+    ])
+    def test_unresolved_pulse_exits_2(self, tmp_path, capsys, experiment,
+                                      flags):
+        # the sweep and operating-point grids are only checked when a width
         # is sampled on them, after the configuration has parsed
         cfg = tmp_path / "coarse.ini"
         cfg.write_text("[sweep]\nbeta_values = 0.95, 1.0\nsigma_count = 2\n")
         out = tmp_path / "out"
-        assert run_cli(["run", experiment, "--config", str(cfg),
-                        "--grid-n", "2001", "--beta", "0.93",
+        assert run_cli(["run", experiment, "--config", str(cfg), *flags,
                         "--out", str(out)]) == 2
-        assert "grid.n_points = 2001" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"grid.n_points = {flags[1]}: grid too coarse")
         assert not any(out.iterdir())
 
     def test_no_crossing_exits_2(self, tmp_path, capsys):

@@ -400,12 +400,21 @@ class TestStoredNorm:
                                                               rel=1e-13)
         assert gram_lookups
 
-    def test_scaled_pair_recomputes(self, gram_lookups):
+    def test_scaled_pair_keeps_the_norm(self, gram_lookups):
+        # k * pair is normed from its source's stored norm, |k|^2 times it
         pair = random_pair(np.random.default_rng(33), True)
         first = pairs.norm_sq(pair, W)
         gram_lookups.clear()
-        k = 0.6 + 0.8j
-        assert pairs.norm_sq(k * pair, W) == pytest.approx(first, rel=1e-13)
+        k = 0.3 - 1.1j
+        assert pairs.norm_sq(k * pair, W) == abs(k) ** 2 * first
+        assert pairs.norm_sq(pair * k, W) == abs(k) ** 2 * first
+        # a total that is not finite reads NaN, as the Gram loop reads it
+        assert np.isnan(pairs.norm_sq(np.inf * pair, W))
+        assert not gram_lookups
+        # the Gram loop on an unnormed copy of the same pair agrees
+        fresh = random_pair(np.random.default_rng(33), True)
+        assert pairs.norm_sq(k * fresh, W) == pytest.approx(
+            abs(k) ** 2 * first, rel=1e-13)
         assert gram_lookups
 
 

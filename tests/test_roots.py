@@ -116,13 +116,13 @@ class TestMatchingSolve:
     @pytest.fixture
     def eta_calls(self, monkeypatch):
         calls = []
-        original = scatter._eta_of_sigma
+        original = scatter._eta_kernel
 
-        def counted(p, sigma, n_points=None):
+        def counted(ps, sigma, n_points=None):
             calls.append(sigma)
-            return original(p, sigma, n_points)
+            return original(ps, sigma, n_points)
 
-        monkeypatch.setattr(scatter, "_eta_of_sigma", counted)
+        monkeypatch.setattr(scatter, "_eta_kernel", counted)
         return calls
 
     @pytest.mark.parametrize("branch", ["lower", "upper"])
@@ -163,13 +163,13 @@ class TestMatchingSolve:
         # 55 % (lower) away from the closed-form ones: the polish gives up
         # instead of following them
         calls = []
-        original = scatter._eta_of_sigma
+        original = scatter._eta_kernel
 
-        def shifted(p, sigma, n_points=None):
+        def shifted(ps, sigma, n_points=None):
             calls.append(sigma)
-            return original(p, sigma, n_points) + 0.1
+            return [eta + 0.1 for eta in original(ps, sigma, n_points)]
 
-        monkeypatch.setattr(scatter, "_eta_of_sigma", shifted)
+        monkeypatch.setattr(scatter, "_eta_kernel", shifted)
         with pytest.raises(NoCrossingError, match="no numeric") as info:
             tp.matching_sigma(tp.TlsParams.from_beta(0.9), branch)
         assert info.value.branch == branch
@@ -184,7 +184,7 @@ class TestMatchingSolve:
         for branch in ("lower", "upper"):
             s = tp.matching_sigma(p, branch)
             reach = scatter._XTOL + 4 * np.finfo(float).eps * s
-            ends = [scatter._eta_of_sigma(p, x)
+            ends = [scatter._eta_kernel((p,), x)[0]
                     - 0.5 * tp.epsilon1_analytic(p, x) ** 2
                     for x in (s - reach, s + reach)]
             assert ends[0] * ends[1] <= 0.0, branch

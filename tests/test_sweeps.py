@@ -87,6 +87,12 @@ class TestFig1b:
         with pytest.raises(tp.GridSizeError, match="width 1e-09"):
             SweepSpec(beta_values=(1.0, 0.95), sigma_range=(1e-9, 5.0))
 
+    def test_unresolved_narrowest_width_refused(self):
+        # 4001 samples over the policy window of 160 give a spacing of 0.04,
+        # above a tenth of the default narrowest width, 0.02
+        with pytest.raises(tp.ResolutionError, match="grid too coarse"):
+            fig1b_data(SweepSpec(beta_values=(0.95,), n_points=4001))
+
     def test_lossless_spec_samples_no_grid(self):
         # at beta = 1 every figure is closed form, at any width
         spec = SweepSpec(beta_values=(1.0,), sigma_range=(1e-9, 5.0),
