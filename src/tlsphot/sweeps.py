@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +24,9 @@ DEFAULT_BETAS = (1.0, 0.95, 0.90)
 class SweepSpec:
     """What to sweep: beta values, a spectral-width range, grid override."""
 
-    # fig1b at the default betas takes about 4 ms per width on one core, so
-    # this is a run of under a minute; a larger count is refused unsampled
+    # fig1b at the default betas takes about 3 ms per width on one core of
+    # a 2-core Xeon, so this is a run of under a minute; a larger count is
+    # refused unsampled
     MAX_SIGMA_COUNT = 10_000  # unannotated: a constant, not a field
 
     beta_values: tuple = DEFAULT_BETAS
@@ -64,8 +66,11 @@ def fig1b_data(spec: SweepSpec) -> list:
     """
     sigmas = spec.sigmas()
     ps = [TlsParams.from_beta(beta) for beta in spec.beta_values]
-    # widths first: one transform of each width's pulse serves every beta
-    columns = zip(*[_eta_kernel(ps, s, spec.n_points) for s in sigmas])
+    # widths first: one transform of each width's pulse serves every beta.
+    # The helper thread runs the kernel alone, which calls nothing that the
+    # benchmark's span tracer (one call stack, not thread-safe) wraps
+    columns = zip(*_from_both_ends(
+        lambda s: _eta_kernel(ps, s, spec.n_points), sigmas))
     rows = []
     for beta, p, etas in zip(spec.beta_values, ps, columns):
         halves = [0.5 * epsilon1_analytic(p, s) ** 2 for s in sigmas]
@@ -82,6 +87,53 @@ def fig1b_data(spec: SweepSpec) -> list:
                 "is_crossing": bool(crossing),
             })
     return rows
+
+
+def _from_both_ends(fn, items) -> list:
+    """``[fn(x) for x in items]``, the calling thread taking items from the
+    front and one helper thread from the back until the two meet.
+
+    fig1b's widths run narrowest first, and a narrow width's grid, time and
+    memory grow as 1 / sigma, so the two ends meet at mid-sized grids and at
+    most one large kernel is held at a time (numpy's FFTs release the GIL).
+    Each result is stored at its index, so the list is the serial loop's.
+    A failure at index i stops all claims above i; below it the caller
+    runs on, so the exception raised is the serial loop's: the one of the
+    lowest failing index.  ``fn`` runs on two threads at once.
+    """
+    results = [None] * len(items)
+    failures = {}
+    lock = threading.Lock()
+    ends = [0, len(items)]  # the next front index, one past the next back one
+
+    def claim(front):
+        while True:
+            with lock:
+                if ends[0] >= ends[1]:
+                    return
+                if front:
+                    i = ends[0]
+                    ends[0] += 1
+                else:
+                    ends[1] -= 1
+                    i = ends[1]
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:
+                with lock:
+                    failures[i] = exc
+                    ends[1] = min(ends[1], i)
+                return
+
+    helper = threading.Thread(target=claim, args=(False,))
+    helper.start()
+    try:
+        claim(True)
+    finally:
+        helper.join()
+    if failures:
+        raise failures[min(failures)]
+    return results
 
 
 _FIGURES = ("sigma", "eps1", "eps_b", "bell_success", "cz_success",

@@ -237,6 +237,25 @@ class TestCzGate:
         assert cz_super_report95.success_prob == pytest.approx(
             eps1**4, abs=1e-3)
 
+    @pytest.mark.parametrize("beta, pinned", [(0.95, 0.997353),
+                                              (0.9, 0.988627)])
+    def test_lossy_fidelity_pinned(self, beta, pinned):
+        # |++> at the matched upper width, on that width's policy grid.
+        # The logical amplitudes are the CZ target's, but below beta 1 the
+        # survivors are not all in the pulse mode: that gap is the
+        # unheralded mode error of ROADMAP item 13
+        p = tp.TlsParams.from_beta(beta)
+        sigma = tp.matching_sigma(p, "upper")
+        grid = tp.SpectralGrid.for_pulse_width(sigma)
+        pulse = tp.make_pulse(tp.PulseShape("lorentzian", sigma), grid)
+        report = tp.cz_gate(tp.logical_state(grid, pulse, {
+            b: 0.5 for b in LOGICAL_BASIS}), p, pulse)
+        assert report.fidelity_to_target == pytest.approx(pinned, abs=1e-5)
+        amps = np.array([report.logical_amplitudes[b] for b in LOGICAL_BASIS])
+        target = np.array([0.5 * CZ_SIGNS[b] for b in LOGICAL_BASIS])
+        logical = abs(np.vdot(target, amps)) ** 2 / np.vdot(amps, amps).real
+        assert logical == pytest.approx(1.0, abs=1e-9)
+
     def test_uncompensated_skew(self, cz_super_report95_skewed, tls95,
                                 sigma_up95):
         eps1 = tp.epsilon1_analytic(tls95, sigma_up95)

@@ -1,6 +1,10 @@
+import sys
+import threading
+
 import pytest
 
 import tlsphot as tp
+from tlsphot import sweeps
 from tlsphot.sweeps import SweepSpec, fig1b_data, fig3_data, success_curves
 
 
@@ -58,6 +62,63 @@ class TestFig1b:
                                                sigma_range=(0.05, 4.0),
                                                sigma_count=9))]
         assert fig1b_data(spec) == alone
+
+    def test_rows_equal_a_serial_kernel_loop(self):
+        # widths on both sides of sigma = 0.4, where the policy grid
+        # changes regime, and a lossless beta between two lossy ones
+        spec = SweepSpec(beta_values=(0.95, 1.0, 0.9),
+                         sigma_range=(0.05, 4.0), sigma_count=15)
+        ps = [tp.TlsParams.from_beta(b) for b in spec.beta_values]
+        threads = threading.active_count()
+        rows = fig1b_data(spec)
+        assert threading.active_count() == threads
+        sigmas = spec.sigmas()
+        assert sigmas[0] < 0.4 <= sigmas[-1]
+        serial = [sweeps._eta_kernel(ps, s) for s in sigmas]
+        assert [r["eta"] for r in rows] == [
+            etas[k] for k in range(len(ps)) for etas in serial]
+        assert [r["sigma_over_gamma"] for r in rows] == list(sigmas) * 3
+
+    @pytest.mark.parametrize("failing, raised", [
+        ((8,), 8), ((2, 8), 2), ((0, 5), 0), ((6, 7), 6)])
+    def test_lowest_failing_width_raises(self, monkeypatch, failing, raised):
+        # the serial loop's exception, whichever end of the widths failed
+        spec = SweepSpec(beta_values=(0.95,), sigma_range=(0.05, 4.0),
+                         sigma_count=9)
+        index = {s: i for i, s in enumerate(spec.sigmas())}
+        kernel = sweeps._eta_kernel
+
+        def failing_kernel(ps, sigma, n_points):
+            if index[sigma] in failing:
+                raise RuntimeError(f"width {index[sigma]}")
+            return kernel(ps, sigma, n_points)
+
+        monkeypatch.setattr(sweeps, "_eta_kernel", failing_kernel)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"^width {raised}$"):
+            fig1b_data(spec)
+        assert threading.active_count() == threads
+
+    def test_both_ends_claim_each_index_once(self):
+        # thread switches every microsecond: a cursor update lost between
+        # the two ends would skip an index or run one twice
+        calls = []
+
+        def record(x):
+            calls.append(x)
+            return x * x
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for count in (1, 2, 3, 2000):
+                calls.clear()
+                items = list(range(count))
+                assert sweeps._from_both_ends(record, items) == [
+                    x * x for x in items]
+                assert sorted(calls) == items
+        finally:
+            sys.setswitchinterval(interval)
 
     # an oversized count is refused when the spec is built, before any
     # array is allocated
