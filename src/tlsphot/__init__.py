@@ -12,10 +12,8 @@ from .grid import (
     PulseShape,
     ResolutionError,
     SpectralGrid,
-    inner1,
     make_pulse,
     normalize,
-    time_reverse,
 )
 from .scatter import (
     ScatterOneResult,
@@ -29,7 +27,6 @@ from .scatter import (
     eta_analytic,
     eta_numeric,
     matching_sigma,
-    product_image,
     s_coeff,
     scatter_one,
     scatter_two,

@@ -8,6 +8,11 @@ Inner products are trapezoid-rule quadratures; accuracy is controlled by the
 resolution bounds checked in :func:`make_pulse` and by grid-refinement
 checks rather than by higher-order rules.  Photon-pair amplitudes live in
 :mod:`tlsphot.pairs` and take the grid's weights where they need them.
+
+Time enters through one Fourier convention, psi(t) = (2 pi)^(-1/2) integral
+f(delta) exp(-i delta t) d delta with t in units of 1/Gamma: a spectral phase
+exp(i delta tau) delays a pulse by tau, so the emitter, whose t(delta) has its
+pole at -i (gamma + 1) / 2, delays a resonant photon by 4 / (1 - gamma^2).
 """
 
 from __future__ import annotations
@@ -118,10 +123,6 @@ class SpectralGrid:
     def spacing(self) -> float:
         return self.samples[1] - self.samples[0]
 
-    @property
-    def delta_min(self) -> float:
-        return -self.delta_max
-
     @classmethod
     def for_pulse_width(cls, width: float,
                         n_points: int | None = None) -> "SpectralGrid":
@@ -132,10 +133,6 @@ class SpectralGrid:
         needed to satisfy the spacing bound h <= width/10.
         """
         return cls(*policy_size(width, n_points))
-
-    def refine(self, factor: int = 2) -> "SpectralGrid":
-        """Same window with spacing divided by ``factor`` (n -> factor*(n-1)+1)."""
-        return SpectralGrid(self.delta_max, factor * (self.n_points - 1) + 1)
 
     def require_same(self, other: "SpectralGrid") -> None:
         if (self.n_points != other.n_points
@@ -232,17 +229,3 @@ def normalize(a: OnePhotonAmp) -> OnePhotonAmp:
         raise ValueError("cannot normalize a zero amplitude")
     return OnePhotonAmp(a.grid, a.values / n)
 
-
-def inner1(a: OnePhotonAmp, b: OnePhotonAmp) -> complex:
-    """Discrete <a|b> = sum_i w_i conj(a_i) b_i."""
-    a.grid.require_same(b.grid)
-    return complex(np.sum(a.grid.weights * np.conj(a.values) * b.values))
-
-
-def time_reverse(a: OnePhotonAmp) -> OnePhotonAmp:
-    """Spectral inversion delta -> -delta (a sample permutation).
-
-    The grid symmetry guarantees mirrored samples exist.  The global delay
-    phase of a physical time reversal is dropped.
-    """
-    return OnePhotonAmp(a.grid, a.values[::-1].copy())

@@ -177,11 +177,6 @@ def _scattered(p: TlsParams, grid: SpectralGrid, pair: FactoredPair):
             _bound_term(pair, s, grid.spacing))
 
 
-def product_image(p: TlsParams, f: OnePhotonAmp) -> FactoredPair:
-    """Linear part of the pair output: (t f) x (t f), unnormalized."""
-    return FactoredPair.product(scatter_one(p, f).out.values)
-
-
 def bound_amplitude(p: TlsParams, f: OnePhotonAmp) -> FactoredPair:
     """Bound (spectrally entangled) part of the pair output for input f x f."""
     return _scattered(p, f.grid, FactoredPair.product(f.values))[1]

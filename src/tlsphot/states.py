@@ -27,9 +27,8 @@ hands them over.
 For a cross-rail pair (r, s) with r before s in the rail order, axis 0 of
 the stored pair belongs to the photon on r.  That rule lives in one reader
 and one writer, :func:`_read` and :func:`_put`, which the ops here and in
-:mod:`tlsphot.modeops` use; other code reads pairs with
-:meth:`FewPhotonState.pair` and adds to them with
-:meth:`FewPhotonState.add_pair`, both oriented by the rails they name.
+:mod:`tlsphot.modeops` use; other code reads a pair with
+:meth:`FewPhotonState.pair`, oriented by the rails it names.
 
 A rail's carrier is read from its label: light on a sum-frequency rail
 (:func:`sum_rail`) never interferes with original-frequency light.
@@ -280,20 +279,6 @@ class FewPhotonState:
         """Pair amplitude on rails (a, b) with axis 0 on ``a``, or
         None if the state holds none."""
         return _read(self.two_photon, self._order(a, b), a, b)
-
-    def add_pair(self, a: str, b: str, values) -> "FewPhotonState":
-        """New state with ``values`` (axis 0 on ``a``) added to the (a, b)
-        pair amplitude; None adds nothing.  ``values`` get the constructor's
-        pair checks, and an N x N array goes through the dense door."""
-        order = self._order(a, b)
-        if values is None:
-            return self
-        values = _checked_pair(self.rails, self.grid.n_points, (a, b),
-                               values, ordered=False)
-        twos = dict(self.two_photon)
-        _put(twos, order, a, b, values)
-        return self._build(self.grid, self.rails, self.vacuum_amp,
-                           dict(self.one_photon), twos, self.lost_mass)
 
     def norm1_sq(self, values: np.ndarray) -> float:
         return OnePhotonAmp(self.grid, values).norm_sq()

@@ -338,6 +338,10 @@ class TestLogicalReadout:
         with pytest.raises(ValueError, match=re.escape(repr(key))):
             tp.logical_state(circuit_grid, pulse0, {key: 1.0})
 
+    def test_bell_state_rejects_unknown_name(self, circuit_grid, pulse0):
+        with pytest.raises(ValueError, match="unknown Bell state 'psi'"):
+            tp.bell_state(circuit_grid, pulse0, "psi")
+
     @pytest.mark.parametrize("seed", range(4))
     def test_random_states_match_overlaps(self, seed):
         grid = tp.SpectralGrid(10.0, 41)

@@ -274,6 +274,14 @@ class TestConfigFaults:
         assert capsys.readouterr().err == line
         assert not out.exists()
 
+    def test_missing_config_file_exits_2(self, tmp_path, capsys):
+        cfg, out = tmp_path / "missing.ini", tmp_path / "out"
+        assert run_cli(["run", "fig3", "--config", str(cfg),
+                        "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_grid_max_flag_is_gone(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli(["run", "sorter-demo", "--grid-max", "40",
@@ -284,6 +292,8 @@ class TestConfigFaults:
         ("[grid]\nn_points = 1.5\n", "grid.n_points"),
         ("[run]\nsigma = abc\n", "run.sigma"),
         ("[tls]\nbeta = 1.5\n", "tls.beta"),
+        ("[run]\nbranch = middle\n", "run.branch"),
+        ("[convergence]\ntolerance = 0\n", "convergence.tolerance"),
     ])
     def test_run_exits_2_with_diagnostic(self, tmp_path, capsys, text, key):
         cfg = tmp_path / "typo.ini"

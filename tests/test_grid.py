@@ -9,7 +9,22 @@ from tlsphot.grid import (
     policy_size,
     require_symmetric,
 )
-from tlsphot.pairs import _SYMMETRY_TILE, FactoredPair, flip, inner
+from tlsphot.pairs import _SYMMETRY_TILE, FactoredPair, inner
+from tlsphot.states import FewPhotonState, overlap
+
+
+def one_photon(amp, pair=False):
+    """The state of one photon in ``amp`` on rail 'r', and of two in the
+    product amp x amp if ``pair``."""
+    return FewPhotonState.from_components(
+        amp.grid, ("r",), ones={"r": amp.values},
+        pairs={("r", "r"): FactoredPair.product(amp.values)} if pair else {})
+
+
+def braket(a, b):
+    """<a|b> of two one-photon amplitudes, through the library's one overlap
+    (``overlap(state, target)`` is <target|state>)."""
+    return overlap(one_photon(b), one_photon(a))
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +39,8 @@ def lor(grid):
 
 class TestSpectralGrid:
     def test_symmetric_and_uniform(self, grid):
-        assert grid.delta_min == -grid.delta_max
+        assert grid.samples[0] == -grid.delta_max
+        assert grid.samples[-1] == grid.delta_max
         steps = np.diff(grid.samples)
         assert np.allclose(steps, grid.spacing, rtol=0, atol=1e-12)
         assert grid.samples[grid.n_points // 2] == 0.0
@@ -67,18 +83,10 @@ class TestSpectralGrid:
             tp.SpectralGrid(1.0, MAX_N_POINTS + 2)
         with pytest.raises(tp.GridSizeError):
             policy_size(1.0, n_points=MAX_N_POINTS + 2)
-        with pytest.raises(tp.GridSizeError):
-            tp.SpectralGrid(1.0, (MAX_N_POINTS + 5) // 2).refine(2)
 
     def test_policy_window_is_80_widths_at_least_80(self):
         assert policy_size(0.5) == (80.0, 4001)
         assert policy_size(1.25)[0] == 80 * 1.25
-
-    def test_refine_keeps_window_and_parity(self, grid):
-        fine = grid.refine(2)
-        assert fine.delta_max == grid.delta_max
-        assert fine.n_points == 2 * (grid.n_points - 1) + 1
-        assert fine.n_points % 2 == 1
 
     def test_policy_meets_resolution_bound(self):
         for width in (0.05, 0.1, 1.0, 5.0):
@@ -103,12 +111,17 @@ class TestMakePulse:
     def test_grid_refinement_stability(self):
         # sampled shape converges: doubling the sample count barely moves it
         g1 = tp.SpectralGrid(50.0, 4001)
-        g2 = g1.refine(2)
+        g2 = tp.SpectralGrid(50.0, 8001)
         f1 = tp.make_pulse(tp.PulseShape("lorentzian", 1.0), g1)
         f2 = tp.make_pulse(tp.PulseShape("lorentzian", 1.0), g2)
         diff = f2.values[::2] - f1.values
         diff_norm = np.sum(g1.weights * np.abs(diff) ** 2)
         assert np.sqrt(diff_norm) < 1e-6
+
+    def test_zero_amplitude_not_normalized(self, grid):
+        zero = tp.OnePhotonAmp(grid, np.zeros(grid.n_points, dtype=complex))
+        with pytest.raises(ValueError, match="zero amplitude"):
+            tp.normalize(zero)
 
     def test_too_coarse_rejected(self):
         g = tp.SpectralGrid(50.0, 101)
@@ -140,19 +153,19 @@ class TestMakePulse:
 
 class TestInnerProducts:
     def test_self_inner_is_one(self, lor):
-        assert tp.inner1(lor, lor) == pytest.approx(1.0, abs=1e-12)
+        assert braket(lor, lor) == pytest.approx(1.0, abs=1e-12)
 
     def test_conjugate_symmetry(self, grid, lor):
         g = tp.make_pulse(tp.PulseShape("gaussian", 0.8, center=1.5), grid)
-        assert tp.inner1(lor, g) == pytest.approx(
-            np.conj(tp.inner1(g, lor)), abs=1e-14)
+        assert braket(lor, g) == pytest.approx(
+            np.conj(braket(g, lor)), abs=1e-14)
 
     def test_separated_lorentzians_overlap_small(self):
         # oracle: independent fine-grid trapezoid quadrature
         g = tp.SpectralGrid(120.0, 16001)
         a = tp.make_pulse(tp.PulseShape("lorentzian", 1.0, center=+2.5), g)
         b = tp.make_pulse(tp.PulseShape("lorentzian", 1.0, center=-2.5), g)
-        val = tp.inner1(a, b)
+        val = braket(a, b)
         x = np.linspace(-120, 120, 64001)
         fa = np.sqrt(2 / np.pi) / (1 + (x - 2.5) ** 2)
         fb = np.sqrt(2 / np.pi) / (1 + (x + 2.5) ** 2)
@@ -164,7 +177,7 @@ class TestInnerProducts:
         other = tp.make_pulse(tp.PulseShape("lorentzian", 1.0),
                               tp.SpectralGrid(50.0, 2001))
         with pytest.raises(GridMismatchError):
-            tp.inner1(lor, other)
+            braket(lor, other)
 
     def test_sesquilinearity(self, grid, lor):
         rng = np.random.default_rng(7)
@@ -174,8 +187,8 @@ class TestInnerProducts:
                             + 1j * rng.standard_normal(grid.n_points))
         al, be = 0.3 - 1.1j, -0.8 + 0.2j
         combo = tp.OnePhotonAmp(grid, al * b.values + be * c.values)
-        lhs = tp.inner1(lor, combo)
-        rhs = al * tp.inner1(lor, b) + be * tp.inner1(lor, c)
+        lhs = braket(lor, combo)
+        rhs = al * braket(lor, b) + be * braket(lor, c)
         assert lhs == pytest.approx(rhs, rel=1e-13)
 
     def test_pair_inner_product_norm(self, grid, lor):
@@ -262,28 +275,43 @@ class TestRequireSymmetric:
 
 
 class TestTimeReverse:
+    """The grid's mirror map delta -> -delta, a permutation of its samples,
+    as the memory applies it (:func:`tlsphot.gem_invert`)."""
+
+    # the pairs' N x N arrays are 4 MB here
+    PAIR_GRID = tp.SpectralGrid(25.0, 501)
+
     def test_involution(self, grid):
         f = tp.make_pulse(tp.PulseShape("gaussian", 0.7, center=1.2), grid)
-        back = tp.time_reverse(tp.time_reverse(f))
-        assert np.array_equal(back.values, f.values)
+        back = tp.gem_invert(tp.gem_invert(one_photon(f)))
+        assert np.array_equal(back.one_photon["r"], f.values)
 
-    def test_even_pulse_fixed_point(self, lor):
-        rev = tp.time_reverse(lor)
-        assert np.allclose(rev.values, lor.values, atol=1e-14)
+    def test_even_pulse_fixed_point(self):
+        f = tp.make_pulse(tp.PulseShape("lorentzian", 1.0), self.PAIR_GRID)
+        rev = tp.gem_invert(one_photon(f, pair=True))
+        assert np.allclose(rev.one_photon["r"], f.values, atol=1e-14)
+        assert np.allclose(rev.pair("r", "r").dense(),
+                           np.outer(f.values, f.values), atol=1e-14)
 
     def test_center_reflection(self, grid):
         f = tp.make_pulse(tp.PulseShape("lorentzian", 1.0, center=2.0), grid)
         g = tp.make_pulse(tp.PulseShape("lorentzian", 1.0, center=-2.0), grid)
-        assert np.allclose(tp.time_reverse(f).values, g.values, atol=1e-12)
+        rev = tp.gem_invert(one_photon(f))
+        assert np.allclose(rev.one_photon["r"], g.values, atol=1e-12)
 
     def test_norm_preserved_exactly(self, grid):
         rng = np.random.default_rng(3)
         v = rng.standard_normal(grid.n_points) * 1j + rng.standard_normal(
             grid.n_points)
         a = tp.OnePhotonAmp(grid, v)
-        assert tp.time_reverse(a).norm_sq() == a.norm_sq()
+        rev = tp.gem_invert(one_photon(a))
+        assert rev.norm1_sq(rev.one_photon["r"]) == a.norm_sq()
 
-    def test_two_photon_reverse(self, lor):
-        psi = FactoredPair.product(tp.time_reverse(lor).values)
-        rev = flip(FactoredPair.product(lor.values), (True, True))
-        assert np.allclose(rev.dense(), psi.dense(), atol=1e-14)
+    def test_two_photon_reverse(self):
+        # the pair's reversal is the product of the photon's
+        f = tp.make_pulse(tp.PulseShape("lorentzian", 1.0, center=2.0),
+                          self.PAIR_GRID)
+        rev = tp.gem_invert(one_photon(f, pair=True))
+        g = rev.one_photon["r"]
+        assert np.allclose(rev.pair("r", "r").dense(), np.outer(g, g),
+                           atol=1e-14)

@@ -124,7 +124,28 @@ class TestSfgExtract:
                                                                    abs=1e-12)
 
 
+class TestPulseGateSpec:
+    @pytest.mark.parametrize("efficiency", [-0.1, 1.1, np.nan])
+    def test_efficiency_outside_unit_interval_refused(self, pump_pulse,
+                                                      efficiency):
+        with pytest.raises(ValueError, match=r"must be in \[0, 1\]"):
+            tp.PulseGateSpec(pump_pulse, efficiency)
+
+    def test_unnormalized_pump_refused(self, grid, pump_pulse):
+        pump = tp.OnePhotonAmp(grid, 1.01 * pump_pulse.values)
+        with pytest.raises(ValueError, match="pump mode must be normalized"):
+            tp.PulseGateSpec(pump)
+
+
 class TestSfgReverse:
+    def test_without_sum_frequency_rail_refused(self, grid, pump_pulse,
+                                                gate):
+        st = FewPhotonState.from_components(
+            grid, ("sig",), ones={"sig": pump_pulse.values})
+        with pytest.raises(ValueError,
+                           match="no sum-frequency rail for 'sig'"):
+            tp.sfg_reverse(st, "sig", gate)
+
     def test_extract_reverse_roundtrip(self, grid, pump_pulse, gate):
         st = FewPhotonState.from_components(
             grid, ("sig",), ones={"sig": pump_pulse.values})
@@ -310,6 +331,14 @@ class TestGemInvert:
 
 
 class TestComponentPhaseLoss:
+    @pytest.mark.parametrize("photons", [0, 3])
+    def test_photon_count_outside_one_two_refused(self, grid, pump_pulse,
+                                                  photons):
+        st = FewPhotonState.from_components(
+            grid, ("a",), ones={"a": pump_pulse.values})
+        with pytest.raises(ValueError, match="photons must be 1 or 2"):
+            tp.component_phase_loss(st, "a", photons=photons, phase=0.5)
+
     def test_pi_phase_negates_pair(self, grid, pump_pulse):
         arr = np.outer(pump_pulse.values, pump_pulse.values)
         st = FewPhotonState.from_components(

@@ -164,6 +164,14 @@ class TestFactoredPair:
         with pytest.raises(TypeError):
             pair + other.dense()
 
+    @pytest.mark.parametrize("scale", [np.ones(3), np.ones(N)])
+    def test_scale_by_array_refused(self, pair, scale):
+        # a pair scales by a number only; numpy does not densify it
+        with pytest.raises(TypeError):
+            pair * scale
+        with pytest.raises(TypeError):
+            scale * pair
+
     def test_shared_factors_merge(self):
         rng = np.random.default_rng(9)
         a, b, c1, c2 = (rvec(rng), rvec(rng), rvec(rng, 2 * N - 1),
@@ -707,6 +715,10 @@ class TestDoor:
         with pytest.raises(ValueError, match="unknown rail"):
             FewPhotonState.from_components(
                 GRID, ("a",), pairs={("a", "z"): np.eye(N)})
+
+    def test_non_square_refused(self):
+        with pytest.raises(ValueError, match=r"square, got shape \(3, 4\)"):
+            pairs.from_dense(np.ones((3, 4)), False)
 
     def test_term_cap(self):
         n = 2 * pairs.MAX_DOOR_TERMS + 1

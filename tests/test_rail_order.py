@@ -119,9 +119,9 @@ class TestConstructor:
 
     def test_add_pair_accumulates_across_orientations(self):
         for pair, arr, tol in oriented_pairs():
-            state = FewPhotonState.from_components(GRID, RAILS,
-                                                   pairs={("c", "a"): pair})
-            state = state.add_pair("a", "c", state.pair("c", "a").T)
+            # the same pair given on (c, a) and, transposed, on (a, c)
+            state = FewPhotonState.from_components(
+                GRID, RAILS, pairs={("c", "a"): pair, ("a", "c"): pair.T})
             assert np.allclose(state.pair("c", "a"), 2 * arr, rtol=0,
                                atol=tol)
             assert len(state.two_photon) == 1

@@ -79,6 +79,21 @@ class TestTransferCoeff:
         p = tp.TlsParams.from_beta(0.9)
         assert p.beta_dir == pytest.approx(0.9, abs=1e-15)
 
+    # The grid's Fourier convention, psi(t) ~ integral f(delta)
+    # exp(-i delta t), makes a phase slope d arg t / d delta a delay.  A
+    # causal emitter delays on resonance by 4 / (1 - gamma^2); t conjugated,
+    # its mirror t(-delta) on real delta, would advance the photon as much.
+    @pytest.mark.parametrize("beta, delay", [(1.0, 4.0), (0.95, 4.0111),
+                                             (0.6, 7.2)])
+    def test_group_delay_on_resonance(self, beta, delay):
+        p = tp.TlsParams.from_beta(beta)
+        d = 1e-5
+        slope = np.angle(tp.transfer_coeff(p, d)
+                         / tp.transfer_coeff(p, -d)) / (2.0 * d)
+        assert slope == pytest.approx(4.0 / (1.0 - p.gamma_loss**2),
+                                      rel=1e-8)
+        assert slope == pytest.approx(delay, abs=1e-4)
+
 
 class TestScatterOne:
     def test_lossless_survival(self, lossless, grid):
@@ -95,6 +110,32 @@ class TestScatterOne:
             tp.PulseShape("lorentzian", sigma), g))
         assert res.epsilon1 == pytest.approx(
             tp.epsilon1_analytic(p, sigma), abs=1e-6)
+
+    @pytest.mark.parametrize("beta", [1.0, 0.95, 0.6])
+    @pytest.mark.parametrize("sigma", [0.5, 1.0])
+    def test_scattered_photon_arrives_later(self, beta, sigma):
+        # psi at the times 2 pi m / (n h) is one FFT of the samples, up to a
+        # phase at each time; the centroid of |psi|^2 moves by the group
+        # delay arg t' = a / (d^2 + a^2) + b / (d^2 + b^2), a = (1 - gamma)
+        # / 2, b = (1 + gamma) / 2, averaged over the output spectrum
+        p = tp.TlsParams.from_beta(beta)
+        g = tp.SpectralGrid.for_pulse_width(sigma)
+        f = lorentzian(g, sigma)
+        out = tp.scatter_one(p, f).out.values
+        times = 2.0 * np.pi * np.fft.fftfreq(g.n_points, g.spacing)
+
+        def centroid(values):
+            prob = np.abs(np.fft.fft(values)) ** 2
+            return np.sum(times * prob) / np.sum(prob)
+
+        d_sq = g.samples ** 2
+        a, b = (1.0 - p.gamma_loss) / 2.0, (1.0 + p.gamma_loss) / 2.0
+        delay = a / (d_sq + a * a) + b / (d_sq + b * b)
+        spectrum = g.weights * np.abs(out) ** 2
+        expected = np.sum(spectrum * delay) / np.sum(spectrum)
+        assert expected > 1.0
+        assert centroid(f.values) == pytest.approx(0.0, abs=1e-12)
+        assert centroid(out) == pytest.approx(expected, abs=1e-7)
 
     def test_narrowband_limit_is_resonant_transmission(self):
         p = tp.TlsParams(gamma_loss=0.2)
@@ -125,7 +166,7 @@ class TestScatterTwo:
         g = tp.SpectralGrid(40.0, 2001)
         f = lorentzian(g, 0.5)
         out = tp.scatter_two(lossless, g, pair_of(f))
-        prod = tp.product_image(lossless, f)
+        prod = FactoredPair.product(tp.scatter_one(lossless, f).out.values)
         # product image has unit norm at gamma=0
         ov = inner(prod, out, g.weights)
         assert ov.real == pytest.approx(1 - 2 * 0.71875, abs=1e-3)
