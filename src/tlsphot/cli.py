@@ -48,6 +48,7 @@ from .grid import (
     SpectralGrid,
     make_pulse,
     policy_size,
+    resolved_size,
 )
 from .modeops import leakage_metric, sum_rail
 from .pairs import FactoredPair
@@ -176,7 +177,7 @@ def _parse(cfg: dict):
         where = (f"grid.n_points = {cfg['grid']['n_points']}, "
                  f"run.sigma = {sigma}")
         try:
-            _policy_pulse(sigma, n_points)
+            resolved_size(sigma, n_points)
             _rerun_size(sigma, n_points)
         except ResolutionError as exc:
             diagnostics.append(f"{where}: grid resolution: {exc}")

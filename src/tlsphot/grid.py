@@ -88,6 +88,20 @@ def policy_size(width: float,
     return delta_max, n_points
 
 
+def resolved_size(width: float,
+                  n_points: int | None = None) -> tuple[float, int, float]:
+    """(delta_max, n_points, spacing) of :func:`policy_size`'s grid, from the
+    sizes alone: the spacing is the one :attr:`SpectralGrid.spacing` reports,
+    and a grid that does not resolve ``width`` raises the
+    :class:`ResolutionError` :func:`make_pulse` would raise on it."""
+    delta_max, n_points = policy_size(width, n_points)
+    # np.linspace's second sample is step - delta_max, so its spacing is
+    # rounded twice
+    h = (2.0 * delta_max / (n_points - 1) - delta_max) + delta_max
+    _check_resolution(h, delta_max, width)
+    return delta_max, n_points, h
+
+
 @dataclass(frozen=True)
 class SpectralGrid:
     """Uniform detuning grid, symmetric about zero, with trapezoid weights.

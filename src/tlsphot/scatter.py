@@ -34,8 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (OnePhotonAmp, SpectralGrid, _check_resolution,
-                   lorentzian_at, policy_size)
+from .grid import OnePhotonAmp, SpectralGrid, lorentzian_at, resolved_size
 from .pairs import FactoredPair, _fast_len, inner, norm_sq, shared, times
 from .roots import NoCrossingError, bisect, golden_max
 
@@ -306,13 +305,9 @@ def _eta_kernel(ps, sigma: float, n_points: int | None = None) -> list:
     """
     if all(p.gamma_loss == 0.0 for p in ps):
         return [eta_analytic(p, sigma) for p in ps]
-    delta_max, n = policy_size(sigma, n_points)
+    delta_max, n, h = resolved_size(sigma, n_points)
     half = n // 2
     step = delta_max / half
-    # the spacing SpectralGrid reports, rounded as np.linspace rounds its
-    # second sample: eta is eta_numeric's to rounding, refusals make_pulse's
-    h = (step - delta_max) + delta_max
-    _check_resolution(h, delta_max, sigma)
     d = step * np.arange(half + 1)
     w = np.full(half + 1, h)
     w[-1] *= 0.5

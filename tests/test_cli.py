@@ -352,6 +352,36 @@ class TestConfigFaults:
         assert capsys.readouterr().err == validated
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, line", [
+        # run.sigma's policy grid (1 600 001 samples) is affordable, its
+        # rerun's 3 200 001 are not
+        pytest.param("[run]\nsigma = 0.001\n",
+                     "grid.n_points = auto, run.sigma = 0.001: the headline "
+                     "rerun needs 2 n - 1 = 3200001 samples, above the "
+                     "maximum of 2000001\n", id="rerun-size"),
+        pytest.param("[grid]\nn_points = 101\n[run]\nsigma = 1.0\n",
+                     "grid.n_points = 101, run.sigma = 1.0: grid resolution: "
+                     "grid too coarse: spacing 1.6 exceeds width/10 = 0.1\n",
+                     id="resolution"),
+    ])
+    def test_run_sigma_checked_without_sampling(self, tmp_path, capsys,
+                                                monkeypatch, text, line):
+        # run.sigma's grid is checked from its sizes alone
+        def refuse(*args, **kwargs):
+            raise AssertionError("a pulse was sampled")
+
+        monkeypatch.setattr(cli, "make_pulse", refuse)
+        monkeypatch.setattr(np, "linspace", refuse)
+        cfg = tmp_path / "narrow.ini"
+        cfg.write_text(text)
+        assert run_cli(["validate", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().out == line
+        out = tmp_path / "out"
+        assert run_cli(["run", "cz-demo", "--config", str(cfg),
+                        "--out", str(out)]) == 2
+        assert capsys.readouterr().err == line
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_sigma_flag_exits_2(self, tmp_path, capsys, value):
         out = tmp_path / "out"

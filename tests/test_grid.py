@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import tlsphot as tp
 from tlsphot.grid import (
@@ -8,6 +10,7 @@ from tlsphot.grid import (
     ResolutionError,
     policy_size,
     require_symmetric,
+    resolved_size,
 )
 from tlsphot.pairs import _SYMMETRY_TILE, FactoredPair, inner
 from tlsphot.states import FewPhotonState, overlap
@@ -93,6 +96,46 @@ class TestSpectralGrid:
             g = tp.SpectralGrid.for_pulse_width(width)
             assert g.spacing <= width / 10 * (1 + 1e-9)
             assert g.delta_max >= 25 * width
+
+
+class TestResolvedSize:
+    # the policy grid's sizes and spacing without the grid: callers that
+    # sample part of it, or only check it, get make_pulse's refusals
+
+    @settings(max_examples=200, deadline=None)
+    @given(delta_max=st.floats(80.0, 1e9),
+           n_points=st.integers(800, 100_000).map(lambda k: 2 * k + 1))
+    @example(delta_max=80.0, n_points=1601)  # spacing exactly width / 10
+    def test_spacing_is_linspace_spacing(self, delta_max, n_points):
+        # the policy window of a width of 1 or more is 80 widths, which
+        # 1601 or more samples resolve
+        d, n, h = resolved_size(delta_max / 80.0, n_points)
+        samples = np.linspace(-d, d, n)
+        assert n == n_points
+        assert h == samples[1] - samples[0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(width=st.floats(0.02, 50.0) | st.floats(1e-12, 5e-4),
+           n_points=(st.none()
+                     | st.integers(-1, 20_000).map(lambda k: 2 * k + 1)
+                     | st.integers(0, 20_000).map(lambda k: 2 * k)))
+    @example(width=1.0, n_points=1601)  # spacing exactly width / 10
+    @example(width=1.0, n_points=1599)
+    @example(width=0.5, n_points=None)
+    @example(width=1e-9, n_points=None)
+    @example(width=1.2, n_points=4000)
+    def test_refuses_what_make_pulse_refuses(self, width, n_points):
+        try:
+            grid = tp.SpectralGrid(*policy_size(width, n_points))
+            tp.make_pulse(tp.PulseShape("lorentzian", width), grid)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                resolved_size(width, n_points)
+            assert type(info.value) is type(exc)
+            assert str(info.value) == str(exc)
+        else:
+            assert resolved_size(width, n_points) == (
+                grid.delta_max, grid.n_points, grid.spacing)
 
 
 class TestMakePulse:

@@ -306,7 +306,7 @@ def test_kernel_is_eta_numeric_where_make_pulse_samples(beta, sigma,
             pytest.approx(tp.eta_numeric(p, f), abs=1e-13))
     lossless = tp.TlsParams()
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(scatter, "policy_size", _refuse)
+        m.setattr(scatter, "resolved_size", _refuse)
         assert scatter._eta_kernel((lossless, lossless), sigma, n_points) == (
             [tp.eta_analytic(lossless, sigma)] * 2)
 
