@@ -48,9 +48,10 @@ the same reversed its norm is that pair's: reversing both axes reorders
 the sum's products without changing one.
 
 A dense N x N array enters through one door, :func:`from_dense`, which
-checks it and factors it into ``c = None`` terms; no other code here builds
-or reads an N x N array, apart from :meth:`FactoredPair.dense` for callers
-that ask for one.
+checks it and takes it only as one product term k a(x) b(y), ``c = None``;
+an amplitude of several terms is built as a :class:`FactoredPair` of them.
+No other code here builds or reads an N x N array, apart from
+:meth:`FactoredPair.dense` for callers that ask for one.
 """
 
 from __future__ import annotations
@@ -72,12 +73,9 @@ _NORM_TILE = 64
 # take 256 MB at n = 4001; 64 x 64 tiles (64 KB temporaries) are as fast as
 # larger ones and, unlike 512-wide tiles (5 MB more), leave peak RSS as is.
 _SYMMETRY_TILE = 64
-# the door's factorization: the most terms it writes, the weight it may
-# leave out relative to the array's own (the symmetry check's tolerance,
-# squared), and the sketch widths it tries, the last with 8 columns to spare
-MAX_DOOR_TERMS = 32
+# the weight the door's one term may leave out, relative to the array's own:
+# the symmetry check's tolerance, squared
 _DOOR_RTOL = 1e-10
-_SKETCH_WIDTHS = (8, 16, MAX_DOOR_TERMS + 8)
 
 
 @lru_cache(maxsize=256)
@@ -494,71 +492,67 @@ def require_symmetric(values: np.ndarray, tol: float = 1e-10) -> None:
         )
 
 
-def _dense_norm_sq(values, w, u=None, vh=None) -> float:
-    """sum_ij w_i w_j |A - u @ vh|_ij^2 (u, vh None for A itself) over
-    64-row tiles: each tile's squared float view times the doubled
-    weights, in one reused 64 x N buffer, so no N x N temporary."""
+def _dense_norm_sq(values, w, term=None) -> float:
+    """sum_ij w_i w_j |A - k a(x) b(y)|_ij^2 (``term`` = (k, a, b), None
+    for A itself) over 64-row tiles: each tile's squared float view times
+    the doubled weights, in one reused 64 x N buffer, so no N x N
+    temporary and no matrix product."""
     if not values.flags.c_contiguous and values.flags.f_contiguous:
         values = values.T  # same weights on both axes
-        if u is not None:
-            u, vh = vh.T, u.T
+        if term is not None:
+            term = (term[0], term[2], term[1])
     w2 = np.repeat(w, 2)
     buf = np.empty((_NORM_TILE, values.shape[1]), dtype=complex)
     total = 0.0
     for i in range(0, values.shape[0], _NORM_TILE):
         rows = buf[:len(values[i:i + _NORM_TILE])]
-        if u is None:
+        if term is None:
             rows[...] = values[i:i + _NORM_TILE]
         else:
-            np.matmul(u[i:i + _NORM_TILE], vh, out=rows)
+            k, a, b = term
+            np.multiply.outer(k * a[i:i + _NORM_TILE], b, out=rows)
             np.subtract(values[i:i + _NORM_TILE], rows, out=rows)
         square = rows.view(float)
         np.multiply(square, square, out=square)
-        total += w[i:i + _NORM_TILE] @ (square @ w2)
+        square *= w2
+        total += np.sum(w[i:i + _NORM_TILE] * np.sum(square, axis=1))
     return float(total)
 
 
-def _low_rank(values, width, rng):
-    """u, s, vh, values ~ u.T @ diag(s) @ vh with complex contiguous rows,
-    from a Gaussian sketch of ``width`` columns (randomized range finder:
-    Halko, Martinsson & Tropp, SIAM Rev. 53, 217 (2011)); no N x N array."""
-    q, _ = np.linalg.qr(values @ rng.standard_normal((values.shape[1],
-                                                       width)))
-    ub, s, vh = np.linalg.svd(q.conj().T @ values, full_matrices=False)
-    return np.asarray(ub.T @ q.T, complex), s, np.asarray(vh, complex)
-
-
-def _door_terms(s, u, vh, align):
-    """(coef, a, b) for the first len(s) singular triples s_k, u_k, conj(v_k)
-    (rows of ``u``, ``vh``): (1, s_k u_k, conj(v_k)), or with ``align`` the
-    diagonal (e^{i phi} s_k, u_k, u_k) where |conj(v_k) - e^{i phi} u_k| <=
-    1e-10 (1 - |<u_k, conj(v_k)>| is only second order in that difference)."""
-    terms = []
-    for sk, uk, vk in zip(s, u, vh):
-        phase = np.exp(1j * np.angle(np.vdot(uk, vk)))
-        aligned = align and np.linalg.norm(vk - phase * uk) <= _DOOR_RTOL
-        terms.append((phase * sk, uk, uk) if aligned else (1.0, sk * uk, vk))
-    return terms
+def _pivot(values, symmetric):
+    """(i, j) of a largest-modulus entry, searched over 64-row tiles; with
+    ``symmetric``, of the diagonal, where an exchange-symmetric product
+    k a(x) a(y) has one."""
+    if symmetric:
+        j = int(np.argmax(np.abs(np.diagonal(values))))
+        return j, j
+    tops = [np.max(np.abs(values[i:i + _NORM_TILE]), axis=1)
+            for i in range(0, len(values), _NORM_TILE)]
+    i = int(np.argmax(np.concatenate(tops)))
+    return i, int(np.argmax(np.abs(values[i])))
 
 
 def from_dense(values, symmetric: bool) -> FactoredPair:
-    """The door for dense input: an N x N array as a factored pair.
+    """The door for dense input: an N x N array that is one product term
+    k a(x) b(y), as a one-term pair.
 
     A same-rail (``symmetric``) array must pass :func:`require_symmetric`;
-    any array must be finite.  Both checks run before the factorization.
-    The array is then factored by a randomized range finder into terms
-    s_k u_k(x) conj(v_k)(y), A = U S V^H, widening the sketch until the
-    weight the terms leave out is at most (1e-10)^2 of the array's own
-    (both from the tiled norm kernel).  For a symmetric array the terms
-    are exchange symmetrized, exact as A = A^T, and diagonal where
-    :func:`_door_terms` aligns them and the bound still holds.  A rank-1
-    input such as np.outer(f, f) comes out as one term, exact to rounding.
+    any array must be finite.  A largest-modulus entry A[i, j]
+    (:func:`_pivot`) gives the term (1 / A[i, j], A[:, j], A[i, :]); on a
+    same-rail array the entry is on the diagonal and the term is the
+    diagonal (1 / A[j, j], A[:, j], A[:, j]).  The factors are copies, so
+    the pair does not keep the N x N array alive.  The term must leave out
+    at most (1e-10)^2 of the array's own weight (both from the tiled norm
+    kernel).  So np.outer(f, f) comes out as one diagonal term, exact to
+    rounding, and a zero array as one zero term.  A dense amplitude of
+    several Schmidt terms is a :class:`FactoredPair` of them, as the
+    README's SVD recipe builds.
 
     Raises
     ------
     ValueError
         If the array is not square, not finite, a same-rail array is not
-        symmetric, or it needs more than ``MAX_DOOR_TERMS`` terms.
+        symmetric, or it is not one product term.
     """
     values = np.asarray(values)
     n = values.shape[0]
@@ -571,20 +565,14 @@ def from_dense(values, symmetric: bool) -> FactoredPair:
     total = _dense_norm_sq(values, w)
     if not np.isfinite(total):
         raise ValueError("two-photon amplitude holds non-finite values")
-    rng = np.random.default_rng(0)  # the same terms for the same array
-    for width in _SKETCH_WIDTHS:
-        width = min(width, n)
-        u, s, vh = _low_rank(values, width, rng)
-        # the fewest terms (one for a zero array) whose left-out singular
-        # weight is in bounds; the sketch must be wider than they are
-        left = np.cumsum((s**2)[::-1])[::-1]
-        rank = max(int(np.sum(left > _DOOR_RTOL**2 * total)), 1)
-        if rank > MAX_DOOR_TERMS or rank == width < n:
-            continue
-        for align in (True, False) if symmetric else (False,):
-            terms = _door_terms(s[:rank], u, vh, align)
-            k, a, b = (np.array(x) for x in zip(*terms))
-            if _dense_norm_sq(values, w, a.T * k, b) <= _DOOR_RTOL**2 * total:
-                return FactoredPair._raw([(*t, None) for t in terms], symmetric)
-    raise ValueError(f"dense pair amplitude needs more than "
-                     f"{MAX_DOOR_TERMS} factored terms")
+    i, j = _pivot(values, symmetric)
+    top = values[i, j]
+    k = 1.0 / top if top else 0.0
+    a = np.array(values[:, j], dtype=complex)
+    b = a if symmetric else np.array(values[i], dtype=complex)
+    if _dense_norm_sq(values, w, (k, a, b)) > _DOOR_RTOL**2 * total:
+        raise ValueError(
+            "dense pair amplitude is not one product term k a(x) b(y); "
+            "pass a FactoredPair of its Schmidt terms (README: the "
+            "np.linalg.svd recipe)")
+    return FactoredPair._raw([(k, a, b, None)], symmetric)

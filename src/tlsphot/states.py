@@ -8,7 +8,8 @@ double integral is the occupation probability (a pair of identical photons in
 a unit mode f on one rail has amplitude f(x) f(y)).  A pair amplitude is a
 factored sum of terms a(x) b(y) c(x + y) (:mod:`tlsphot.pairs`); a dense
 N x N array given to the constructor or written into ``two_photon`` goes
-through the door :func:`tlsphot.pairs.from_dense` once.
+through the door :func:`tlsphot.pairs.from_dense` once, which takes only an
+array that is one product term k a(x) b(y).
 
 The public constructor, ``FewPhotonState(...)`` and so
 :meth:`FewPhotonState.from_components` and ``dataclasses.replace``, checks
@@ -248,10 +249,11 @@ class FewPhotonState:
 
         ``ones`` maps a rail to its one-photon spectral values; ``pairs`` maps
         a rail pair (a, b) to its pair values with axis 0 on a, a
-        :class:`~tlsphot.pairs.FactoredPair` or an N x N array (factored by
-        :func:`~tlsphot.pairs.from_dense`); pairs given on both (a, b) and
-        (b, a) add up.  Rails must be distinct and known, values sized for
-        the grid and finite, and same-rail pairs exchange symmetric.  The
+        :class:`~tlsphot.pairs.FactoredPair` or an N x N array of one
+        product term (:func:`~tlsphot.pairs.from_dense`); pairs given on
+        both (a, b) and (b, a) add up.  Rails must be distinct and known,
+        values sized for the grid and finite, and same-rail pairs exchange
+        symmetric.  The
         constructor takes the same arguments and makes the same checks, and
         a write into a built state's ``one_photon`` or ``two_photon`` gets
         them too.

@@ -7,8 +7,9 @@ near 1e-7, far below every asserted tolerance.  The lossy pulse
 ``pulse95`` shares that grid, so a test can mix the two pulses.  Tests
 build their states with ``FewPhotonState.from_components`` and factored
 pairs (``FactoredPair.product``): a dense pair there would take 256 MB.
-``random_state`` builds its pairs as arrays, so every state it makes goes
-through the door (``pairs.from_dense``); it is used on small grids only.
+``random_state`` builds its cross-rail pairs as arrays, so every state it
+makes goes through the door (``pairs.from_dense``); it is used on small
+grids only.
 Expensive end-to-end runs are session-scoped so the unit tests and the
 acceptance suite share them.
 """
@@ -78,8 +79,11 @@ def random_state(grid, rails, seed):
     pairs = {}
     for i, a in enumerate(rails):
         for b in rails[i:]:
-            arr = np.outer(rvec(), rvec())
-            pairs[(a, b)] = 0.5 * (arr + arr.T) if a == b else arr
+            x, y = rvec(), rvec()
+            # a same-rail pair as one symmetrized term, (x(x) y(y) + y(x)
+            # x(y)) / 2; a cross-rail pair as an array, through the door
+            pairs[(a, b)] = (FactoredPair([(1.0, x, y, None)], symmetric=True)
+                             if a == b else np.outer(x, y))
     total = FewPhotonState.from_components(grid, rails, vacuum, ones,
                                            pairs).surviving_norm_sq()
     scale = 1.0 / np.sqrt(total)

@@ -67,6 +67,38 @@ MUTANTS = [
     ("mirrored-transfer-coeff", "src/tlsphot/scatter.py",
      "    return num / den\n",
      "    return np.conj(num / den)\n"),
+    # the sign gates' pair transmission eta2 applied as an amplitude
+    ("eta2-exponent", "src/tlsphot/circuits.py",
+     "transmission=np.sqrt(eta2))",
+     "transmission=eta2)"),
+    ("cz-outer-rails-sqrt-eps1", "src/tlsphot/circuits.py",
+     "        eps1_amp = scatter_one(p, pulse).epsilon1\n",
+     "        eps1_amp = np.sqrt(scatter_one(p, pulse).epsilon1)\n"),
+    ("pump-not-normalized", "src/tlsphot/circuits.py",
+     "            lambda: normalize(mode).values))\n",
+     "            lambda: mode.values.copy()))\n"),
+    ("cz-signs-swapped", "src/tlsphot/circuits.py",
+     "(0, 1): -1.0, (1, 0): 1.0,",
+     "(0, 1): 1.0, (1, 0): -1.0,"),
+    # the sum-frequency detectors of q1u and q1l exchanged
+    ("bell-detectors-swapped", "src/tlsphot/circuits.py",
+     "    **{sum_rail(rail): d for d, rail in enumerate(RAILS4, 1)},\n",
+     "    **{sum_rail(rail): d for d, rail in enumerate(\n"
+     "        (\"q1l\", \"q1u\", \"q2u\", \"q2l\"), 1)},\n"),
+    ("leakage-without-sqrt", "src/tlsphot/modeops.py",
+     "    return float(np.sqrt(g_perp.norm_sq()))\n",
+     "    return float(g_perp.norm_sq())\n"),
+    # kappa = i / pi: the bound term's 2 pi dropped to pi
+    ("bound-term-2pi", "src/tlsphot/scatter.py",
+     "    kappa = 0.5j / np.pi\n",
+     "    kappa = 1j / np.pi\n"),
+    ("lost-mass-unclamped", "src/tlsphot/states.py",
+     "max(lost, 0.0) if lossy else lost)",
+     "lost if lossy else lost)"),
+    # the door certifies no term: a rank-2 array would pass as one term
+    ("door-skips-residual", "src/tlsphot/pairs.py",
+     "    if _dense_norm_sq(values, w, (k, a, b)) > _DOOR_RTOL**2 * total:\n",
+     "    if False:\n"),
 ]
 
 

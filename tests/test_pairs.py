@@ -114,15 +114,15 @@ class TestFactoredPair:
         w = tp.SpectralGrid(10.0, n).weights
         big = rvec(rng, 4 * n * n).reshape(2 * n, 2 * n)
         arr = big[:n, :n].copy()
-        u, vh = rvec(rng, 2 * n).reshape(n, 2), rvec(rng, 2 * n).reshape(2, n)
+        k, a, b = 0.3 - 2j, rvec(rng, n), rvec(rng, n)
         for values in (arr, arr.T, np.asfortranarray(arr), big[::2, ::2],
                        arr.real):
             want = float(np.real(w @ (np.abs(values) ** 2) @ w))
             assert pairs._dense_norm_sq(values, w) == pytest.approx(
                 want, rel=1e-14)
-            # the door's residual form: || values - u @ vh ||
-            want = oracle.norm2(w, values - u @ vh)
-            assert pairs._dense_norm_sq(values, w, u, vh) == pytest.approx(
+            # the door's residual form: || values - k a(x) b(y) ||
+            want = oracle.norm2(w, values - k * np.outer(a, b))
+            assert pairs._dense_norm_sq(values, w, (k, a, b)) == pytest.approx(
                 want, rel=1e-13)
 
     @pytest.mark.parametrize("flips", [(True, True), (True, False),
@@ -643,24 +643,36 @@ class TestSharing:
 
 class TestDoor:
     """``pairs.from_dense``: the one way a dense N x N array becomes a
-    pair."""
+    pair, and only an array that is one product term k a(x) b(y)."""
+
+    REFUSED = r"not one product term.*FactoredPair.*np\.linalg\.svd"
 
     def arrays(self, rng):
-        """Inputs as ``conftest.random_state`` and the CLI build them."""
-        a, b, c, d = (rvec(rng) for _ in range(4))
+        """Product inputs, as the README's example and the CLI build them,
+        in the layouts and dtypes the door takes."""
+        a, b = rvec(rng), rvec(rng)
         cross = np.outer(a, b)
-        return {"rank1_same": (np.outer(a, a), True, 1),
-                "rank1_cross": (cross, False, 1),
-                "rank2_same": (0.5 * (cross + cross.T), True, 2),
-                "rank2_cross": (cross + np.outer(c, d), False, 2)}
+        return {"rank1_same": (np.outer(a, a), True),
+                "rank1_cross": (cross, False),
+                "fortran_same": (np.asfortranarray(np.outer(a, a)), True),
+                "fortran_cross": (np.asfortranarray(cross), False),
+                "real_cross": (np.outer(a.real, b.real), False),
+                "zero_same": (np.zeros((N, N), dtype=complex), True),
+                "zero_cross": (np.zeros((N, N)), False)}
 
     @pytest.mark.parametrize("case", ["rank1_same", "rank1_cross",
-                                      "rank2_same", "rank2_cross"])
+                                      "fortran_same", "fortran_cross",
+                                      "real_cross", "zero_same",
+                                      "zero_cross"])
     def test_low_rank_input_is_exact(self, case):
-        values, symmetric, rank = self.arrays(np.random.default_rng(1))[case]
+        values, symmetric = self.arrays(np.random.default_rng(1))[case]
         pair = pairs.from_dense(values, symmetric)
-        assert len(pair.terms) == rank
+        (_, a, b, c), = pair.terms
         assert pair.symmetric == symmetric
+        assert c is None and (a is b) == symmetric
+        # fresh factors: the pair does not keep the N x N array alive
+        assert not np.shares_memory(a, values)
+        assert not np.shares_memory(b, values)
         err = np.max(np.abs(pair.dense() - values))
         assert err <= 1e-14 * np.max(np.abs(values))
 
@@ -679,20 +691,56 @@ class TestDoor:
         assert a is b and c is None
         assert len(pair.expanded()) == 1
 
-    @pytest.mark.parametrize("case", ["distinct", "degenerate"])
-    def test_symmetric_rank2_is_certified(self, case):
-        # distinct singular values give two diagonal terms; equal ones leave
-        # the singular vectors unaligned, and the terms stay symmetrized
+    @pytest.mark.parametrize("case", ["rank2_same", "rank2_cross",
+                                      "distinct", "degenerate", "hollow",
+                                      "rank2_small", "identity"])
+    def test_several_terms_refused(self, case):
         rng = np.random.default_rng(2)
         a, b = np.linalg.qr(np.stack([rvec(rng), rvec(rng)], axis=1))[0].T
-        if case == "distinct":
-            values = 2.0 * np.outer(a, a) + 0.5j * np.outer(b, b)
-        else:
-            values = np.outer(a, b) + np.outer(b, a)
-        pair = pairs.from_dense(values, True)
-        assert len(pair.terms) == 2
-        assert all((x is y) == (case == "distinct")
-                   for _, x, y, _ in pair.terms)
+        c, d = rvec(rng), rvec(rng)
+        lower = np.arange(N) < N // 2
+        values, symmetric = {
+            "rank2_same": (0.5 * (np.outer(c, d) + np.outer(d, c)), True),
+            "rank2_cross": (np.outer(c, d) + np.outer(a, b), False),
+            # distinct and equal singular values
+            "distinct": (2.0 * np.outer(a, a) + 0.5j * np.outer(b, b), True),
+            "degenerate": (np.outer(a, b) + np.outer(b, a), True),
+            # symmetric with a zero diagonal: no diagonal pivot
+            "hollow": (np.outer(c * lower, d * ~lower)
+                       + np.outer(d * ~lower, c * lower), True),
+            # a second term of relative weight 1e-16, above (1e-10)^2
+            "rank2_small": (np.outer(c, d) + 1e-8 * np.outer(a, b), False),
+            "identity": (np.eye(N), False),
+        }[case]
+        with pytest.raises(ValueError, match=self.REFUSED):
+            pairs.from_dense(values, symmetric)
+
+    @pytest.mark.parametrize("same_rail", [False, True])
+    def test_svd_recipe_builds_several_terms(self, same_rail):
+        # the README's recipe for an amplitude the door refuses
+        rng = np.random.default_rng(4)
+        c, d, e = rvec(rng), rvec(rng), rvec(rng)
+        jsa = np.outer(c, d) + np.outer(d, c if same_rail else e)
+        u, s, vh = np.linalg.svd(jsa)
+        keep = s > 1e-10 * s[0]
+        pair = FactoredPair([(sk, uk.copy(), vk.copy(), None)
+                             for sk, uk, vk in zip(s[keep], u.T[keep],
+                                                   vh[keep])],
+                            symmetric=same_rail)
+        key = ("a", "a") if same_rail else ("a", "b")
+        state = FewPhotonState.from_components(GRID, ("a", "b"),
+                                               pairs={key: pair})
+        assert len(state.two_photon[key].terms) == 2
+        err = np.max(np.abs(state.two_photon[key].dense() - jsa))
+        assert err <= 1e-13 * np.max(np.abs(jsa))
+
+    def test_term_within_tolerance_is_certified(self):
+        # a second term of relative weight 1e-26, below (1e-10)^2: one term
+        rng = np.random.default_rng(3)
+        c, d, a, b = (rvec(rng) for _ in range(4))
+        values = np.outer(c, d) + 1e-13 * np.outer(a, b)
+        pair = pairs.from_dense(values, False)
+        assert len(pair.terms) == 1
         missed = np.sum(np.abs(pair.dense() - values) ** 2)
         assert missed <= pairs._DOOR_RTOL**2 * np.sum(np.abs(values) ** 2)
 
@@ -700,30 +748,29 @@ class TestDoor:
         def refuse(*args):
             raise AssertionError("factorized an invalid array")
 
-        monkeypatch.setattr(pairs, "_low_rank", refuse)
+        monkeypatch.setattr(pairs, "_pivot", refuse)
         f = PUMP.values
         lopsided = np.outer(f, f * GRID.samples)
-        with pytest.raises(ValueError, match="symmetric"):
+        with pytest.raises(ValueError,
+                           match="is not symmetric: max deviation"):
             FewPhotonState.from_components(GRID, ("a",),
                                            pairs={("a", "a"): lopsided})
-        nan = np.outer(f, f)
-        nan[2, 3] = np.nan
-        for key in (("a", "a"), ("a", "b")):
-            with pytest.raises(ValueError, match="non-finite"):
-                FewPhotonState.from_components(GRID, ("a", "b"),
-                                               pairs={key: nan})
+        for bad in (np.nan, np.inf):
+            values = np.outer(f, f)
+            values[2, 3] = bad
+            for key in (("a", "a"), ("a", "b")):
+                with pytest.raises(ValueError, match="non-finite"):
+                    FewPhotonState.from_components(GRID, ("a", "b"),
+                                                   pairs={key: values})
         with pytest.raises(ValueError, match="unknown rail"):
             FewPhotonState.from_components(
                 GRID, ("a",), pairs={("a", "z"): np.eye(N)})
 
     def test_non_square_refused(self):
-        with pytest.raises(ValueError, match=r"square, got shape \(3, 4\)"):
-            pairs.from_dense(np.ones((3, 4)), False)
-
-    def test_term_cap(self):
-        n = 2 * pairs.MAX_DOOR_TERMS + 1
-        with pytest.raises(ValueError, match="more than"):
-            pairs.from_dense(np.eye(n), False)
+        for symmetric in (False, True):
+            with pytest.raises(ValueError,
+                               match=r"square, got shape \(3, 4\)"):
+                pairs.from_dense(np.ones((3, 4)), symmetric)
 
     def test_direct_write_is_converted(self):
         f = PUMP.values

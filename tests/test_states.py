@@ -573,6 +573,19 @@ class TestBookkeepingInvariant:
         assert st.total_probability() == pytest.approx(1.0, abs=5e-4)
         assert st.lost_mass > 0.0
 
+    def test_lost_mass_is_clamped_against_quadrature_gain(self):
+        # on a coarse grid the lossless two-photon map gains norm through
+        # quadrature error; the ledger books no negative loss
+        grid = tp.SpectralGrid(10.0, 41)
+        f = tp.normalize(tp.OnePhotonAmp(grid, tp.grid.lorentzian_values(
+            grid, 1.0))).values
+        st = FewPhotonState.from_components(
+            grid, ("a",), pairs={("a", "a"): FactoredPair.product(f)})
+        out = apply_tls(st, "a", tp.TlsParams())
+        assert out.surviving_norm_sq() - 1.0 == pytest.approx(0.027585,
+                                                              rel=1e-4)
+        assert out.lost_mass == 0.0
+
 
 class _FourRails:
     """A four-rail state with spectator pairs, and ops on it."""
