@@ -549,7 +549,10 @@ def main(argv=None) -> int:
     runp.add_argument("experiment")
     runp.add_argument("--config", default=None)
     runp.add_argument("--out", default=".")
-    runp.add_argument("--beta", type=float, default=None)
+    runp.add_argument("--beta", type=float, default=None,
+                      help="tls.beta, the emitter of matching-points and "
+                      "the demos; fig1b, loss-curves and fig3 sweep "
+                      "sweep.beta_values and ignore it")
     runp.add_argument("--sigma", type=float, default=None)
     runp.add_argument("--grid-n", type=int, default=None)
     valp = sub.add_parser("validate", help="check a config file")

@@ -193,7 +193,12 @@ def sfg_extract(state: FewPhotonState, rail: str, gate: PulseGateSpec,
     produces is discarded into lost_mass by default, because one
     original-frequency photon plus one sum-frequency photon is outside the
     computational subspace of every circuit built here.
+    ``keep_single_converted`` keeps that branch instead; the ideal gate
+    makes none, so the flag with ``ideal=True`` raises ``ValueError``.
     """
+    if ideal and keep_single_converted:
+        raise ValueError("keep_single_converted needs the photon-wise gate, "
+                         "ideal=False")
     anc = _ancilla(state, rail, gate)
     if anc in state.one_photon or any(anc in k for k in state.two_photon):
         raise ValueError(f"sum-frequency rail {anc!r} is not empty")

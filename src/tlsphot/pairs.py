@@ -48,8 +48,9 @@ the same reversed its norm is that pair's: reversing both axes reorders
 the sum's products without changing one.
 
 A dense N x N array enters through one door, :func:`from_dense`, which
-checks it and takes it only as one product term k a(x) b(y), ``c = None``;
-an amplitude of several terms is built as a :class:`FactoredPair` of them.
+takes only a same-rail array that is one exchange-symmetric product term
+k a(x) a(y), ``c = None``; a cross-rail pair, or an amplitude of several
+terms, is built as a :class:`FactoredPair` of its terms.
 No other code here builds or reads an N x N array, apart from
 :meth:`FactoredPair.dense` for callers that ask for one.
 """
@@ -493,14 +494,12 @@ def require_symmetric(values: np.ndarray, tol: float = 1e-10) -> None:
 
 
 def _dense_norm_sq(values, w, term=None) -> float:
-    """sum_ij w_i w_j |A - k a(x) b(y)|_ij^2 (``term`` = (k, a, b), None
-    for A itself) over 64-row tiles: each tile's squared float view times
-    the doubled weights, in one reused 64 x N buffer, so no N x N
-    temporary and no matrix product."""
+    """sum_ij w_i w_j |A - k a(x) a(y)|_ij^2 (``term`` = (k, a), None for A
+    itself) over 64-row tiles: each tile's squared float view times the
+    doubled weights, in one reused 64 x N buffer, so no N x N temporary and
+    no matrix product."""
     if not values.flags.c_contiguous and values.flags.f_contiguous:
-        values = values.T  # same weights on both axes
-        if term is not None:
-            term = (term[0], term[2], term[1])
+        values = values.T  # same weights on both axes, and a symmetric term
     w2 = np.repeat(w, 2)
     buf = np.empty((_NORM_TILE, values.shape[1]), dtype=complex)
     total = 0.0
@@ -509,8 +508,8 @@ def _dense_norm_sq(values, w, term=None) -> float:
         if term is None:
             rows[...] = values[i:i + _NORM_TILE]
         else:
-            k, a, b = term
-            np.multiply.outer(k * a[i:i + _NORM_TILE], b, out=rows)
+            k, a = term
+            np.multiply.outer(k * a[i:i + _NORM_TILE], a, out=rows)
             np.subtract(values[i:i + _NORM_TILE], rows, out=rows)
         square = rows.view(float)
         np.multiply(square, square, out=square)
@@ -519,60 +518,39 @@ def _dense_norm_sq(values, w, term=None) -> float:
     return float(total)
 
 
-def _pivot(values, symmetric):
-    """(i, j) of a largest-modulus entry, searched over 64-row tiles; with
-    ``symmetric``, of the diagonal, where an exchange-symmetric product
-    k a(x) a(y) has one."""
-    if symmetric:
-        j = int(np.argmax(np.abs(np.diagonal(values))))
-        return j, j
-    tops = [np.max(np.abs(values[i:i + _NORM_TILE]), axis=1)
-            for i in range(0, len(values), _NORM_TILE)]
-    i = int(np.argmax(np.concatenate(tops)))
-    return i, int(np.argmax(np.abs(values[i])))
+def from_dense(values) -> FactoredPair:
+    """The door for dense input: an N x N same-rail array that is one
+    exchange-symmetric product term k a(x) a(y), as a one-term pair.
 
-
-def from_dense(values, symmetric: bool) -> FactoredPair:
-    """The door for dense input: an N x N array that is one product term
-    k a(x) b(y), as a one-term pair.
-
-    A same-rail (``symmetric``) array must pass :func:`require_symmetric`;
-    any array must be finite.  A largest-modulus entry A[i, j]
-    (:func:`_pivot`) gives the term (1 / A[i, j], A[:, j], A[i, :]); on a
-    same-rail array the entry is on the diagonal and the term is the
-    diagonal (1 / A[j, j], A[:, j], A[:, j]).  The factors are copies, so
-    the pair does not keep the N x N array alive.  The term must leave out
-    at most (1e-10)^2 of the array's own weight (both from the tiled norm
-    kernel).  So np.outer(f, f) comes out as one diagonal term, exact to
-    rounding, and a zero array as one zero term.  A dense amplitude of
-    several Schmidt terms is a :class:`FactoredPair` of them, as the
-    README's SVD recipe builds.
+    The array must pass :func:`require_symmetric` (square, finite and
+    exchange symmetric).  Its largest-modulus diagonal entry A[j, j] gives
+    the diagonal term (1 / A[j, j], A[:, j], A[:, j]), one copied column in
+    both slots, so the pair does not keep the N x N array alive.  The term
+    must leave out at most (1e-10)^2 of the array's own weight (both from
+    the tiled norm kernel).  So np.outer(f, f) comes out as one diagonal
+    term, exact to rounding, and a zero array as one zero term.  A
+    cross-rail pair, or a dense amplitude of several Schmidt terms, is a
+    :class:`FactoredPair` of its terms, as the README's SVD recipe builds.
 
     Raises
     ------
     ValueError
-        If the array is not square, not finite, a same-rail array is not
-        symmetric, or it is not one product term.
+        If the array is not square, not finite, not symmetric, or not one
+        product term.
     """
     values = np.asarray(values)
-    n = values.shape[0]
-    if values.shape != (n, n):
-        raise ValueError(
-            f"two-photon amplitude must be square, got shape {values.shape}")
-    if symmetric:
-        require_symmetric(values)
-    w = np.ones(n)
+    require_symmetric(values)
+    w = np.ones(values.shape[0])
     total = _dense_norm_sq(values, w)
     if not np.isfinite(total):
         raise ValueError("two-photon amplitude holds non-finite values")
-    i, j = _pivot(values, symmetric)
-    top = values[i, j]
+    j = int(np.argmax(np.abs(np.diagonal(values))))
+    top = values[j, j]
     k = 1.0 / top if top else 0.0
     a = np.array(values[:, j], dtype=complex)
-    b = a if symmetric else np.array(values[i], dtype=complex)
-    if _dense_norm_sq(values, w, (k, a, b)) > _DOOR_RTOL**2 * total:
+    if _dense_norm_sq(values, w, (k, a)) > _DOOR_RTOL**2 * total:
         raise ValueError(
-            "dense pair amplitude is not one product term k a(x) b(y); "
+            "dense pair amplitude is not one product term k a(x) a(y); "
             "pass a FactoredPair of its Schmidt terms (README: the "
             "np.linalg.svd recipe)")
-    return FactoredPair._raw([(k, a, b, None)], symmetric)
+    return FactoredPair._raw([(k, a, a, None)], True)

@@ -6,10 +6,12 @@ and a two-photon spectral amplitude per unordered rail pair.  Same-rail pair
 amplitudes are exchange symmetric and normalized so that their discrete
 double integral is the occupation probability (a pair of identical photons in
 a unit mode f on one rail has amplitude f(x) f(y)).  A pair amplitude is a
-factored sum of terms a(x) b(y) c(x + y) (:mod:`tlsphot.pairs`); a dense
-N x N array given to the constructor or written into ``two_photon`` goes
-through the door :func:`tlsphot.pairs.from_dense` once, which takes only an
-array that is one product term k a(x) b(y).
+factored sum of terms a(x) b(y) c(x + y) (:mod:`tlsphot.pairs`).  A
+cross-rail pair must be a :class:`~tlsphot.pairs.FactoredPair`; a dense
+N x N array on a same-rail key, given to the constructor or written into
+``two_photon``, goes through the door :func:`tlsphot.pairs.from_dense`
+once, which takes only an array that is one exchange-symmetric product
+term k a(x) a(y).
 
 The public constructor, ``FewPhotonState(...)`` and so
 :meth:`FewPhotonState.from_components` and ``dataclasses.replace``, checks
@@ -101,7 +103,8 @@ def _checked_pair(rails: tuple, n: int, key, values,
     """Pair ``values`` on the rails (a, b) of ``key``, axis 0 on a, checked:
     known rails, in the rail order if ``ordered``, one term or more, each
     sized for n samples (c for 2n - 1), finite, and exchange symmetric if a
-    is b.  A dense array must be n x n and goes through :func:`from_dense`."""
+    is b.  A dense array is taken on a same-rail key only; it must be n x n
+    and goes through :func:`from_dense`."""
     a, b = key
     order = _positions(rails)
     for rail in key:
@@ -110,10 +113,15 @@ def _checked_pair(rails: tuple, n: int, key, values,
     if ordered and order[a] > order[b]:
         raise ValueError(f"pair key {key} is not in the rail order {rails}")
     if not isinstance(values, FactoredPair):
+        if a != b:
+            raise TypeError(
+                f"pair amplitude on rails ({a!r}, {b!r}) is a "
+                f"{type(values).__name__}: a cross-rail pair must be a "
+                "FactoredPair (README: the np.linalg.svd recipe)")
         if np.shape(values) != (n, n):
             raise ValueError(f"pair amplitude on rails ({a!r}, {b!r}) has "
                              f"shape {np.shape(values)}, not ({n}, {n})")
-        return from_dense(values, a == b)
+        return from_dense(values)
     terms = values.terms
     if not terms:
         raise ValueError(f"factored pair amplitude on rails ({a!r}, {b!r}) "
@@ -249,14 +257,14 @@ class FewPhotonState:
 
         ``ones`` maps a rail to its one-photon spectral values; ``pairs`` maps
         a rail pair (a, b) to its pair values with axis 0 on a, a
-        :class:`~tlsphot.pairs.FactoredPair` or an N x N array of one
-        product term (:func:`~tlsphot.pairs.from_dense`); pairs given on
-        both (a, b) and (b, a) add up.  Rails must be distinct and known,
-        values sized for the grid and finite, and same-rail pairs exchange
-        symmetric.  The
-        constructor takes the same arguments and makes the same checks, and
-        a write into a built state's ``one_photon`` or ``two_photon`` gets
-        them too.
+        :class:`~tlsphot.pairs.FactoredPair`; on a same-rail key it may also
+        be an N x N array of one product term
+        (:func:`~tlsphot.pairs.from_dense`), and an array on a cross-rail
+        key raises ``TypeError``.  Pairs given on both (a, b) and (b, a) add
+        up.  Rails must be distinct and known, values sized for the grid and
+        finite, and same-rail pairs exchange symmetric.  The constructor
+        takes the same arguments and makes the same checks, and a write into
+        a built state's ``one_photon`` or ``two_photon`` gets them too.
         """
         return cls(grid, rails, vacuum, ones or {}, pairs or {})
 

@@ -7,9 +7,8 @@ near 1e-7, far below every asserted tolerance.  The lossy pulse
 ``pulse95`` shares that grid, so a test can mix the two pulses.  Tests
 build their states with ``FewPhotonState.from_components`` and factored
 pairs (``FactoredPair.product``): a dense pair there would take 256 MB.
-``random_state`` builds its cross-rail pairs as arrays, so every state it
-makes goes through the door (``pairs.from_dense``); it is used on small
-grids only.
+``random_state`` builds every pair as one factored term, symmetrized on a
+same rail; it is used on small grids only.
 Expensive end-to-end runs are session-scoped so the unit tests and the
 acceptance suite share them.
 """
@@ -80,10 +79,10 @@ def random_state(grid, rails, seed):
     for i, a in enumerate(rails):
         for b in rails[i:]:
             x, y = rvec(), rvec()
-            # a same-rail pair as one symmetrized term, (x(x) y(y) + y(x)
-            # x(y)) / 2; a cross-rail pair as an array, through the door
-            pairs[(a, b)] = (FactoredPair([(1.0, x, y, None)], symmetric=True)
-                             if a == b else np.outer(x, y))
+            # one term x(x) y(y); on a same rail its symmetrized form,
+            # (x(x) y(y) + y(x) x(y)) / 2
+            pairs[(a, b)] = FactoredPair([(1.0, x, y, None)],
+                                         symmetric=a == b)
     total = FewPhotonState.from_components(grid, rails, vacuum, ones,
                                            pairs).surviving_norm_sq()
     scale = 1.0 / np.sqrt(total)

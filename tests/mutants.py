@@ -97,8 +97,12 @@ MUTANTS = [
      "lost if lossy else lost)"),
     # the door certifies no term: a rank-2 array would pass as one term
     ("door-skips-residual", "src/tlsphot/pairs.py",
-     "    if _dense_norm_sq(values, w, (k, a, b)) > _DOOR_RTOL**2 * total:\n",
+     "    if _dense_norm_sq(values, w, (k, a)) > _DOOR_RTOL**2 * total:\n",
      "    if False:\n"),
+    # an array on a cross-rail key reaches the same-rail door
+    ("cross-rail-dense-admitted", "src/tlsphot/states.py",
+     "        if a != b:\n            raise TypeError(\n",
+     "        if False:\n            raise TypeError(\n"),
 ]
 
 

@@ -1,6 +1,7 @@
 import json
 import pathlib
 import runpy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -485,8 +486,12 @@ DEMOS = sorted(
 
 
 class TestNoDensePairs:
-    """No experiment or demo asks a pair for its N x N array: every pair
-    they build and every op they run stays factored."""
+    """No experiment or demo asks a pair for its N x N array, or allocates
+    one: every pair they build and every op they run stays factored."""
+
+    # one complex N x N array on the smallest grid these runs sample: the
+    # demos' --grid-n 2001 (every policy grid holds 4001 samples or more)
+    DENSE_BYTES = 16 * 2001**2
 
     @pytest.fixture(autouse=True)
     def refuse_dense(self, monkeypatch):
@@ -494,6 +499,13 @@ class TestNoDensePairs:
             raise AssertionError("a pair was densified")
 
         monkeypatch.setattr(FactoredPair, "dense", refuse)
+        # numpy reports its array buffers to tracemalloc
+        tracemalloc.start()
+        yield
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < self.DENSE_BYTES, (
+            f"traced peak {peak / 2**20:.1f} MiB reaches one N x N array")
 
     @pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
     def test_cli_experiment(self, tmp_path, experiment):
@@ -509,6 +521,11 @@ class TestNoDensePairs:
     def test_refusal_is_seen(self):
         with pytest.raises(AssertionError, match="densified"):
             np.asarray(FactoredPair.product(np.ones(3)))
+        # an N x N array reaches the traced peak the fixture bounds
+        dense = np.empty((2001, 2001), dtype=complex)
+        assert tracemalloc.get_traced_memory()[1] >= self.DENSE_BYTES
+        del dense
+        tracemalloc.reset_peak()
 
     @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
     def test_demo_script(self, demo, capsys):

@@ -97,18 +97,29 @@ class TestSfgExtract:
             grid, pump_pulse.values + 0.5 * orth_pulse.values))
         st = FewPhotonState.from_components(
             grid, ("sig",),
-            pairs={("sig", "sig"): np.outer(mix.values, mix.values)})
+            pairs={("sig", "sig"): FactoredPair.product(mix.values)})
         out = tp.sfg_extract(st, "sig", gate, ideal=False,
                              keep_single_converted=True)
         assert out.lost_mass == 0.0
         assert out.surviving_norm_sq() == pytest.approx(1.0, abs=1e-10)
         assert project_detection(out, {"sig": 1, ANC: 1}) > 0.1
 
+    def test_keep_single_converted_needs_photonwise_gate(self, grid,
+                                                         pump_pulse, gate):
+        # the ideal gate makes no single-converted branch to keep; the flag
+        # would be ignored, with or without a same-rail pair
+        for pairs in ({}, {("sig", "sig"): FactoredPair.product(
+                pump_pulse.values)}):
+            st = FewPhotonState.from_components(grid, ("sig",), pairs=pairs)
+            with pytest.raises(ValueError, match="keep_single_converted "
+                               "needs the photon-wise gate, ideal=False"):
+                tp.sfg_extract(st, "sig", gate, keep_single_converted=True)
+
     def test_cross_pair_conversion(self, grid, pump_pulse, orth_pulse, gate):
         st = FewPhotonState.from_components(
             grid, ("sig", "spec"),
-            pairs={("sig", "spec"): np.outer(pump_pulse.values,
-                                             orth_pulse.values)})
+            pairs={("sig", "spec"): FactoredPair([(1.0, pump_pulse.values,
+                                                   orth_pulse.values, None)])})
         out = tp.sfg_extract(st, "sig", gate)
         assert project_detection(out, {ANC: 1, "spec": 1}) == pytest.approx(
             1.0, abs=1e-10)
@@ -181,12 +192,14 @@ class TestSfgReverse:
     def test_off_pump_weight_threshold(self, grid, pump_pulse, orth_pulse,
                                        gate, form, weight, raises):
         # ancilla photon in pump + eps orth, partner in the pump mode: the
-        # orthogonal weight is eps^2 against the 1e-12 threshold
+        # orthogonal weight is eps^2 against the 1e-12 threshold.  "dense"
+        # is the one product term a dense array of it is; "factored" keeps
+        # the two terms apart
         p, o = pump_pulse.values, orth_pulse.values
         eps = np.sqrt(weight)
-        values = (FactoredPair([(1.0, p, p, None), (eps, o, p, None)])
-                  if form == "factored"
-                  else np.outer(p, p) + eps * np.outer(o, p))
+        values = FactoredPair([(1.0, p, p, None), (eps, o, p, None)]
+                              if form == "factored"
+                              else [(1.0, p + eps * o, p, None)])
         st = FewPhotonState.from_components(
             grid, ("sig", ANC), pairs={(ANC, "sig"): values})
         if raises:
@@ -216,8 +229,7 @@ class TestSfgReverse:
         gate_e = tp.PulseGateSpec(pump_mode=pump_pulse, efficiency=0.6)
         st = FewPhotonState.from_components(
             grid, ("sig",),
-            pairs={("sig", "sig"): np.outer(pump_pulse.values,
-                                            pump_pulse.values)})
+            pairs={("sig", "sig"): FactoredPair.product(pump_pulse.values)})
         out = tp.sfg_reverse(tp.sfg_extract(st, "sig", gate_e), "sig",
                              gate_e)
         assert out.total_probability() == pytest.approx(1.0, abs=1e-12)
@@ -233,7 +245,7 @@ class TestSfgReverse:
             grid, pump_pulse.values + 0.5 * orth_pulse.values))
         st = FewPhotonState.from_components(
             grid, ("sig",),
-            pairs={("sig", "sig"): np.outer(mix.values, mix.values)})
+            pairs={("sig", "sig"): FactoredPair.product(mix.values)})
         mid = tp.sfg_extract(st, "sig", gate_e, ideal=False,
                              keep_single_converted=True)
         out = tp.sfg_reverse(mid, "sig", gate_e)
@@ -316,7 +328,7 @@ class TestGemInvert:
                                 grid)
         st = FewPhotonState.from_components(
             grid, ("a", "b"),
-            pairs={("a", "b"): np.outer(shifted.values, shifted.values)})
+            pairs={("a", "b"): FactoredPair.product(shifted.values)})
         out = tp.gem_invert(st, "a")
         expect = np.outer(shifted.values[::-1], shifted.values)
         assert np.allclose(out.two_photon[("a", "b")], expect, atol=1e-14)
@@ -324,7 +336,7 @@ class TestGemInvert:
     def test_norm_preserved(self, grid, pump_pulse):
         st = FewPhotonState.from_components(
             grid, ("a",),
-            pairs={("a", "a"): np.outer(pump_pulse.values, pump_pulse.values)})
+            pairs={("a", "a"): FactoredPair.product(pump_pulse.values)})
         out = tp.gem_invert(st)
         assert out.surviving_norm_sq() == pytest.approx(
             st.surviving_norm_sq(), abs=1e-14)
@@ -342,7 +354,8 @@ class TestComponentPhaseLoss:
     def test_pi_phase_negates_pair(self, grid, pump_pulse):
         arr = np.outer(pump_pulse.values, pump_pulse.values)
         st = FewPhotonState.from_components(
-            grid, ("a",), pairs={("a", "a"): arr})
+            grid, ("a",), pairs={("a", "a"): FactoredPair.product(
+                pump_pulse.values)})
         out = tp.component_phase_loss(st, "a", photons=2, phase=np.pi)
         assert np.allclose(out.two_photon[("a", "a")], -arr, atol=1e-15)
         assert out.lost_mass == 0.0
@@ -350,7 +363,8 @@ class TestComponentPhaseLoss:
     def test_pair_transmission_squared(self, grid, pump_pulse):
         arr = np.outer(pump_pulse.values, pump_pulse.values)
         st = FewPhotonState.from_components(
-            grid, ("a",), pairs={("a", "a"): arr})
+            grid, ("a",), pairs={("a", "a"): FactoredPair.product(
+                pump_pulse.values)})
         out = tp.component_phase_loss(st, "a", photons=2, phase=0.0,
                                       transmission=0.8)
         assert np.allclose(out.two_photon[("a", "a")], 0.64 * arr, atol=1e-15)
@@ -361,7 +375,8 @@ class TestComponentPhaseLoss:
         eta2 = tp.circuits.ns_eta2(p, pump_pulse)
         arr = np.outer(pump_pulse.values, pump_pulse.values)
         st = FewPhotonState.from_components(
-            grid, ("a",), pairs={("a", "a"): arr})
+            grid, ("a",), pairs={("a", "a"): FactoredPair.product(
+                pump_pulse.values)})
         out = tp.component_phase_loss(st, "a", photons=2, phase=0.0,
                                       transmission=np.sqrt(eta2))
         assert np.allclose(out.two_photon[("a", "a")], eta2 * arr, atol=1e-12)

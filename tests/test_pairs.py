@@ -8,6 +8,7 @@ sequences in the library and in the independent dense implementation of
 gate in both, and a guard on the term counts the circuits produce.
 """
 
+import dataclasses
 import weakref
 
 import numpy as np
@@ -114,15 +115,15 @@ class TestFactoredPair:
         w = tp.SpectralGrid(10.0, n).weights
         big = rvec(rng, 4 * n * n).reshape(2 * n, 2 * n)
         arr = big[:n, :n].copy()
-        k, a, b = 0.3 - 2j, rvec(rng, n), rvec(rng, n)
+        k, a = 0.3 - 2j, rvec(rng, n)
         for values in (arr, arr.T, np.asfortranarray(arr), big[::2, ::2],
                        arr.real):
             want = float(np.real(w @ (np.abs(values) ** 2) @ w))
             assert pairs._dense_norm_sq(values, w) == pytest.approx(
                 want, rel=1e-14)
-            # the door's residual form: || values - k a(x) b(y) ||
-            want = oracle.norm2(w, values - k * np.outer(a, b))
-            assert pairs._dense_norm_sq(values, w, (k, a, b)) == pytest.approx(
+            # the door's residual form: || values - k a(x) a(y) ||
+            want = oracle.norm2(w, values - k * np.outer(a, a))
+            assert pairs._dense_norm_sq(values, w, (k, a)) == pytest.approx(
                 want, rel=1e-13)
 
     @pytest.mark.parametrize("flips", [(True, True), (True, False),
@@ -643,50 +644,49 @@ class TestSharing:
 
 class TestDoor:
     """``pairs.from_dense``: the one way a dense N x N array becomes a
-    pair, and only an array that is one product term k a(x) b(y)."""
+    pair, and only a same-rail array that is one product term k a(x) a(y);
+    a cross-rail pair must be a ``FactoredPair``."""
 
     REFUSED = r"not one product term.*FactoredPair.*np\.linalg\.svd"
 
     def arrays(self, rng):
-        """Product inputs, as the README's example and the CLI build them,
-        in the layouts and dtypes the door takes."""
-        a, b = rvec(rng), rvec(rng)
-        cross = np.outer(a, b)
-        return {"rank1_same": (np.outer(a, a), True),
-                "rank1_cross": (cross, False),
-                "fortran_same": (np.asfortranarray(np.outer(a, a)), True),
-                "fortran_cross": (np.asfortranarray(cross), False),
-                "real_cross": (np.outer(a.real, b.real), False),
-                "zero_same": (np.zeros((N, N), dtype=complex), True),
-                "zero_cross": (np.zeros((N, N)), False)}
+        """Product inputs, as the benchmark's NS input and the README's
+        example build them, in the layouts and dtypes the door takes."""
+        a = rvec(rng)
+        # the NS input's pair with a complex amp and the target's sign
+        amp, pair_sign = 0.4 - 0.3j, -1.0
+        ns = pair_sign * amp * np.outer(PUMP.values, PUMP.values)
+        return {"rank1_same": np.outer(a, a),
+                "fortran_same": np.asfortranarray(np.outer(a, a)),
+                "real_same": np.outer(a.real, a.real),
+                "zero_same": np.zeros((N, N), dtype=complex),
+                "ns_input": ns,
+                "ns_input_fortran": np.asfortranarray(ns)}
 
-    @pytest.mark.parametrize("case", ["rank1_same", "rank1_cross",
-                                      "fortran_same", "fortran_cross",
-                                      "real_cross", "zero_same",
-                                      "zero_cross"])
+    @pytest.mark.parametrize("case", ["rank1_same", "fortran_same",
+                                      "real_same", "zero_same", "ns_input",
+                                      "ns_input_fortran"])
     def test_low_rank_input_is_exact(self, case):
-        values, symmetric = self.arrays(np.random.default_rng(1))[case]
-        pair = pairs.from_dense(values, symmetric)
+        values = self.arrays(np.random.default_rng(1))[case]
+        pair = pairs.from_dense(values)
         (_, a, b, c), = pair.terms
-        assert pair.symmetric == symmetric
-        assert c is None and (a is b) == symmetric
-        # fresh factors: the pair does not keep the N x N array alive
+        assert pair.symmetric and a is b and c is None
+        # a fresh factor: the pair does not keep the N x N array alive
         assert not np.shares_memory(a, values)
-        assert not np.shares_memory(b, values)
         err = np.max(np.abs(pair.dense() - values))
         assert err <= 1e-14 * np.max(np.abs(values))
 
     def test_default_grid_product_is_one_term(self):
         grid = tp.SpectralGrid.for_pulse_width(1.25)
         f = tp.make_pulse(tp.PulseShape("lorentzian", 1.25), grid).values
-        pair = pairs.from_dense(np.outer(f, f), True)
+        pair = pairs.from_dense(np.outer(f, f))
         assert len(pair.terms) == 1
         u = grid.weights * np.conj(f)
         assert abs(u @ pair @ u - 1.0) < 1e-14
 
     def test_symmetric_product_is_one_diagonal_term(self):
         f = PUMP.values
-        pair = pairs.from_dense(np.outer(f, f), True)
+        pair = pairs.from_dense(np.outer(f, f))
         (_, a, b, c), = pair.terms
         assert a is b and c is None
         assert len(pair.expanded()) == 1
@@ -699,21 +699,27 @@ class TestDoor:
         a, b = np.linalg.qr(np.stack([rvec(rng), rvec(rng)], axis=1))[0].T
         c, d = rvec(rng), rvec(rng)
         lower = np.arange(N) < N // 2
-        values, symmetric = {
-            "rank2_same": (0.5 * (np.outer(c, d) + np.outer(d, c)), True),
-            "rank2_cross": (np.outer(c, d) + np.outer(a, b), False),
+        values, match = {
+            "rank2_same": (0.5 * (np.outer(c, d) + np.outer(d, c)),
+                           self.REFUSED),
+            # an asymmetric array, as a cross-rail amplitude is, fails the
+            # symmetry check first
+            "rank2_cross": (np.outer(c, d) + np.outer(a, b),
+                            "is not symmetric: max deviation"),
             # distinct and equal singular values
-            "distinct": (2.0 * np.outer(a, a) + 0.5j * np.outer(b, b), True),
-            "degenerate": (np.outer(a, b) + np.outer(b, a), True),
+            "distinct": (2.0 * np.outer(a, a) + 0.5j * np.outer(b, b),
+                         self.REFUSED),
+            "degenerate": (np.outer(a, b) + np.outer(b, a), self.REFUSED),
             # symmetric with a zero diagonal: no diagonal pivot
             "hollow": (np.outer(c * lower, d * ~lower)
-                       + np.outer(d * ~lower, c * lower), True),
+                       + np.outer(d * ~lower, c * lower), self.REFUSED),
             # a second term of relative weight 1e-16, above (1e-10)^2
-            "rank2_small": (np.outer(c, d) + 1e-8 * np.outer(a, b), False),
-            "identity": (np.eye(N), False),
+            "rank2_small": (np.outer(c, c) + 1e-8 * np.outer(a, a),
+                            self.REFUSED),
+            "identity": (np.eye(N), self.REFUSED),
         }[case]
-        with pytest.raises(ValueError, match=self.REFUSED):
-            pairs.from_dense(values, symmetric)
+        with pytest.raises(ValueError, match=match):
+            pairs.from_dense(values)
 
     @pytest.mark.parametrize("same_rail", [False, True])
     def test_svd_recipe_builds_several_terms(self, same_rail):
@@ -737,9 +743,9 @@ class TestDoor:
     def test_term_within_tolerance_is_certified(self):
         # a second term of relative weight 1e-26, below (1e-10)^2: one term
         rng = np.random.default_rng(3)
-        c, d, a, b = (rvec(rng) for _ in range(4))
-        values = np.outer(c, d) + 1e-13 * np.outer(a, b)
-        pair = pairs.from_dense(values, False)
+        c, a = rvec(rng), rvec(rng)
+        values = np.outer(c, c) + 1e-13 * np.outer(a, a)
+        pair = pairs.from_dense(values)
         assert len(pair.terms) == 1
         missed = np.sum(np.abs(pair.dense() - values) ** 2)
         assert missed <= pairs._DOOR_RTOL**2 * np.sum(np.abs(values) ** 2)
@@ -748,7 +754,7 @@ class TestDoor:
         def refuse(*args):
             raise AssertionError("factorized an invalid array")
 
-        monkeypatch.setattr(pairs, "_pivot", refuse)
+        monkeypatch.setattr(pairs, "_dense_norm_sq", refuse)
         f = PUMP.values
         lopsided = np.outer(f, f * GRID.samples)
         with pytest.raises(ValueError,
@@ -758,19 +764,40 @@ class TestDoor:
         for bad in (np.nan, np.inf):
             values = np.outer(f, f)
             values[2, 3] = bad
-            for key in (("a", "a"), ("a", "b")):
-                with pytest.raises(ValueError, match="non-finite"):
-                    FewPhotonState.from_components(GRID, ("a", "b"),
-                                                   pairs={key: values})
+            with pytest.raises(ValueError, match="non-finite"):
+                FewPhotonState.from_components(GRID, ("a",),
+                                               pairs={("a", "a"): values})
         with pytest.raises(ValueError, match="unknown rail"):
             FewPhotonState.from_components(
                 GRID, ("a",), pairs={("a", "z"): np.eye(N)})
 
     def test_non_square_refused(self):
-        for symmetric in (False, True):
-            with pytest.raises(ValueError,
-                               match=r"square, got shape \(3, 4\)"):
-                pairs.from_dense(np.ones((3, 4)), symmetric)
+        with pytest.raises(ValueError, match=r"square, got shape \(3, 4\)"):
+            pairs.from_dense(np.ones((3, 4)))
+
+    @pytest.mark.parametrize("key", [("a", "b"), ("b", "a")])
+    @pytest.mark.parametrize("path", ["from_components", "constructor",
+                                      "replace", "write"])
+    def test_cross_rail_array_refused(self, path, key):
+        # the product array the door takes on one rail, on two: it must be
+        # a FactoredPair, whichever way the key lists the rails (a write's
+        # key lists them in the state's rail order)
+        values = np.outer(PUMP.values, PUMP.values)
+        empty = FewPhotonState.vacuum(GRID, key)
+        build = {
+            "from_components": lambda: FewPhotonState.from_components(
+                GRID, ("a", "b"), pairs={key: values}),
+            "constructor": lambda: FewPhotonState(
+                GRID, ("a", "b"), two_photon={key: values}),
+            "replace": lambda: dataclasses.replace(
+                empty, two_photon={key: values}),
+            "write": lambda: empty.two_photon.__setitem__(key, values),
+        }[path]
+        with pytest.raises(TypeError, match=(
+                rf"rails \('{key[0]}', '{key[1]}'\) is a ndarray: a "
+                r"cross-rail pair must be a FactoredPair.*np\.linalg\.svd")):
+            build()
+        assert empty.two_photon == {}
 
     def test_direct_write_is_converted(self):
         f = PUMP.values

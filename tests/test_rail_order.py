@@ -98,33 +98,29 @@ def test_chain_is_independent_of_rail_order():
     assert tp.fidelity(first, second) == pytest.approx(1.0, abs=TOL)
 
 
-def oriented_pairs():
-    """An asymmetric pair as given to the constructor, its array, and how
-    exactly it comes back: bit for bit when factored, to the rounding of
-    the door's factorization when given as an array."""
+def oriented_pair():
+    """An asymmetric pair as given to the constructor, and its array: it
+    comes back bit for bit."""
     a, b = PUMP.values, PUMP.values * GRID.samples
-    arr = np.outer(a, b)
-    yield tp.pairs.FactoredPair([(1.0, a, b, None)]), arr, 0.0
-    yield arr, arr, 1e-14 * np.max(np.abs(arr))
+    return tp.pairs.FactoredPair([(1.0, a, b, None)]), np.outer(a, b)
 
 
 class TestConstructor:
     def test_pair_read_is_oriented(self):
-        for pair, arr, tol in oriented_pairs():
-            state = FewPhotonState.from_components(GRID, ("b", "a"),
-                                                   pairs={("a", "b"): pair})
-            assert np.allclose(state.pair("a", "b"), arr, rtol=0, atol=tol)
-            assert np.allclose(state.pair("b", "a"), arr.T, rtol=0, atol=tol)
-            assert state.pair("a", "a") is None
+        pair, arr = oriented_pair()
+        state = FewPhotonState.from_components(GRID, ("b", "a"),
+                                               pairs={("a", "b"): pair})
+        assert np.array_equal(state.pair("a", "b"), arr)
+        assert np.array_equal(state.pair("b", "a"), arr.T)
+        assert state.pair("a", "a") is None
 
     def test_add_pair_accumulates_across_orientations(self):
-        for pair, arr, tol in oriented_pairs():
-            # the same pair given on (c, a) and, transposed, on (a, c)
-            state = FewPhotonState.from_components(
-                GRID, RAILS, pairs={("c", "a"): pair, ("a", "c"): pair.T})
-            assert np.allclose(state.pair("c", "a"), 2 * arr, rtol=0,
-                               atol=tol)
-            assert len(state.two_photon) == 1
+        pair, arr = oriented_pair()
+        # the same pair given on (c, a) and, transposed, on (a, c)
+        state = FewPhotonState.from_components(
+            GRID, RAILS, pairs={("c", "a"): pair, ("a", "c"): pair.T})
+        assert np.array_equal(state.pair("c", "a"), 2 * arr)
+        assert len(state.two_photon) == 1
 
     def test_rejects_asymmetric_same_rail_pair(self):
         arr = np.outer(PUMP.values, PUMP.values * GRID.samples)
@@ -146,11 +142,10 @@ class TestConstructor:
         vec[GRID.n_points // 2] = value
         with pytest.raises(ValueError, match="non-finite"):
             FewPhotonState.from_components(GRID, RAILS, ones={"a": vec})
-        arr = np.outer(PUMP.values, PUMP.values)
-        arr[0, 1] = value
+        pair = tp.pairs.FactoredPair([(1.0, vec, PUMP.values, None)])
         with pytest.raises(ValueError, match="non-finite"):
             FewPhotonState.from_components(GRID, RAILS,
-                                           pairs={("a", "b"): arr})
+                                           pairs={("a", "b"): pair})
 
     def test_rejects_duplicate_rails(self):
         with pytest.raises(ValueError, match="duplicate"):
