@@ -8,8 +8,9 @@ orthogonal to the pump passes.  :func:`sfg_extract` applies M and
 :func:`sfg_reverse` its inverse M^T, so the reverse undoes the extraction at
 any efficiency.  A pair on the two gated rails mixes only its both-in-pump
 coefficient: that is the idealized gate the sorting argument relies on.  The
-photon-wise gate (``ideal=False``) also converts the pump photon of a pair
-whose partner is outside the pump mode; :func:`leakage_metric` measures it.
+photon-wise gate (``ideal=False``) is linear in the signal: it converts, and
+keeps, the pump photon of a pair whose partner is outside the pump mode too;
+:func:`leakage_metric` measures it.
 
 The gradient-echo memory inverts pulse shapes, F(delta) -> F(-delta); the
 global delay phase it also imparts is dropped as physically irrelevant.
@@ -129,18 +130,19 @@ def _mapped_terms(vs, pump, u, step):
 
 
 def _pump_map(state: FewPhotonState, rail: str, gate: PulseGateSpec, m,
-              rails: tuple, extra=None, lossy=False) -> FewPhotonState:
+              extra=None) -> FewPhotonState:
     """``state`` with the pump-mode matrix ``m`` applied to ``rail`` and its
-    ancilla, on the output ``rails`` (the ancilla may be new).  A single
+    ancilla, which is appended to the rails if the state lacks it.  A single
     photon, or a photon whose partner is on another rail, is projected as
     g = u @ v and written once, as v + pump (outer) ((m - 1) g)
     (:func:`_mapped_ones`, :func:`_mapped_terms`).  A pair on the two gated
     rails mixes only its both-in-pump coefficient u @ A @ u, through the
     bosonic pair lift.  ``extra`` maps a gated rail pair to (k, x, y) terms
     added to its output as k x (outer) y, exchange symmetrized on a
-    same-rail pair; a ``lossy`` map books the norm it removes as lost."""
+    same-rail pair.  The map is unitary: it books nothing as lost."""
     anc = sum_rail(rail)
     gated = (rail, anc)
+    rails = state.rails if anc in state.rails else state.rails + (anc,)
     pump, u, _ = _gate_terms(gate)
     step = m - np.eye(2)
     order = _positions(rails)
@@ -168,7 +170,7 @@ def _pump_map(state: FewPhotonState, rail: str, gate: PulseGateSpec, m,
         _put(twos, order, *key, _plus_outer(
             amp, [(delta, pump, pump)] + (extra or {}).get(key, []),
             key[0] == key[1]))
-    return _output(state, ones, twos, rails, lossy)
+    return _output(state, ones, twos, rails)
 
 
 def _ancilla(state: FewPhotonState, rail: str, gate: PulseGateSpec) -> str:
@@ -183,40 +185,28 @@ def _ancilla(state: FewPhotonState, rail: str, gate: PulseGateSpec) -> str:
 
 
 def sfg_extract(state: FewPhotonState, rail: str, gate: PulseGateSpec,
-                ideal: bool = True,
-                keep_single_converted: bool = False) -> FewPhotonState:
+                ideal: bool = True) -> FewPhotonState:
     """Extract the pump-mode content of ``rail`` onto its sum-frequency rail.
 
     The ancilla rail is created (or reused, if present and empty).  With
     ``ideal=False`` the pump photon of a same-rail pair whose partner is
-    outside the pump mode converts as well; the single-converted branch this
-    produces is discarded into lost_mass by default, because one
-    original-frequency photon plus one sum-frequency photon is outside the
-    computational subspace of every circuit built here.
-    ``keep_single_converted`` keeps that branch instead; the ideal gate
-    makes none, so the flag with ``ideal=True`` raises ``ValueError``.
+    outside the pump mode converts as well, to one photon on each rail, a
+    branch a detector sees: the gate keeps it and books nothing as lost.
     """
-    if ideal and keep_single_converted:
-        raise ValueError("keep_single_converted needs the photon-wise gate, "
-                         "ideal=False")
     anc = _ancilla(state, rail, gate)
     if anc in state.one_photon or any(anc in k for k in state.two_photon):
         raise ValueError(f"sum-frequency rail {anc!r} is not empty")
-    rails = state.rails if anc in state.rails else state.rails + (anc,)
     pump, _, m = _gate_terms(gate)
     amp = state.pair(rail, rail)
     if ideal or amp is None:
-        return _pump_map(state, rail, gate, m, rails)
-    # photon-wise: the pump photon of pump x g_perp + g_perp x pump keeps a
-    # factor rho on the rail and converts with a factor sqrt(2) kappa
+        return _pump_map(state, rail, gate, m)
+    # photon-wise: the pump photon of pump x g_perp + g_perp x pump (the
+    # symmetric term (2, pump, g_perp)) keeps a factor rho on the rail and
+    # converts with a factor sqrt(2) kappa
     g_perp = _single_pump(gate, amp)
-    kept = (m[0, 0] - 1.0) * g_perp
-    # the symmetric term (2, pump, kept) is pump x kept + kept x pump
-    extra = {(rail, rail): [(2.0, pump, kept)]}
-    if keep_single_converted:
-        extra[(rail, anc)] = [(1.0, np.sqrt(2.0) * m[1, 0] * g_perp, pump)]
-    return _pump_map(state, rail, gate, m, rails, extra,
-                     lossy=not keep_single_converted)
+    return _pump_map(state, rail, gate, m, {
+        (rail, rail): [(2.0, pump, (m[0, 0] - 1.0) * g_perp)],
+        (rail, anc): [(1.0, np.sqrt(2.0) * m[1, 0] * g_perp, pump)]})
 
 
 def sfg_reverse(state: FewPhotonState, rail: str,
@@ -247,7 +237,7 @@ def sfg_reverse(state: FewPhotonState, rail: str,
         if off > 1e-12:
             raise ValueError("ancilla content is not in the pump mode "
                              f"(orthogonal weight {off:.3e})")
-    return _pump_map(state, rail, gate, m.T, state.rails)
+    return _pump_map(state, rail, gate, m.T)
 
 
 def gem_invert(state: FewPhotonState, rail=None) -> FewPhotonState:

@@ -459,9 +459,9 @@ def flip(values: FactoredPair, flips) -> FactoredPair:
 # -- the door for dense input --------------------------------------------------
 
 
-def require_symmetric(values: np.ndarray, tol: float = 1e-10) -> None:
+def require_symmetric(values: np.ndarray, tol: float = 1e-10) -> float:
     """Raise if a two-photon array is not (numerically) exchange symmetric,
-    max |A - A^T| > tol * max |A|, or holds NaN or inf.
+    max |A - A^T| > tol * max |A|, or holds NaN or inf; else return max |A|.
 
     Upper-triangle tiles are compared with the transposed lower tiles, so no
     N x N temporary is allocated.
@@ -484,20 +484,19 @@ def require_symmetric(values: np.ndarray, tol: float = 1e-10) -> None:
                 dev = np.maximum(dev, np.max(np.abs(upper - lower.T)))
     if not (np.isfinite(scale) and np.isfinite(dev)):
         raise ValueError("two-photon amplitude holds non-finite values")
-    if scale == 0.0:
-        return
     if dev > tol * scale:
         raise ValueError(
             f"two-photon amplitude is not symmetric: max deviation {dev:.3e} "
             f"against scale {scale:.3e}"
         )
+    return scale
 
 
-def _dense_norm_sq(values, w, term=None) -> float:
-    """sum_ij w_i w_j |A - k a(x) a(y)|_ij^2 (``term`` = (k, a), None for A
-    itself) over 64-row tiles: each tile's squared float view times the
-    doubled weights, in one reused 64 x N buffer, so no N x N temporary and
-    no matrix product."""
+def _dense_norm_sq(values, w, scale, term=None) -> float:
+    """sum_ij w_i w_j |A - k a(x) a(y)|_ij^2 / scale^2 (``term`` = (k, a),
+    None for A itself) over 64-row tiles, each divided by ``scale`` before
+    it is squared: its float view times the doubled weights, in one reused
+    64 x N buffer, so no N x N temporary and no matrix product."""
     if not values.flags.c_contiguous and values.flags.f_contiguous:
         values = values.T  # same weights on both axes, and a symmetric term
     w2 = np.repeat(w, 2)
@@ -511,6 +510,7 @@ def _dense_norm_sq(values, w, term=None) -> float:
             k, a = term
             np.multiply.outer(k * a[i:i + _NORM_TILE], a, out=rows)
             np.subtract(values[i:i + _NORM_TILE], rows, out=rows)
+        rows /= scale
         square = rows.view(float)
         np.multiply(square, square, out=square)
         square *= w2
@@ -524,33 +524,42 @@ def from_dense(values) -> FactoredPair:
 
     The array must pass :func:`require_symmetric` (square, finite and
     exchange symmetric).  Its largest-modulus diagonal entry A[j, j] gives
-    the diagonal term (1 / A[j, j], A[:, j], A[:, j]), one copied column in
-    both slots, so the pair does not keep the N x N array alive.  The term
-    must leave out at most (1e-10)^2 of the array's own weight (both from
-    the tiled norm kernel).  So np.outer(f, f) comes out as one diagonal
-    term, exact to rounding, and a zero array as one zero term.  A
-    cross-rail pair, or a dense amplitude of several Schmidt terms, is a
-    :class:`FactoredPair` of its terms, as the README's SVD recipe builds.
+    the term (A[j, j], A[:, j] / A[j, j], same), one new column in both
+    slots, so the pair does not keep the N x N array alive.  The term must
+    leave out at most (1e-10)^2 of the array's weight, both on tiles scaled
+    to unit largest modulus, and the pair's norm must fit a float.  So
+    np.outer(f, f) is one diagonal term, exact to rounding, and a zero array
+    one zero term.  A cross-rail pair, or an amplitude of several Schmidt
+    terms, is a :class:`FactoredPair` of its terms (README: the SVD recipe).
 
     Raises
     ------
     ValueError
-        If the array is not square, not finite, not symmetric, or not one
-        product term.
+        If the array is not square, finite, symmetric or one product term,
+        or its norm overflows or underflows a float.
     """
     values = np.asarray(values)
-    require_symmetric(values)
+    scale = require_symmetric(values)
     w = np.ones(values.shape[0])
-    total = _dense_norm_sq(values, w)
-    if not np.isfinite(total):
-        raise ValueError("two-photon amplitude holds non-finite values")
     j = int(np.argmax(np.abs(np.diagonal(values))))
     top = values[j, j]
-    k = 1.0 / top if top else 0.0
-    a = np.array(values[:, j], dtype=complex)
-    if _dense_norm_sq(values, w, (k, a)) > _DOOR_RTOL**2 * total:
+    a = np.asarray(values[:, j] / top if top else 0 * w, dtype=complex)
+    pair = FactoredPair._raw([(top, a, a, None)], True)
+    if not scale:
+        return pair
+    # an array far from one term may overflow k a(x) a(y) to inf or NaN; the
+    # strict < refuses a (positive) weight that underflows to 0 or overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        missed = _dense_norm_sq(values, w, scale, (top, a))
+        want = scale**2 * (abs(top / scale) * np.vdot(a, a).real)**2
+        got = norm_sq(pair, w)
+    if not missed <= _DOOR_RTOL**2 * _dense_norm_sq(values, w, scale):
         raise ValueError(
             "dense pair amplitude is not one product term k a(x) a(y); "
             "pass a FactoredPair of its Schmidt terms (README: the "
             "np.linalg.svd recipe)")
-    return FactoredPair._raw([(k, a, a, None)], True)
+    if not abs(got - want) < 1e-12 * want:
+        raise ValueError(
+            "dense pair amplitude's norm overflows or underflows a float "
+            f"(largest modulus {scale:.3e}); rescale the array")
+    return pair

@@ -37,10 +37,10 @@ A rail's carrier is read from its label: light on a sum-frequency rail
 (:func:`sum_rail`) never interferes with original-frequency light.
 
 Probability that leaks out of the tracked rails (emitter loss, loss channels,
-discarded sorter branches) accumulates in the scalar ``lost_mass``; the total
-probability including it stays 1 up to quadrature error of the two-photon
-scattering map.  One rule books it (:func:`_output`): a lossy op adds the
-norm that the amplitudes it writes lose, and no other op touches it.
+the sign gate's compensation) accumulates in the scalar ``lost_mass``; the
+total probability including it stays 1 up to quadrature error of the
+two-photon scattering map.  One rule books it (:func:`_output`): a lossy op
+adds the norm that the amplitudes it writes lose, and no other op touches it.
 
 All operations return new states; stored amplitudes are never mutated in
 place, so untouched amplitudes are shared between input and output states,

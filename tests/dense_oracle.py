@@ -286,7 +286,7 @@ def _gate(gate, m):
     return pump, u, m - np.eye(2)
 
 
-def _pump_gate(st, rail, gate, m, photonwise=False, keep=False):
+def _pump_gate(st, rail, gate, m, photonwise=False):
     anc = sum_rail(rail)
     gated = (rail, anc)
     pump, u, step = _gate(gate, m)
@@ -298,15 +298,8 @@ def _pump_gate(st, rail, gate, m, photonwise=False, keep=False):
         return vs[r] + np.multiply.outer(pump, upd)
 
     if photonwise:
-        out = _linear_map(st, gated, apply_one)
-        # drop the single-converted branch: the (rail, anc) pair keeps only
-        # its both-in-pump part
-        if not keep:
-            amp = out.pair(rail, anc)
-            both = np.multiply.outer(pump, pump) * (u @ amp @ u)
-            out.lost += norm2(st.w, amp - both)
-            out.set_phi(rail, anc, both / RT2)
-        return out.pruned(st)
+        # L on every photon: the linear map of a real pulse gate
+        return _linear_map(st, gated, apply_one).pruned(st)
     # the ideal gate: single photons and cross pairs see L, and a pair on
     # the two gated rails mixes only its both-in-pump coefficient
     out = st.copy()
@@ -337,14 +330,13 @@ def _gate_matrix(gate):
     return np.array([[rho, -kappa], [kappa, rho]])
 
 
-def sfg_extract(st, rail, gate, ideal=True, keep_single_converted=False):
+def sfg_extract(st, rail, gate, ideal=True):
     anc = sum_rail(rail)
     if anc in st.ones or any(anc in k for k in st.twos):
         raise ValueError(f"sum-frequency rail {anc!r} is not empty")
     if anc not in st.rails:
         st = st.copy(rails=st.rails + (anc,))
-    return _pump_gate(st, rail, gate, _gate_matrix(gate), not ideal,
-                      keep_single_converted)
+    return _pump_gate(st, rail, gate, _gate_matrix(gate), not ideal)
 
 
 def sfg_reverse(st, rail, gate):

@@ -97,12 +97,23 @@ MUTANTS = [
      "lost if lossy else lost)"),
     # the door certifies no term: a rank-2 array would pass as one term
     ("door-skips-residual", "src/tlsphot/pairs.py",
-     "    if _dense_norm_sq(values, w, (k, a)) > _DOOR_RTOL**2 * total:\n",
+     "    if not missed <= _DOOR_RTOL**2 "
+     "* _dense_norm_sq(values, w, scale):\n",
      "    if False:\n"),
+    # the norm kernel squares raw entries: a 1e-170 array's weights
+    # underflow to 0, and a rank-2 array passes as one term
+    ("door-norm-unscaled", "src/tlsphot/pairs.py",
+     "        rows /= scale\n",
+     ""),
     # an array on a cross-rail key reaches the same-rail door
     ("cross-rail-dense-admitted", "src/tlsphot/states.py",
      "        if a != b:\n            raise TypeError(\n",
      "        if False:\n            raise TypeError(\n"),
+    # the photon-wise gate converts the pump photon of a pair whose partner
+    # is outside the pump mode, but writes no sum-frequency photon for it
+    ("photonwise-drops-converted-photon", "src/tlsphot/modeops.py",
+     "        (rail, anc): [(1.0, np.sqrt(2.0) * m[1, 0] * g_perp, pump)]})\n",
+     "        (rail, anc): []})\n"),
 ]
 
 

@@ -76,7 +76,10 @@ class TestSfgExtract:
         assert project_detection(out, {"sig": 2}) == pytest.approx(
             norm_sq(pair, g.weights), abs=1e-9)
 
-    def test_photonwise_discards_single_converted(self, gate):
+    def test_photonwise_keeps_single_converted(self):
+        # the pump photon of a pair whose partner is outside the pump mode
+        # converts: one photon on the rail and one on its sum-frequency
+        # rail, a branch a detector sees, so nothing is booked as lost
         p = tp.TlsParams()
         sigma = tp.matching_sigma(p, "upper")
         g = tp.SpectralGrid(60.0, 1201)
@@ -85,11 +88,16 @@ class TestSfgExtract:
         st = FewPhotonState.from_components(
             g, ("sig",), pairs={("sig", "sig"): pair})
         pump = tp.make_pump(p, f)
-        out = tp.sfg_extract(st, "sig", pump, ideal=False)
         leak = tp.leakage_metric(pump, pair)
-        assert out.lost_mass == pytest.approx(2 * leak**2, abs=1e-9)
-        assert out.total_probability() == pytest.approx(
-            norm_sq(pair, g.weights), abs=1e-9)
+        assert 2 * leak**2 == pytest.approx(0.632, abs=1e-3)
+        for efficiency in (0.6, 1.0):
+            gate = tp.PulseGateSpec(pump.pump_mode, efficiency)
+            out = tp.sfg_extract(st, "sig", gate, ideal=False)
+            assert project_detection(out, {"sig": 1, ANC: 1}) == (
+                pytest.approx(2 * efficiency * leak**2, abs=1e-9))
+            assert out.lost_mass == st.lost_mass
+            assert out.total_probability() == pytest.approx(
+                st.total_probability(), abs=1e-9)
 
     def test_photonwise_keep_conserves_probability(self, grid, pump_pulse,
                                                    orth_pulse, gate):
@@ -98,22 +106,10 @@ class TestSfgExtract:
         st = FewPhotonState.from_components(
             grid, ("sig",),
             pairs={("sig", "sig"): FactoredPair.product(mix.values)})
-        out = tp.sfg_extract(st, "sig", gate, ideal=False,
-                             keep_single_converted=True)
+        out = tp.sfg_extract(st, "sig", gate, ideal=False)
         assert out.lost_mass == 0.0
         assert out.surviving_norm_sq() == pytest.approx(1.0, abs=1e-10)
         assert project_detection(out, {"sig": 1, ANC: 1}) > 0.1
-
-    def test_keep_single_converted_needs_photonwise_gate(self, grid,
-                                                         pump_pulse, gate):
-        # the ideal gate makes no single-converted branch to keep; the flag
-        # would be ignored, with or without a same-rail pair
-        for pairs in ({}, {("sig", "sig"): FactoredPair.product(
-                pump_pulse.values)}):
-            st = FewPhotonState.from_components(grid, ("sig",), pairs=pairs)
-            with pytest.raises(ValueError, match="keep_single_converted "
-                               "needs the photon-wise gate, ideal=False"):
-                tp.sfg_extract(st, "sig", gate, keep_single_converted=True)
 
     def test_cross_pair_conversion(self, grid, pump_pulse, orth_pulse, gate):
         st = FewPhotonState.from_components(
@@ -246,8 +242,7 @@ class TestSfgReverse:
         st = FewPhotonState.from_components(
             grid, ("sig",),
             pairs={("sig", "sig"): FactoredPair.product(mix.values)})
-        mid = tp.sfg_extract(st, "sig", gate_e, ideal=False,
-                             keep_single_converted=True)
+        mid = tp.sfg_extract(st, "sig", gate_e, ideal=False)
         out = tp.sfg_reverse(mid, "sig", gate_e)
         assert out.total_probability() == pytest.approx(1.0, abs=1e-12)
         for (a, b), amp in out.two_photon.items():

@@ -118,13 +118,14 @@ class TestFactoredPair:
         k, a = 0.3 - 2j, rvec(rng, n)
         for values in (arr, arr.T, np.asfortranarray(arr), big[::2, ::2],
                        arr.real):
+            scale = np.max(np.abs(values))
             want = float(np.real(w @ (np.abs(values) ** 2) @ w))
-            assert pairs._dense_norm_sq(values, w) == pytest.approx(
-                want, rel=1e-14)
+            assert pairs._dense_norm_sq(values, w, scale) == pytest.approx(
+                want / scale**2, rel=1e-14)
             # the door's residual form: || values - k a(x) a(y) ||
             want = oracle.norm2(w, values - k * np.outer(a, a))
-            assert pairs._dense_norm_sq(values, w, (k, a)) == pytest.approx(
-                want, rel=1e-13)
+            assert pairs._dense_norm_sq(values, w, scale, (k, a)) == (
+                pytest.approx(want / scale**2, rel=1e-13))
 
     @pytest.mark.parametrize("flips", [(True, True), (True, False),
                                        (False, True)])
@@ -657,13 +658,17 @@ class TestDoor:
         amp, pair_sign = 0.4 - 0.3j, -1.0
         ns = pair_sign * amp * np.outer(PUMP.values, PUMP.values)
         return {"rank1_same": np.outer(a, a),
+                # norms of order 1e-300 and 1e300, each within a float
+                "rank1_1e-150": 1e-150 * np.outer(a, a),
+                "rank1_1e150": 1e150 * np.outer(a, a),
                 "fortran_same": np.asfortranarray(np.outer(a, a)),
                 "real_same": np.outer(a.real, a.real),
                 "zero_same": np.zeros((N, N), dtype=complex),
                 "ns_input": ns,
                 "ns_input_fortran": np.asfortranarray(ns)}
 
-    @pytest.mark.parametrize("case", ["rank1_same", "fortran_same",
+    @pytest.mark.parametrize("case", ["rank1_same", "rank1_1e-150",
+                                      "rank1_1e150", "fortran_same",
                                       "real_same", "zero_same", "ns_input",
                                       "ns_input_fortran"])
     def test_low_rank_input_is_exact(self, case):
@@ -693,7 +698,8 @@ class TestDoor:
 
     @pytest.mark.parametrize("case", ["rank2_same", "rank2_cross",
                                       "distinct", "degenerate", "hollow",
-                                      "rank2_small", "identity"])
+                                      "rank2_small", "identity", "equal",
+                                      "equal_1e-170", "equal_1e200"])
     def test_several_terms_refused(self, case):
         rng = np.random.default_rng(2)
         a, b = np.linalg.qr(np.stack([rvec(rng), rvec(rng)], axis=1))[0].T
@@ -717,9 +723,25 @@ class TestDoor:
             "rank2_small": (np.outer(c, c) + 1e-8 * np.outer(a, a),
                             self.REFUSED),
             "identity": (np.eye(N), self.REFUSED),
+            # two orthonormal terms of equal weight at any scale: squared
+            # raw, both weights of the 1e-170 array underflow to 0, and the
+            # check 0 <= 0 would admit it
+            "equal": (np.outer(a, a) + np.outer(b, b), self.REFUSED),
+            "equal_1e-170": (1e-170 * (np.outer(a, a) + np.outer(b, b)),
+                             self.REFUSED),
+            "equal_1e200": (1e200 * (np.outer(a, a) + np.outer(b, b)),
+                            self.REFUSED),
         }[case]
         with pytest.raises(ValueError, match=match):
             pairs.from_dense(values)
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e200])
+    def test_norm_out_of_float_range_refused(self, scale):
+        # a finite product whose norm N^2 scale^2 is past a float's range is
+        # refused as such, not called non-finite
+        with pytest.raises(ValueError,
+                           match="norm overflows or underflows a float"):
+            pairs.from_dense(np.full((N, N), scale + 0j))
 
     @pytest.mark.parametrize("same_rail", [False, True])
     def test_svd_recipe_builds_several_terms(self, same_rail):
@@ -818,8 +840,7 @@ class TestDoor:
 
 RAILS = ("a", "b", "c")
 PUMP = tp.normalize(tp.OnePhotonAmp(GRID, lorentzian_values(GRID, 1.0)))
-GATE_MODES = {"ideal": {}, "photonwise": {"ideal": False},
-              "keep_single": {"ideal": False, "keep_single_converted": True}}
+GATE_MODES = {"ideal": {}, "photonwise": {"ideal": False}}
 
 op_strategy = st.one_of(
     st.tuples(st.just("bs"), st.permutations(RAILS), st.floats(-3.0, 3.0),

@@ -60,13 +60,10 @@ OPS = {
     "sfg_extract_ideal": lambda s, r, q, x: tp.sfg_extract(s, r, gate(x)),
     "sfg_extract_photonwise": lambda s, r, q, x: tp.sfg_extract(
         s, r, gate(x), ideal=False),
-    "sfg_extract_keep_single": lambda s, r, q, x: tp.sfg_extract(
-        s, r, gate(x), ideal=False, keep_single_converted=True),
     "sfg_reverse": lambda s, r, q, x: tp.sfg_reverse(
         tp.sfg_extract(s, r, gate(x)), r, gate(x)),
-    "sfg_reverse_keep_single": lambda s, r, q, x: tp.sfg_reverse(
-        tp.sfg_extract(s, r, gate(x), ideal=False,
-                       keep_single_converted=True), r, gate(x)),
+    "sfg_reverse_photonwise": lambda s, r, q, x: tp.sfg_reverse(
+        tp.sfg_extract(s, r, gate(x), ideal=False), r, gate(x)),
     "gem_invert": lambda s, r, q, x: tp.gem_invert(s, r),
     "gem_invert_two_rails": lambda s, r, q, x: tp.gem_invert(s, (r, q)),
     "component_phase_loss_1": lambda s, r, q, x: tp.component_phase_loss(

@@ -629,8 +629,6 @@ class _FourRails:
         "sfg_extract": lambda s, gate: tp.sfg_extract(s, "a", gate),
         "sfg_extract_photonwise": lambda s, gate: tp.sfg_extract(
             s, "a", gate, ideal=False),
-        "sfg_extract_keep_single": lambda s, gate: tp.sfg_extract(
-            s, "a", gate, ideal=False, keep_single_converted=True),
     }
 
 
@@ -691,7 +689,7 @@ class TestLostMass(_FourRails):
     @pytest.fixture(scope="class")
     def booked(self, state, pump):
         # a lost mass carried in, and single-pump content on the gated pair,
-        # which the photon-wise pulse gate discards
+        # which the photon-wise pulse gate converts
         g = tp.make_pulse(tp.PulseShape("gaussian", 1.1, center=-0.7),
                           self.GRID).values
         return dataclasses.replace(state, two_photon={
@@ -709,8 +707,7 @@ class TestLostMass(_FourRails):
     }
 
     @pytest.mark.parametrize("op", ["apply_tls", "loss_channel",
-                                    "component_phase_loss",
-                                    "sfg_extract_photonwise"])
+                                    "component_phase_loss"])
     def test_lossy_op_books_the_norm_it_removes(self, op, booked, pump):
         out = self.OPS[op](booked, tp.PulseGateSpec(pump, 0.8))
         removed = booked.surviving_norm_sq() - out.surviving_norm_sq()
@@ -720,7 +717,7 @@ class TestLostMass(_FourRails):
 
     @pytest.mark.parametrize("op", ["beamsplitter", "beamsplitter_reversed",
                                     "gem_invert", "gem_invert_all",
-                                    "sfg_extract", "sfg_extract_keep_single",
+                                    "sfg_extract", "sfg_extract_photonwise",
                                     *LOSSLESS])
     def test_lossless_op_keeps_lost_mass(self, op, booked, pump):
         out = {**self.OPS, **self.LOSSLESS}[op](booked,
