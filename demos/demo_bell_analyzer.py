@@ -11,7 +11,7 @@ import tlsphot as tp
 
 for beta in (1.0, 0.95):
     p = tp.TlsParams.from_beta(beta)
-    sigma = tp.matching_sigma(p, "upper")
+    sigma = tp.matching_width(p, "upper")
     grid = tp.SpectralGrid.for_pulse_width(sigma)
     pulse = tp.make_pulse(tp.PulseShape("lorentzian", sigma), grid)
     print(f"=== beta_dir = {beta} (matched width sigma = {sigma:.4f}) ===")

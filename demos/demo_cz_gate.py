@@ -13,7 +13,7 @@ import tlsphot as tp
 from tlsphot.circuits import LOGICAL_BASIS
 
 p = tp.TlsParams()
-sigma = tp.matching_sigma(p, "upper")
+sigma = tp.matching_width(p, "upper")
 grid = tp.SpectralGrid.for_pulse_width(sigma)
 pulse = tp.make_pulse(tp.PulseShape("lorentzian", sigma), grid)
 
@@ -37,7 +37,7 @@ print(f"fidelity to the controlled-sign oracle: "
       f"{report.fidelity_to_target:.8f}\n")
 
 lossy = tp.TlsParams.from_beta(0.95)
-sigma95 = tp.matching_sigma(lossy, "upper")
+sigma95 = tp.matching_width(lossy, "upper")
 grid95 = tp.SpectralGrid.for_pulse_width(sigma95)
 pulse95 = tp.make_pulse(tp.PulseShape("lorentzian", sigma95), grid95)
 eps1 = tp.epsilon1_analytic(lossy, sigma95)

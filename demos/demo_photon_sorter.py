@@ -16,7 +16,7 @@ from tlsphot.pairs import FactoredPair
 from tlsphot.states import FewPhotonState, project_detection
 
 p = tp.TlsParams()
-sigma = tp.matching_sigma(p, "upper")
+sigma = tp.matching_width(p, "upper")
 grid = tp.SpectralGrid.for_pulse_width(sigma)
 pulse = tp.make_pulse(tp.PulseShape("lorentzian", sigma), grid)
 
@@ -57,7 +57,7 @@ print("as the sorting argument assumes; sfg_extract(..., ideal=False) keeps "
       "it.")
 
 lossy = tp.TlsParams.from_beta(0.95)
-sigma95 = tp.matching_sigma(lossy, "upper")
+sigma95 = tp.matching_width(lossy, "upper")
 pulse95 = tp.make_pulse(tp.PulseShape("lorentzian", sigma95),
                         tp.SpectralGrid.for_pulse_width(sigma95))
 out95 = tp.photon_sorter(sorter_input(pulse95), "sig", lossy, pulse95)

@@ -34,15 +34,15 @@ for s in (0.05, 0.16, 0.3, 0.47, 0.8, 1.25, 3.0):
     bar = "#" * int(60 * tp.eta_analytic(p, s))
     print(f"  sigma = {s:4.2f}  {bar}")
 
-lo = tp.matching_sigma(p, "lower")
-hi = tp.matching_sigma(p, "upper")
+lo = tp.matching_width(p, "lower")
+hi = tp.matching_width(p, "upper")
 print(f"\nsorting condition eta = 1/2 holds at sigma = {lo:.4f} and "
       f"{hi:.4f};")
 print("the wider pulse is the better operating point (smaller loss when "
       "the emitter leaks).")
 
 p95 = tp.TlsParams.from_beta(0.95)
-hi95 = tp.matching_sigma(p95, "upper")
+hi95 = tp.matching_width(p95, "upper")
 print(f"\nwith beta_dir = 0.95 the condition becomes eta = eps1^2/2, met at "
       f"sigma = {hi95:.4f},")
 print(f"where eps1 = {tp.epsilon1_analytic(p95, hi95):.4f} and eps_b = "

@@ -14,7 +14,7 @@ from tlsphot.pairs import FactoredPair
 from tlsphot.states import FewPhotonState, fidelity
 
 p = tp.TlsParams()
-sigma = tp.matching_sigma(p, "upper")
+sigma = tp.matching_width(p, "upper")
 grid = tp.SpectralGrid.for_pulse_width(sigma)
 pulse = tp.make_pulse(tp.PulseShape("lorentzian", sigma), grid)
 
@@ -51,7 +51,7 @@ twice = tp.ns_gate(out, "sig", p, pulse)
 print(f"  fidelity(NS(NS(state)), state) = {fidelity(twice, state):.6f}\n")
 
 lossy = tp.TlsParams.from_beta(0.95)
-sigma95 = tp.matching_sigma(lossy, "upper")
+sigma95 = tp.matching_width(lossy, "upper")
 grid95 = tp.SpectralGrid.for_pulse_width(sigma95)
 pulse95 = tp.make_pulse(tp.PulseShape("lorentzian", sigma95), grid95)
 pair_in = FewPhotonState.from_components(

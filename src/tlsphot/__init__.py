@@ -27,6 +27,7 @@ from .scatter import (
     eta_analytic,
     eta_numeric,
     matching_sigma,
+    matching_width,
     s_coeff,
     scatter_one,
     scatter_two,
@@ -65,7 +66,13 @@ from .circuits import (
     ns_gate,
     photon_sorter,
 )
-from .sweeps import SweepSpec, fig1b_data, fig3_data, success_curves
+from .sweeps import (
+    SweepSpec,
+    fig1b_data,
+    fig1b_table,
+    fig3_data,
+    success_curves,
+)
 from .roots import NoCrossingError
 
 __version__ = "0.1.0"

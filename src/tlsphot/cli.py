@@ -5,11 +5,15 @@ configuration, a convergence report comparing its one headline scalar at the
 base grid and on :func:`_rerun_size` samples, and a minimal plot script.
 Outputs are deterministic: the same configuration gives byte-identical files.
 
-Every pulse an experiment samples, a sweep width or the operating point of a
-circuit demo, lies on the default grid policy
-:meth:`~tlsphot.grid.SpectralGrid.for_pulse_width`; ``grid.n_points``
-(``--grid-n``) fixes its sample count, and the window follows the width.
-A fixed count that does not resolve a width the run samples exits 2.
+The scalar experiments (fig1b, loss-curves, fig3, matching-points) take
+closed forms and the exact matching widths of
+:func:`~tlsphot.scatter.matching_width`: they sample no pulse,
+``grid.n_points`` does not touch them, and their headline refines to itself
+(drift 0).
+Every pulse a circuit demo samples, at its operating width, lies on the
+default grid policy :meth:`~tlsphot.grid.SpectralGrid.for_pulse_width`;
+``grid.n_points`` (``--grid-n``) fixes its sample count, and the window
+follows the width.  A fixed count that does not resolve that width exits 2.
 
 Exit codes: 0 success, 1 I/O failure, 2 usage error, 3 convergence failure.
 """
@@ -55,13 +59,13 @@ from .pairs import FactoredPair
 from .roots import NoCrossingError
 from .scatter import (
     TlsParams,
-    _eta_kernel,
     epsilon1_analytic,
-    matching_sigma,
+    eta_analytic,
+    matching_width,
     scatter_two,
 )
 from .states import FewPhotonState, fidelity, project_detection
-from .sweeps import SweepSpec, fig1b_data, success_curves
+from .sweeps import SweepSpec, fig1b_table, success_curves
 
 DEFAULTS = {
     "grid": {"n_points": "auto"},
@@ -247,20 +251,17 @@ def _rerun_size(width: float, n_points: int | None) -> int:
 
 # -- experiment table builders --------------------------------------------
 # Each builder returns (columns, rows, headline).  The headline is
-# (name, base value, pulse width, at): at(n_points) recomputes the value on
-# the width's policy grid of n_points samples, and run() picks the rerun's.
+# (name, base value, refine): refine() recomputes the value on the rerun
+# grid of :func:`_rerun_size` samples, or is None for an exact value, which
+# samples no grid and refines to itself.
 
 
 def _build_fig1b(s: _Settings):
-    rows = fig1b_data(s.spec)
+    rows = fig1b_table(s.spec)
     columns = ["beta", "sigma_over_gamma", "eta", "half_eps1_sq",
                "is_crossing"]
     p = TlsParams.from_beta(s.spec.beta_values[0])
-
-    def at(n_points):
-        return _eta_kernel((p,), 0.5, n_points)[0]
-
-    return columns, rows, ("eta_sigma_half", at(s.n_points), 0.5, at)
+    return columns, rows, ("eta_sigma_half", eta_analytic(p, 0.5), None)
 
 
 def _build_matched_curve(s: _Settings, columns, name):
@@ -271,12 +272,7 @@ def _build_matched_curve(s: _Settings, columns, name):
     base = (min(matched, key=lambda r: r["beta"]) if matched
             else success_curves(replace(s.spec, beta_values=(1.0,)),
                                 s.branch)[0])
-
-    def at(n_points):
-        spec = replace(s.spec, beta_values=(base["beta"],), n_points=n_points)
-        return success_curves(spec, s.branch)[0][name]
-
-    return columns, rows, (name, base[name], base["sigma"], at)
+    return columns, rows, (name, base[name], None)
 
 
 def _build_loss_curves(s: _Settings):
@@ -295,7 +291,7 @@ def _build_matching_points(s: _Settings):
     rows = []
     for branch in ("lower", "upper"):
         try:
-            sigma = matching_sigma(p, branch=branch, n_points=s.n_points)
+            sigma = matching_width(p, branch)
         except NoCrossingError:
             if branch == "upper":  # the headline's root: no table without it
                 raise
@@ -303,7 +299,7 @@ def _build_matching_points(s: _Settings):
                          "eta_at_sigma": float("nan"),
                          "residual": float("nan"), "matched": False})
             continue
-        eta = _eta_kernel((p,), sigma, s.n_points)[0]
+        eta = eta_analytic(p, sigma)
         rows.append({
             "branch": branch,
             "sigma": sigma,
@@ -312,8 +308,7 @@ def _build_matching_points(s: _Settings):
             "matched": True,
         })
     columns = ["branch", "sigma", "eta_at_sigma", "residual", "matched"]
-    at = functools.partial(matching_sigma, p, "upper")
-    return columns, rows, ("sigma_upper", sigma, sigma, at)
+    return columns, rows, ("sigma_upper", sigma, None)
 
 
 # Each demo's rows function takes (settings, sigma, pulse), the pulse of
@@ -442,13 +437,14 @@ def _build_demo(experiment: str, s: _Settings):
     demo_rows, columns, name = _DEMOS[experiment]
     sigma = s.sigma
     if sigma is None:
-        sigma = matching_sigma(s.p, branch=s.branch)
+        sigma = matching_width(s.p, s.branch)
     rows, base = demo_rows(s, sigma, _policy_pulse(sigma, s.n_points))
 
-    def at(n_points):
-        return demo_rows(s, sigma, _policy_pulse(sigma, n_points))[1]
+    def refine():
+        pulse = _policy_pulse(sigma, _rerun_size(sigma, s.n_points))
+        return demo_rows(s, sigma, pulse)[1]
 
-    return columns, rows, (name, base, sigma, at)
+    return columns, rows, (name, base, refine)
 
 
 _BUILDERS = {
@@ -483,13 +479,13 @@ def run(experiment: str, cfg: dict, out_dir: str) -> int:
         return 1
 
     try:
-        columns, rows, (name, base, width, at) = _BUILDERS[experiment](
+        columns, rows, (name, base, refine) = _BUILDERS[experiment](
             settings)
-        refined = at(_rerun_size(width, settings.n_points))
+        refined = base if refine is None else refine()
     except (ResolutionError, GridSizeError) as exc:
-        # grids the configuration does not spell out (sweep widths, the
-        # matched operating point, the headline reruns) are only checked
-        # when they are built
+        # grids the configuration does not spell out (a demo's matched
+        # operating point and its headline rerun) are only checked when
+        # they are built
         print(f"grid.n_points = {cfg['grid']['n_points']}: {exc}",
               file=sys.stderr)
         return 2

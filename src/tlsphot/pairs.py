@@ -466,7 +466,7 @@ def require_symmetric(values: np.ndarray, tol: float = 1e-10) -> float:
     Upper-triangle tiles are compared with the transposed lower tiles, so no
     N x N temporary is allocated.
     """
-    n = values.shape[0]
+    n = values.shape[0] if values.ndim else 0
     if values.shape != (n, n):
         raise ValueError(
             f"two-photon amplitude must be square, got shape {values.shape}")
@@ -535,10 +535,13 @@ def from_dense(values) -> FactoredPair:
     Raises
     ------
     ValueError
-        If the array is not square, finite, symmetric or one product term,
-        or its norm overflows or underflows a float.
+        If the array is empty, not square, finite, symmetric or one product
+        term, or its norm overflows or underflows a float.
     """
     values = np.asarray(values)
+    if not values.size:
+        raise ValueError(f"from_dense, the dense door, takes an N x N array "
+                         f"with N >= 1, got shape {values.shape}")
     scale = require_symmetric(values)
     w = np.ones(values.shape[0])
     j = int(np.argmax(np.abs(np.diagonal(values))))

@@ -278,6 +278,74 @@ def decompose(p: TlsParams, f: OnePhotonAmp) -> ScatterTwoResult:
     )
 
 
+def _matching_sextic(G: float) -> list:
+    """Coefficients, sigma^6 first, of the polynomial P whose sign is that of
+    eta - eps_1^2 / 2 for a resonant Lorentzian of width sigma, G = gamma + 1.
+
+    Over the common denominator D = 2 G^2 (G + 2 sigma)^4 (G + 6 sigma)
+    (3G + 2 sigma) > 0 of :func:`eta_analytic` and :func:`epsilon1_analytic`
+    the mismatch is P / D, P = 8 sigma Q - N^2 (G + 6 sigma) (3G + 2 sigma),
+    N = G (G + 2 sigma)^2 - 4 (G - 1)(G + 4 sigma) and Q the cubic of
+    :func:`eta_analytic`.
+    """
+    u = (G - 2.0) ** 2
+    return [-192 * G**2,
+            -64 * G * (11 * G**2 - 24 * G + 24),
+            -16 * G * (61 * G**3 - 280 * G**2 + 440 * G - 256),
+            -32 * G * (21 * G**4 - 136 * G**3 + 313 * G**2 - 292 * G + 72),
+            -4 * G**2 * u * (61 * G**2 - 220 * G + 132),
+            -4 * G**3 * u * (11 * G**2 - 44 * G + 38),
+            -3 * G**4 * u**2]
+
+
+def matching_width(p: TlsParams, branch: str = "upper") -> float:
+    """Spectral width solving the matching condition eta = eps_1^2 / 2,
+    exactly: a root of :func:`_matching_sextic`'s polynomial P.
+
+    P(0) = -3 G^4 (G - 2)^4 <= 0 and P < 0 at large sigma, and its
+    coefficients change sign at most twice, so it has at most two positive
+    roots, which bracket the hump of eta - eps_1^2 / 2.  ``branch`` selects
+    the ``"lower"`` or the ``"upper"`` of them (the upper crossing is the
+    recommended operating point, having the smaller loss).  As beta_dir
+    falls to 0.5 the lower root falls to sigma = 0, where it is a double
+    root of P at beta_dir = 0.5 exactly; below 0.5 it comes back, and the
+    two roots meet and vanish near beta_dir = 0.3855.
+
+    ``np.roots`` gives the roots to a few ulp; two Newton steps on the
+    closed-form mismatch, with the slope P' / D, polish each.  Nothing is
+    sampled: a root whose policy grid is too large is returned, and only a
+    caller that samples a pulse of that width refuses it.
+
+    Raises
+    ------
+    NoCrossingError
+        If P has no positive root on the branch; its ``branch`` names it.
+    """
+    if branch not in ("lower", "upper"):
+        raise ValueError(f"branch must be 'lower' or 'upper', got {branch!r}")
+    G = p.gamma_loss + 1.0
+    coeffs = _matching_sextic(G)
+    # a real root is returned with a zero imaginary part; a pair of roots
+    # that merge within rounding is returned complex, and is no crossing
+    roots = sorted(r.real for r in np.roots(coeffs)
+                   if r.imag == 0.0 and r.real > 0.0)
+    if not roots or (branch == "lower" and len(roots) < 2):
+        exc = NoCrossingError(
+            f"matching condition unreachable at beta_dir={p.beta_dir:.4f}: "
+            f"the matching polynomial has no positive {branch} root")
+        exc.branch = branch
+        raise exc
+    sigma = roots[0] if branch == "lower" else roots[-1]
+    slope = np.polyder(coeffs)
+    for _ in range(2):
+        mismatch = (eta_analytic(p, sigma)
+                    - 0.5 * epsilon1_analytic(p, sigma) ** 2)
+        denom = (2.0 * G**2 * (G + 2 * sigma) ** 4 * (G + 6 * sigma)
+                 * (3 * G + 2 * sigma))
+        sigma -= mismatch * denom / np.polyval(slope, sigma)
+    return float(sigma)
+
+
 def _eta_kernel(ps, sigma: float, n_points: int | None = None) -> list:
     """eta at width sigma for each emitter of ``ps``: the closed form
     (:func:`eta_analytic`) if lossless, sampling nothing, else
@@ -302,6 +370,10 @@ def _eta_kernel(ps, sigma: float, n_points: int | None = None) -> list:
     filled in from real arrays, with no complex division.  F depends on
     the width alone, so one transform of the pulse serves every emitter.
     A grid that does not resolve sigma raises make_pulse's ResolutionError.
+
+    Kept unchanged for :func:`matching_sigma` and
+    :func:`~tlsphot.sweeps.fig1b_data`, which the benchmark's numeric checks
+    alone call, until those move onto the closed forms (ROADMAP item 2c).
     """
     if all(p.gamma_loss == 0.0 for p in ps):
         return [eta_analytic(p, sigma) for p in ps]
@@ -390,6 +462,12 @@ def matching_sigma(p: TlsParams, branch: str = "upper",
         its ``branch`` names the branch.
     ResolutionError
         If ``n_points`` does not resolve a width the lossy polish evaluates.
+
+    Notes
+    -----
+    Kept unchanged for the benchmark's numeric checks alone, until they
+    move onto :func:`matching_width` (ROADMAP item 2c); no library path
+    calls it.
     """
     if branch not in ("lower", "upper"):
         raise ValueError(f"branch must be 'lower' or 'upper', got {branch!r}")

@@ -14,7 +14,8 @@ from .scatter import (
     _eta_kernel,
     epsilon1_analytic,
     epsilon_b_analytic,
-    matching_sigma,
+    eta_analytic,
+    matching_width,
 )
 
 DEFAULT_BETAS = (1.0, 0.95, 0.90)
@@ -24,9 +25,10 @@ DEFAULT_BETAS = (1.0, 0.95, 0.90)
 class SweepSpec:
     """What to sweep: beta values, a spectral-width range, grid override."""
 
-    # fig1b at the default betas takes about 3 ms per width on one core of
-    # a 2-core Xeon, so this is a run of under a minute; a larger count is
-    # refused unsampled
+    # fig1b_table takes closed forms, about 20 us per width at the three
+    # default betas on one core of a 2-core Xeon, so this is a run of a
+    # fifth of a second; fig1b_data samples each lossy width, about 3 ms
+    # per width.  A larger count is refused unsampled
     MAX_SIGMA_COUNT = 10_000  # unannotated: a constant, not a field
 
     beta_values: tuple = DEFAULT_BETAS
@@ -45,15 +47,45 @@ class SweepSpec:
         if any(not 0.0 < b <= 1.0 for b in self.beta_values):
             raise ValueError(f"beta values must lie in (0, 1], "
                              f"got {self.beta_values}")
-        # checked here: a lossless figure takes closed forms, samples no
-        # grid, and so would never refuse the size.  A lossy beta samples
-        # every width on its policy grid, the narrowest on the largest
+        # checked here: a closed-form figure samples no grid, and so would
+        # never refuse the size.  fig1b_data samples every lossy width on its
+        # policy grid, the narrowest on the largest
         if self.n_points is not None or any(b < 1.0 for b in self.beta_values):
             policy_size(lo, self.n_points)
 
     def sigmas(self) -> np.ndarray:
         lo, hi = self.sigma_range
         return np.geomspace(lo, hi, self.sigma_count)
+
+
+def fig1b_table(spec: SweepSpec) -> list:
+    """Distortion overlap and half squared single-photon survival vs width.
+
+    Rows hold (beta, sigma_over_gamma, eta, half_eps1_sq, is_crossing), all
+    from the closed forms (:func:`eta_analytic`, :func:`epsilon1_analytic`):
+    nothing is sampled, and ``spec.n_points`` is not used.  The crossing flag
+    marks rows where eta - eps_1^2/2 changes sign before the next row, i.e.
+    the sorting operating points.
+    """
+    sigmas = spec.sigmas()
+    rows = []
+    for beta in spec.beta_values:
+        p = TlsParams.from_beta(beta)
+        etas = [eta_analytic(p, s) for s in sigmas]
+        halves = [0.5 * epsilon1_analytic(p, s) ** 2 for s in sigmas]
+        diffs = [e - h for e, h in zip(etas, halves)]
+        for i, sigma in enumerate(sigmas):
+            crossing = (i + 1 < len(sigmas)
+                        and diffs[i] * diffs[i + 1] <= 0.0
+                        and (diffs[i] != 0.0 or diffs[i + 1] != 0.0))
+            rows.append({
+                "beta": float(beta),
+                "sigma_over_gamma": float(sigma),
+                "eta": float(etas[i]),
+                "half_eps1_sq": float(halves[i]),
+                "is_crossing": bool(crossing),
+            })
+    return rows
 
 
 def fig1b_data(spec: SweepSpec) -> list:
@@ -63,6 +95,10 @@ def fig1b_data(spec: SweepSpec) -> list:
     crossing flag marks rows where eta - eps_1^2/2 changes sign before the
     next row, i.e. the sorting operating points.  A lossy beta raises
     ResolutionError at a width its grid does not resolve.
+
+    Kept unchanged for the benchmark's numeric checks alone, until they
+    move onto :func:`fig1b_table` (ROADMAP item 2c); no library path calls
+    it.
     """
     sigmas = spec.sigmas()
     ps = [TlsParams.from_beta(beta) for beta in spec.beta_values]
@@ -100,6 +136,9 @@ def _from_both_ends(fn, items) -> list:
     A failure at index i stops all claims above i; below it the caller
     runs on, so the exception raised is the serial loop's: the one of the
     lowest failing index.  ``fn`` runs on two threads at once.
+
+    Kept unchanged for :func:`fig1b_data` alone, and goes with it (ROADMAP
+    item 2c).
     """
     results = [None] * len(items)
     failures = {}
@@ -145,15 +184,16 @@ def success_curves(spec: SweepSpec, branch: str = "upper") -> list:
 
     Each row holds the matched spectral width, the closed-form eps_1 and
     eps_b there, the Bell-measurement average success eps_b / 2, the CZ
-    success eps_1^4, and the pair / two-single-photon loss probabilities.
-    Betas without a matching point are flagged, their figures NaN, instead
-    of raising.
+    success eps_1^4, and the pair / two-single-photon loss probabilities,
+    all exact: the width is :func:`matching_width`'s, and nothing is
+    sampled.  Betas without a matching point are flagged, their figures
+    NaN, instead of raising.
     """
     rows = []
     for beta in spec.beta_values:
         p = TlsParams.from_beta(beta)
         try:
-            sigma = matching_sigma(p, branch=branch, n_points=spec.n_points)
+            sigma = matching_width(p, branch)
         except NoCrossingError:
             rows.append({"beta": float(beta), "matched": False,
                          **dict.fromkeys(_FIGURES, float("nan"))})

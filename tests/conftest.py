@@ -33,12 +33,12 @@ def tls95():
 
 @pytest.fixture(scope="session")
 def sigma_up0(tls0):
-    return tp.matching_sigma(tls0, "upper")
+    return tp.matching_width(tls0, "upper")
 
 
 @pytest.fixture(scope="session")
 def sigma_up95(tls95):
-    return tp.matching_sigma(tls95, "upper")
+    return tp.matching_width(tls95, "upper")
 
 
 @pytest.fixture(scope="session")

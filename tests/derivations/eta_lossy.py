@@ -5,7 +5,9 @@
 Needs sympy, which is no dependency of the package; pytest does not collect
 this file.  It prints the derived eta(sigma) and checks it against
 ``scatter.eta_analytic`` at beta 0.95, 0.8 and 0.5 and sigma 0.3, 1.2143
-and 3, to 1e-14; it exits 1 on a mismatch and 2 without sympy.
+and 3, to 1e-14, and checks the coefficients of ``scatter.matching_width``'s
+sextic against the stated forms; it exits 1 on a mismatch and 2 without
+sympy.
 
 The derivation is the one ``eta_numeric`` evaluates on a grid.  With
 G = gamma + 1 = 1 / beta and a = G / 2, the emitter's amplitudes are
@@ -38,7 +40,11 @@ except ImportError:
     sys.exit(2)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "src"))
-from tlsphot.scatter import TlsParams, eta_analytic  # noqa: E402
+from tlsphot.scatter import (  # noqa: E402
+    TlsParams,
+    _matching_sextic,
+    eta_analytic,
+)
 
 sigma, G = sp.symbols("sigma G", positive=True)
 d = sp.symbols("d", real=True)
@@ -108,6 +114,16 @@ def main() -> int:
     failures = 0
     if sp.cancel(eta - stated) != 0:
         print("the derived eta differs from the form eta_analytic states")
+        failures += 1
+    # matching_width's sextic: the numerator of eta - eps_1^2 / 2 over
+    # the common denominator 2 G^2 (G + 2 sigma)^4 (G + 6 sigma) (3G + 2 sigma)
+    n = G * (G + 2 * sigma) ** 2 - 4 * (G - 1) * (G + 4 * sigma)
+    sextic = sp.expand(8 * sigma * q
+                       - n**2 * (G + 6 * sigma) * (3 * G + 2 * sigma))
+    listed = sum(c * sigma ** (6 - k)
+                 for k, c in enumerate(_matching_sextic(G)))
+    if sp.expand(sextic - listed) != 0:
+        print("the matching sextic differs from _matching_sextic's")
         failures += 1
     for beta in ("0.95", "0.8", "0.5"):
         for width in ("0.3", "1.2143", "3"):

@@ -54,6 +54,11 @@ MUTANTS = [
     ("policy-window-30-widths", "src/tlsphot/grid.py",
      "DEFAULT_WINDOW_WIDTHS = 80\n",
      "DEFAULT_WINDOW_WIDTHS = 30\n"),
+    # matching_width's sextic with its leading coefficient off by 1/192:
+    # its roots move by about 1e-3, more than two Newton steps mend
+    ("matching-sextic-leading-coefficient", "src/tlsphot/scatter.py",
+     "    return [-192 * G**2,\n",
+     "    return [-191 * G**2,\n"),
     ("closed-form-matching-factor", "src/tlsphot/scatter.py",
      "        return (eta_analytic(p, sigma)\n"
      "                - 0.5 * epsilon1_analytic(p, sigma) ** 2)\n",

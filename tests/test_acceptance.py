@@ -67,8 +67,8 @@ def test_01_eta_analytic_numeric_agreement(tls0):
 
 
 def test_02_matching_points(tls0):
-    lower = tp.matching_sigma(tls0, "lower")
-    upper = tp.matching_sigma(tls0, "upper")
+    lower = tp.matching_width(tls0, "lower")
+    upper = tp.matching_width(tls0, "upper")
     assert lower == pytest.approx(SIGMA_LOWER_GOLDEN, abs=1e-6)
     assert upper == pytest.approx(SIGMA_UPPER_GOLDEN, abs=1e-6)
     for s in (lower, upper):

@@ -245,7 +245,7 @@ class TestCzGate:
         # survivors are not all in the pulse mode: that gap is the
         # unheralded mode error of ROADMAP item 13
         p = tp.TlsParams.from_beta(beta)
-        sigma = tp.matching_sigma(p, "upper")
+        sigma = tp.matching_width(p, "upper")
         grid = tp.SpectralGrid.for_pulse_width(sigma)
         pulse = tp.make_pulse(tp.PulseShape("lorentzian", sigma), grid)
         report = tp.cz_gate(tp.logical_state(grid, pulse, {

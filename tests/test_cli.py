@@ -1,19 +1,26 @@
 import json
 import pathlib
 import runpy
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from tlsphot import cli, sweeps
-from tlsphot.grid import SpectralGrid, policy_size
+from tlsphot import cli
+from tlsphot.grid import SpectralGrid
 from tlsphot.pairs import FactoredPair
-from tlsphot.scatter import TlsParams
+from tlsphot.scatter import TlsParams, matching_width
+
+SCALAR_EXPERIMENTS = ("fig1b", "loss-curves", "fig3", "matching-points")
 
 
 def run_cli(args):
     return cli.main(args)
+
+
+def _refuse_sampling(*args, **kwargs):
+    raise AssertionError("a pulse was sampled")
 
 
 @pytest.fixture()
@@ -84,15 +91,13 @@ class TestRun:
         assert err.count("\n") == 1 and blocked in err
 
     def test_convergence_failure_exits_3(self, tmp_path):
+        # a demo samples its pulse, and its headline drifts by about 1e-11
+        # on the rerun grid; the scalar experiments' exact values do not
         cfg = tmp_path / "strict.ini"
-        cfg.write_text(
-            "[sweep]\nbeta_values = 0.95\nsigma_min = 0.5\nsigma_max = 2.0\n"
-            "sigma_count = 4\n"
-            "[convergence]\ntolerance = 1e-18\n"
-        )
+        cfg.write_text("[convergence]\ntolerance = 1e-18\n")
         out = tmp_path / "conv"
-        rc = run_cli(["run", "fig1b", "--config", str(cfg), "--out",
-                      str(out)])
+        rc = run_cli(["run", "ns-demo", "--beta", "0.95", "--grid-n", "2001",
+                      "--config", str(cfg), "--out", str(out)])
         assert rc == 3
         report = (out / "convergence.csv").read_text()
         assert "false" in report
@@ -117,25 +122,15 @@ class TestRun:
     def test_headline_rerun_refines_the_base_grid(self, tmp_path,
                                                   monkeypatch):
         # the lower matched width at beta 0.95 (0.1485) needs about 10800
-        # samples on its policy grid; each experiment reruns its headline
-        # on 2 n - 1 samples of its own width's policy grid, not on the
+        # samples on its policy grid; each demo reruns its headline on
+        # 2 n - 1 samples of its own width's policy grid, not on the
         # default policy's refined 8001
         cfg = tmp_path / "lower.ini"
-        cfg.write_text("[tls]\nbeta = 0.95\n[sweep]\nbeta_values = 0.95\n"
-                       "sigma_min = 0.1\nsigma_max = 2.0\nsigma_count = 4\n"
-                       "[run]\nbranch = lower\n")
+        cfg.write_text("[tls]\nbeta = 0.95\n[run]\nbranch = lower\n")
         p = TlsParams.from_beta(0.95)
-        n_half, n_lower, n_upper = (
-            SpectralGrid.for_pulse_width(width).n_points for width in (
-                0.5, sweeps.matching_sigma(p, "lower"),
-                sweeps.matching_sigma(p, "upper")))
+        n_lower = SpectralGrid.for_pulse_width(
+            matching_width(p, "lower")).n_points
         assert n_lower > 4001
-
-        def solve_spy(solve, counts):
-            def spy(p, branch="upper", n_points=None):
-                counts.append(n_points)
-                return solve(p, branch=branch, n_points=n_points)
-            return spy
 
         def pulse_spy(fn, counts):
             def spy(*args):
@@ -143,58 +138,49 @@ class TestRun:
                 return fn(*args)
             return spy
 
-        def kernel_spy(kernel, counts):
-            # the size of the policy grid the kernel samples
-            def spy(ps, sigma, n_points=None):
-                counts.append(policy_size(sigma, n_points)[1])
-                return kernel(ps, sigma, n_points)
-            return spy
-
-        # the call each experiment reruns, as (spy, module or dict, name),
-        # and the sample counts of every such call: the base run's, then
-        # the rerun's 2 n - 1 on its headline width's policy grid
-        reruns = {
-            "fig1b": (kernel_spy, cli, "_eta_kernel",
-                      [n_half, 2 * n_half - 1]),
-            "loss-curves": (solve_spy, sweeps, "matching_sigma",
-                            [None, 2 * n_lower - 1]),
-            "fig3": (solve_spy, sweeps, "matching_sigma",
-                     [None, 2 * n_lower - 1]),
-            "matching-points": (solve_spy, cli, "matching_sigma",
-                                [None, None, 2 * n_upper - 1]),
-        }
+        assert set(cli.EXPERIMENTS) == {*cli._DEMOS, *SCALAR_EXPERIMENTS}
         for name in cli._DEMOS:
-            reruns[name] = (pulse_spy, cli._DEMOS, name,
-                            [n_lower, 2 * n_lower - 1])
-        assert tuple(reruns) == cli.EXPERIMENTS
-        for experiment, (make_spy, home, attr, expected) in reruns.items():
             counts = []
             with monkeypatch.context() as m:
-                if isinstance(home, dict):
-                    rows, *rest = home[attr]
-                    m.setitem(home, attr, (make_spy(rows, counts), *rest))
-                else:
-                    m.setattr(home, attr, make_spy(getattr(home, attr),
-                                                   counts))
-                assert run_cli(["run", experiment, "--config", str(cfg),
-                                "--out", str(tmp_path / experiment)]) == 0
-            assert counts == expected, experiment
+                rows, *rest = cli._DEMOS[name]
+                m.setitem(cli._DEMOS, name, (pulse_spy(rows, counts), *rest))
+                assert run_cli(["run", name, "--config", str(cfg),
+                                "--out", str(tmp_path / name)]) == 0
+            assert counts == [n_lower, 2 * n_lower - 1], name
+
+    @pytest.mark.parametrize("experiment", SCALAR_EXPERIMENTS)
+    def test_scalar_experiment_samples_nothing(self, tmp_path, monkeypatch,
+                                               experiment):
+        # closed forms at exact matching widths: no pulse, no grid, and a
+        # headline that refines to itself
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "tlsphot":
+                for attr in ("make_pulse", "resolved_size"):
+                    if hasattr(module, attr):
+                        monkeypatch.setattr(module, attr, _refuse_sampling)
+        out = tmp_path / "out"
+        assert run_cli(["run", experiment, "--beta", "0.95",
+                        "--out", str(out)]) == 0
+        lines = (out / "convergence.csv").read_text().splitlines()
+        report = dict(zip(lines[0].split(","), lines[1].split(",")))
+        assert report["base_value"] == report["refined_value"]
+        assert report["drift"] == "0.0"
 
     def test_matching_points_solves_each_root_once(self, tmp_path,
                                                    monkeypatch):
-        # the headline's base value is the upper row's root: one solve per
-        # branch and one rerun
+        # the headline's base value is the upper row's root, exact, so
+        # there is one solve per branch and no rerun
         counts = []
-        solve = cli.matching_sigma
+        solve = cli.matching_width
 
-        def spy(p, branch="upper", n_points=None):
-            counts.append((branch, n_points))
-            return solve(p, branch=branch, n_points=n_points)
+        def spy(p, branch="upper"):
+            counts.append(branch)
+            return solve(p, branch)
 
-        monkeypatch.setattr(cli, "matching_sigma", spy)
+        monkeypatch.setattr(cli, "matching_width", spy)
         assert run_cli(["run", "matching-points",
                         "--out", str(tmp_path / "out")]) == 0
-        assert counts == [("lower", None), ("upper", None), ("upper", 8001)]
+        assert counts == ["lower", "upper"]
 
 
 class TestValidate:
@@ -422,28 +408,70 @@ class TestConfigFaults:
         assert "sweep.sigma_count" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, flags, line", [
+        # run.sigma's grid is checked from its sizes when the configuration
+        # parses: 2001 samples over the policy window of 80 give a spacing
+        # of 0.08, above a tenth of 0.05
+        pytest.param("", ["--sigma", "0.05"],
+                     "grid.n_points = 2001, run.sigma = 0.05: grid "
+                     "resolution: grid too coarse", id="run-sigma"),
+        # the matched width (0.1485, lower, beta 0.95) only when its pulse
+        # is sampled
+        pytest.param("[run]\nbranch = lower\n", ["--beta", "0.95"],
+                     "grid.n_points = 2001: grid too coarse",
+                     id="matched-width"),
+    ])
+    def test_unresolved_pulse_exits_2(self, tmp_path, capsys, text, flags,
+                                      line):
+        cfg = tmp_path / "demo.ini"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert run_cli(["run", "sorter-demo", "--config", str(cfg), *flags,
+                        "--grid-n", "2001", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(line)
+        assert not out.exists() or not any(out.iterdir())
+
     @pytest.mark.parametrize("experiment, flags", [
         pytest.param("fig1b", ["--grid-n", "2001", "--beta", "0.93"],
                      id="fig1b"),
         pytest.param("matching-points", ["--grid-n", "2001", "--beta", "0.93"],
                      id="matching-points"),
-        # the headline's width, 0.5, is resolved on 4001 samples; the
-        # sweep's narrowest, 0.02, is not
+        # 4001 samples do not resolve the sweep's narrowest width, 0.02,
+        # which fig1b no longer samples
         pytest.param("fig1b", ["--grid-n", "4001"], id="fig1b-sweep-width"),
     ])
-    def test_unresolved_pulse_exits_2(self, tmp_path, capsys, experiment,
-                                      flags):
-        # the sweep and operating-point grids are only checked when a width
-        # is sampled on them, after the configuration has parsed
+    def test_scalar_run_ignores_grid_n(self, tmp_path, experiment, flags):
+        # the scalar experiments sample no pulse: a grid size, resolving or
+        # not, leaves every output but the manifest's config echo alone
         cfg = tmp_path / "coarse.ini"
         cfg.write_text("[sweep]\nbeta_values = 0.95, 1.0\nsigma_count = 2\n")
-        out = tmp_path / "out"
+        base, sized = tmp_path / "base", tmp_path / "sized"
+        assert run_cli(["run", experiment, "--config", str(cfg), *flags[2:],
+                        "--out", str(base)]) == 0
         assert run_cli(["run", experiment, "--config", str(cfg), *flags,
-                        "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert err.startswith(f"grid.n_points = {flags[1]}: grid too coarse")
-        assert not any(out.iterdir())
+                        "--out", str(sized)]) == 0
+        names = sorted(f.name for f in base.iterdir())
+        assert names == sorted(f.name for f in sized.iterdir())
+        for name in names:
+            if name != "manifest.json":
+                assert (base / name).read_bytes() == (
+                    sized / name).read_bytes(), name
+
+    def test_validate_and_run_accept_4001_samples(self, tmp_path, capsys):
+        # the grid validate accepts, run fig1b runs: by construction, since
+        # fig1b samples nothing
+        cfg = tmp_path / "grid.ini"
+        cfg.write_text("[grid]\nn_points = 4001\n")
+        assert run_cli(["validate", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == ""
+        base, sized = tmp_path / "base", tmp_path / "sized"
+        assert run_cli(["run", "fig1b", "--out", str(base)]) == 0
+        assert run_cli(["run", "fig1b", "--config", str(cfg),
+                        "--out", str(sized)]) == 0
+        for name in ("fig1b.csv", "convergence.csv", "plot_fig1b.py"):
+            assert (base / name).read_bytes() == (sized / name).read_bytes()
 
     def test_no_crossing_exits_2(self, tmp_path, capsys):
         # neither branch crosses at beta 0.3: the rows record it, and the

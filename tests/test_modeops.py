@@ -62,7 +62,7 @@ class TestSfgExtract:
 
     def test_matched_pair_both_converted_vanishes(self, gate):
         p = tp.TlsParams()
-        sigma = tp.matching_sigma(p, "upper")
+        sigma = tp.matching_width(p, "upper")
         g = tp.SpectralGrid(60.0, 1201)
         f = tp.make_pulse(tp.PulseShape("lorentzian", sigma), g)
         pair = tp.scatter_two(p, g, FactoredPair.product(f.values))
@@ -81,7 +81,7 @@ class TestSfgExtract:
         # converts: one photon on the rail and one on its sum-frequency
         # rail, a branch a detector sees, so nothing is booked as lost
         p = tp.TlsParams()
-        sigma = tp.matching_sigma(p, "upper")
+        sigma = tp.matching_width(p, "upper")
         g = tp.SpectralGrid(60.0, 1201)
         f = tp.make_pulse(tp.PulseShape("lorentzian", sigma), g)
         pair = tp.scatter_two(p, g, FactoredPair.product(f.values))
@@ -409,7 +409,7 @@ class TestLeakageMetric:
 
     def test_matched_pair_leakage_reported(self):
         p = tp.TlsParams()
-        sigma = tp.matching_sigma(p, "upper")
+        sigma = tp.matching_width(p, "upper")
         g = tp.SpectralGrid(60.0, 1201)
         f = tp.make_pulse(tp.PulseShape("lorentzian", sigma), g)
         pair = tp.scatter_two(p, g, FactoredPair.product(f.values))

@@ -9,6 +9,7 @@ gate in both, and a guard on the term counts the circuits produce.
 """
 
 import dataclasses
+import re
 import weakref
 
 import numpy as np
@@ -734,6 +735,18 @@ class TestDoor:
         }[case]
         with pytest.raises(ValueError, match=match):
             pairs.from_dense(values)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0,), (3, 0)])
+    def test_empty_array_refused(self, shape):
+        # no diagonal to pivot on: refused by name, not in numpy's argmax
+        with pytest.raises(ValueError,
+                           match=r"from_dense, the dense door.*N >= 1.*"
+                           + re.escape(str(shape))):
+            pairs.from_dense(np.zeros(shape, dtype=complex))
+
+    def test_scalar_refused_as_not_square(self):
+        with pytest.raises(ValueError, match=r"must be square.*shape \(\)"):
+            pairs.from_dense(np.ones(()))
 
     @pytest.mark.parametrize("scale", [1e-170, 1e200])
     def test_norm_out_of_float_range_refused(self, scale):

@@ -472,3 +472,81 @@ class TestMatchingSigma:
     def test_bad_branch_rejected(self, lossless):
         with pytest.raises(ValueError):
             tp.matching_sigma(lossless, "middle")
+
+
+def _closed_mismatch(p, sigma):
+    return (tp.eta_analytic(p, sigma)
+            - 0.5 * tp.epsilon1_analytic(p, sigma) ** 2)
+
+
+class TestMatchingWidth:
+    @settings(max_examples=40, deadline=None)
+    @given(beta=st.floats(0.55, 1.0))
+    @example(beta=0.55)
+    @example(beta=0.9995)  # the lower roots differ most near beta 1
+    @example(beta=1.0)
+    def test_roots_are_exact(self, beta):
+        p = tp.TlsParams.from_beta(beta)
+        lower = tp.matching_width(p, "lower")
+        upper = tp.matching_width(p, "upper")
+        assert 0.0 < lower < upper
+        for sigma, rises in ((lower, True), (upper, False)):
+            # the closed forms' own rounding is the floor: eps_1 = 1 - x
+            # cancels, so relative to eps_1^2 / 2 it reaches 4e-14 at beta
+            # 0.55; 1e-15 absolute is a few ulp of eta at beta 1
+            assert abs(_closed_mismatch(p, sigma)) <= 1e-15
+            # and a sign change 1e-12 either side, which no width off the
+            # root by more than that leaves
+            below = _closed_mismatch(p, sigma * (1.0 - 1e-12))
+            above = _closed_mismatch(p, sigma * (1.0 + 1e-12))
+            assert (below < 0.0 < above) if rises else (below > 0.0 > above)
+        # the numeric polish of matching_sigma lands within its quadrature
+        # error of the exact roots; lossless, both solve the closed form
+        numeric_upper = tp.matching_sigma(p, "upper")
+        numeric_lower = tp.matching_sigma(p, "lower")
+        if beta == 1.0:
+            assert abs(upper - numeric_upper) <= 8 * np.spacing(upper)
+            assert abs(lower - numeric_lower) <= 8 * np.spacing(lower)
+        else:
+            assert upper == pytest.approx(numeric_upper, rel=3e-6, abs=0.0)
+            assert lower == pytest.approx(numeric_lower, rel=0.0, abs=2e-9)
+
+    def test_lossless_roots(self, lossless):
+        assert tp.matching_width(lossless, "lower") == pytest.approx(
+            0.163394338, abs=1e-9)
+        assert tp.matching_width(lossless, "upper") == pytest.approx(
+            1.250495888, abs=1e-9)
+
+    def test_lower_root_at_half_beta(self):
+        # the lower root is a double root at sigma = 0 at beta 0.5, and
+        # positive on both sides of it; the upper root stays
+        half = tp.TlsParams.from_beta(0.5)
+        with pytest.raises(NoCrossingError, match="no positive lower root"
+                           ) as info:
+            tp.matching_width(half, "lower")
+        assert info.value.branch == "lower"
+        assert tp.matching_width(half, "upper") > 0.5
+        for beta in (0.45, 0.52):
+            p = tp.TlsParams.from_beta(beta)
+            lower = tp.matching_width(p, "lower")
+            assert 0.0 < lower < 0.02
+            assert abs(_closed_mismatch(p, lower)) <= 1e-15
+
+    @pytest.mark.parametrize("branch", ["lower", "upper"])
+    def test_no_crossing_raises(self, branch):
+        # the roots meet near beta 0.3855 and vanish below it
+        with pytest.raises(NoCrossingError, match="unreachable") as info:
+            tp.matching_width(tp.TlsParams.from_beta(0.3), branch)
+        assert info.value.branch == branch
+
+    def test_samples_nothing(self, monkeypatch):
+        # a root whose policy grid is too large is still returned
+        monkeypatch.setattr(scatter, "resolved_size", _refuse)
+        monkeypatch.setattr(np, "linspace", _refuse)
+        sigma = tp.matching_width(tp.TlsParams.from_beta(0.5001), "lower")
+        with pytest.raises(tp.GridSizeError):
+            policy_size(sigma)
+
+    def test_bad_branch_rejected(self, lossless):
+        with pytest.raises(ValueError, match="branch"):
+            tp.matching_width(lossless, "middle")

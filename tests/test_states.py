@@ -451,7 +451,7 @@ class TestApplyTls:
 
     def test_matched_pair_surviving_weight(self):
         p = tp.TlsParams.from_beta(0.95)
-        sigma = tp.matching_sigma(p, "upper")
+        sigma = tp.matching_width(p, "upper")
         g = tp.SpectralGrid(60.0, 1201)
         f = tp.make_pulse(tp.PulseShape("lorentzian", sigma), g)
         st = FewPhotonState.from_components(

@@ -1,5 +1,6 @@
 import sys
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -172,6 +173,72 @@ class TestFig1b:
     def test_non_finite_sigma_range_rejected(self, sigma_range):
         with pytest.raises(ValueError, match="sigma_range"):
             SweepSpec(sigma_range=sigma_range)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a pulse was sampled")
+
+
+@pytest.fixture()
+def no_sampling(monkeypatch):
+    """make_pulse and resolved_size raise, in every module that binds them."""
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "tlsphot":
+            for attr in ("make_pulse", "resolved_size"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, _refuse)
+
+
+class TestFig1bTable:
+    def test_rows_are_the_closed_forms(self, no_sampling):
+        # lossy betas on both sides of a lossless one, widths on both sides
+        # of sigma = 0.4, where the policy grid changes regime
+        spec = SweepSpec(beta_values=(0.95, 1.0, 0.9),
+                         sigma_range=(0.05, 4.0), sigma_count=15,
+                         n_points=101)
+        threads = threading.active_count()
+        rows = sweeps.fig1b_table(spec)
+        assert threading.active_count() == threads
+        assert len(rows) == 45
+        for r in rows:
+            p = tp.TlsParams.from_beta(r["beta"])
+            sigma = r["sigma_over_gamma"]
+            assert r["eta"] == tp.eta_analytic(p, sigma)
+            assert r["half_eps1_sq"] == 0.5 * tp.epsilon1_analytic(
+                p, sigma) ** 2
+        assert [r["sigma_over_gamma"] for r in rows] == list(
+            spec.sigmas()) * 3
+        assert [r["beta"] for r in rows] == [0.95] * 15 + [1.0] * 15 + [
+            0.9] * 15
+
+    def test_crossing_flags_bracket_matching_widths(self):
+        spec = SweepSpec(beta_values=(1.0, 0.95, 0.9),
+                         sigma_range=(0.05, 4.0), sigma_count=40)
+        rows = sweeps.fig1b_table(spec)
+        step = (4.0 / 0.05) ** (1 / 39)
+        for beta in spec.beta_values:
+            p = tp.TlsParams.from_beta(beta)
+            crossings = [r["sigma_over_gamma"] for r in rows
+                         if r["beta"] == beta and r["is_crossing"]]
+            assert len(crossings) == 2
+            for sigma, branch in zip(sorted(crossings), ("lower", "upper")):
+                assert sigma < tp.matching_width(p, branch) < sigma * step
+
+    def test_lossless_rows_equal_fig1b_data(self, small_spec):
+        lossless = replace(small_spec, beta_values=(1.0,))
+        assert sweeps.fig1b_table(lossless) == fig1b_data(lossless)
+
+
+class TestExactScalarPath:
+    def test_figures_sample_nothing(self, no_sampling):
+        spec = SweepSpec(beta_values=(1.0, 0.95, 0.6, 0.3), n_points=101)
+        rows = success_curves(spec, "lower")
+        assert [r["matched"] for r in rows] == [True, True, True, False]
+        assert [r["sigma"] for r in rows[:3]] == [
+            tp.matching_width(tp.TlsParams.from_beta(b), "lower")
+            for b in (1.0, 0.95, 0.6)]
+        assert [r["cz_success"] for r in fig3_data(spec, "lower")][:3] == [
+            r["cz_success"] for r in rows[:3]]
 
 
 class TestLossCurves:
