@@ -324,11 +324,17 @@ def matching_width(p: TlsParams, branch: str = "upper") -> float:
     if branch not in ("lower", "upper"):
         raise ValueError(f"branch must be 'lower' or 'upper', got {branch!r}")
     G = p.gamma_loss + 1.0
-    coeffs = _matching_sextic(G)
+    # the coefficients overflow only below beta_dir = 1e-38, far below the
+    # 0.3855 at which the roots vanish
+    try:
+        coeffs = _matching_sextic(G)
+        finite = all(np.isfinite(coeffs))
+    except OverflowError:
+        finite = False
     # a real root is returned with a zero imaginary part; a pair of roots
     # that merge within rounding is returned complex, and is no crossing
     roots = sorted(r.real for r in np.roots(coeffs)
-                   if r.imag == 0.0 and r.real > 0.0)
+                   if r.imag == 0.0 and r.real > 0.0) if finite else []
     if not roots or (branch == "lower" and len(roots) < 2):
         exc = NoCrossingError(
             f"matching condition unreachable at beta_dir={p.beta_dir:.4f}: "

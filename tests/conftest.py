@@ -13,12 +13,29 @@ Expensive end-to-end runs are session-scoped so the unit tests and the
 acceptance suite share them.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
 import tlsphot as tp
 from tlsphot.pairs import FactoredPair
 from tlsphot.states import FewPhotonState
+
+
+def _refuse_sampling(*args, **kwargs):
+    raise AssertionError("a pulse was sampled")
+
+
+@pytest.fixture()
+def no_sampling(monkeypatch):
+    """make_pulse and resolved_size raise, in every tlsphot module that
+    binds them: a closed-form path runs, a sampling one fails."""
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "tlsphot":
+            for attr in ("make_pulse", "resolved_size"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, _refuse_sampling)
 
 
 @pytest.fixture(scope="session")

@@ -533,10 +533,12 @@ class TestMatchingWidth:
             assert abs(_closed_mismatch(p, lower)) <= 1e-15
 
     @pytest.mark.parametrize("branch", ["lower", "upper"])
-    def test_no_crossing_raises(self, branch):
-        # the roots meet near beta 0.3855 and vanish below it
+    @pytest.mark.parametrize("gamma", [1.0 / 0.3 - 1.0, 1e40, 1e300])
+    def test_no_crossing_raises(self, branch, gamma):
+        # the roots meet near beta 0.3855 and vanish below it, also where
+        # the sextic's coefficients overflow a float
         with pytest.raises(NoCrossingError, match="unreachable") as info:
-            tp.matching_width(tp.TlsParams.from_beta(0.3), branch)
+            tp.matching_width(tp.TlsParams(gamma_loss=gamma), branch)
         assert info.value.branch == branch
 
     def test_samples_nothing(self, monkeypatch):

@@ -175,20 +175,6 @@ class TestFig1b:
             SweepSpec(sigma_range=sigma_range)
 
 
-def _refuse(*args, **kwargs):
-    raise AssertionError("a pulse was sampled")
-
-
-@pytest.fixture()
-def no_sampling(monkeypatch):
-    """make_pulse and resolved_size raise, in every module that binds them."""
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "tlsphot":
-            for attr in ("make_pulse", "resolved_size"):
-                if hasattr(module, attr):
-                    monkeypatch.setattr(module, attr, _refuse)
-
-
 class TestFig1bTable:
     def test_rows_are_the_closed_forms(self, no_sampling):
         # lossy betas on both sides of a lossless one, widths on both sides
