@@ -7,13 +7,13 @@ Outputs are deterministic: the same configuration gives byte-identical files.
 
 The scalar experiments (fig1b, loss-curves, fig3, matching-points) take
 closed forms and the exact matching widths of
-:func:`~tlsphot.scatter.matching_width`: they sample no pulse,
-``grid.n_points`` does not touch them, and their headline refines to itself
-(drift 0).
-Every pulse a circuit demo samples, at its operating width, lies on the
-default grid policy :meth:`~tlsphot.grid.SpectralGrid.for_pulse_width`;
-``grid.n_points`` (``--grid-n``) fixes its sample count, and the window
-follows the width.  A fixed count that does not resolve that width exits 2.
+:func:`~tlsphot.scatter.matching_width`: they sample no pulse, at any swept
+width, and their headline refines to itself (drift 0).
+``grid.n_points`` (``--grid-n``) is the circuit demos' grid alone.  Every
+pulse a demo samples, at its operating width, lies on the default grid
+policy :meth:`~tlsphot.grid.SpectralGrid.for_pulse_width`; ``grid.n_points``
+fixes its sample count, and the window follows the width.  A fixed count
+that does not resolve that width exits 2.
 
 Exit codes: 0 success, 1 I/O failure, 2 usage error, 3 convergence failure.
 """
@@ -173,7 +173,7 @@ def _parse(cfg: dict):
         try:
             spec = SweepSpec(beta_values=betas or (1.0,),
                              sigma_range=(sigma_min, sigma_max),
-                             sigma_count=count or 2, n_points=n_points)
+                             sigma_count=count or 2)
         except ValueError as exc:
             diagnostics.append(f"sweep.sigma_min = {sigma_min}, "
                                f"sweep.sigma_max = {sigma_max}: {exc}")

@@ -352,7 +352,7 @@ def matching_width(p: TlsParams, branch: str = "upper") -> float:
     return float(sigma)
 
 
-def _eta_kernel(ps, sigma: float, n_points: int | None = None) -> list:
+def _eta_kernel(ps, sigma: float) -> list:
     """eta at width sigma for each emitter of ``ps``: the closed form
     (:func:`eta_analytic`) if lossless, sampling nothing, else
     :func:`eta_numeric` of the centred Lorentzian on its policy grid.
@@ -375,15 +375,16 @@ def _eta_kernel(ps, sigma: float, n_points: int | None = None) -> list:
 
     filled in from real arrays, with no complex division.  F depends on
     the width alone, so one transform of the pulse serves every emitter.
-    A grid that does not resolve sigma raises make_pulse's ResolutionError.
+    A lossy emitter at a width whose policy grid is too large raises
+    :func:`~tlsphot.grid.resolved_size`'s GridSizeError.
 
-    Kept unchanged for :func:`matching_sigma` and
-    :func:`~tlsphot.sweeps.fig1b_data`, which the benchmark's numeric checks
-    alone call, until those move onto the closed forms (ROADMAP item 2c).
+    Kept for :func:`matching_sigma` and :func:`~tlsphot.sweeps.fig1b_data`,
+    which the benchmark's numeric checks alone call, until those move onto
+    the closed forms (ROADMAP item 2c).
     """
     if all(p.gamma_loss == 0.0 for p in ps):
         return [eta_analytic(p, sigma) for p in ps]
-    delta_max, n, h = resolved_size(sigma, n_points)
+    delta_max, n, h = resolved_size(sigma)
     half = n // 2
     step = delta_max / half
     d = step * np.arange(half + 1)
@@ -433,8 +434,7 @@ _SIGMA_LO, _XTOL = 0.005, 1e-12
 _REACH, _POLISH_EVALS = 0.2, 8
 
 
-def matching_sigma(p: TlsParams, branch: str = "upper",
-                   n_points: int | None = None) -> float:
+def matching_sigma(p: TlsParams, branch: str = "upper") -> float:
     """Spectral width solving the matching condition eta = eps_1^2 / 2.
 
     The mismatch eta(sigma) - eps_1(sigma)^2 / 2 is single-humped, and
@@ -466,14 +466,13 @@ def matching_sigma(p: TlsParams, branch: str = "upper",
         the branch's root lies below sigma = 0.005, or the polish finds no
         numeric root within 20 % of sigma_c in eight numeric evaluations;
         its ``branch`` names the branch.
-    ResolutionError
-        If ``n_points`` does not resolve a width the lossy polish evaluates.
 
     Notes
     -----
-    Kept unchanged for the benchmark's numeric checks alone, until they
-    move onto :func:`matching_width` (ROADMAP item 2c); no library path
-    calls it.
+    Each numeric width is sampled on its own policy grid, which above
+    sigma = 0.005 is always affordable.  Kept for the benchmark's numeric
+    checks alone, until they move onto :func:`matching_width` (ROADMAP item
+    2c); no library path calls it.
     """
     if branch not in ("lower", "upper"):
         raise ValueError(f"branch must be 'lower' or 'upper', got {branch!r}")
@@ -483,7 +482,7 @@ def matching_sigma(p: TlsParams, branch: str = "upper",
                 - 0.5 * epsilon1_analytic(p, sigma) ** 2)
 
     def mismatch(sigma: float) -> float:
-        return (_eta_kernel((p,), sigma, n_points)[0]
+        return (_eta_kernel((p,), sigma)[0]
                 - 0.5 * epsilon1_analytic(p, sigma) ** 2)
 
     try:

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import policy_size
 from .roots import NoCrossingError
 from .scatter import (
     TlsParams,
@@ -23,7 +22,7 @@ DEFAULT_BETAS = (1.0, 0.95, 0.90)
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """What to sweep: beta values, a spectral-width range, grid override."""
+    """What to sweep: beta values and a spectral-width range."""
 
     # fig1b_table takes closed forms, about 20 us per width at the three
     # default betas on one core of a 2-core Xeon, so this is a run of a
@@ -34,7 +33,6 @@ class SweepSpec:
     beta_values: tuple = DEFAULT_BETAS
     sigma_range: tuple = (0.02, 5.0)
     sigma_count: int = 120
-    n_points: int | None = None
 
     def __post_init__(self):
         lo, hi = self.sigma_range
@@ -47,11 +45,6 @@ class SweepSpec:
         if any(not 0.0 < b <= 1.0 for b in self.beta_values):
             raise ValueError(f"beta values must lie in (0, 1], "
                              f"got {self.beta_values}")
-        # checked here: a closed-form figure samples no grid, and so would
-        # never refuse the size.  fig1b_data samples every lossy width on its
-        # policy grid, the narrowest on the largest
-        if self.n_points is not None or any(b < 1.0 for b in self.beta_values):
-            policy_size(lo, self.n_points)
 
     def sigmas(self) -> np.ndarray:
         lo, hi = self.sigma_range
@@ -63,52 +56,39 @@ def fig1b_table(spec: SweepSpec) -> list:
 
     Rows hold (beta, sigma_over_gamma, eta, half_eps1_sq, is_crossing), all
     from the closed forms (:func:`eta_analytic`, :func:`epsilon1_analytic`):
-    nothing is sampled, and ``spec.n_points`` is not used.  The crossing flag
-    marks rows where eta - eps_1^2/2 changes sign before the next row, i.e.
-    the sorting operating points.
+    nothing is sampled.  The crossing flag marks rows where eta - eps_1^2/2
+    changes sign before the next row, i.e. the sorting operating points.
     """
     sigmas = spec.sigmas()
-    rows = []
-    for beta in spec.beta_values:
-        p = TlsParams.from_beta(beta)
-        etas = [eta_analytic(p, s) for s in sigmas]
-        halves = [0.5 * epsilon1_analytic(p, s) ** 2 for s in sigmas]
-        diffs = [e - h for e, h in zip(etas, halves)]
-        for i, sigma in enumerate(sigmas):
-            crossing = (i + 1 < len(sigmas)
-                        and diffs[i] * diffs[i + 1] <= 0.0
-                        and (diffs[i] != 0.0 or diffs[i + 1] != 0.0))
-            rows.append({
-                "beta": float(beta),
-                "sigma_over_gamma": float(sigma),
-                "eta": float(etas[i]),
-                "half_eps1_sq": float(halves[i]),
-                "is_crossing": bool(crossing),
-            })
-    return rows
+    return _fig1b_rows(spec, sigmas, (
+        [eta_analytic(TlsParams.from_beta(beta), s) for s in sigmas]
+        for beta in spec.beta_values))
 
 
 def fig1b_data(spec: SweepSpec) -> list:
-    """Distortion overlap and half squared single-photon survival vs width.
+    """:func:`fig1b_table`'s rows, with each lossy beta's eta sampled on the
+    policy grid of each width (:func:`~tlsphot.scatter._eta_kernel`).  A
+    width whose policy grid is too large raises GridSizeError, that of the
+    lowest such width.
 
-    Rows hold (beta, sigma_over_gamma, eta, half_eps1_sq, is_crossing); the
-    crossing flag marks rows where eta - eps_1^2/2 changes sign before the
-    next row, i.e. the sorting operating points.  A lossy beta raises
-    ResolutionError at a width its grid does not resolve.
-
-    Kept unchanged for the benchmark's numeric checks alone, until they
-    move onto :func:`fig1b_table` (ROADMAP item 2c); no library path calls
-    it.
+    Kept for the benchmark's numeric checks alone, until they move onto
+    :func:`fig1b_table` (ROADMAP item 2c); no library path calls it.
     """
     sigmas = spec.sigmas()
     ps = [TlsParams.from_beta(beta) for beta in spec.beta_values]
     # widths first: one transform of each width's pulse serves every beta.
     # The helper thread runs the kernel alone, which calls nothing that the
     # benchmark's span tracer (one call stack, not thread-safe) wraps
-    columns = zip(*_from_both_ends(
-        lambda s: _eta_kernel(ps, s, spec.n_points), sigmas))
+    return _fig1b_rows(spec, sigmas, zip(*_from_both_ends(
+        lambda s: _eta_kernel(ps, s), sigmas)))
+
+
+def _fig1b_rows(spec: SweepSpec, sigmas, eta_columns) -> list:
+    """fig1b's rows from one column of eta at ``sigmas`` per beta of
+    ``spec``: eps_1^2 / 2 from its closed form, and the crossing flags."""
     rows = []
-    for beta, p, etas in zip(spec.beta_values, ps, columns):
+    for beta, etas in zip(spec.beta_values, eta_columns):
+        p = TlsParams.from_beta(beta)
         halves = [0.5 * epsilon1_analytic(p, s) ** 2 for s in sigmas]
         diffs = [e - h for e, h in zip(etas, halves)]
         for i, sigma in enumerate(sigmas):

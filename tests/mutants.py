@@ -119,6 +119,11 @@ MUTANTS = [
     ("photonwise-drops-converted-photon", "src/tlsphot/modeops.py",
      "        (rail, anc): [(1.0, np.sqrt(2.0) * m[1, 0] * g_perp, pump)]})\n",
      "        (rail, anc): []})\n"),
+    # fig1b's shared row builder flags the row after each sign change, not
+    # the row before it
+    ("fig1b-crossing-looks-back", "src/tlsphot/sweeps.py",
+     "                        and diffs[i] * diffs[i + 1] <= 0.0\n",
+     "                        and diffs[i] * diffs[i - 1] <= 0.0\n"),
 ]
 
 

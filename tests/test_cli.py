@@ -298,19 +298,20 @@ class TestConfigFaults:
         assert "above the maximum" in err
         assert not out.exists()
 
-    def test_unaffordable_sweep_width_exits_2(self, tmp_path, capsys):
-        # the default betas are lossy, so fig1b samples sigma_min's grid
+    def test_narrow_sweep_width_runs(self, tmp_path, capsys):
+        # no scalar experiment samples a swept width, so a width whose
+        # policy grid would hold 1.6e12 samples is no fault, lossy betas
+        # and all
         cfg = tmp_path / "narrow.ini"
         cfg.write_text("[sweep]\nsigma_min = 1e-9\n")
-        assert run_cli(["validate", "--config", str(cfg)]) == 2
-        validated = capsys.readouterr().out
-        assert "sweep.sigma_min = 1e-09" in validated
-        assert "above the maximum" in validated
-        out = tmp_path / "out"
-        assert run_cli(["run", "fig1b", "--beta", "0.95", "--config",
-                        str(cfg), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == validated
-        assert not out.exists()
+        assert run_cli(["validate", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == ""
+        for experiment, flags in (("fig3", []), ("loss-curves", []),
+                                  ("fig1b", ["--beta", "0.95"])):
+            out = tmp_path / experiment
+            assert run_cli(["run", experiment, *flags, "--config", str(cfg),
+                            "--out", str(out)]) == 0, experiment
+            assert capsys.readouterr().err == ""
 
     def test_oversized_sigma_count_exits_2(self, tmp_path, capsys,
                                            monkeypatch):

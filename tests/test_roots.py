@@ -118,9 +118,9 @@ class TestMatchingSolve:
         calls = []
         original = scatter._eta_kernel
 
-        def counted(ps, sigma, n_points=None):
+        def counted(ps, sigma):
             calls.append(sigma)
-            return original(ps, sigma, n_points)
+            return original(ps, sigma)
 
         monkeypatch.setattr(scatter, "_eta_kernel", counted)
         return calls
@@ -165,9 +165,9 @@ class TestMatchingSolve:
         calls = []
         original = scatter._eta_kernel
 
-        def shifted(ps, sigma, n_points=None):
+        def shifted(ps, sigma):
             calls.append(sigma)
-            return [eta + 0.1 for eta in original(ps, sigma, n_points)]
+            return [eta + 0.1 for eta in original(ps, sigma)]
 
         monkeypatch.setattr(scatter, "_eta_kernel", shifted)
         with pytest.raises(NoCrossingError, match="no numeric") as info:

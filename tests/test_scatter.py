@@ -241,16 +241,6 @@ class TestEta:
         p = tp.TlsParams.from_beta(beta)
         assert tp.eta_numeric(p, f) == pytest.approx(oracle.eta(p, f),
                                                      rel=1e-12)
-        if beta < 1.0 and shape is lorentzian_values:
-            # the scalar path's half-grid kernel, on the Lorentzian's policy
-            # grid (lossless it is the closed form).  201 samples do not
-            # resolve the width, and 1601 is the smallest count that does
-            with pytest.raises(tp.ResolutionError, match="grid too coarse"):
-                scatter._eta_kernel((p,), 1.0, 201)
-            g = tp.SpectralGrid.for_pulse_width(1.0, n_points=1601)
-            f = tp.normalize(tp.OnePhotonAmp(g, shape(g, 1.0)))
-            assert scatter._eta_kernel((p,), 1.0, 1601)[0] == pytest.approx(
-                oracle.eta(p, f), rel=1e-12)
 
     @pytest.mark.parametrize("beta", [0.8, 0.9, 0.99])
     def test_half_grid_kernel_equals_eta_numeric(self, beta):
@@ -283,31 +273,21 @@ def _refuse(*args):
 
 
 @settings(max_examples=100, deadline=None)
-@given(beta=st.floats(0.5, 0.999), sigma=st.floats(0.05, 5.0),
-       n_points=st.none() | st.integers(1, 20000).map(lambda k: 2 * k + 1))
-@example(beta=0.8, sigma=1.0, n_points=1601)  # spacing exactly width / 10
-@example(beta=0.8, sigma=1.0, n_points=1599)
-@example(beta=0.8, sigma=0.5, n_points=3201)
-def test_kernel_is_eta_numeric_where_make_pulse_samples(beta, sigma,
-                                                         n_points):
+@given(beta=st.floats(0.5, 0.999), sigma=st.floats(0.05, 5.0))
+@example(beta=0.8, sigma=0.05)  # the narrowest width, the largest grid
+def test_kernel_is_eta_numeric_where_make_pulse_samples(beta, sigma):
     # the one home of eta at a width: a lossy emitter's eta is eta_numeric
-    # of make_pulse's pulse on the policy grid, refused where make_pulse
-    # refuses that grid; a lossless one's is the closed form, unsampled
+    # of make_pulse's pulse on the policy grid; a lossless one's is the
+    # closed form, unsampled
     p = tp.TlsParams.from_beta(beta)
-    grid = tp.SpectralGrid(*policy_size(sigma, n_points))
-    try:
-        f = tp.make_pulse(tp.PulseShape("lorentzian", sigma), grid)
-    except tp.ResolutionError as exc:
-        with pytest.raises(tp.ResolutionError) as info:
-            scatter._eta_kernel((p,), sigma, n_points)
-        assert str(info.value) == str(exc)
-    else:
-        assert scatter._eta_kernel((p,), sigma, n_points)[0] == (
-            pytest.approx(tp.eta_numeric(p, f), abs=1e-13))
+    f = tp.make_pulse(tp.PulseShape("lorentzian", sigma),
+                      tp.SpectralGrid.for_pulse_width(sigma))
+    assert scatter._eta_kernel((p,), sigma)[0] == (
+        pytest.approx(tp.eta_numeric(p, f), abs=1e-13))
     lossless = tp.TlsParams()
     with pytest.MonkeyPatch.context() as m:
         m.setattr(scatter, "resolved_size", _refuse)
-        assert scatter._eta_kernel((lossless, lossless), sigma, n_points) == (
+        assert scatter._eta_kernel((lossless, lossless), sigma) == (
             [tp.eta_analytic(lossless, sigma)] * 2)
 
 
@@ -436,13 +416,6 @@ class TestMatchingSigma:
         assert abs(tp.eta_numeric(p, f)
                    - 0.5 * tp.epsilon1_analytic(p, s) ** 2) < 1e-10
 
-    def test_unresolved_root_width_refused(self):
-        # the lower root at beta 0.55, sigma = 0.00756, wants a spacing of
-        # 7.6e-4; 8001 samples over the policy window of 160 give 0.02
-        p = tp.TlsParams.from_beta(0.55)
-        with pytest.raises(tp.ResolutionError, match="grid too coarse"):
-            tp.matching_sigma(p, "lower", n_points=8001)
-
     @pytest.mark.parametrize("beta, root", [(0.52, "0.00142422"),
                                             (0.5, "below sigma = 1e-06")])
     def test_root_below_width_floor_raises(self, beta, root):
@@ -460,14 +433,6 @@ class TestMatchingSigma:
         p = tp.TlsParams(gamma_loss=3.0)
         with pytest.raises(NoCrossingError):
             tp.matching_sigma(p, "upper")
-
-    @pytest.mark.parametrize("n_points", [1, 2, 4000])
-    def test_grid_size_checked(self, n_points):
-        # the lossy eta samples half a policy grid; a size SpectralGrid
-        # refuses is refused there too, not turned into a wrong eta
-        with pytest.raises(ValueError, match="odd and >= 3"):
-            tp.matching_sigma(tp.TlsParams.from_beta(0.95),
-                              n_points=n_points)
 
     def test_bad_branch_rejected(self, lossless):
         with pytest.raises(ValueError):

@@ -89,10 +89,10 @@ class TestFig1b:
         index = {s: i for i, s in enumerate(spec.sigmas())}
         kernel = sweeps._eta_kernel
 
-        def failing_kernel(ps, sigma, n_points):
+        def failing_kernel(ps, sigma):
             if index[sigma] in failing:
                 raise RuntimeError(f"width {index[sigma]}")
-            return kernel(ps, sigma, n_points)
+            return kernel(ps, sigma)
 
         monkeypatch.setattr(sweeps, "_eta_kernel", failing_kernel)
         threads = threading.active_count()
@@ -133,27 +133,12 @@ class TestFig1b:
         top = SweepSpec.MAX_SIGMA_COUNT
         assert len(SweepSpec(sigma_count=top).sigmas()) == top
 
-    def test_grid_size_checked(self):
-        with pytest.raises(ValueError, match="odd and >= 3"):
-            fig1b_data(SweepSpec(beta_values=(0.95,), sigma_count=2,
-                                 n_points=4000))
-
-    @pytest.mark.parametrize("n_points", [4000, 1])
-    def test_lossless_spec_refuses_grid_size(self, n_points):
-        # at beta = 1 the figures take closed forms and sample no grid
-        with pytest.raises(ValueError, match="odd and >= 3"):
-            fig3_data(SweepSpec(beta_values=(1.0,), n_points=n_points))
-
     def test_unaffordable_narrowest_width_refused(self):
-        # a lossy beta samples sigma_min on its policy grid: 1.6e12 samples
+        # a lossy beta samples sigma_min on its policy grid, 1.6e12 samples,
+        # refused where it is sampled; the spec itself samples nothing
+        spec = SweepSpec(beta_values=(1.0, 0.95), sigma_range=(1e-9, 5.0))
         with pytest.raises(tp.GridSizeError, match="width 1e-09"):
-            SweepSpec(beta_values=(1.0, 0.95), sigma_range=(1e-9, 5.0))
-
-    def test_unresolved_narrowest_width_refused(self):
-        # 4001 samples over the policy window of 160 give a spacing of 0.04,
-        # above a tenth of the default narrowest width, 0.02
-        with pytest.raises(tp.ResolutionError, match="grid too coarse"):
-            fig1b_data(SweepSpec(beta_values=(0.95,), n_points=4001))
+            fig1b_data(spec)
 
     def test_lossless_spec_samples_no_grid(self):
         # at beta = 1 every figure is closed form, at any width
@@ -180,8 +165,7 @@ class TestFig1bTable:
         # lossy betas on both sides of a lossless one, widths on both sides
         # of sigma = 0.4, where the policy grid changes regime
         spec = SweepSpec(beta_values=(0.95, 1.0, 0.9),
-                         sigma_range=(0.05, 4.0), sigma_count=15,
-                         n_points=101)
+                         sigma_range=(0.05, 4.0), sigma_count=15)
         threads = threading.active_count()
         rows = sweeps.fig1b_table(spec)
         assert threading.active_count() == threads
@@ -214,10 +198,24 @@ class TestFig1bTable:
         lossless = replace(small_spec, beta_values=(1.0,))
         assert sweeps.fig1b_table(lossless) == fig1b_data(lossless)
 
+    def test_one_row_builder(self):
+        # the two differ only in where eta comes from: every other column
+        # is the same bits at every beta, and at beta = 1, where the kernel
+        # takes the closed form too, so is every column
+        spec = SweepSpec(beta_values=(0.95, 1.0, 0.9),
+                         sigma_range=(0.05, 4.0), sigma_count=15)
+        table, data = sweeps.fig1b_table(spec), fig1b_data(spec)
+        assert len(table) == len(data) == 45
+        for mine, theirs in zip(table, data):
+            for key in ("beta", "sigma_over_gamma", "half_eps1_sq"):
+                assert mine[key] == theirs[key]
+            if mine["beta"] == 1.0:
+                assert mine == theirs
+
 
 class TestExactScalarPath:
     def test_figures_sample_nothing(self, no_sampling):
-        spec = SweepSpec(beta_values=(1.0, 0.95, 0.6, 0.3), n_points=101)
+        spec = SweepSpec(beta_values=(1.0, 0.95, 0.6, 0.3))
         rows = success_curves(spec, "lower")
         assert [r["matched"] for r in rows] == [True, True, True, False]
         assert [r["sigma"] for r in rows[:3]] == [
